@@ -49,6 +49,8 @@ class Arrangement:
     centers: np.ndarray
     radii: np.ndarray
     dist: np.ndarray
+    #: set on first use by `CMTable.from_arrangement`
+    _cm_table: CMTable = field(default=None, init=False, repr=False, compare=False)
 
     def center(self, j: int) -> np.ndarray:
         return self.centers[j - 1]
@@ -114,6 +116,8 @@ class ParamVector:
     n: int
     radii_sq: np.ndarray
     dist_sq: np.ndarray
+    #: set on first use by `CMTable.from_params`
+    _cm_table: CMTable = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.n + 1
@@ -267,7 +271,7 @@ def normalize(a: Arrangement):
     n = a.n
     shifted = a.centers - a.centers[n]
     new, W = _gauge(shifted, n, diag_sign=-1.0)
-    scale = max(1.0, float(np.max(np.abs(shifted))))
+    scale = float(np.max(np.abs(shifted)))
     # pivot i is coordinate i of O_{n+1-i}, the QR diagonal
     for i in range(1, n + 1):
         if abs(new[n - i, i - 1]) < 1e-10 * scale:
@@ -375,22 +379,24 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
     P_j in normalized coordinates, for j = 1..n; pass `h2="skip"` to
     omit it (used internally to avoid recursion through normalize).
 
-    Values whose magnitude is below 1e-9 times a Hadamard-type bound are
-    reported indeterminate rather than pass/fail.
+    Values whose magnitude is below 1e-9 times a Hadamard-type bound of
+    the same degree in length are reported indeterminate rather than
+    pass/fail, whatever the arrangement's scale.
     """
     table = CMTable.from_arrangement(a)
     n = a.n
     m = n + 1
     rows = []
     for p in range(1, m + 1):
-        tol = SIGN_TOL * hadamard_scale(table, p + 2)
+        tol_plain = SIGN_TOL * hadamard_scale(table, p + 1)
+        tol_starred = SIGN_TOL * hadamard_scale(table, p + 2)
         for J in itertools.combinations(range(1, m + 1), p):
             plain = table.chain(("0",) + J, ("0",) + J)
             starred = table.chain(("0", "*") + J, ("0", "*") + J)
             rows.append(SubsetSigns(
                 J, plain, starred,
-                _status(plain, (-1) ** p, tol),
-                _status(starred, (-1) ** (p + 1), tol)))
+                _status(plain, (-1) ** p, tol_plain),
+                _status(starred, (-1) ** (p + 1), tol_starred)))
     h1 = _combine([s for r in rows for s in (r.plain_status, r.starred_status)])
     # H1': same through p <= n, plain full-set condition unchanged,
     # starred full-set sign flipped.
@@ -413,7 +419,7 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
         try:
             na, _ = normalize(a)
             statuses = []
-            cscale = max(1.0, float(np.max(np.abs(na.centers))))
+            cscale = float(np.max(np.abs(na.centers)))
             for j in range(1, n + 1):
                 pair = intersect.vertices(na, j)
                 coord = float(pair.P[n - j])

@@ -11,10 +11,13 @@ rows.  The entry rule is symmetric:
     ("0", "0") -> 0      ("0", j)   -> 1      ("*", j) -> r_j^2
     ("0", "*") -> 1      ("*", "*") -> 0      (j, k)   -> rho_jk^2  (0 if j = k)
 
-`CMTable` memoizes values per arrangement, canonicalizing index order
-and applying the permutation sign on lookup.  `cm` is the narrow public
-face restricted to the four standard header shapes; `cm_chain` accepts
-any square pair of chains (several mixed shapes appear in the one-form
+`CMTable` holds the determinants of one arrangement (or parameter
+vector) object, which stores it on first use, and memoizes raw chain
+pairs over canonical keys (index order sorted, transpose normalized,
+the permutation sign applied on lookup).  A small pure-Python LU
+evaluates them; no scipy is needed.  `cm` is the narrow public face
+restricted to the four standard header shapes; `cm_chain` accepts any
+square pair of chains (several mixed shapes appear in the one-form
 coefficients and in the vertex value formulas).
 
 The module also builds the configuration matrix of an arrangement whose
@@ -27,11 +30,9 @@ Lorentzian products.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from .errors import DegenerateConfigError, NonRealizableError
 
@@ -82,23 +83,33 @@ def _split_chain(chain):
 
 
 def _det_lu(M):
-    """Determinant via partially pivoted LU, plus a pivot-degradation flag."""
-    m = M.shape[0]
-    if m == 0:
-        return 1.0, False
-    if m == 1:
-        return float(M[0, 0]), False
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(M, check_finite=False)
-    diag = np.diag(lu)
-    sign = 1.0
-    for i, p in enumerate(piv):
-        if p != i:
-            sign = -sign
-    det = sign * float(np.prod(diag))
-    scale = max(1.0, float(np.max(np.abs(M))))
-    degraded = bool(np.min(np.abs(diag)) < PIVOT_WARN * scale)
+    """Determinant via partially pivoted LU, plus a pivot-degradation flag.
+
+    `M` is a square list of row lists, overwritten.  The flag is set when
+    a pivot falls below PIVOT_WARN times the largest entry (at least 1).
+    """
+    m = len(M)
+    scale = max([1.0] + [abs(x) for row in M for x in row])
+    det = 1.0
+    degraded = False
+    for k in range(m):
+        p = k
+        for i in range(k + 1, m):
+            if abs(M[i][k]) > abs(M[p][k]):
+                p = i
+        if p != k:
+            M[k], M[p] = M[p], M[k]
+            det = -det
+        rk = M[k]
+        piv = rk[k]
+        if piv == 0.0:
+            return 0.0, True
+        det *= piv
+        degraded = degraded or abs(piv) < PIVOT_WARN * scale
+        for ri in M[k + 1:]:
+            f = ri[k] / piv
+            for j in range(k + 1, m):
+                ri[j] -= f * rk[j]
     return det, degraded
 
 
@@ -146,10 +157,13 @@ class CMKey:
 class CMTable:
     """Memoized determinant evaluator for one set of squared parameters.
 
-    Values are cached under canonical keys (indices sorted, transpose
-    normalized); the permutation sign is applied on lookup.  The cache
-    only ever stores pure values, so concurrent readers inserting the
-    same key are harmless.
+    `from_arrangement` / `from_params` return the one table of a frozen
+    object, built on first use and stored on it.  `chain` looks up the
+    raw (rows, cols) pair as given and validates only on a miss, so
+    invalid chains raise on every call.  The caches hold pure values, so
+    concurrent callers inserting the same key are harmless.  Keys whose
+    LU met a degraded pivot are collected in `pivot_warnings`.  `scale`
+    is the largest squared radius or distance (see `hadamard_scale`).
     """
 
     n: int
@@ -157,49 +171,54 @@ class CMTable:
     dist_sq: np.ndarray   # shape (n+2, n+2), entry [j, k] = rho_jk^2
 
     _cache: dict = field(default_factory=dict, repr=False)
+    _raw: dict = field(default_factory=dict, repr=False)
     pivot_warnings: set = field(default_factory=set, repr=False)
+
+    def __post_init__(self):
+        # every matrix entry by its (row token, column token) pair
+        r2, d2 = self.radii_sq.tolist(), self.dist_sq.tolist()
+        e = {("0", "0"): 0.0, ("0", "*"): 1.0, ("*", "0"): 1.0, ("*", "*"): 0.0}
+        for j in range(1, self.n + 2):
+            e["0", j] = e[j, "0"] = 1.0
+            e["*", j] = e[j, "*"] = r2[j]
+            for k in range(1, self.n + 2):
+                e[j, k] = d2[j][k]
+        self._entries = e
+        self.scale = max(r2 + [max(row) for row in d2])
 
     @classmethod
     def from_arrangement(cls, a):
-        m = a.n + 1
-        r2 = np.zeros(m + 1)
-        r2[1:] = np.asarray(a.radii, float) ** 2
-        d2 = np.zeros((m + 1, m + 1))
-        for j in range(1, m + 1):
-            for k in range(j + 1, m + 1):
-                d2[j, k] = d2[k, j] = float(
-                    np.sum((a.centers[j - 1] - a.centers[k - 1]) ** 2))
-        return cls(a.n, r2, d2)
+        """The table of arrangement `a`, built on first use."""
+        if a._cm_table is None:
+            d2 = [[float(np.sum((cj - ck) ** 2)) for ck in a.centers]
+                  for cj in a.centers]
+            cls._store(a, np.asarray(a.radii, float) ** 2, d2)
+        return a._cm_table
 
     @classmethod
     def from_params(cls, params):
-        """Build from a parameter vector (no point coordinates needed)."""
-        m = params.n + 1
+        """The table of a parameter vector (no point coordinates needed)."""
+        if params._cm_table is None:
+            cls._store(params, params.radii_sq, params.dist_sq)
+        return params._cm_table
+
+    @classmethod
+    def _store(cls, obj, radii_sq, dist_sq):
+        m = obj.n + 1
         r2 = np.zeros(m + 1)
-        r2[1:] = params.radii_sq
+        r2[1:] = radii_sq
         d2 = np.zeros((m + 1, m + 1))
-        d2[1:, 1:] = params.dist_sq
-        return cls(params.n, r2, d2)
+        d2[1:, 1:] = dist_sq
+        object.__setattr__(obj, "_cm_table", cls(obj.n, r2, d2))
 
     # -- evaluation -------------------------------------------------------
 
-    def _entry(self, a, b):
-        if a == "0":
-            return 0.0 if b == "0" else 1.0
-        if a == "*":
-            if b == "0":
-                return 1.0
-            if b == "*":
-                return 0.0
-            return self.radii_sq[b]
-        if b == "0":
-            return 1.0
-        if b == "*":
-            return self.radii_sq[a]
-        return self.dist_sq[a, b]
-
     def chain(self, rows, cols):
         """Determinant for an arbitrary square pair of chains."""
+        raw = (tuple(rows), tuple(cols))
+        value = self._raw.get(raw)
+        if value is not None:
+            return value
         rh, ri = _split_chain(rows)
         ch, ci = _split_chain(cols)
         if len(rh) + len(ri) != len(ch) + len(ci):
@@ -211,26 +230,28 @@ class CMTable:
         rkey = (rh, tuple(sorted(ri)))
         ckey = (ch, tuple(sorted(ci)))
         key = (rkey, ckey) if rkey <= ckey else (ckey, rkey)  # transpose symmetry
-        if key not in self._cache:
+        det = self._cache.get(key)
+        if det is None:
             chain_r = key[0][0] + key[0][1]
             chain_c = key[1][0] + key[1][1]
-            M = np.array([[self._entry(x, y) for y in chain_c] for x in chain_r])
-            det, degraded = _det_lu(M)
+            e = self._entries
+            det, degraded = _det_lu([[e[x, y] for y in chain_c] for x in chain_r])
             self._cache[key] = det
             if degraded:
                 self.pivot_warnings.add(key)
-        return sign * self._cache[key]
+        value = self._raw[raw] = sign * det
+        return value
 
 
 def hadamard_scale(table: CMTable, size: int) -> float:
-    """Conservative magnitude bound for a size x size bordered determinant.
+    """Magnitude bound for a size x size determinant bordered by one row
+    and one column of ones: B(0 J) (size p+1) or B(0*J) (size p+2).
 
-    Used to turn absolute sign thresholds into scale-aware ones: a
-    determinant whose magnitude is below tol * hadamard_scale has an
-    unreliable sign at double precision.
+    Such a determinant has degree size-2 in the squared lengths, so a
+    sign test against tol * table.scale^(size-2) * size^(size/2) gives
+    the same verdict for any rescaled copy of the arrangement.
     """
-    M = max(1.0, float(np.max(table.radii_sq)), float(np.max(table.dist_sq)))
-    return M ** size * size ** (size / 2.0)
+    return table.scale ** (size - 2) * size ** (size / 2.0)
 
 
 def cm(table: CMTable, key: CMKey) -> float:

@@ -140,7 +140,7 @@ def vertices(a, j: int) -> VertexPair:
     half_b = w @ d
     c = w @ w - a.radius(k0) ** 2
     disc = half_b * half_b - c
-    tol_d = 1e-12 * max(1.0, a.radius(k0) ** 2)
+    tol_d = 1e-12 * a.radius(k0) ** 2
     if abs(disc) < tol_d:
         raise TangencyError(
             f"spheres {K} are tangent: the two vertices coincide")
@@ -152,7 +152,7 @@ def vertices(a, j: int) -> VertexPair:
     from .arrangement import evaluate_f
 
     vals = [evaluate_f(a, j, x) for x in pts]
-    tol = 1e-12 * max(1.0, a.radius(j) ** 2)
+    tol = 1e-12 * a.radius(j) ** 2
     if min(abs(v) for v in vals) < tol:
         raise TangencyError(
             f"vertex lies on sphere {j}; labeling ambiguous")

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arrangement import Chamber, check_hypotheses
 from .cayley_menger import CMTable, ConfigMatrix
@@ -196,7 +195,7 @@ def face_volume_mc(a, c: Chamber, J, samples: int, rng: Rng,
             "bounded component")
     bary = _barycentric(a) if all_plus else None
     if p == n:
-        tol = 1e-9 * max(1.0, float(np.max(a.radii)) ** 2)
+        tol = 1e-9 * float(np.max(a.radii)) ** 2
         count = 0
         for sgn in (1.0, -1.0):
             x = sub.center + sgn * sub.radius * sub.basis[0]
@@ -260,6 +259,8 @@ def cap_integral(n: int, t0: float, method: str = "expansion") -> float:
     if method == "expansion":
         return sin_power_integral(n, math.acos(t0))
     if method == "quadrature":
+        from scipy.integrate import quad  # cross-check only: scipy is a test extra
+
         val, _ = quad(lambda t: (1.0 - t * t) ** ((n - 1) / 2.0), t0, 1.0,
                       epsabs=1e-13, epsrel=1e-13)
         return float(val)
@@ -383,7 +384,7 @@ def pseudo_triangle_area_closed(a, n: int = 2) -> float:
 def simplex_volume(a) -> float:
     """Euclidean volume of the simplex spanned by the n+1 centers."""
     E = a.centers[:-1] - a.centers[-1]
-    scale = max(1.0, float(np.max(np.abs(E))) ** a.n)
+    scale = float(np.max(np.abs(E))) ** a.n
     det = float(np.linalg.det(E))
     if abs(det) < 1e-12 * scale:
         raise DegenerateConfigError("centers are affinely dependent")

@@ -271,3 +271,35 @@ def test_public_names_exported():
                  "chamber_contains", "check_hypotheses", "load_arrangement",
                  "Chamber", "ParamVector", "Arrangement"):
         assert hasattr(sx, name), name
+
+
+@pytest.mark.parametrize("base", [equilateral(radius=0.7, side=1.0),
+                                  gap_fixture()])
+def test_verdicts_invariant_under_scaling(base):
+    """Sign and tangency tests measure each quantity against a bound of
+    its own degree in length, so a rescaled copy gets the same verdicts,
+    closed-form coverage and vertex counts, and areas scaled by s^2."""
+    chambers = [Chamber.from_string(s)
+                for s in ("---", "--+", "-+-", "+--", "-++", "+-+", "++-",
+                          "+++")]
+
+    def verdicts(a):
+        rep = check_hypotheses(a)
+        statuses = [(r.subset, r.plain_status, r.starred_status)
+                    for r in rep.table]
+        vols = [sx.chamber_volume(a, c, samples=1000) for c in chambers]
+        vertex_counts = [sx.face_volume(a, c, J).value for c in chambers
+                         for J in ((1, 2), (1, 3), (2, 3))]
+        return ((rep.h1, rep.h1_prime, rep.h2, statuses,
+                 [v.exact for v in vols], vertex_counts),
+                [v.value for v in vols if v.exact])
+
+    want, areas = verdicts(base)
+    assert want[0] is not None and want[1] is not None
+    for k in range(-12, 13):
+        s = 10.0 ** k
+        scaled = from_centers_radii(base.centers * s, base.radii * s)
+        got, got_areas = verdicts(scaled)
+        assert got == want, f"scale 1e{k}"
+        assert np.allclose(np.array(got_areas) / s ** 2, areas,
+                           rtol=1e-9, atol=0), f"scale 1e{k}"

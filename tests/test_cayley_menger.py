@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import sphex as sx
-from sphex.cayley_menger import CMKey, CMTable, cm, cm_chain, hadamard_scale
+from sphex.cayley_menger import (
+    CMKey,
+    CMTable,
+    _det_lu,
+    cm,
+    cm_chain,
+    hadamard_scale,
+)
 from conftest import equilateral, random_h1, tetrahedron
 
 
@@ -248,3 +255,62 @@ def test_table_cache_stable(tri):
     first = t.chain(("0", "*", 1, 2), ("0", "*", 1, 2))
     second = t.chain(("0", "*", 1, 2), ("0", "*", 1, 2))
     assert first == second
+
+
+# determinant path: in-house LU, one table per object, raw-chain memo
+
+
+@pytest.mark.parametrize("size", range(8))
+def test_det_lu_matches_numpy(size):
+    gen = np.random.default_rng(100 + size)
+    for _ in range(20):
+        M = gen.normal(size=(size, size))
+        for A in (M, M[gen.permutation(size)]):
+            got, _ = _det_lu(A.tolist())
+            want = np.linalg.det(A)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_pivot_flag_on_near_singular_bordered_matrix():
+    # centers 1e-7 apart: B(0 1 2) = 2 rho_12^2 ~ 2e-14, a degraded pivot
+    c = np.array([[0.0, 0.0], [1e-7, 0.0], [0.5, 1.0]])
+    t = table_of(sx.from_centers_radii(c, [1.0, 1.0, 1.0]))
+    t.chain(("0", 1, 3), ("0", 1, 3))
+    assert not t.pivot_warnings
+    got = t.chain(("0", 1, 2), ("0", 1, 2))
+    assert got == pytest.approx(2e-14, rel=1e-6)
+    assert len(t.pivot_warnings) == 1
+
+
+def test_one_table_per_object(tri):
+    assert CMTable.from_arrangement(tri) is CMTable.from_arrangement(tri)
+    twin = sx.from_centers_radii(tri.centers, tri.radii)
+    assert CMTable.from_arrangement(twin) is not CMTable.from_arrangement(tri)
+    p = sx.params_of(tri)
+    assert CMTable.from_params(p) is CMTable.from_params(p)
+    q = sx.ParamVector(p.n, p.radii_sq, p.dist_sq)
+    assert CMTable.from_params(q) is not CMTable.from_params(p)
+
+
+def test_memoised_permuted_chain_keeps_sign():
+    gen = np.random.default_rng(7)
+    t = table_of(random_h1(gen, n=3))
+    base = t.chain(("0", 1, 2, 3), ("0", 1, 2, 3))
+    for _ in range(2):
+        assert t.chain(("0", 2, 1, 3), ("0", 1, 2, 3)) == -base
+        assert t.chain(("0", 1, 2, 3), ("0", 3, 2, 1)) == -base
+        assert t.chain(("0", 3, 1, 2), ("0", 2, 3, 1)) == base
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (("0", 1, 1), ("0", 1, 2)),      # repeated index
+    (("0", 1, 4), ("0", 1, 2)),      # index out of range
+    (("0", 1), ("0", 1, 2)),         # unequal lengths
+    ((1, "0"), (1, "0")),            # header after an index
+    (("x", 1), ("0", 1)),            # unknown token
+])
+def test_bad_chain_raises_on_every_call(tri, rows, cols):
+    t = table_of(tri)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            t.chain(rows, cols)

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sphex
 from sphex import cli
 from sphex.arrangement import arrangement_to_json, params_of, params_to_json
 from conftest import (
@@ -346,3 +350,14 @@ def test_embedded_lens_values_through_cli(tmp_path, capsys):
     payload = json.loads(out)
     want = 2 * math.pi / 3 - math.sqrt(3) / 2
     assert abs(payload["value"] - want) <= 3 * payload["std_error"]
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test extra (the quadrature cross-check imports it on
+    demand), so a cold `import sphex` must not load it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, sphex; "
+            "sys.exit(1 if 'scipy' in sys.modules else 0)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
