@@ -51,6 +51,12 @@ class Arrangement:
     dist: np.ndarray
     #: set on first use by `CMTable.from_arrangement`
     _cm_table: CMTable = field(default=None, init=False, repr=False, compare=False)
+    #: set on first use by `params_of`
+    _params: "ParamVector" = field(default=None, init=False, repr=False,
+                                   compare=False)
+    #: intersection spheres by index set, filled by `intersection_sphere`
+    _spheres: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def center(self, j: int) -> np.ndarray:
         return self.centers[j - 1]
@@ -199,7 +205,12 @@ def from_centers_radii(centers, radii) -> Arrangement:
 
 
 def params_of(a: Arrangement) -> ParamVector:
-    return ParamVector(a.n, _frozen(a.radii ** 2), _frozen(a.dist ** 2))
+    """The squared parameters of `a`: one `ParamVector` per arrangement,
+    built on first use and stored on it, so its `CMTable` is shared too."""
+    if a._params is None:
+        object.__setattr__(a, "_params", ParamVector(
+            a.n, _frozen(a.radii ** 2), _frozen(a.dist ** 2)))
+    return a._params
 
 
 def from_params(p: ParamVector, n: int) -> Arrangement:

@@ -220,6 +220,7 @@ def cmd_volume(cfg: RunConfig):
         "std_error": est.std_error,
         "samples": est.samples,
         "exact": est.exact,
+        "method": est.method,
     }
     return payload, 0
 

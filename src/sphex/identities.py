@@ -35,8 +35,10 @@ from .intersect import intersection_sphere, sphere_angle, vertices
 from .volume import (
     Rng,
     chamber_volume,
+    chamber_volume_mc,
     decomposition_cell_coefficient,
     face_volume,
+    face_volume_mc,
     simplex_volume,
     sphere_arc_lengths,
     sphere_region_area_mc,
@@ -123,29 +125,37 @@ def _label(J) -> str:
     return "S_" + "".join(str(j) for j in J)
 
 
+def _estimators(a, c: Chamber, method: str):
+    """The (chamber, face) volume estimators of a check.
+
+    method "mc" selects the indicator estimators, which count vertices
+    exactly and sample everything else; any other method takes
+    `chamber_volume` and `face_volume`, closed forms and the
+    spherical-region kernel included.
+    """
+    if method == "mc":
+        bounding = None if c.minus_set() else "simplex"
+        return (lambda samples, rng: chamber_volume_mc(
+                    a, c, samples, rng, bounding=bounding),
+                lambda J, samples, rng: face_volume_mc(
+                    a, c, J, samples, rng, bounding=bounding))
+    return (lambda samples, rng: chamber_volume(a, c, samples, rng),
+            lambda J, samples, rng: face_volume(a, c, J, samples, rng))
+
+
 def _check_volume_identity(name, a, c, samples, rng, method="auto"):
     table = CMTable.from_arrangement(a)
     n = a.n
     coefs, final = volume_identity_coefficients(table, n, c)
-    if method == "mc":
-        from .volume import chamber_volume_mc, face_volume_mc
-        bounding = None if c.minus_set() else "simplex"
-        vol = chamber_volume_mc(a, c, samples, rng.substream(0),
-                                bounding=bounding)
-    else:
-        vol = chamber_volume(a, c, samples, rng.substream(0))
+    chamber_est, face_est = _estimators(a, c, method)
+    vol = chamber_est(samples, rng.substream(0))
     lhs = n * vol.value
     var = (n * vol.std_error) ** 2
     all_exact = vol.exact
     terms = []
     stream = 1
     for J in sorted(coefs, key=lambda t: (len(t), t)):
-        if method == "mc" and len(J) < n:
-            bounding = None if c.minus_set() else "simplex"
-            v = face_volume_mc(a, c, J, samples, rng.substream(stream),
-                               bounding=bounding)
-        else:
-            v = face_volume(a, c, J, samples, rng.substream(stream))
+        v = face_est(J, samples, rng.substream(stream))
         stream += 1
         terms.append((_label(J), coefs[J] * v.value))
         var += (coefs[J] * v.std_error) ** 2
@@ -160,10 +170,13 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
                       method: str = "auto") -> IdentityReport:
     """n * v(chamber) against the face-volume expansion, default all-minus.
 
-    Closed-form volumes and arcs are used for n = 2 (tolerance 1e-9);
-    otherwise every term is MC and the tolerance is 3x the propagated
-    standard error.  `chamber` may be any sign vector with at least one
-    minus entry; the all-plus case has its own sign pattern and check.
+    Closed-form volumes and arcs are used for n = 2 (tolerance 1e-9).
+    Otherwise the chamber volume is MC, faces come from `face_volume`
+    (exact on vertex pairs and 1-dimensional faces, conditional MC on
+    the rest), and the tolerance is 3x the propagated standard error;
+    method "mc" samples every term with the indicator estimators.
+    `chamber` may be any sign vector with at least one minus entry; the
+    all-plus case has its own sign pattern and check.
     """
     c = chamber if chamber is not None else Chamber.all_minus(a.n)
     if not c.minus_set():
@@ -191,6 +204,7 @@ def check_decomposition(a, samples: int = 1_000_000,
     rng = rng if rng is not None else Rng(0)
     lhs = simplex_volume(a)
     c = Chamber.all_plus(a.n)
+    chamber_est, face_est = _estimators(a, c, method)
     terms = []
     var = 0.0
     all_exact = True
@@ -198,22 +212,12 @@ def check_decomposition(a, samples: int = 1_000_000,
     for p in range(1, a.n + 1):
         for J in itertools.combinations(range(1, a.n + 2), p):
             const = decomposition_cell_coefficient(a, J)
-            if method == "mc" and len(J) < a.n:
-                from .volume import face_volume_mc
-                v = face_volume_mc(a, c, J, samples, rng.substream(stream),
-                                   bounding="simplex")
-            else:
-                v = face_volume(a, c, J, samples, rng.substream(stream))
+            v = face_est(J, samples, rng.substream(stream))
             stream += 1
             terms.append(("cell_" + _label(J), const * v.value))
             var += (const * v.std_error) ** 2
             all_exact = all_exact and v.exact
-    if method == "mc":
-        from .volume import chamber_volume_mc
-        gap = chamber_volume_mc(a, c, samples, rng.substream(stream),
-                                bounding="simplex")
-    else:
-        gap = chamber_volume(a, c, samples, rng.substream(stream))
+    gap = chamber_est(samples, rng.substream(stream))
     terms.append(("gap", gap.value))
     var += gap.std_error ** 2
     all_exact = all_exact and gap.exact

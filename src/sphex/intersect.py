@@ -99,9 +99,13 @@ def intersection_sphere(a, J) -> SubSphere:
 
     Center: the orthogonal projection of any O_j onto the affine hull
     (all members of J project to the same point).  Radius: the
-    determinant quotient r_J^2 = -(1/2) B(0*J)/B(0 J).
+    determinant quotient r_J^2 = -(1/2) B(0*J)/B(0 J).  The result is
+    stored on the arrangement (its arrays read-only), so the faces of
+    every chamber and check share one computation per index set.
     """
     J = tuple(sorted(J))
+    if J in a._spheres:
+        return a._spheres[J]
     p = len(J)
     if not 1 <= p <= a.n:
         raise ValueError(f"|J| must be between 1 and n, got {p}")
@@ -119,7 +123,10 @@ def intersection_sphere(a, J) -> SubSphere:
     x0, frame = _hull(a, J)
     d = a.center(J[0]) - x0
     center = x0 + (d @ frame.T) @ frame
-    return SubSphere(J, center, math.sqrt(r_sq), frame)
+    center.setflags(write=False)
+    frame.setflags(write=False)
+    sub = a._spheres[J] = SubSphere(J, center, math.sqrt(r_sq), frame)
+    return sub
 
 
 def vertices(a, j: int) -> VertexPair:

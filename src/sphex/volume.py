@@ -7,6 +7,16 @@ areas (assembled from lens areas and the three-arc region), the lens
 volume in any dimension, cap integrals, the Euclidean simplex volume,
 and the cone-cell volumes of the simplex decomposition.
 
+Faces: on the sphere S_J every other sphere's sign constraint, and
+every barycentric constraint of the center simplex, is affine in the
+unit direction g, so a face is a region {g in S^m : alpha + beta.g >= 0}
+with m = n - |J|.  One kernel, `sphere_region`, measures such a region:
+it counts the two points for m = 0, intersects arcs exactly for m = 1,
+and for m >= 2 averages the exact feasible arc length over random
+circle fibres (conditional Monte Carlo).  The restricted unit-sphere
+model uses the same kernel.  The indicator estimators
+`chamber_volume_mc` and `face_volume_mc` stay as independent oracles.
+
 Boundedness: a chamber with at least one minus sign lives inside the
 corresponding ball, so rejection sampling uses the intersection of the
 minus-ball bounding boxes.  The all-plus chamber is unbounded as a sign
@@ -63,23 +73,39 @@ class Rng:
         return np.random.Generator(bit)
 
 
+#: how a `VolumeEstimate` was obtained: a closed form, an exact count of
+#: points, an exact arc intersection, indicator Monte Carlo, or Monte
+#: Carlo conditioned on circle fibres
+METHODS = ("closed", "count", "arc", "mc", "conditional-mc")
+
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     """A volume value with its uncertainty bookkeeping.
 
-    `std_error` is the binomial standard error propagated through the
-    bounding-measure factor; closed forms carry std_error 0 and
-    exact=True.
+    `method` is one of `METHODS`; left out, it is "closed" for an exact
+    result and "mc" otherwise.  Exact results ("closed", "count",
+    "arc") carry std_error 0.  For "mc" `std_error` is the binomial
+    standard error propagated through the bounding-measure factor and
+    `samples` counts points; for "conditional-mc" it is the sample
+    standard error of the per-fibre arc lengths and `samples` counts
+    fibres.
     """
 
     value: float
     std_error: float
     samples: int
     exact: bool = False
+    method: "str | None" = None
 
     def __post_init__(self):
         if self.exact and self.std_error != 0.0:
             raise ValueError("exact results must have zero std_error")
+        if self.method is None:
+            object.__setattr__(self, "method",
+                               "closed" if self.exact else "mc")
+        elif self.method not in METHODS:
+            raise ValueError(f"unknown volume method {self.method!r}")
 
 
 def _mc_fraction(samples: int, rng: Rng, hit_fn) -> float:
@@ -203,7 +229,7 @@ def face_volume_mc(a, c: Chamber, J, samples: int, rng: Rng,
             if ok and all_plus:
                 ok = bool(_simplex_mask(bary, x[None, :], tol=1e-9)[0])
             count += bool(ok)
-        return VolumeEstimate(float(count), 0.0, 2, exact=True)
+        return VolumeEstimate(float(count), 0.0, 2, exact=True, method="count")
     m = n - p
     area = unit_sphere_area(m) * sub.radius ** m
 
@@ -228,6 +254,191 @@ def face_volume_mc(a, c: Chamber, J, samples: int, rng: Rng,
 def _f_val(a, j, x):
     d = np.asarray(x, float) - a.center(j)
     return float(d @ d - a.radius(j) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the spherical-region kernel
+# ---------------------------------------------------------------------------
+
+TWO_PI = 2.0 * math.pi
+#: tolerance of the two-point count (m = 0); constraint rows from
+#: `face_constraints` are scaled so that it matches `face_volume_mc`
+COUNT_TOL = 1e-9
+#: fibres per sub-chunk of an RNG block: the arc intersection holds about
+#: a dozen (fibres, K) arrays, so a sub-chunk keeps the working set of a
+#: block no larger than the indicator estimators'
+FIBRE_CHUNK = 4096
+
+
+def _arcs(A, B, phase):
+    """Feasible arcs of circles under constraints A + B cos(t - phase) >= 0.
+
+    A and B (B >= 0) are (N, K): one row per circle, one column per
+    constraint; `phase` is (K,).  Constraint k alone allows the arc
+    [s_k, s_k + w_k) of t with w_k = 2 arccos(-A/B), 2 pi when A >= B.
+    The intersection lies in the narrowest arc r, so it is the window
+    [s_r, s_r + w_r) minus the gap of every arc.  Because w_k >= w_r,
+    each gap meets the window in one interval, and sorting these by
+    their left ends merges them in one pass.  Returns (start, length),
+    both (N, K+1): the feasible pieces between the merged gaps, some of
+    length 0.
+    """
+    half = np.arccos(np.clip(-A / np.maximum(B, 1e-300), -1.0, 1.0))
+    width = 2.0 * half
+    start = np.subtract(phase, half)
+    rows = np.arange(len(A))[:, None]
+    r = width.argmin(axis=1)[:, None]
+    s_r, w_r = start[rows, r], width[rows, r]
+    # arc k relative to s_r: [sig, sig + w), so its gap is [sig + w - 2pi, sig)
+    sig = np.subtract(start, s_r, out=start)
+    np.remainder(sig, TWO_PI, out=sig)
+    lo = sig + width - TWO_PI
+    hi = np.minimum(sig, w_r, out=sig)
+    empty = hi <= lo
+    lo[empty] = hi[empty] = np.broadcast_to(w_r, lo.shape)[empty]
+    order = lo.argsort(axis=1)
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+    reach = np.maximum.accumulate(hi, axis=1)
+    begin = np.concatenate([np.zeros_like(w_r), reach], axis=1)
+    length = np.concatenate([lo, w_r], axis=1)
+    np.subtract(length, begin, out=length)
+    np.maximum(length, 0.0, out=length)
+    begin += s_r
+    np.remainder(begin, TWO_PI, out=begin)
+    return begin, length
+
+
+def _binding(alpha, beta):
+    """Drop constraints that never bind; None if one is never satisfied."""
+    amp = np.linalg.norm(beta, axis=1)
+    if np.any(alpha < -amp):
+        return None
+    keep = alpha < amp
+    return alpha[keep], beta[keep]
+
+
+def _circle_arcs(alpha, beta):
+    """(start, length) of the arcs {t : alpha + beta.(cos t, sin t) >= 0}."""
+    rows = _binding(alpha, beta)
+    if rows is None:
+        return np.zeros(0), np.zeros(0)
+    alpha, beta = rows
+    if not len(alpha):
+        return np.zeros(1), np.full(1, TWO_PI)
+    amp = np.hypot(beta[:, 0], beta[:, 1])
+    start, length = _arcs(alpha[None, :], amp[None, :],
+                          np.arctan2(beta[:, 1], beta[:, 0]))
+    return start[0], length[0]
+
+
+def _fibre_frame(beta):
+    """Orthonormal rows e1, e2, ... with e1 the region's centre direction.
+
+    The centre direction is the normalized sum of the unit constraint
+    normals; the circle fibres lie in planes parallel to span(e1, e2).
+    """
+    d = (beta / np.linalg.norm(beta, axis=1, keepdims=True)).sum(axis=0)
+    norm = np.linalg.norm(d)
+    d = d / norm if norm > 1e-12 else np.eye(len(d))[0]
+    q, _ = np.linalg.qr(np.column_stack([d, np.eye(len(d))]))
+    return q.T
+
+
+def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
+    """Measure of the region {g in S^m : alpha_k + beta_k . g >= 0 for all k}.
+
+    `alpha` has K entries and `beta` is (K, m+1).  m = 0: counts the two
+    points g = +-1, with tolerance `COUNT_TOL`.  m = 1: exact arc
+    intersection.  m >= 2: conditional Monte Carlo over circle fibres
+    g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2), with y uniform in the
+    unit (m-1)-ball orthogonal to e1, e2.  The surface measure is
+    exactly dy dt, so the region's measure is vol(B^(m-1)) times the mean
+    exact feasible arc length of a fibre; `std_error` is the per-fibre
+    sample standard error and `samples` counts fibres.  Constraints that
+    never bind are dropped first, and a constraint that is never met
+    gives an exact 0.  A result depends only on (seed, stream, samples).
+    """
+    alpha = np.asarray(alpha, float).reshape(-1)
+    beta = np.asarray(beta, float).reshape(len(alpha), -1)
+    m = beta.shape[1] - 1
+    if m == 0:
+        b = beta[:, 0]
+        count = (int((alpha + b >= -COUNT_TOL).all())
+                 + int((alpha - b >= -COUNT_TOL).all()))
+        return VolumeEstimate(float(count), 0.0, 2, exact=True,
+                              method="count")
+    if m == 1:
+        _, length = _circle_arcs(alpha, beta)
+        return VolumeEstimate(math.fsum(length), 0.0, 0, exact=True,
+                              method="arc")
+    rows = _binding(alpha, beta)
+    if rows is None or not len(rows[0]):
+        value = 0.0 if rows is None else unit_sphere_area(m)
+        return VolumeEstimate(value, 0.0, 0, exact=True, method="closed")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    alpha, beta = rows
+    proj = beta @ _fibre_frame(beta).T          # (K, m+1) in the fibre frame
+    amp = np.hypot(proj[:, 0], proj[:, 1])
+    phase = np.arctan2(proj[:, 1], proj[:, 0])
+    perp = proj[:, 2:]
+    k = m - 1
+    total = total_sq = 0.0
+    done = block = 0
+    while done < samples:
+        cnt = min(BLOCK, samples - done)
+        gen = rng.generator(block)
+        y = gen.normal(size=(cnt, k))
+        y *= (gen.random(cnt) ** (1.0 / k)
+              / np.linalg.norm(y, axis=1))[:, None]
+        for lo in range(0, cnt, FIBRE_CHUNK):
+            yc = y[lo:lo + FIBRE_CHUNK]
+            A = yc @ perp.T
+            A += alpha
+            B = np.sqrt(np.maximum(1.0 - np.einsum("ij,ij->i", yc, yc), 0.0))
+            B = B[:, None] * amp
+            meets = (A + B > 0.0).all(axis=1)
+            if meets.any():
+                _, length = _arcs(A[meets], B[meets], phase)
+                arc = length.sum(axis=1)
+                total += float(arc.sum())
+                total_sq += float(arc @ arc)
+        done += cnt
+        block += 1
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    ball = unit_sphere_area(m) / TWO_PI          # vol(B^(m-1))
+    return VolumeEstimate(ball * mean, ball * math.sqrt(var / samples),
+                          samples, exact=False, method="conditional-mc")
+
+
+def face_constraints(a, c: Chamber, J):
+    """The face S_J of chamber c as the region of `sphere_region`.
+
+    A point of S_J is x = center + R (g @ basis) with g on the unit
+    m-sphere, m = n - |J|.  For each sphere k outside J,
+    sign_k f_k(x) = sign_k (|center - O_k|^2 + R^2 - r_k^2
+    + 2R (basis (center - O_k)) . g), scaled by 1 / max r^2; an all-plus
+    chamber adds the barycentric rows lambda_i >= 0 and
+    1 - sum lambda >= 0 that select the gap component inside the center
+    simplex.  Returns (alpha, beta, R).
+    """
+    sub = intersection_sphere(a, tuple(sorted(J)))
+    R = sub.radius
+    out = [k for k in range(a.n + 1) if k + 1 not in sub.J]
+    s = np.array([c.signs[k] for k in out]) / a.radii.max() ** 2
+    d = sub.center - a.centers[out]
+    alpha = s * ((d * d).sum(axis=1) + (R * R - a.radii[out] ** 2))
+    beta = d @ sub.basis.T
+    beta *= (2.0 * R * s)[:, None]
+    if not c.minus_set():
+        Minv, base = _barycentric(a)
+        lam0 = Minv @ (sub.center - base)
+        lam = R * (Minv @ sub.basis.T)
+        alpha = np.concatenate([alpha, lam0, [1.0 - lam0.sum()]])
+        beta = np.vstack([beta, lam, -lam.sum(axis=0)])
+    return alpha, beta, R
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +659,22 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
 
 def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
                 rng: "Rng | None" = None) -> VolumeEstimate:
-    """Face measure v_J, closed form when available, else MC."""
+    """Face measure v_J: the n = 2 closed arc when it applies, else the
+    `sphere_region` kernel on the face's constraints (exact for
+    |J| >= n - 1, conditional MC with `samples` fibres below)."""
     J = tuple(sorted(J))
     rng = rng if rng is not None else Rng(0)
-    bounding = None if c.minus_set() else "simplex"
-    if len(J) == a.n:
-        return face_volume_mc(a, c, J, 1, rng, bounding=bounding)
     if a.n == 2 and len(J) == 1:
         try:
             ang = chamber_arc_angles(a, c)[J[0]]
             return VolumeEstimate(a.radius(J[0]) * ang, 0.0, 0, exact=True)
         except SphexError:
             pass
-    return face_volume_mc(a, c, J, samples, rng, bounding=bounding)
+    alpha, beta, R = face_constraints(a, c, J)
+    est = sphere_region(alpha, beta, samples, rng)
+    f = R ** (a.n - len(J))
+    return VolumeEstimate(est.value * f, est.std_error * f, est.samples,
+                          est.exact, est.method)
 
 
 def decomposition_cell_coefficient(a, J) -> float:
@@ -504,78 +718,34 @@ def decomposition_cell_volume(a, J, samples: int = 1_000_000,
 
 def sphere_region_area_mc(m: ConfigMatrix, samples: int,
                           rng: Rng) -> VolumeEstimate:
-    """MC area of the region {x on S^2 : u_j . x + u_j0 <= 0 for all j}."""
-    if m.n != 3:
-        raise ValueError("spherical region area is implemented for n = 3")
-    U = m.normals
-    u0 = m.offsets
+    """Area of the region {x on S^(n-1) : u_j . x + u_j0 <= 0 for all j}.
 
-    def hit_fn(gen, cnt):
-        g = gen.normal(size=(cnt, 3))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        vals = g @ U.T + u0
-        return np.all(vals <= 0.0, axis=1).sum()
-
-    f = _mc_fraction(samples, rng, hit_fn)
-    area = 4.0 * math.pi
-    return VolumeEstimate(area * f, area * math.sqrt(f * (1.0 - f) / samples),
-                          samples, exact=False)
-
-
-def _wrap_intervals(lo, hi):
-    """Normalize an arc [lo, hi] on the circle into [0, 2pi) pieces."""
-    two_pi = 2.0 * math.pi
-    width = hi - lo
-    lo = lo % two_pi
-    hi = lo + width
-    if hi <= two_pi:
-        return [(lo, hi)]
-    return [(lo, two_pi), (0.0, hi - two_pi)]
-
-
-def _intersect_intervals(xs, ys):
-    out = []
-    for a0, a1 in xs:
-        for b0, b1 in ys:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if hi > lo:
-                out.append((lo, hi))
-    return out
+    Measured by `sphere_region`: conditional Monte Carlo over circle
+    fibres for n >= 3 (`samples` counts fibres), exact arcs for n = 2.
+    """
+    return sphere_region(-m.offsets, -m.normals, samples, rng)
 
 
 def circle_feasible_arcs(m: ConfigMatrix, j: int):
     """Feasible parameter arcs of circle j under the other constraints.
 
-    Returns (list of (t0, t1) intervals, circle radius); the boundary
-    length of the region on circle j is radius times the total measure.
-    Handles non-binding constraints (full circle) and empty cases.
+    Returns (list of (t0, t1) intervals in [0, 2 pi], circle radius); the
+    boundary length of the region on circle j is radius times the total
+    measure.  Handles non-binding constraints (full circle) and empty
+    cases.
     """
     if m.n != 3:
         raise ValueError("circle arcs are implemented for n = 3")
     center, radius, frame = sphere_circle(m, j)
-    e1, e2 = frame
-    intervals = [(0.0, 2.0 * math.pi)]
-    for k in range(1, m.n + 1):
-        if k == j:
-            continue
-        u = m.normals[k - 1]
-        cA = radius * float(u @ e1)
-        cB = radius * float(u @ e2)
-        cC = float(u @ center) + m.offset(k)
-        amp = math.hypot(cA, cB)
-        if amp < 1e-14:
-            if cC > 0:
-                return [], radius
-            continue
-        q = -cC / amp
-        if q >= 1.0:
-            continue
-        if q <= -1.0:
-            return [], radius
-        phase = math.atan2(cB, cA)
-        alpha = math.acos(q)
-        pieces = _wrap_intervals(phase + alpha, phase + 2.0 * math.pi - alpha)
-        intervals = _intersect_intervals(intervals, pieces)
+    U = np.delete(m.normals, j - 1, axis=0)
+    alpha = -(U @ center + np.delete(m.offsets, j - 1))
+    start, length = _circle_arcs(alpha, -radius * (U @ frame.T))
+    intervals = []
+    for t0, w in zip(start.tolist(), length.tolist()):
+        if w > 0.0:
+            t1 = t0 + w
+            intervals += ([(t0, t1)] if t1 <= TWO_PI
+                          else [(t0, TWO_PI), (0.0, t1 - TWO_PI)])
     return intervals, radius
 
 

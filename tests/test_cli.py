@@ -123,6 +123,15 @@ def test_volume_mc_byte_determinism(tetra_file, capsys):
     assert payload["samples"] == 20000
 
 
+def test_volume_reports_method(lens3_file, tetra_file, capsys):
+    _, out, _ = run(capsys, ["volume", "--input", lens3_file,
+                             "--chamber", "--+"])
+    assert json.loads(out)["method"] == "closed"
+    _, out, _ = run(capsys, ["volume", "--input", tetra_file,
+                             "--samples", "20000"])
+    assert json.loads(out)["method"] == "mc"
+
+
 def test_volume_seed_changes_mc(tetra_file, capsys):
     base = ["volume", "--input", tetra_file, "--chamber", "----",
             "--samples", "20000"]

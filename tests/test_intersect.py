@@ -71,6 +71,18 @@ def test_empty_intersection_raises():
         intersection_sphere(a, (1, 2))
 
 
+def test_intersection_sphere_stored_per_arrangement(tetra):
+    s = intersection_sphere(tetra, (2, 1))
+    assert intersection_sphere(tetra, (1, 2)) is s
+    assert not s.center.flags.writeable and not s.basis.flags.writeable
+    twin = sx.from_centers_radii(tetra.centers, tetra.radii)
+    assert intersection_sphere(twin, (1, 2)) is not s
+    far = sx.from_centers_radii([[0, 0], [5, 0], [0, 5]], [1.0, 1.0, 1.0])
+    for _ in range(2):  # failures are not stored
+        with pytest.raises(EmptyIntersectionError):
+            intersection_sphere(far, (1, 2))
+
+
 def test_vertices_labeling(tri):
     v = vertices(tri, 3)
     assert sx.evaluate_f(tri, 3, v.P) < 0

@@ -1,0 +1,312 @@
+"""The spherical-region kernel against grids, closed forms and indicator MC."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import sphex as sx
+from sphex.arrangement import Chamber, params_of
+from sphex.cayley_menger import CMTable, ConfigMatrix
+from sphex.volume import (
+    BLOCK,
+    Rng,
+    VolumeEstimate,
+    _arcs,
+    _fibre_frame,
+    circle_feasible_arcs,
+    face_constraints,
+    face_volume,
+    face_volume_mc,
+    sin_power_integral,
+    sphere_region,
+    sphere_region_area_mc,
+    unit_sphere_area,
+)
+from conftest import equilateral, random_h1, random_h1_prime, tetrahedron
+
+Z = 5.0
+GRID = 400_000
+
+
+def grid_measure(A, B, phase):
+    """Feasible measure of each row of `_arcs` input on a fine angular grid."""
+    t = (np.arange(GRID) + 0.5) * (2.0 * math.pi / GRID)
+    out = []
+    for a_row, b_row in zip(A, B):
+        ok = np.ones(GRID, dtype=bool)
+        for a, b, ph in zip(a_row, b_row, phase):
+            ok &= a + b * np.cos(t - ph) >= 0.0
+        out.append(ok.mean() * 2.0 * math.pi)
+    return np.array(out)
+
+
+def test_arcs_match_fine_grid():
+    """Random rows, with duplicated columns, whole-circle and empty arcs."""
+    gen = np.random.default_rng(31)
+    K = 6
+    phase = gen.uniform(-math.pi, math.pi, K)
+    phase[4] = phase[1]  # a duplicate constraint: same phase ...
+    A = gen.normal(scale=0.7, size=(40, K))
+    B = np.abs(gen.normal(size=(40, K))) + 0.1
+    A[:, 4], B[:, 4] = A[:, 1], B[:, 1]  # ... and the same arc on every row
+    A[::5, 2] = B[::5, 2] + 0.3       # whole circle for that constraint
+    A[1::9] = B[1::9] + 1.0           # every arc whole: the full circle
+    A[3::11, 0] = -B[3::11, 0] - 0.2  # an empty arc empties the row
+    start, length = _arcs(A, B, phase)
+    want = grid_measure(A, B, phase)
+    # each merged piece may be off by one grid cell at either end
+    tol = 2 * (K + 1) * 2.0 * math.pi / GRID
+    np.testing.assert_allclose(length.sum(axis=1), want, atol=tol)
+    assert np.all(length.sum(axis=1)[1::9] == pytest.approx(2.0 * math.pi))
+    assert np.all(length.sum(axis=1)[3::11] == 0.0)
+    # every piece is feasible: check its midpoint against every constraint
+    mid = start + 0.5 * length
+    vals = A[:, None, :] + B[:, None, :] * np.cos(mid[:, :, None] - phase)
+    assert np.all(vals[length > 1e-9].min(axis=-1) >= -1e-12)
+
+
+def test_arcs_duplicate_constraints_count_once():
+    """Identical constraints at several indices give the arc once."""
+    A = np.array([[0.2, 0.2, 0.2, -0.1]])
+    B = np.ones((1, 4))
+    phase = np.array([0.3, 0.3, 0.3, 0.3])
+    _, length = _arcs(A, B, phase)
+    assert length.sum() == pytest.approx(2.0 * math.acos(0.1), rel=1e-12)
+    _, length = _arcs(A[:, :3], B[:, :3], phase[:3])
+    assert length.sum() == pytest.approx(2.0 * math.acos(-0.2), rel=1e-12)
+
+
+def regular_gap3(radius=0.89):
+    return sx.from_centers_radii(tetrahedron().centers, [radius] * 4)
+
+
+def test_gap_circle_with_coinciding_barycentric_rows():
+    """On S_12 of the regular gap, lambda_1 and lambda_2 coincide."""
+    a = regular_gap3()
+    alpha, beta, R = face_constraints(a, Chamber.all_plus(3), (1, 2))
+    rows = np.column_stack([alpha, beta])
+    dup = [(i, j) for i, j in itertools.combinations(range(len(rows)), 2)
+           if np.allclose(rows[i], rows[j], atol=1e-12)]
+    assert dup
+    t = (np.arange(GRID) + 0.5) * (2.0 * math.pi / GRID)
+    g = np.column_stack([np.cos(t), np.sin(t)])
+    want = R * 2.0 * math.pi * np.all(alpha + g @ beta.T >= 0.0, axis=1).mean()
+    got = face_volume(a, Chamber.all_plus(3), (1, 2))
+    assert got.exact and got.method == "arc"
+    cell = R * 2.0 * math.pi / GRID
+    assert got.value == pytest.approx(want, abs=4 * len(alpha) * cell)
+
+
+def test_circle_feasible_arcs_are_feasible():
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetrahedron()))
+    for j in (1, 2, 3):
+        intervals, radius = circle_feasible_arcs(m, j)
+        center, _, frame = sx.sphere_circle(m, j)
+        assert intervals
+        for t0, t1 in intervals:
+            assert 0.0 <= t0 < t1 <= 2.0 * math.pi
+            for t in np.linspace(t0, t1, 7)[1:-1]:
+                x = center + radius * (math.cos(t) * frame[0]
+                                       + math.sin(t) * frame[1])
+                assert np.all(m.normals @ x + m.offsets <= 1e-12)
+
+
+def cap_area(m, cos_theta):
+    """Measure of {g in S^m : g_0 >= cos_theta}."""
+    return unit_sphere_area(m - 1) * sin_power_integral(m - 1,
+                                                        math.acos(cos_theta))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_caps_and_hemispheres_against_closed_forms(m):
+    e0 = np.eye(m + 1)[0]
+    for cos_theta in (0.0, 0.6, -0.3):
+        est = sphere_region([-cos_theta], [e0], 20_000, Rng(3, m))
+        assert est.method == "conditional-mc" and not est.exact
+        want = cap_area(m, cos_theta)
+        # every fibre crosses a cap centred on e1 symmetrically; a
+        # hemisphere gives each fibre exactly half its circle
+        assert abs(est.value - want) <= Z * est.std_error + 1e-12 * want, \
+            (m, cos_theta)
+    # two opposite caps that overlap in a band, and one that misses
+    band = sphere_region([0.5, 0.5], [e0, -e0], 20_000, Rng(4, m))
+    want = unit_sphere_area(m) - 2.0 * cap_area(m, 0.5)
+    assert abs(band.value - want) <= Z * band.std_error
+    empty = sphere_region([-1.5], [e0], 10, Rng(0))
+    assert empty.exact and empty.value == 0.0
+    whole = sphere_region([2.0, 1.0], [e0, -e0], 10, Rng(0))
+    assert whole.exact and whole.value == pytest.approx(unit_sphere_area(m))
+
+
+def test_fibre_frame_contains_centre_direction():
+    gen = np.random.default_rng(5)
+    beta = gen.normal(size=(4, 5))
+    frame = _fibre_frame(beta)
+    np.testing.assert_allclose(frame @ frame.T, np.eye(5), atol=1e-12)
+    d = (beta / np.linalg.norm(beta, axis=1, keepdims=True)).sum(axis=0)
+    assert abs(frame[0] @ d) == pytest.approx(np.linalg.norm(d), rel=1e-12)
+
+
+def test_repeatable_per_seed_stream_and_samples():
+    a = tetrahedron()
+    alpha, beta, _ = face_constraints(a, Chamber.all_minus(3), (1,))
+    n = BLOCK + 123  # a partial second block
+    first = sphere_region(alpha, beta, n, Rng(8, 2))
+    again = sphere_region(alpha, beta, n, Rng(8, 2))
+    assert (first.value, first.std_error) == (again.value, again.std_error)
+    other = sphere_region(alpha, beta, n, Rng(8, 3))
+    assert other.value != first.value
+    assert first.samples == n
+
+
+def indicator_area(alpha, beta, samples, seed):
+    """Independent indicator MC of the region, on the unit sphere."""
+    gen = np.random.default_rng(seed)
+    g = gen.normal(size=(samples, beta.shape[1]))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    f = np.all(alpha + g @ beta.T >= 0.0, axis=1).mean()
+    area = unit_sphere_area(beta.shape[1] - 1)
+    return area * f, area * max(math.sqrt(f * (1 - f) / samples),
+                                1.0 / samples)
+
+
+def assert_faces_match_oracle(a, c, kernel_samples, oracle_samples, seed):
+    bounding = None if c.minus_set() else "simplex"
+    for p in range(1, a.n + 1):
+        for J in itertools.combinations(range(1, a.n + 2), p):
+            got = face_volume(a, c, J, kernel_samples, Rng(seed, p))
+            want = face_volume_mc(a, c, J, oracle_samples,
+                                  Rng(seed, 100 + p), bounding=bounding)
+            m = a.n - p
+            methods = {0: ("count",), 1: ("arc",)}.get(
+                m, ("conditional-mc", "closed"))
+            assert got.method in methods, (J, got.method)
+            if m == 0:
+                assert got.value == want.value, (c, J)
+                continue
+            R = sx.intersection_sphere(a, J).radius
+            area = unit_sphere_area(m) * R ** m
+            sigma = math.hypot(got.std_error,
+                               max(want.std_error, area / oracle_samples))
+            assert abs(got.value - want.value) <= Z * sigma, \
+                (str(c), J, got, want)
+
+
+def test_faces_of_random_n3_draws_match_indicator():
+    gen = np.random.default_rng(303)
+    for i in range(3):
+        a = random_h1(gen, 3)
+        for signs in ("----", "-+-+", "+--+"):
+            assert_faces_match_oracle(a, Chamber.from_string(signs), 20_000,
+                                      100_000, 40 + i)
+
+
+def regular_simplex4(side=1.5):
+    s = side / math.sqrt(2.0)
+    t = s * (1.0 - math.sqrt(5.0)) / 4.0
+    return np.vstack([np.eye(4) * s, np.full(4, t)])
+
+
+def test_faces_of_random_n4_draws_match_indicator():
+    gen = np.random.default_rng(404)
+    base = regular_simplex4()
+    done = 0
+    while done < 2:
+        c = base + gen.normal(scale=0.08, size=base.shape)
+        r = np.abs(1.0 + gen.normal(scale=0.05, size=5))
+        a = sx.from_centers_radii(c, r)
+        if sx.check_hypotheses(a, h2="skip").h1 is not True:
+            continue
+        assert_faces_match_oracle(a, Chamber.all_minus(4), 10_000, 60_000,
+                                  41 + done)
+        done += 1
+
+
+def test_gap_faces_n3_match_indicator():
+    assert_faces_match_oracle(regular_gap3(), Chamber.all_plus(3), 20_000,
+                              200_000, 42)
+    gen = np.random.default_rng(405)
+    done = 0
+    while done < 2:
+        c = tetrahedron().centers + gen.normal(scale=0.04, size=(4, 3))
+        r = np.abs(0.89 + gen.normal(scale=0.02, size=4))
+        a = sx.from_centers_radii(c, r)
+        if sx.check_hypotheses(a, h2="skip").h1_prime is not True:
+            continue
+        assert_faces_match_oracle(a, Chamber.all_plus(3), 20_000, 200_000,
+                                  43 + done)
+        done += 1
+
+
+def test_restricted_model_regions_match_indicator():
+    mats = [
+        ConfigMatrix.from_entries(3, [0.0, 0.0, 0.0],
+                                  {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0}),
+        ConfigMatrix.from_entries(3, [0.0, 0.0, -3.0],
+                                  {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0}),
+        sx.config_matrix(sx.restrict_to_unit_sphere(tetrahedron())),
+    ]
+    gen = np.random.default_rng(406)
+    for _ in range(3):
+        a = random_h1(gen, 3)
+        try:
+            mats.append(sx.config_matrix(sx.restrict_to_unit_sphere(a)))
+        except sx.SphexError:
+            continue
+    for i, m in enumerate(mats):
+        got = sphere_region_area_mc(m, 50_000, Rng(44, i))
+        want, sigma = indicator_area(-m.offsets, -m.normals, 400_000, 44 + i)
+        assert abs(got.value - want) <= Z * math.hypot(got.std_error, sigma), i
+
+
+def test_vertex_counts_match_indicator_oracle():
+    """The two-point count keeps the indicator estimator's tolerance."""
+    gen = np.random.default_rng(407)
+    cases = [(random_h1(gen, 2), None) for _ in range(5)]
+    cases += [(random_h1_prime(gen), "+++") for _ in range(5)]
+    cases += [(random_h1(gen, 3), None) for _ in range(3)]
+    cases.append((regular_gap3(), "++++"))
+    for a, only in cases:
+        chambers = ([Chamber.from_string(only)] if only else
+                    [Chamber(s) for s in itertools.product((-1, 1),
+                                                           repeat=a.n + 1)
+                     if -1 in s])
+        for c in chambers:
+            bounding = None if c.minus_set() else "simplex"
+            for J in itertools.combinations(range(1, a.n + 2), a.n):
+                got = face_volume(a, c, J)
+                want = face_volume_mc(a, c, J, 1, Rng(0), bounding=bounding)
+                assert (got.value, got.exact, got.method) == \
+                    (want.value, True, "count"), (str(c), J)
+
+
+def test_volume_estimate_method():
+    assert VolumeEstimate(1.0, 0.0, 0, exact=True).method == "closed"
+    assert VolumeEstimate(1.0, 0.1, 10).method == "mc"
+    assert VolumeEstimate(1.0, 0.1, 10, False, "conditional-mc").method == \
+        "conditional-mc"
+    with pytest.raises(ValueError):
+        VolumeEstimate(1.0, 0.0, 0, True, "guess")
+    tri = equilateral()
+    assert face_volume(tri, Chamber.all_minus(2), (1,)).method == "closed"
+    assert sx.chamber_volume(tri, Chamber.all_minus(2)).method == "closed"
+    est = sx.chamber_volume(tetrahedron(), Chamber.all_minus(3), 1000, Rng(1))
+    assert est.method == "mc"
+
+
+def test_params_of_shares_one_table(monkeypatch):
+    built = []
+    original = CMTable.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(CMTable, "__post_init__", counting)
+    a = equilateral()
+    forms = [sx.theta(a, (1, 2, 3)) for _ in range(3)]
+    assert len(built) == 1
+    assert forms[0] == forms[1] == forms[2]
+    assert params_of(a) is params_of(a)
