@@ -221,6 +221,7 @@ def cmd_volume(cfg: RunConfig):
         "samples": est.samples,
         "exact": est.exact,
         "method": est.method,
+        "fallback_reason": est.fallback_reason,
     }
     return payload, 0
 

@@ -350,10 +350,13 @@ def check_gauss_bonnet_n3(m: ConfigMatrix, samples: int = 1_000_000,
                           rng: "Rng | None" = None) -> IdentityReport:
     """Spherical region area against its boundary-integral closed form.
 
-    lhs is the MC area of the region cut by the planes on the unit
-    2-sphere; rhs combines the Euler term 2 pi, the offset-weighted
+    lhs is the area of the region cut by the planes on the unit
+    2-sphere, from `sphere_region_area_mc`: exact by quadrature, or
+    conditional MC with `samples` fibres if the quadrature does not
+    converge.  rhs combines the Euler term 2 pi, the offset-weighted
     boundary arc lengths, and the exterior angles at the vertices, all
-    computed exactly from circle geometry.
+    computed exactly from circle geometry.  The tolerance is
+    max(3 std_error, 1e-12).
     """
     if m.n != 3:
         raise ValueError("this check is specific to n = 3")

@@ -44,6 +44,8 @@ from .volume import (
     chamber_area_closed_n2,
     face_volume,
     sin_power_integral,
+    sphere_arc_lengths,
+    sphere_vertex_counts,
     unit_sphere_area,
 )
 
@@ -312,7 +314,6 @@ def dA_volume_form_theorem_III(m: ConfigMatrix, samples: int = 1_000_000,
     if n != 3:
         raise ValueError("the restricted variational form is built for n = 3")
     if face_values is None:
-        from .volume import sphere_arc_lengths, sphere_vertex_counts
         arcs = sphere_arc_lengths(m)
         counts = sphere_vertex_counts(m)
         face_values = {(j,): arcs[j] for j in arcs}
@@ -346,7 +347,6 @@ def dA_volume_form_n3(m: ConfigMatrix,
     if m.n != 3:
         raise ValueError("explicit shape exists for n = 3 only")
     if face_values is None:
-        from .volume import sphere_arc_lengths
         arcs = sphere_arc_lengths(m)
         face_values = {(j,): arcs[j] for j in arcs}
         face_values.update({(j, k): 1.0

@@ -12,9 +12,10 @@ every barycentric constraint of the center simplex, is affine in the
 unit direction g, so a face is a region {g in S^m : alpha + beta.g >= 0}
 with m = n - |J|.  One kernel, `sphere_region`, measures such a region:
 it counts the two points for m = 0, intersects arcs exactly for m = 1,
-and for m >= 2 averages the exact feasible arc length over random
-circle fibres (conditional Monte Carlo).  The restricted unit-sphere
-model uses the same kernel.  The indicator estimators
+integrates the exact feasible arc length of the circle fibres by
+Gauss-Legendre quadrature over the fibre height for m = 2, and for
+m >= 3 averages that length over random fibres (conditional Monte
+Carlo).  The restricted unit-sphere model uses the same kernel.  The indicator estimators
 `chamber_volume_mc` and `face_volume_mc` stay as independent oracles.
 
 Boundedness: a chamber with at least one minus sign lives inside the
@@ -28,8 +29,9 @@ membership.  Face estimators restrict to the same bounded component.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,9 +76,10 @@ class Rng:
 
 
 #: how a `VolumeEstimate` was obtained: a closed form, an exact count of
-#: points, an exact arc intersection, indicator Monte Carlo, or Monte
-#: Carlo conditioned on circle fibres
-METHODS = ("closed", "count", "arc", "mc", "conditional-mc")
+#: points, an exact arc intersection, converged quadrature over circle
+#: fibres, indicator Monte Carlo, or Monte Carlo conditioned on circle
+#: fibres
+METHODS = ("closed", "count", "arc", "quadrature", "mc", "conditional-mc")
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,13 @@ class VolumeEstimate:
 
     `method` is one of `METHODS`; left out, it is "closed" for an exact
     result and "mc" otherwise.  Exact results ("closed", "count",
-    "arc") carry std_error 0.  For "mc" `std_error` is the binomial
-    standard error propagated through the bounding-measure factor and
-    `samples` counts points; for "conditional-mc" it is the sample
-    standard error of the per-fibre arc lengths and `samples` counts
-    fibres.
+    "arc", "quadrature") carry std_error 0.  For "mc" `std_error` is the
+    binomial standard error propagated through the bounding-measure
+    factor and `samples` counts points; for "conditional-mc" it is the
+    sample standard error of the per-fibre arc lengths and `samples`
+    counts fibres.  `fallback_reason` says why a cheaper or exact path
+    was not taken (a closed form raised, or the quadrature did not
+    converge); it is None when the first path applied.
     """
 
     value: float
@@ -97,6 +102,7 @@ class VolumeEstimate:
     samples: int
     exact: bool = False
     method: "str | None" = None
+    fallback_reason: "str | None" = None
 
     def __post_init__(self):
         if self.exact and self.std_error != 0.0:
@@ -268,6 +274,10 @@ COUNT_TOL = 1e-9
 #: a dozen (fibres, K) arrays, so a sub-chunk keeps the working set of a
 #: block no larger than the indicator estimators'
 FIBRE_CHUNK = 4096
+#: Gauss-Legendre nodes k per piece of the m = 2 quadrature; the result
+#: with 2k nodes is kept when it agrees with the k-node one to QUAD_TOL
+QUAD_NODES = 64
+QUAD_TOL = 1e-12
 
 
 def _arcs(A, B, phase):
@@ -345,19 +355,162 @@ def _fibre_frame(beta):
     return q.T
 
 
+def _fibre_lengths(y, alpha, perp, amp, phase):
+    """Exact feasible arc length of the fibres at heights y, (N, m-1).
+
+    The fibre at y is g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2), on
+    which constraint k reads A_k + B_k cos(t - phase_k) >= 0 with
+    A = alpha + y . perp and B = sqrt(1 - |y|^2) amp.  Only fibres that
+    meet every constraint enter the arc intersection; the rest give 0.
+    """
+    A = y @ perp.T
+    A += alpha
+    B = np.sqrt(np.maximum(1.0 - np.einsum("ij,ij->i", y, y), 0.0))
+    B = B[:, None] * amp
+    out = np.zeros(len(y))
+    meets = (A + B > 0.0).all(axis=1)
+    if meets.any():
+        out[meets] = _arcs(A[meets], B[meets], phase)[1].sum(axis=1)
+    return out
+
+
+def _gauss_legendre(k: int):
+    """Gauss-Legendre nodes and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence of P_k from the
+    asymptotic guesses cos(pi (i - 1/4) / (k + 1/2)); the weights are
+    2 / ((1 - x^2) P_k'(x)^2).  Cheaper at first use, in time and
+    memory, than importing numpy.polynomial.
+    """
+    x = np.cos(math.pi * (np.arange(1, k + 1) - 0.25) / (k + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, k + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = k * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if np.abs(step).max() < 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+@functools.lru_cache(maxsize=None)
+def _piece_rule(k: int):
+    """k nodes and weights on [0, 1] for a piece of the fibre integral.
+
+    Gauss-Legendre in u after the map s = S(S(u)), S(u) = sin^2(pi u / 2),
+    built on first use.  One S turns the square-root behaviour at the
+    ends of a piece into an analytic one; the second clusters the nodes
+    at the ends like u^4, which resolves a branch point just outside the
+    piece (a tangency height next to a vertex height).
+    """
+    x, w = _gauss_legendre(k)
+    s, sw = 0.5 * (x + 1.0), 0.5 * w
+    for _ in range(2):
+        sw = sw * (0.5 * math.pi) * np.sin(math.pi * s)
+        s = np.sin(0.5 * math.pi * s) ** 2
+    s.flags.writeable = sw.flags.writeable = False  # shared by the cache
+    return s, sw
+
+
+def _critical_heights(alpha, proj):
+    """Fibre heights y = g . e3 between which the feasible length is analytic.
+
+    `proj` holds the constraint normals in the fibre frame.  The
+    feasible set of a fibre changes shape only where a boundary circle
+    alpha_k + beta_k . g = 0 touches a fibre plane (an arc appears,
+    vanishes or closes up: the roots of (alpha + y p)^2 = (1 - y^2)
+    amp^2) or where two boundary circles cross at a point of the region;
+    a crossing that another constraint excludes leaves the feasible set
+    of nearby fibres alone, so it is skipped.
+    """
+    b2 = np.einsum("ij,ij->i", proj, proj)
+    amp = np.hypot(proj[:, 0], proj[:, 1])
+    spread = amp * np.sqrt(np.maximum(b2 - alpha * alpha, 0.0)) / b2
+    centre = -alpha * proj[:, 2] / b2
+    i, j = np.triu_indices(len(alpha), 1)
+    n = np.cross(proj[i], proj[j])
+    nn = np.einsum("ij,ij->i", n, n)
+    par = nn <= 1e-24 * b2[i] * b2[j]           # parallel circles never cross
+    nn[par] = 1.0
+    x0 = -(alpha[i, None] * np.cross(proj[j], n)
+           + alpha[j, None] * np.cross(n, proj[i])) / nn[:, None]
+    s2 = (1.0 - np.einsum("ij,ij->i", x0, x0)) / nn
+    ok = ~par & (s2 >= 0.0)
+    s = np.sqrt(np.where(ok, s2, 0.0))[:, None] * n
+    pts = np.concatenate([(x0 + s)[ok], (x0 - s)[ok]])
+    inside = (alpha + pts @ proj.T >= -1e-9 * np.sqrt(b2)).all(axis=1)
+    return np.concatenate([centre - spread, centre + spread,
+                           pts[inside, 2]])
+
+
+def _quadrature_frame(alpha, beta):
+    """Rows e1, e2, e3 with the fibre poles +-e3 far from every boundary circle.
+
+    Near a pole a boundary circle that passes close by sweeps a fibre
+    from one side to the other within a tiny height interval, which no
+    quadrature resolves.  Of the centre direction and the unit normals
+    (a pole at a normal makes that circle's fibres concentric), e3 is
+    the candidate whose poles keep the largest angle to every circle.
+    """
+    norm = np.linalg.norm(beta, axis=1)
+    unit = beta / norm[:, None]
+    radius = np.arccos(np.clip(-alpha / norm, -1.0, 1.0))
+    cand = np.vstack([unit.sum(axis=0), unit])
+    cand_norm = np.linalg.norm(cand, axis=1)
+    ok = cand_norm > 1e-12
+    cand = cand[ok] / cand_norm[ok, None]
+    ang = np.arccos(np.clip(cand @ unit.T, -1.0, 1.0))
+    clear = np.minimum(np.abs(ang - radius),
+                       np.abs(math.pi - ang - radius)).min(axis=1)
+    q, _ = np.linalg.qr(np.column_stack([cand[clear.argmax()], np.eye(3)]))
+    return q.T[[1, 2, 0]]
+
+
+def _region_quadrature(alpha, beta, k: int):
+    """Measure of an m = 2 region as the integral of the fibre length.
+
+    With y = g . e3 the region's measure is exactly the integral over
+    [-1, 1] of the feasible arc length L(y) of the fibre at height y.
+    L is analytic between the `_critical_heights` and behaves like a
+    square root at them, so each piece is integrated by `_piece_rule`
+    with k and with 2k nodes.  Returns (Q_2k, |Q_2k - Q_k|).
+    """
+    proj = beta @ _quadrature_frame(alpha, beta).T
+    amp = np.hypot(proj[:, 0], proj[:, 1])
+    phase = np.arctan2(proj[:, 1], proj[:, 0])
+    ends = np.unique(np.clip(np.concatenate(
+        [[-1.0, 1.0], _critical_heights(alpha, proj)]), -1.0, 1.0))
+    lo, width = ends[:-1, None], np.diff(ends)[:, None]
+    (s1, w1), (s2, w2) = _piece_rule(k), _piece_rule(2 * k)
+    y = lo + width * np.concatenate([s1, s2])   # (pieces, 3k)
+    length = _fibre_lengths(y.reshape(-1, 1), alpha, proj[:, 2:], amp,
+                            phase).reshape(y.shape) * width
+    coarse = float((length[:, :k] @ w1).sum())
+    fine = float((length[:, k:] @ w2).sum())
+    return fine, abs(fine - coarse)
+
+
 def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     """Measure of the region {g in S^m : alpha_k + beta_k . g >= 0 for all k}.
 
     `alpha` has K entries and `beta` is (K, m+1).  m = 0: counts the two
     points g = +-1, with tolerance `COUNT_TOL`.  m = 1: exact arc
-    intersection.  m >= 2: conditional Monte Carlo over circle fibres
-    g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2), with y uniform in the
-    unit (m-1)-ball orthogonal to e1, e2.  The surface measure is
-    exactly dy dt, so the region's measure is vol(B^(m-1)) times the mean
-    exact feasible arc length of a fibre; `std_error` is the per-fibre
-    sample standard error and `samples` counts fibres.  Constraints that
-    never bind are dropped first, and a constraint that is never met
-    gives an exact 0.  A result depends only on (seed, stream, samples).
+    intersection.  m >= 2: circle fibres
+    g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2), y in the unit
+    (m-1)-ball orthogonal to e1, e2; the surface measure is exactly
+    dy dt, so the region's measure is the integral over the ball of the
+    exact feasible arc length of a fibre.  m = 2: that integral by
+    `_region_quadrature` ("quadrature", exact, `samples` unused) when
+    k = `QUAD_NODES` and 2k nodes agree to `QUAD_TOL`; otherwise, and
+    for m >= 3, conditional Monte Carlo with y uniform in the ball:
+    vol(B^(m-1)) times the mean fibre length, `std_error` the per-fibre
+    sample standard error and `samples` the number of fibres.  A
+    non-converged quadrature is named in `fallback_reason`.  Constraints
+    that never bind are dropped first, and a constraint that is never
+    met gives an exact 0.  A Monte Carlo result depends only on (seed,
+    stream, samples).
     """
     alpha = np.asarray(alpha, float).reshape(-1)
     beta = np.asarray(beta, float).reshape(len(alpha), -1)
@@ -376,9 +529,17 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     if rows is None or not len(rows[0]):
         value = 0.0 if rows is None else unit_sphere_area(m)
         return VolumeEstimate(value, 0.0, 0, exact=True, method="closed")
+    alpha, beta = rows
+    reason = None
+    if m == 2:
+        value, err = _region_quadrature(alpha, beta, QUAD_NODES)
+        if err <= QUAD_TOL:
+            return VolumeEstimate(value, 0.0, 0, exact=True,
+                                  method="quadrature")
+        reason = (f"quadrature did not converge: |Q{2 * QUAD_NODES} - "
+                  f"Q{QUAD_NODES}| = {err:.3e} > {QUAD_TOL:g}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    alpha, beta = rows
     proj = beta @ _fibre_frame(beta).T          # (K, m+1) in the fibre frame
     amp = np.hypot(proj[:, 0], proj[:, 1])
     phase = np.arctan2(proj[:, 1], proj[:, 0])
@@ -393,24 +554,18 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
         y *= (gen.random(cnt) ** (1.0 / k)
               / np.linalg.norm(y, axis=1))[:, None]
         for lo in range(0, cnt, FIBRE_CHUNK):
-            yc = y[lo:lo + FIBRE_CHUNK]
-            A = yc @ perp.T
-            A += alpha
-            B = np.sqrt(np.maximum(1.0 - np.einsum("ij,ij->i", yc, yc), 0.0))
-            B = B[:, None] * amp
-            meets = (A + B > 0.0).all(axis=1)
-            if meets.any():
-                _, length = _arcs(A[meets], B[meets], phase)
-                arc = length.sum(axis=1)
-                total += float(arc.sum())
-                total_sq += float(arc @ arc)
+            arc = _fibre_lengths(y[lo:lo + FIBRE_CHUNK], alpha, perp, amp,
+                                 phase)
+            total += float(arc.sum())
+            total_sq += float(arc @ arc)
         done += cnt
         block += 1
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     ball = unit_sphere_area(m) / TWO_PI          # vol(B^(m-1))
     return VolumeEstimate(ball * mean, ball * math.sqrt(var / samples),
-                          samples, exact=False, method="conditional-mc")
+                          samples, exact=False, method="conditional-mc",
+                          fallback_reason=reason)
 
 
 def face_constraints(a, c: Chamber, J):
@@ -645,36 +800,49 @@ def chamber_area_closed_n2(a, c: Chamber) -> float:
 
 def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
                    rng: "Rng | None" = None) -> VolumeEstimate:
-    """Chamber volume, closed form when available (n = 2), else MC."""
+    """Chamber volume, closed form when available (n = 2), else MC.
+
+    When the n = 2 closed form raises, the MC estimate names the error in
+    its `fallback_reason`.
+    """
+    reason = None
     if a.n == 2:
         try:
             return VolumeEstimate(chamber_area_closed_n2(a, c), 0.0, 0,
                                   exact=True)
-        except SphexError:
-            pass
+        except SphexError as e:
+            reason = _closed_form_failed(e)
     rng = rng if rng is not None else Rng(0)
     bounding = None if c.minus_set() else "simplex"
-    return chamber_volume_mc(a, c, samples, rng, bounding=bounding)
+    est = chamber_volume_mc(a, c, samples, rng, bounding=bounding)
+    return replace(est, fallback_reason=reason)
+
+
+def _closed_form_failed(err: SphexError) -> str:
+    return f"closed form unavailable: {type(err).__name__}: {err}"
 
 
 def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
                 rng: "Rng | None" = None) -> VolumeEstimate:
     """Face measure v_J: the n = 2 closed arc when it applies, else the
     `sphere_region` kernel on the face's constraints (exact for
-    |J| >= n - 1, conditional MC with `samples` fibres below)."""
+    |J| >= n - 2, conditional MC with `samples` fibres below).  A raised
+    closed form, or a quadrature that did not converge, is named in
+    `fallback_reason`."""
     J = tuple(sorted(J))
     rng = rng if rng is not None else Rng(0)
+    reason = None
     if a.n == 2 and len(J) == 1:
         try:
             ang = chamber_arc_angles(a, c)[J[0]]
             return VolumeEstimate(a.radius(J[0]) * ang, 0.0, 0, exact=True)
-        except SphexError:
-            pass
+        except SphexError as e:
+            reason = _closed_form_failed(e)
     alpha, beta, R = face_constraints(a, c, J)
     est = sphere_region(alpha, beta, samples, rng)
     f = R ** (a.n - len(J))
-    return VolumeEstimate(est.value * f, est.std_error * f, est.samples,
-                          est.exact, est.method)
+    return replace(est, value=est.value * f, std_error=est.std_error * f,
+                   fallback_reason=reason or est.fallback_reason)
 
 
 def decomposition_cell_coefficient(a, J) -> float:
@@ -720,8 +888,9 @@ def sphere_region_area_mc(m: ConfigMatrix, samples: int,
                           rng: Rng) -> VolumeEstimate:
     """Area of the region {x on S^(n-1) : u_j . x + u_j0 <= 0 for all j}.
 
-    Measured by `sphere_region`: conditional Monte Carlo over circle
-    fibres for n >= 3 (`samples` counts fibres), exact arcs for n = 2.
+    Measured by `sphere_region`: exact arcs for n = 2, exact quadrature
+    over circle fibres for n = 3 (`samples` is used only if it does not
+    converge), conditional Monte Carlo with `samples` fibres for n >= 4.
     """
     return sphere_region(-m.offsets, -m.normals, samples, rng)
 

@@ -132,6 +132,21 @@ def test_volume_reports_method(lens3_file, tetra_file, capsys):
     assert json.loads(out)["method"] == "mc"
 
 
+def test_volume_reports_fallback_reason(lens3_file, tmp_path, capsys):
+    _, out, _ = run(capsys, ["volume", "--input", lens3_file,
+                             "--chamber", "--+"])
+    assert json.loads(out)["fallback_reason"] is None
+    # three disks that do not meet: the closed form refuses H1
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps(arrangement_to_json(equilateral(0.5))))
+    _, out, _ = run(capsys, ["volume", "--input", str(path),
+                             "--chamber", "---", "--samples", "1000"])
+    payload = json.loads(out)
+    assert payload["method"] == "mc"
+    assert payload["fallback_reason"].startswith(
+        "closed form unavailable: HypothesisError")
+
+
 def test_volume_seed_changes_mc(tetra_file, capsys):
     base = ["volume", "--input", tetra_file, "--chamber", "----",
             "--samples", "20000"]
@@ -363,10 +378,13 @@ def test_embedded_lens_values_through_cli(tmp_path, capsys):
 
 def test_import_loads_no_scipy():
     """scipy is a test extra (the quadrature cross-check imports it on
-    demand), so a cold `import sphex` must not load it."""
+    demand), so a cold `import sphex` must not load it; the Gauss-Legendre
+    nodes of the face quadrature are built on first use without
+    numpy.polynomial."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphex.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, sphex; "
-            "sys.exit(1 if 'scipy' in sys.modules else 0)")
+            "sys.exit(1 if 'scipy' in sys.modules else "
+            "2 if 'numpy.polynomial' in sys.modules else 0)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0

@@ -9,12 +9,19 @@ import pytest
 import sphex as sx
 from sphex.arrangement import Chamber, params_of
 from sphex.cayley_menger import CMTable, ConfigMatrix
+from sphex import volume
 from sphex.volume import (
     BLOCK,
+    QUAD_NODES,
+    QUAD_TOL,
     Rng,
     VolumeEstimate,
     _arcs,
+    _binding,
     _fibre_frame,
+    _gauss_legendre,
+    _quadrature_frame,
+    _region_quadrature,
     circle_feasible_arcs,
     face_constraints,
     face_volume,
@@ -119,13 +126,22 @@ def cap_area(m, cos_theta):
                                                         math.acos(cos_theta))
 
 
+def assert_quadrature(est, want):
+    """An m = 2 region: exact by quadrature, to 1e-12 relative."""
+    assert est.exact and est.method == "quadrature", est
+    assert est.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_caps_and_hemispheres_against_closed_forms(m):
     e0 = np.eye(m + 1)[0]
     for cos_theta in (0.0, 0.6, -0.3):
         est = sphere_region([-cos_theta], [e0], 20_000, Rng(3, m))
-        assert est.method == "conditional-mc" and not est.exact
         want = cap_area(m, cos_theta)
+        if m == 2:
+            assert_quadrature(est, want)
+            continue
+        assert est.method == "conditional-mc" and not est.exact
         # every fibre crosses a cap centred on e1 symmetrically; a
         # hemisphere gives each fibre exactly half its circle
         assert abs(est.value - want) <= Z * est.std_error + 1e-12 * want, \
@@ -133,7 +149,10 @@ def test_caps_and_hemispheres_against_closed_forms(m):
     # two opposite caps that overlap in a band, and one that misses
     band = sphere_region([0.5, 0.5], [e0, -e0], 20_000, Rng(4, m))
     want = unit_sphere_area(m) - 2.0 * cap_area(m, 0.5)
-    assert abs(band.value - want) <= Z * band.std_error
+    if m == 2:
+        assert_quadrature(band, want)
+    else:
+        assert abs(band.value - want) <= Z * band.std_error
     empty = sphere_region([-1.5], [e0], 10, Rng(0))
     assert empty.exact and empty.value == 0.0
     whole = sphere_region([2.0, 1.0], [e0, -e0], 10, Rng(0))
@@ -150,8 +169,10 @@ def test_fibre_frame_contains_centre_direction():
 
 
 def test_repeatable_per_seed_stream_and_samples():
-    a = tetrahedron()
-    alpha, beta, _ = face_constraints(a, Chamber.all_minus(3), (1,))
+    # an m = 3 face: m = 2 faces are exact and draw no samples
+    a = sx.from_centers_radii(regular_simplex4(), [1.0] * 5)
+    alpha, beta, _ = face_constraints(a, Chamber.all_minus(4), (1,))
+    assert beta.shape[1] == 4
     n = BLOCK + 123  # a partial second block
     first = sphere_region(alpha, beta, n, Rng(8, 2))
     again = sphere_region(alpha, beta, n, Rng(8, 2))
@@ -180,7 +201,8 @@ def assert_faces_match_oracle(a, c, kernel_samples, oracle_samples, seed):
             want = face_volume_mc(a, c, J, oracle_samples,
                                   Rng(seed, 100 + p), bounding=bounding)
             m = a.n - p
-            methods = {0: ("count",), 1: ("arc",)}.get(
+            methods = {0: ("count",), 1: ("arc",),
+                       2: ("quadrature", "closed")}.get(
                 m, ("conditional-mc", "closed"))
             assert got.method in methods, (J, got.method)
             if m == 0:
@@ -296,6 +318,22 @@ def test_volume_estimate_method():
     assert est.method == "mc"
 
 
+def test_closed_form_fallbacks_name_their_reason():
+    allm = Chamber.all_minus(2)
+    tri = equilateral()
+    assert sx.chamber_volume(tri, allm).fallback_reason is None
+    assert face_volume(tri, allm, (1,)).fallback_reason is None
+    apart = equilateral(0.5)                # the three disks do not meet
+    est = sx.chamber_volume(apart, allm, 1000, Rng(1))
+    assert est.method == "mc"
+    assert est.fallback_reason.startswith(
+        "closed form unavailable: HypothesisError")
+    face = face_volume(apart, allm, (1,))
+    assert (face.method, face.value) == ("arc", 0.0)
+    assert face.fallback_reason.startswith(
+        "closed form unavailable: EmptyIntersectionError")
+
+
 def test_params_of_shares_one_table(monkeypatch):
     built = []
     original = CMTable.__post_init__
@@ -310,3 +348,150 @@ def test_params_of_shares_one_table(monkeypatch):
     assert len(built) == 1
     assert forms[0] == forms[1] == forms[2]
     assert params_of(a) is params_of(a)
+
+
+# ---------------------------------------------------------------------------
+# m = 2: Gauss-Legendre quadrature over the fibre height
+# ---------------------------------------------------------------------------
+
+
+def test_gauss_legendre_matches_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    for k in (1, 2, 5, 64, 128):
+        x, w = _gauss_legendre(k)
+        want_x, want_w = leggauss(k)
+        order = np.argsort(x)
+        np.testing.assert_allclose(x[order], want_x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w[order], want_w, rtol=0, atol=1e-13)
+        # exact for polynomials of degree 2k - 1
+        deg = np.arange(0, 2 * k, 2)
+        np.testing.assert_allclose((w[:, None] * x[:, None] ** deg).sum(0),
+                                   2.0 / (deg + 1), rtol=0, atol=1e-14)
+
+
+def plane_matrix(offset3):
+    """Two orthogonal walls through the pole and a plane at `offset3`."""
+    return ConfigMatrix.from_entries(3, [0.0, 0.0, offset3],
+                                     {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0})
+
+
+def test_quadrature_matches_gauss_bonnet_closed_form():
+    """The region's area against the rhs of the Gauss-Bonnet check."""
+    mats = [sx.config_matrix(sx.restrict_to_unit_sphere(tetrahedron())),
+            plane_matrix(0.0)]                      # the octant
+    # the notched quarter sphere, then the wall fade-out offsets
+    mats += [plane_matrix(off) for off in (-3.0, -6.0, -12.0, -24.0)]
+    gen = np.random.default_rng(409)
+    drawn = 0
+    while drawn < 10:
+        try:
+            mats.append(sx.config_matrix(
+                sx.restrict_to_unit_sphere(random_h1(gen, 3))))
+        except sx.SphexError:
+            continue
+        drawn += 1
+    for i, m in enumerate(mats):
+        rep = sx.check_gauss_bonnet_n3(m, 10, Rng(0))
+        assert rep.passed and rep.tolerance == 1e-12, i
+        assert_quadrature(sphere_region_area_mc(m, 10, Rng(0)), rep.rhs)
+
+
+def benchmark_faces():
+    """Every m = 2 face of the n >= 3 geometry the benchmark measures.
+
+    The tetrahedron in four chambers, four jittered tetrahedra drawn as
+    the benchmark draws them, the regular gap, the regular 4-simplex and
+    the restricted tetrahedron.  Yields (label, alpha, beta).
+    """
+    tet = tetrahedron()
+    cases = [(tet, Chamber.from_string(s))
+             for s in ("----", "---+", "--++", "-+++")]
+    gen = np.random.default_rng(2024)
+    cases += [(random_h1(gen, 3), Chamber.all_minus(3)) for _ in range(4)]
+    cases.append((regular_gap3(), Chamber.all_plus(3)))
+    cases.append((sx.from_centers_radii(regular_simplex4(), [1.0] * 5),
+                  Chamber.all_minus(4)))
+    for a, c in cases:
+        for J in itertools.combinations(range(1, a.n + 2), a.n - 2):
+            alpha, beta, _ = face_constraints(a, c, J)
+            yield f"{c} {J}", alpha, beta
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tet))
+    yield "restricted", -m.offsets, -m.normals
+
+
+def test_node_doubling_converges_on_benchmark_faces():
+    count = 0
+    for label, alpha, beta in benchmark_faces():
+        assert beta.shape[1] == 3
+        rows = _binding(alpha, beta)
+        if rows is None or not len(rows[0]):
+            continue
+        value, err = _region_quadrature(*rows, QUAD_NODES)
+        assert err <= QUAD_TOL, (label, err)
+        est = sphere_region(alpha, beta, 10, Rng(0))
+        assert (est.value, est.method) == (value, "quadrature"), label
+        count += 1
+    assert count == 4 * 4 + 4 * 4 + 4 + 10 + 1
+
+
+def test_quadrature_duplicate_and_whole_circle_rows():
+    a = tetrahedron()
+    alpha, beta, _ = face_constraints(a, Chamber.all_minus(3), (1,))
+    base = sphere_region(alpha, beta, 10, Rng(0))
+    assert base.method == "quadrature"
+    # the same row twice, once rescaled, and a row that never binds
+    e0 = np.eye(3)[0]
+    alpha2 = np.concatenate([alpha, [alpha[0], 3.0 * alpha[1], 2.0]])
+    beta2 = np.vstack([beta, beta[0], 3.0 * beta[1], e0])
+    assert_quadrature(sphere_region(alpha2, beta2, 10, Rng(0)), base.value)
+    # the band 0.3 <= g0 <= 0.5 and a row g0 >= -0.5 that binds on the
+    # sphere but whose arc is the whole fibre wherever the band is
+    band = sphere_region([-0.3, 0.5, 0.5], [e0, e0, -e0], 10, Rng(0))
+    assert_quadrature(band, cap_area(2, 0.3) - cap_area(2, 0.5))
+
+
+def test_quadrature_gap_face_with_coinciding_rows():
+    """S_12 of the regular n = 4 gap, where lambda_1 and lambda_2 coincide."""
+    a = sx.from_centers_radii(regular_simplex4(), [0.93] * 5)
+    c = Chamber.all_plus(4)
+    assert sx.check_hypotheses(a, h2="skip").h1_prime is True
+    alpha, beta, R = face_constraints(a, c, (1, 2))
+    rows = np.column_stack([alpha, beta])
+    dup = [j for i, j in itertools.combinations(range(len(rows)), 2)
+           if np.allclose(rows[i], rows[j], atol=1e-12)]
+    assert dup
+    est = sphere_region(alpha, beta, 10, Rng(0))
+    once = sphere_region(np.delete(alpha, dup), np.delete(beta, dup, axis=0),
+                         10, Rng(0))
+    assert_quadrature(est, once.value)
+    want, sigma = indicator_area(alpha, beta, 1_000_000, 45)
+    assert abs(est.value - want) <= Z * sigma
+    assert face_volume(a, c, (1, 2)).value == pytest.approx(
+        est.value * R ** 2, rel=1e-15)
+
+
+def test_quadrature_region_containing_fibre_pole():
+    """The octant contains its centre direction, which becomes a pole."""
+    alpha, beta = np.zeros(3), np.eye(3)
+    e3 = _quadrature_frame(alpha, beta)[2]
+    assert np.all(beta @ e3 > 0.5) or np.all(beta @ -e3 > 0.5)
+    assert_quadrature(sphere_region(alpha, beta, 10, Rng(0)), math.pi / 2)
+    # a near-hemisphere: its rim passes close to every direction
+    # orthogonal to its centre, yet the rule stays exact
+    for c in (1e-2, 1e-6, 1e-10):
+        est = sphere_region([c], [np.eye(3)[1]], 10, Rng(0))
+        assert_quadrature(est, 2.0 * math.pi * (1.0 + c))
+
+
+def test_quadrature_fallback_is_visible(monkeypatch):
+    a = tetrahedron()
+    c = Chamber.all_minus(3)
+    exact = face_volume(a, c, (1,))
+    assert exact.method == "quadrature" and exact.fallback_reason is None
+    monkeypatch.setattr(volume, "QUAD_NODES", 2)
+    est = face_volume(a, c, (1,), 20_000, Rng(3))
+    assert est.method == "conditional-mc" and not est.exact
+    assert est.samples == 20_000
+    assert est.fallback_reason.startswith("quadrature did not converge")
+    assert abs(est.value - exact.value) <= Z * est.std_error

@@ -290,7 +290,8 @@ def octant_matrix():
 def test_octant_region_area():
     m = octant_matrix()
     est = sphere_region_area_mc(m, 400_000, Rng(12))
-    assert abs(est.value - math.pi / 2) <= 3 * est.std_error
+    assert est.exact and est.method == "quadrature"
+    assert est.value == pytest.approx(math.pi / 2, rel=1e-12, abs=0.0)
 
 
 def test_octant_arcs_and_vertices():
@@ -311,7 +312,8 @@ def test_notched_quarter_sphere_region():
     cap = 2 * math.pi * (1.0 - 3.0 / math.sqrt(10.0))
     want = math.pi - 0.25 * cap
     est = sphere_region_area_mc(m, 400_000, Rng(13))
-    assert abs(est.value - want) <= 3 * est.std_error
+    assert est.exact and est.method == "quadrature"
+    assert est.value == pytest.approx(want, rel=1e-12, abs=0.0)
     arcs = sphere_arc_lengths(m)
     alpha = math.acos(3.0 / math.sqrt(10.0))
     # circle 3 has radius 1/sqrt(10); a quarter of it bounds the region
