@@ -231,7 +231,7 @@ def from_params(p: ParamVector, n: int) -> Arrangement:
     for j in range(n):
         for k in range(n):
             G[j, k] = 0.5 * (d2[j, m - 1] + d2[k, m - 1] - d2[j, k])
-    scale = max(1.0, float(np.max(np.abs(G))))
+    scale = float(np.max(np.abs(G)))
     w, V = np.linalg.eigh(G)
     if w[0] < -SIGN_TOL * scale:
         raise NonRealizableError(

@@ -309,7 +309,8 @@ def cmd_variation(cfg: RunConfig):
         try:
             rep = verify_variation_fd(cfg.model, target, c, key, cfg.eps,
                                       cfg.samples, rng.substream(100 + i))
-            rows.append(rep.to_dict())
+            rows.append({**rep.to_dict(), "method": rep.method,
+                         "fallback_reason": rep.fallback_reason})
         except FdNoiseError as e:
             saw_noise = True
             rows.append({

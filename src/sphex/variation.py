@@ -36,15 +36,15 @@ from .errors import (
 )
 from .identities import volume_identity_coefficients
 from .volume import (
-    BLOCK,
+    QUAD_TOL,
     Rng,
-    _barycentric,
-    _signs_mask,
-    _simplex_mask,
+    _closed_form_failed,
     chamber_area_closed_n2,
+    chamber_chords,
     face_volume,
     sin_power_integral,
     sphere_arc_lengths,
+    sphere_region_area_mc,
     sphere_vertex_counts,
     unit_sphere_area,
 )
@@ -372,7 +372,14 @@ def dA_volume_form_n3(m: ConfigMatrix,
 
 @dataclass(frozen=True)
 class VariationReport:
-    """Finite-difference check of one coefficient of a volume one-form."""
+    """Finite-difference check of one coefficient of a volume one-form.
+
+    `method` says how the difference was obtained: "closed" (n = 2
+    closed-form areas), "quadrature" (exact unit-sphere areas) or
+    "conditional-mc" (paired chord lengths, or a unit-sphere area whose
+    quadrature did not converge).  `fallback_reason` says why the
+    closed form or the quadrature was not used; None when it was.
+    """
 
     parameter: tuple
     fd_value: float
@@ -380,6 +387,8 @@ class VariationReport:
     residual: float
     tolerance: float
     passed: bool
+    method: str
+    fallback_reason: "str | None" = None
 
     def to_dict(self) -> dict:
         return {
@@ -407,78 +416,28 @@ def _perturbed_params(params: ParamVector, key, eps: float):
             params.with_entry(key, params.get(key) - eps))
 
 
-def _mc_fd_euclidean(ap: Arrangement, am: Arrangement, c: Chamber,
-                     samples: int, rng: Rng, eps: float):
-    """Central MC difference with common random numbers.
+def _chord_fd(ap: Arrangement, am: Arrangement, c: Chamber, samples: int,
+              rng: Rng, eps: float):
+    """Central difference of paired chord lengths.
 
-    Both perturbed chambers are scored on the same uniform points in a
-    shared box; the paired standard error uses the fraction of points
-    whose membership flips.
+    Both perturbed chambers are scored on the same random lines
+    (`chamber_chords`); the difference is area times the mean paired
+    chord difference, and sigma the sample standard error of those
+    differences.  Returns (fd, sigma, number of lines whose chord
+    changed).
     """
-    boxes = []
-    for arr in (ap, am):
-        minus = c.minus_set()
-        if minus:
-            lo = np.max([arr.center(j) - arr.radius(j) for j in minus], axis=0)
-            hi = np.min([arr.center(j) + arr.radius(j) for j in minus], axis=0)
-        else:
-            lo = arr.centers.min(axis=0)
-            hi = arr.centers.max(axis=0)
-        boxes.append((lo, hi))
-    lo = np.minimum(boxes[0][0], boxes[1][0])
-    hi = np.maximum(boxes[0][1], boxes[1][1])
-    if np.any(hi <= lo):
-        return 0.0, 0.0, 0
-    box = float(np.prod(hi - lo))
-    width = hi - lo
-    use_simplex = not c.minus_set()
-    bp = _barycentric(ap) if use_simplex else None
-    bm = _barycentric(am) if use_simplex else None
-    hits_p = 0
-    hits_m = 0
-    flips = 0
-    done = 0
-    block = 0
-    while done < samples:
-        cnt = min(BLOCK, samples - done)
-        pts = lo + width * rng.generator(block).random((cnt, ap.n))
-        mp = _signs_mask(ap, c, pts)
-        mm = _signs_mask(am, c, pts)
-        if use_simplex:
-            mp &= _simplex_mask(bp, pts)
-            mm &= _simplex_mask(bm, pts)
-        hits_p += int(mp.sum())
-        hits_m += int(mm.sum())
-        flips += int((mp != mm).sum())
-        done += cnt
-        block += 1
-    fd = box * (hits_p - hits_m) / samples / (2.0 * eps)
-    sigma = box * math.sqrt(flips / samples / samples) / (2.0 * eps)
-    return fd, sigma, flips
-
-
-def _mc_fd_sphere(mp: ConfigMatrix, mm: ConfigMatrix, samples: int,
-                  rng: Rng, eps: float):
-    hits_p = 0
-    hits_m = 0
-    flips = 0
-    done = 0
-    block = 0
-    while done < samples:
-        cnt = min(BLOCK, samples - done)
-        g = rng.generator(block).normal(size=(cnt, 3))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        okp = np.all(g @ mp.normals.T + mp.offsets <= 0.0, axis=1)
-        okm = np.all(g @ mm.normals.T + mm.offsets <= 0.0, axis=1)
-        hits_p += int(okp.sum())
-        hits_m += int(okm.sum())
-        flips += int((okp != okm).sum())
-        done += cnt
-        block += 1
-    area = 4.0 * math.pi
-    fd = area * (hits_p - hits_m) / samples / (2.0 * eps)
-    sigma = area * math.sqrt(flips / samples / samples) / (2.0 * eps)
-    return fd, sigma, flips
+    area, chunks = chamber_chords((ap, am), c, samples, rng)
+    total = total_sq = 0.0
+    changed = 0
+    for L in chunks:
+        d = L[0] - L[1]
+        total += float(d.sum())
+        total_sq += float(d @ d)
+        changed += int(np.count_nonzero(d))
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    scale = area / (2.0 * eps)
+    return scale * mean, scale * math.sqrt(var / samples), changed
 
 
 def _perturbed_config(m: ConfigMatrix, key, eps: float) -> ConfigMatrix:
@@ -499,12 +458,20 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     """Central finite difference of a volume against the one-form.
 
     model "euclidean": `a` is an Arrangement (or ParamVector), `c` a
-    Chamber, `param` a squared-parameter key; closed-form volumes are
-    used when n = 2 (tolerance 1e-6), MC with common random numbers
-    otherwise (tolerance max of 3 sigma and 1e-4 of the coefficient).
+    Chamber, `param` a squared-parameter key.  For n = 2 the difference
+    of the closed-form areas is checked to 1e-6 ("closed").  Otherwise,
+    and when an n = 2 closed form raises (named in `fallback_reason`),
+    both perturbed chambers are scored on the same `samples` random
+    lines by their exact chord lengths ("conditional-mc"), with tolerance
+    max(3 sigma, 1e-4 |coefficient|); FdNoiseError if no line's chord
+    changed or sigma exceeds the difference.
     model "unit-sphere": `a` is a ConfigMatrix, `c` is ignored, `param`
-    an entry key; the area difference is MC with common random numbers.
-    Raises FdNoiseError when the paired noise dwarfs the difference.
+    an entry key.  The two region areas are exact quadratures for n = 3
+    ("quadrature", sigma 0; tolerance 1e-4 |coefficient|), so the check
+    measures the central difference's O(eps^2) error, and FdNoiseError
+    is raised when eps is so small that the quadrature's accuracy
+    `QUAD_TOL` / eps exceeds 1e-5 |coefficient|.  `samples` and `rng`
+    serve only an area whose quadrature falls back to conditional MC.
     """
     rng = rng if rng is not None else Rng(0)
     param = tuple(param)
@@ -513,7 +480,7 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     if model == "euclidean":
         params = _as_params(a)
         n = params.n
-        if eps <= 1e-10 * max(1.0, abs(params.get(param))):
+        if eps <= 1e-10 * abs(params.get(param)):
             raise FdNoiseError("step too small relative to the parameter")
         form = dB_volume_form(from_params(params, n), c, samples,
                               rng.substream(1))
@@ -521,28 +488,23 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
         pp, pm = _perturbed_params(params, param, eps)
         ap = from_params(pp, n)
         am = from_params(pm, n)
+        reason = None
         if n == 2:
             try:
                 fd = (chamber_area_closed_n2(ap, c)
                       - chamber_area_closed_n2(am, c)) / (2.0 * eps)
+            except SphexError as e:
+                reason = _closed_form_failed(e)
+            else:
                 tolerance = 1e-6
                 residual = abs(fd - coef)
                 return VariationReport(param, fd, coef, residual, tolerance,
-                                       residual <= tolerance)
-            except SphexError:
-                pass
-        fd, sigma, flips = _mc_fd_euclidean(ap, am, c, samples,
-                                            rng.substream(2), eps)
-        if flips == 0:
-            raise FdNoiseError(
-                "step too small: no sample crossed the perturbed boundary")
-        if sigma > abs(fd) and sigma > 0:
-            raise FdNoiseError(
-                f"fd noise dominates: sigma {sigma:.3e} vs fd {fd:.3e}")
-        tolerance = max(3.0 * sigma, 1e-4 * abs(coef))
-        residual = abs(fd - coef)
-        return VariationReport(param, fd, coef, residual, tolerance,
-                               residual <= tolerance)
+                                       residual <= tolerance, "closed")
+        fd, sigma, changed = _chord_fd(ap, am, c, samples, rng.substream(2),
+                                       eps)
+        if changed == 0:
+            raise FdNoiseError("step too small: no line's chord changed")
+        return _fd_report(param, fd, sigma, coef, "conditional-mc", reason)
     if model == "unit-sphere":
         m = a
         if not isinstance(m, ConfigMatrix):
@@ -555,16 +517,24 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
         coef = form.get(param)
         mp = _perturbed_config(m, param, eps)
         mm = _perturbed_config(m, param, -eps)
-        fd, sigma, flips = _mc_fd_sphere(mp, mm, samples, rng.substream(2),
-                                         eps)
-        if flips == 0:
-            raise FdNoiseError(
-                "step too small: no sample crossed the perturbed boundary")
-        if sigma > abs(fd) and sigma > 0:
-            raise FdNoiseError(
-                f"fd noise dominates: sigma {sigma:.3e} vs fd {fd:.3e}")
-        tolerance = max(3.0 * sigma, 1e-4 * abs(coef))
-        residual = abs(fd - coef)
-        return VariationReport(param, fd, coef, residual, tolerance,
-                               residual <= tolerance)
+        up = sphere_region_area_mc(mp, samples, rng.substream(2))
+        dn = sphere_region_area_mc(mm, samples, rng.substream(2))
+        fd = (up.value - dn.value) / (2.0 * eps)
+        sigma = math.hypot(up.std_error, dn.std_error) / (2.0 * eps)
+        if sigma == 0.0 and QUAD_TOL / eps > 1e-5 * abs(coef):
+            raise FdNoiseError("step too small for the quadrature's accuracy")
+        method = "quadrature" if up.exact and dn.exact else "conditional-mc"
+        return _fd_report(param, fd, sigma, coef, method,
+                          up.fallback_reason or dn.fallback_reason)
     raise ValueError(f"unknown model {model!r}")
+
+
+def _fd_report(param, fd, sigma, coef, method, reason):
+    """Report with tolerance max(3 sigma, 1e-4 |coef|), after the noise guard."""
+    if sigma > abs(fd):
+        raise FdNoiseError(
+            f"fd noise dominates: sigma {sigma:.3e} vs fd {fd:.3e}")
+    tolerance = max(3.0 * sigma, 1e-4 * abs(coef))
+    residual = abs(fd - coef)
+    return VariationReport(param, fd, coef, residual, tolerance,
+                           residual <= tolerance, method, reason)

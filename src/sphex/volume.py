@@ -148,6 +148,107 @@ def _simplex_mask(bary, pts, tol: float = 0.0):
     return (lam >= -tol).all(axis=1) & (lam.sum(axis=1) <= 1.0 + tol)
 
 
+def _chord_lengths(centers, r2, simplex, c: Chamber, y):
+    """Exact lengths of chamber c's chords along the last axis, (S, N).
+
+    `centers` (S, n+1, n) and `r2` (S, n+1) stack S arrangements; the
+    line through (y_i, t) is line i.  Each ball meets it in an interval
+    of t.  The chord is the intersection of the minus balls' intervals
+    (for the all-plus chamber, of the simplex's interval: `simplex`
+    holds its barycentric rows P (S, n+1, n), q (S, n+1), with
+    P x + q >= 0 inside) minus the union of the plus balls' intervals,
+    which one sort and a running max merge, as in `_arcs`.  A ball the
+    line misses gives a single point, which removes or keeps nothing.
+    """
+    h2 = np.repeat(r2[..., None], len(y), axis=2)
+    for i in range(y.shape[1]):
+        diff = centers[..., i, None] - y[:, i]
+        h2 -= diff * diff
+    h = np.sqrt(np.maximum(h2, 0.0, out=h2), out=h2)
+    mid = centers[..., -1, None]
+    lo, hi = mid - h, mid + h
+    minus = [j - 1 for j in c.minus_set()]
+    plus = [j - 1 for j in range(1, len(c.signs) + 1) if c.sign(j) > 0]
+    if minus:
+        wlo = lo[:, minus].max(axis=1)
+        whi = hi[:, minus].min(axis=1)
+    else:
+        P, q = simplex
+        a = P[..., :-1] @ y.T + q[..., None]
+        b = P[..., -1, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -a / b
+        wlo = np.where(b > 0, t, -np.inf).max(axis=1)
+        whi = np.where(b < 0, t, np.inf).min(axis=1)
+        # a facet parallel to the lines keeps a line whole or drops it
+        whi[((b == 0) & (a < 0)).any(axis=1)] = -np.inf
+    whi = np.maximum(whi, wlo)
+    if not plus:
+        return whi - wlo
+    wlo, whi = wlo[:, None], whi[:, None]
+    plo = np.clip(lo[:, plus], wlo, whi)
+    phi = np.clip(hi[:, plus], wlo, whi)
+    order = plo.argsort(axis=1)
+    plo = np.take_along_axis(plo, order, axis=1)
+    phi = np.take_along_axis(phi, order, axis=1)
+    begin = np.concatenate([wlo, np.maximum.accumulate(phi, axis=1)], axis=1)
+    end = np.concatenate([plo, whi], axis=1)
+    return np.maximum(end - begin, 0.0).sum(axis=1)
+
+
+def chamber_chords(arrs, c: Chamber, samples: int, rng: Rng):
+    """Chord lengths of chamber c in each of `arrs` on shared random lines.
+
+    The lines run along the last axis through points y drawn uniformly
+    in the first n - 1 coordinates of the box that `chamber_volume_mc`
+    samples (the smallest box holding every arrangement's box).  The
+    chamber's volume in arrangement s is `area` times the mean of the
+    chords L[s]: the indicator estimate conditioned on the line, so its
+    variance is lower.  Returns (area, chunks): `chunks` yields
+    (len(arrs), N) arrays of exact chord lengths, `FIBRE_CHUNK` lines at
+    a time from RNG blocks of `BLOCK` lines, so they depend only on
+    (seed, stream, samples).  An empty box gives area 0 and no chunks.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    minus = c.minus_set()
+    boxes = []
+    for a in arrs:
+        if minus:
+            boxes.append((
+                np.max([a.center(j) - a.radius(j) for j in minus], axis=0),
+                np.min([a.center(j) + a.radius(j) for j in minus], axis=0)))
+        else:
+            boxes.append((a.centers.min(axis=0), a.centers.max(axis=0)))
+    lo = np.min([b[0] for b in boxes], axis=0)[:-1]
+    hi = np.max([b[1] for b in boxes], axis=0)[:-1]
+    if np.any(hi <= lo):
+        return 0.0, iter(())
+    centers = np.stack([a.centers for a in arrs])
+    r2 = np.stack([a.radii for a in arrs]) ** 2
+    simplex = None
+    if not minus:
+        Minv = np.stack([_barycentric(a)[0] for a in arrs])
+        lam0 = np.einsum("sij,sj->si", Minv, centers[:, -1])
+        P = np.concatenate([Minv, -Minv.sum(axis=1, keepdims=True)], axis=1)
+        q = np.concatenate([-lam0, 1.0 + lam0.sum(axis=1, keepdims=True)],
+                           axis=1)
+        simplex = (P, q)
+
+    def chunks():
+        done = block = 0
+        while done < samples:
+            cnt = min(BLOCK, samples - done)
+            y = lo + (hi - lo) * rng.generator(block).random((cnt, len(lo)))
+            for s in range(0, cnt, FIBRE_CHUNK):
+                yield _chord_lengths(centers, r2, simplex, c,
+                                     y[s:s + FIBRE_CHUNK])
+            done += cnt
+            block += 1
+
+    return float(np.prod(hi - lo)), chunks()
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo chamber and face volumes
 # ---------------------------------------------------------------------------
@@ -270,9 +371,10 @@ TWO_PI = 2.0 * math.pi
 #: tolerance of the two-point count (m = 0); constraint rows from
 #: `face_constraints` are scaled so that it matches `face_volume_mc`
 COUNT_TOL = 1e-9
-#: fibres per sub-chunk of an RNG block: the arc intersection holds about
-#: a dozen (fibres, K) arrays, so a sub-chunk keeps the working set of a
-#: block no larger than the indicator estimators'
+#: fibres (or lines, for `chamber_chords`) per sub-chunk of an RNG block:
+#: the arc and chord intersections hold about a dozen (fibres, K) arrays,
+#: so a sub-chunk keeps the working set of a block no larger than the
+#: indicator estimators'
 FIBRE_CHUNK = 4096
 #: Gauss-Legendre nodes k per piece of the m = 2 quadrature; the result
 #: with 2k nodes is kept when it agrees with the k-node one to QUAD_TOL

@@ -328,6 +328,24 @@ def test_variation_unit_sphere(tetra_file, capsys):
     assert payload["rows"][0]["pass"] is True
 
 
+def test_variation_reports_method(tri_file, tetra_file, capsys):
+    code, out, _ = run(capsys, ["variation", "--input", tri_file,
+                                "--params", "r1", "--eps", "1e-5"])
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["method"] == "closed" and row["fallback_reason"] is None
+    code, out, _ = run(capsys, ["variation", "--input", tetra_file,
+                                "--model", "unit-sphere", "--params", "a01",
+                                "--eps", "3e-2"])
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["method"] == "quadrature" and row["fallback_reason"] is None
+    code, out, _ = run(capsys, ["variation", "--input", tetra_file,
+                                "--params", "d12", "--eps", "1e-2",
+                                "--samples", "50000"])
+    assert json.loads(out)["rows"][0]["method"] == "conditional-mc"
+
+
 def test_params_form_input(tmp_path, capsys):
     path = write(tmp_path, "params.json",
                  params_to_json(params_of(equilateral())))

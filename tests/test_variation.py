@@ -7,10 +7,12 @@ import pytest
 import sphex as sx
 from sphex.arrangement import Chamber, from_params, params_of
 from sphex.cayley_menger import CMTable, ConfigMatrix
+from sphex import variation, volume
 from sphex.errors import FdNoiseError
 from sphex.intersect import angles_pair, sphere_angle
 from sphex.variation import (
     OneForm,
+    _chord_fd,
     config_basis,
     dA_volume_form_n3,
     dA_volume_form_theorem_III,
@@ -23,13 +25,17 @@ from sphex.variation import (
     verify_variation_fd,
 )
 from sphex.volume import (
+    BLOCK,
     Rng,
+    _barycentric,
+    _signs_mask,
+    _simplex_mask,
     chamber_area_closed_n2,
     lens_volume_closed,
     sphere_arc_lengths,
     sphere_vertex_counts,
 )
-from conftest import lens_trio, random_h1
+from conftest import equilateral, lens_trio, random_h1, tetrahedron
 
 
 def test_basis_contents():
@@ -292,3 +298,162 @@ def test_variation_report_to_dict(tri):
     assert d["pass"] is True
     assert set(d) == {"parameter", "fd_value", "formula_value", "residual",
                       "tolerance", "pass"}
+
+
+def test_verify_fd_closed_at_every_scale():
+    """The n = 2 closed-form check passes on rescaled copies of one
+    triangle, with the step rescaled as the squared parameters."""
+    base = equilateral()
+    c = Chamber.all_minus(2)
+    for k in range(-12, 13):
+        s = 10.0 ** k
+        a = sx.from_centers_radii(base.centers * s, base.radii * s)
+        for key in param_basis(2):
+            rep = verify_variation_fd("euclidean", a, c, key, eps=1e-5 * s * s)
+            assert rep.method == "closed" and rep.fallback_reason is None
+            assert rep.passed and rep.residual <= 1e-10, (k, key)
+
+
+def paired_indicator_fd(ap, am, c, samples, rng, eps):
+    """Central indicator difference on common random points: (fd, sigma).
+
+    Both perturbed chambers are scored on the same uniform points of the
+    box holding both; sigma counts the points whose membership flips.
+    """
+    minus = c.minus_set()
+    boxes = []
+    for arr in (ap, am):
+        if minus:
+            boxes.append((
+                np.max([arr.center(j) - arr.radius(j) for j in minus], axis=0),
+                np.min([arr.center(j) + arr.radius(j) for j in minus], axis=0)))
+        else:
+            boxes.append((arr.centers.min(axis=0), arr.centers.max(axis=0)))
+    lo = np.minimum(boxes[0][0], boxes[1][0])
+    hi = np.maximum(boxes[0][1], boxes[1][1])
+    box = float(np.prod(hi - lo))
+    hits = flips = 0
+    for block in range(-(-samples // BLOCK)):
+        cnt = min(BLOCK, samples - block * BLOCK)
+        pts = lo + (hi - lo) * rng.generator(block).random((cnt, ap.n))
+        mp, mm = _signs_mask(ap, c, pts), _signs_mask(am, c, pts)
+        if not minus:
+            mp &= _simplex_mask(_barycentric(ap), pts)
+            mm &= _simplex_mask(_barycentric(am), pts)
+        hits += int(mp.sum()) - int(mm.sum())
+        flips += int((mp != mm).sum())
+    scale = box / samples / (2.0 * eps)
+    return scale * hits, scale * math.sqrt(flips)
+
+
+@pytest.mark.parametrize("signs,radius", [("----", 1.0), ("---+", 1.0),
+                                          ("++++", 0.89)])
+def test_chord_fd_matches_paired_indicator(signs, radius):
+    """The chord difference against the indicator one, and its sigma at
+    least 5x smaller at equal samples."""
+    params = params_of(tetrahedron(radius=radius))
+    c = Chamber.from_string(signs)
+    eps = 1e-2
+    for key in (("r", 1), ("r", 4), ("d", 1, 2), ("d", 3, 4)):
+        ap, am = (from_params(p, 3) for p in
+                  (params.with_entry(key, params.get(key) + eps),
+                   params.with_entry(key, params.get(key) - eps)))
+        fd, sigma, changed = _chord_fd(ap, am, c, 200_000, Rng(31), eps)
+        ind, ind_sigma = paired_indicator_fd(ap, am, c, 200_000, Rng(32), eps)
+        assert changed > 0 and sigma > 0.0
+        assert abs(fd - ind) <= 5.0 * math.hypot(sigma, ind_sigma), key
+        assert 5.0 * sigma <= ind_sigma, key
+
+
+def test_chord_fd_sigma_matches_spread(tetra):
+    """The reported sigma is the spread of the difference over streams."""
+    params = params_of(tetra)
+    c = Chamber.all_minus(3)
+    eps = 1e-2
+    for key in (("r", 2), ("d", 1, 2)):
+        ap, am = (from_params(p, 3) for p in
+                  (params.with_entry(key, params.get(key) + eps),
+                   params.with_entry(key, params.get(key) - eps)))
+        runs = [_chord_fd(ap, am, c, 20_000, Rng(33, s), eps)
+                for s in range(40)]
+        spread = np.std([fd for fd, _, _ in runs], ddof=1)
+        sigma = np.mean([s for _, s, _ in runs])
+        assert 0.6 < spread / sigma < 1.5, key
+
+
+def test_chord_fd_repeats_per_seed_stream_and_samples(tetra):
+    c = Chamber.all_minus(3)
+
+    def rep(rng, samples=100_000):
+        return verify_variation_fd("euclidean", tetra, c, ("d", 1, 3),
+                                   eps=1e-2, samples=samples, rng=rng)
+
+    first = rep(Rng(41))
+    assert first.method == "conditional-mc" and first.fallback_reason is None
+    assert rep(Rng(41)) == first
+    assert rep(Rng(42)).fd_value != first.fd_value
+    assert rep(Rng(41), 100_001).fd_value != first.fd_value
+
+
+def test_verify_fd_n2_fallback_is_named():
+    """Without H1 the closed form raises; the chord difference still
+    measures the chamber, here the whole lens of disks 1 and 2."""
+    a = sx.from_centers_radii(equilateral(side=1.8).centers, [1.0] * 3)
+    rep = verify_variation_fd("euclidean", a, Chamber.from_string("--+"),
+                              ("r", 1), eps=1e-3, samples=200_000,
+                              rng=Rng(43))
+    assert rep.method == "conditional-mc"
+    assert rep.fallback_reason.startswith(
+        "closed form unavailable: HypothesisError")
+    lens = lens_variation_form(2, 1.0, 1.0, 1.8).get(("r", 1))
+    assert abs(rep.fd_value - lens) <= 5.0 * rep.tolerance / 3.0
+
+
+def test_verify_fd_unit_sphere_is_exact(tetra):
+    """Quadrature areas: sigma 0, so the check resolves the central
+    difference's O(eps^2) error and ignores samples and rng."""
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
+    form = dA_volume_form_theorem_III(m)
+    for key in config_basis(3):
+        rep = verify_variation_fd("unit-sphere", m, None, key, eps=3e-2)
+        assert rep.method == "quadrature" and rep.fallback_reason is None
+        assert rep.passed and rep.tolerance == 1e-4 * abs(form.get(key))
+        again = verify_variation_fd("unit-sphere", m, None, key, eps=3e-2,
+                                    samples=7, rng=Rng(44))
+        assert again == rep
+        # too coarse a step: the O(eps^2) error exceeds the tolerance
+        assert not verify_variation_fd("unit-sphere", m, None, key,
+                                       eps=0.3).passed
+
+
+def test_verify_fd_unit_sphere_detects_a_shifted_coefficient(tetra,
+                                                            monkeypatch):
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
+    true_form = variation.dA_volume_form_theorem_III
+
+    for key in config_basis(3):
+        def shifted(mx, key=key):
+            form = true_form(mx).as_dict()
+            form[key] *= 1.0 + 1e-3
+            return OneForm.from_dict(config_basis(3), form)
+
+        monkeypatch.setattr(variation, "dA_volume_form_theorem_III", shifted)
+        assert not verify_variation_fd("unit-sphere", m, None, key,
+                                       eps=3e-2).passed, key
+
+
+def test_verify_fd_unit_sphere_step_below_quadrature_accuracy(tetra):
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
+    with pytest.raises(FdNoiseError, match="quadrature's accuracy"):
+        verify_variation_fd("unit-sphere", m, None, ("a", 1, 2), eps=1e-7)
+
+
+def test_verify_fd_unit_sphere_fallback_is_named(tetra, monkeypatch):
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
+    monkeypatch.setattr(volume, "QUAD_NODES", 2)
+    rep = verify_variation_fd("unit-sphere", m, None, ("a0", 1), eps=3e-2,
+                              samples=200_000, rng=Rng(45))
+    assert rep.method == "conditional-mc"
+    assert rep.fallback_reason.startswith("quadrature did not converge")
+    assert rep.tolerance > 1e-4 * abs(rep.formula_value)  # 3 sigma, not 0
+    assert rep.passed

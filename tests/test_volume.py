@@ -15,9 +15,11 @@ from sphex.errors import (
 )
 from sphex.volume import (
     Rng,
+    _chord_lengths,
     cap_integral,
     chamber_arc_angles,
     chamber_area_closed_n2,
+    chamber_chords,
     chamber_volume,
     chamber_volume_mc,
     decomposition_cell_coefficient,
@@ -33,7 +35,14 @@ from sphex.volume import (
     sphere_vertex_counts,
     unit_sphere_area,
 )
-from conftest import embedded_lens, equilateral, gap_fixture, random_h1
+from conftest import (
+    embedded_lens,
+    equilateral,
+    gap_fixture,
+    lens_trio,
+    random_h1,
+    tetrahedron,
+)
 
 LENS_11_1 = 2 * math.pi / 3 - math.sqrt(3) / 2  # two unit disks, distance 1
 
@@ -232,19 +241,17 @@ def test_cone_cell_p1_direct_mc(gap):
     others = [k for k in (1, 2, 3) if k != j]
     T = np.vstack([gap.centers.T, np.ones(3)])  # barycentric solve
 
-    def in_triangle(x):
-        lam = np.linalg.solve(T, np.array([x[0], x[1], 1.0]))
-        return np.all(lam >= -1e-12)
-
     gen = np.random.default_rng(11)
     total = 400_000
     pts = o + (2 * gen.random((total, 2)) - 1) * r
     d = np.linalg.norm(pts - o, axis=1)
     ok = (d <= r) & (d > 0)
     proj = o + r * (pts[ok] - o) / d[ok, None]
-    inside = np.array([
-        all(sx.evaluate_f(gap, k, x) >= 0 for k in others) and in_triangle(x)
-        for x in proj])
+    lam = np.linalg.solve(T, np.vstack([proj.T, np.ones(len(proj))]))
+    inside = (lam >= -1e-12).all(axis=0)
+    for k in others:
+        dk = proj - gap.center(k)
+        inside &= np.einsum("ij,ij->i", dk, dk) - gap.radius(k) ** 2 >= 0
     frac = inside.sum() / total
     box = (2 * r) ** 2
     est = box * frac
@@ -335,3 +342,77 @@ def test_sphere_region_n3_vs_chamber(tetra):
     est2 = sphere_region_area_mc(m, 800_000, Rng(15))
     assert abs(est1.value - est2.value) <= 3 * math.hypot(est1.std_error,
                                                           est2.std_error)
+
+
+def chord_volume(a, c, samples, rng):
+    """Chamber volume from `chamber_chords` alone: (value, std_error)."""
+    area, chunks = chamber_chords((a,), c, samples, rng)
+    L = np.concatenate([x[0] for x in chunks])
+    return area * L.mean(), area * L.std() / math.sqrt(samples)
+
+
+CHORD_CASES = [
+    ("tri", equilateral, "---"),
+    ("lens_trio", lens_trio, "--+"),
+    ("lens_trio", lens_trio, "-++"),
+    ("gap", gap_fixture, "+++"),
+    # a simplex edge parallel to the lines (the y axis)
+    ("upright_gap", lambda: sx.from_centers_radii(
+        [[0.0, 0.0], [0.0, 1.5], [1.3, 0.75]], [0.8, 0.8, 0.8]), "+++"),
+    ("tetra", tetrahedron, "----"),
+    ("tetra", tetrahedron, "--++"),
+    ("tetra_gap", lambda: tetrahedron(radius=0.89), "++++"),
+    # small balls leave the simplex's faces exposed; the face through
+    # centers 2, 3, 4 lies in the vertical plane x = y, so lines on the
+    # far side of it must be dropped although they are parallel to it
+    ("slanted_simplex", lambda: sx.from_centers_radii(
+        [[1.2, -0.3, 0.0], [1.0, 1.0, 0.0], [0.5, 0.5, 1.1],
+         [0.0, 0.0, 0.0]], [0.4] * 4), "++++"),
+]
+
+
+@pytest.mark.parametrize("name,make,signs", CHORD_CASES,
+                         ids=[f"{n}[{s}]" for n, _, s in CHORD_CASES])
+def test_chord_volume_matches_indicator(name, make, signs):
+    a = make()
+    c = Chamber.from_string(signs)
+    value, sigma = chord_volume(a, c, 100_000, Rng(21))
+    bounding = None if c.minus_set() else "simplex"
+    ind = chamber_volume_mc(a, c, 400_000, Rng(22), bounding=bounding)
+    assert value > 0.0 and sigma > 0.0
+    assert abs(value - ind.value) <= 5.0 * math.hypot(sigma, ind.std_error)
+    if a.n == 2:
+        exact = chamber_area_closed_n2(a, c)
+        assert abs(value - exact) <= 5.0 * sigma
+    # conditioning on the line removes most of the indicator's variance
+    assert sigma * math.sqrt(100_000) < ind.std_error * math.sqrt(400_000)
+
+
+def test_chord_lengths_of_one_line():
+    """A vertical line through a disk's centre meets it in its diameter;
+    the plus disks cut their own diameters out of the minus one."""
+    a = sx.from_centers_radii([[0.0, 0.0], [0.0, 1.5], [0.0, -1.8]],
+                              [1.0, 1.0, 1.0])
+    y = np.array([[0.0], [0.5], [3.0]])
+    data = (a.centers[None], a.radii[None] ** 2, None)
+    L = _chord_lengths(*data, Chamber.from_string("-++"), y)[0]
+    h = math.sqrt(0.75)  # at y = 0.5 the third disk misses the first
+    assert L == pytest.approx([2.0 - 0.5 - 0.2, 1.5, 0.0], abs=1e-15)
+    both = _chord_lengths(*data, Chamber.from_string("--+"), y)[0]
+    assert both == pytest.approx([0.5, 2.0 * h - 1.5, 0.0], abs=1e-15)
+
+
+def test_chamber_chords_repeat_per_seed_and_samples(tetra):
+    c = Chamber.all_minus(3)
+
+    def draw(rng, samples):
+        area, chunks = chamber_chords((tetra,), c, samples, rng)
+        return area, np.concatenate(list(chunks), axis=1)
+
+    area, L = draw(Rng(5, 1), 70_000)
+    area2, L2 = draw(Rng(5, 1), 70_000)
+    assert area == area2 and np.array_equal(L, L2)
+    assert L.shape == (1, 70_000)
+    # blocks are drawn whole, so a shorter run is a prefix of a longer one
+    assert np.array_equal(draw(Rng(5, 1), 1000)[1], L[:, :1000])
+    assert not np.array_equal(draw(Rng(5, 2), 70_000)[1], L)
