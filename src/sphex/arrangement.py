@@ -49,8 +49,6 @@ class Arrangement:
     centers: np.ndarray
     radii: np.ndarray
     dist: np.ndarray
-    #: set on first use by `CMTable.from_arrangement`
-    _cm_table: CMTable = field(default=None, init=False, repr=False, compare=False)
     #: set on first use by `params_of`
     _params: "ParamVector" = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -137,12 +135,6 @@ class ParamVector:
         if np.max(np.abs(self.dist_sq - self.dist_sq.T)) != 0:
             raise ValueError("squared-distance matrix must be symmetric")
 
-    def basis(self):
-        keys = [("r", j) for j in range(1, self.n + 2)]
-        keys += [("d", j, k)
-                 for j, k in itertools.combinations(range(1, self.n + 2), 2)]
-        return keys
-
     def get(self, key) -> float:
         if key[0] == "r":
             return float(self.radii_sq[key[1] - 1])
@@ -172,12 +164,6 @@ class RigidTransform:
     def apply(self, x) -> np.ndarray:
         return (np.asarray(x, float) - self.translation) @ self.rotation
 
-    @property
-    def is_identity(self) -> bool:
-        n = self.rotation.shape[0]
-        return (np.allclose(self.rotation, np.eye(n), atol=1e-14)
-                and np.allclose(self.translation, 0.0, atol=1e-14))
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -206,10 +192,13 @@ def from_centers_radii(centers, radii) -> Arrangement:
 
 def params_of(a: Arrangement) -> ParamVector:
     """The squared parameters of `a`: one `ParamVector` per arrangement,
-    built on first use and stored on it, so its `CMTable` is shared too."""
+    built on first use and stored on it, so its `CMTable` is shared too.
+    Squared distances are sums of squared coordinate differences, not
+    squares of `a.dist`, which would round twice."""
     if a._params is None:
+        diff = a.centers[:, None, :] - a.centers[None, :, :]
         object.__setattr__(a, "_params", ParamVector(
-            a.n, _frozen(a.radii ** 2), _frozen(a.dist ** 2)))
+            a.n, _frozen(a.radii ** 2), _frozen((diff * diff).sum(axis=2))))
     return a._params
 
 
@@ -318,10 +307,14 @@ def evaluate_f(a: Arrangement, j: int, x) -> float:
     return float(d @ d - a.radius(j) ** 2)
 
 
-def chamber_contains(a: Arrangement, c: Chamber, x, tol: float = 0.0) -> bool:
-    """Sign test per sphere; boundary points belong to both closed sides."""
+def _check_chamber(a: Arrangement, c: Chamber):
     if len(c.signs) != a.n + 1:
         raise ValueError("chamber length must be n+1")
+
+
+def chamber_contains(a: Arrangement, c: Chamber, x, tol: float = 0.0) -> bool:
+    """Sign test per sphere; boundary points belong to both closed sides."""
+    _check_chamber(a, c)
     for j in range(1, a.n + 2):
         if c.sign(j) * evaluate_f(a, j, x) < -tol:
             return False

@@ -188,28 +188,24 @@ class CMTable:
 
     @classmethod
     def from_arrangement(cls, a):
-        """The table of arrangement `a`, built on first use."""
-        if a._cm_table is None:
-            d2 = [[float(np.sum((cj - ck) ** 2)) for ck in a.centers]
-                  for cj in a.centers]
-            cls._store(a, np.asarray(a.radii, float) ** 2, d2)
-        return a._cm_table
+        """The table of arrangement `a`: that of its `params_of` vector."""
+        if a._params is None:
+            from .arrangement import params_of  # arrangement imports this
+
+            params_of(a)
+        return cls.from_params(a._params)
 
     @classmethod
     def from_params(cls, params):
         """The table of a parameter vector (no point coordinates needed)."""
         if params._cm_table is None:
-            cls._store(params, params.radii_sq, params.dist_sq)
+            m = params.n + 1
+            r2 = np.zeros(m + 1)
+            r2[1:] = params.radii_sq
+            d2 = np.zeros((m + 1, m + 1))
+            d2[1:, 1:] = params.dist_sq
+            object.__setattr__(params, "_cm_table", cls(params.n, r2, d2))
         return params._cm_table
-
-    @classmethod
-    def _store(cls, obj, radii_sq, dist_sq):
-        m = obj.n + 1
-        r2 = np.zeros(m + 1)
-        r2[1:] = radii_sq
-        d2 = np.zeros((m + 1, m + 1))
-        d2[1:, 1:] = dist_sq
-        object.__setattr__(obj, "_cm_table", cls(obj.n, r2, d2))
 
     # -- evaluation -------------------------------------------------------
 

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,32 +54,6 @@ _WHICH = ("thmI", "thmII", "lemma5", "prop4", "prop6", "gaussbonnet",
           "decomposition")
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters shared by the subcommands."""
-
-    command: str
-    input_path: str
-    samples: int = 1_000_000
-    seed: int = 0
-    eps: float = 1e-4
-    fmt: str = "json"
-    out: "str | None" = None
-    chamber: "str | None" = None
-    which: "str | None" = None
-    model: str = "euclidean"
-    params: str = "all"
-    points: int = 100
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("--samples must be at least 1")
-        if self.eps <= 0:
-            raise ValueError("--eps must be positive")
-        if self.points < 1:
-            raise ValueError("--points must be at least 1")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sphex",
@@ -113,60 +86,43 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    chamber = args.chamber
+def _check_args(args):
+    """Reject values argparse accepts but no subcommand can use."""
     # argparse swallows a bare "--" value into an empty list; reject any
     # non-string remnant instead of silently using the default chamber
-    if chamber is not None and (not isinstance(chamber, str) or not chamber):
+    if args.chamber is not None and (not isinstance(args.chamber, str)
+                                     or not args.chamber):
         raise ValueError("chamber must be a non-empty string of + and -")
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        samples=args.samples,
-        seed=args.seed,
-        eps=args.eps,
-        fmt=args.fmt,
-        out=args.out,
-        chamber=chamber,
-        which=getattr(args, "which", None),
-        model=getattr(args, "model", "euclidean"),
-        params=getattr(args, "params", "all"),
-        points=getattr(args, "points", 100),
-    )
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    if args.eps <= 0:
+        raise ValueError("--eps must be positive")
+    if getattr(args, "points", 1) < 1:
+        raise ValueError("--points must be at least 1")
 
 
 def parse_param_token(tok: str, model: str):
     """Parse 'r1' / 'd12' / 'd1,3' (euclidean) or 'a01' / 'a12' tokens."""
     tok = tok.strip()
+    one, two = ("r", "d") if model == "euclidean" else ("a0", "a")
     try:
-        if model == "euclidean":
-            if tok.startswith("r"):
-                return ("r", int(tok[1:]))
-            if tok.startswith("d"):
-                body = tok[1:]
-                if "," in body:
-                    j, k = (int(t) for t in body.split(","))
-                else:
-                    j, k = int(body[0]), int(body[1])
-                return ("d", min(j, k), max(j, k))
-        else:
-            if tok.startswith("a0"):
-                return ("a0", int(tok[2:]))
-            if tok.startswith("a"):
-                body = tok[1:]
-                if "," in body:
-                    j, k = (int(t) for t in body.split(","))
-                else:
-                    j, k = int(body[0]), int(body[1])
-                return ("a", min(j, k), max(j, k))
+        if tok.startswith(one):
+            return (one, int(tok[len(one):]))
+        if tok.startswith(two):
+            body = tok[len(two):]
+            if "," in body:
+                j, k = (int(t) for t in body.split(","))
+            else:
+                j, k = int(body[0]), int(body[1])
+            return (two, min(j, k), max(j, k))
     except (ValueError, IndexError):
         pass
     raise ValueError(f"cannot parse parameter token {tok!r}")
 
 
-def _chamber_for(cfg: RunConfig, n: int) -> Chamber:
-    if cfg.chamber:
-        c = Chamber.from_string(cfg.chamber)
+def _chamber_for(args, n: int) -> Chamber:
+    if args.chamber:
+        c = Chamber.from_string(args.chamber)
         if len(c.signs) != n + 1:
             raise ValueError(f"chamber needs {n + 1} signs")
         return c
@@ -178,8 +134,8 @@ def _chamber_for(cfg: RunConfig, n: int) -> Chamber:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(cfg: RunConfig):
-    a = load_arrangement(cfg.input_path)
+def cmd_check(args):
+    a = load_arrangement(args.input)
     rep = check_hypotheses(a)
     payload = {
         "schema": SCHEMA,
@@ -208,10 +164,10 @@ def cmd_check(cfg: RunConfig):
     return payload, code
 
 
-def cmd_volume(cfg: RunConfig):
-    a = load_arrangement(cfg.input_path)
-    c = _chamber_for(cfg, a.n)
-    est = chamber_volume(a, c, cfg.samples, Rng(cfg.seed))
+def cmd_volume(args):
+    a = load_arrangement(args.input)
+    c = _chamber_for(args, a.n)
+    est = chamber_volume(a, c, args.samples, Rng(args.seed))
     payload = {
         "schema": SCHEMA,
         "command": "volume",
@@ -226,42 +182,41 @@ def cmd_volume(cfg: RunConfig):
     return payload, 0
 
 
-def _lemma5_points(a, cfg: RunConfig):
-    gen = Rng(cfg.seed).generator(0)
+def _lemma5_points(a, args):
+    gen = Rng(args.seed).generator(0)
     maxr = float(np.max(a.radii))
     lo = a.centers.min(axis=0) - maxr
     hi = a.centers.max(axis=0) + maxr
-    scale = max(1.0, maxr ** 2)
     pts = []
     guard = 0
-    while len(pts) < cfg.points:
+    while len(pts) < args.points:
         x = lo + (hi - lo) * gen.random(a.n)
         near = min(
             abs(float(np.sum((x - a.center(j)) ** 2) - a.radius(j) ** 2))
             for j in range(1, a.n + 2))
         guard += 1
-        if near > 1e-6 * scale:
+        if near > 1e-6 * maxr ** 2:
             pts.append(x)
-        if guard > 1000 * cfg.points:
+        if guard > 1000 * args.points:
             raise DegenerateConfigError("could not sample points off the spheres")
     return pts
 
 
-def cmd_identity(cfg: RunConfig):
-    a = load_arrangement(cfg.input_path)
-    rng = Rng(cfg.seed)
+def cmd_identity(args):
+    a = load_arrangement(args.input)
+    rng = Rng(args.seed)
     reports = []
-    if cfg.which == "thmI":
-        chamber = Chamber.from_string(cfg.chamber) if cfg.chamber else None
-        reports.append(check_theorem_I_i(a, cfg.samples, rng, chamber=chamber))
-    elif cfg.which == "thmII":
-        reports.append(check_theorem_II_i(a, cfg.samples, rng))
-    elif cfg.which == "decomposition":
-        reports.append(check_decomposition(a, cfg.samples, rng))
-    elif cfg.which == "lemma5":
-        for x in _lemma5_points(a, cfg):
+    if args.which == "thmI":
+        reports.append(check_theorem_I_i(a, args.samples, rng,
+                                         chamber=_chamber_for(args, a.n)))
+    elif args.which == "thmII":
+        reports.append(check_theorem_II_i(a, args.samples, rng))
+    elif args.which == "decomposition":
+        reports.append(check_decomposition(a, args.samples, rng))
+    elif args.which == "lemma5":
+        for x in _lemma5_points(a, args):
             reports.append(check_lemma5_pointwise(a, x))
-    elif cfg.which == "prop4":
+    elif args.which == "prop4":
         import itertools
         i = 0
         for p in range(1, a.n + 1):
@@ -269,19 +224,19 @@ def cmd_identity(cfg: RunConfig):
                 reports.append(
                     check_prop4_residue(a, J, trials=20, rng=rng.substream(i)))
                 i += 1
-    elif cfg.which == "prop6":
+    elif args.which == "prop6":
         for j in range(1, a.n + 2):
             reports.append(check_prop6_values(a, j))
-    elif cfg.which == "gaussbonnet":
+    elif args.which == "gaussbonnet":
         m = config_matrix(restrict_to_unit_sphere(a))
-        reports.append(check_gauss_bonnet_n3(m, cfg.samples, rng))
+        reports.append(check_gauss_bonnet_n3(m, args.samples, rng))
     else:
-        raise ValueError(f"unknown identity {cfg.which!r}")
+        raise ValueError(f"unknown identity {args.which!r}")
     pass_count = sum(1 for r in reports if r.passed)
     payload = {
         "schema": SCHEMA,
         "command": "identity",
-        "which": cfg.which,
+        "which": args.which,
         "count": len(reports),
         "pass_count": pass_count,
         "reports": [r.to_dict() for r in reports],
@@ -289,13 +244,13 @@ def cmd_identity(cfg: RunConfig):
     return payload, 0 if pass_count == len(reports) else 2
 
 
-def cmd_variation(cfg: RunConfig):
-    a = load_arrangement(cfg.input_path)
-    rng = Rng(cfg.seed)
+def cmd_variation(args):
+    a = load_arrangement(args.input)
+    rng = Rng(args.seed)
     rows = []
     saw_noise = False
-    if cfg.model == "euclidean":
-        c = _chamber_for(cfg, a.n)
+    if args.model == "euclidean":
+        c = _chamber_for(args, a.n)
         keys = param_basis(a.n)
         target = a
     else:
@@ -303,12 +258,12 @@ def cmd_variation(cfg: RunConfig):
         c = None
         keys = config_basis(m.n)
         target = m
-    if cfg.params != "all":
-        keys = [parse_param_token(t, cfg.model) for t in cfg.params.split(",")]
+    if args.params != "all":
+        keys = [parse_param_token(t, args.model) for t in args.params.split(",")]
     for i, key in enumerate(keys):
         try:
-            rep = verify_variation_fd(cfg.model, target, c, key, cfg.eps,
-                                      cfg.samples, rng.substream(100 + i))
+            rep = verify_variation_fd(args.model, target, c, key, args.eps,
+                                      args.samples, rng.substream(100 + i))
             rows.append({**rep.to_dict(), "method": rep.method,
                          "fallback_reason": rep.fallback_reason})
         except FdNoiseError as e:
@@ -320,8 +275,8 @@ def cmd_variation(cfg: RunConfig):
     payload = {
         "schema": SCHEMA,
         "command": "variation",
-        "model": cfg.model,
-        "eps": cfg.eps,
+        "model": args.model,
+        "eps": args.eps,
         "rows": rows,
     }
     if saw_noise:
@@ -469,26 +424,22 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_merge_chamber_tokens(list(argv)))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    fmt, out = args.fmt, args.out
     try:
-        cfg = _config_from_args(args)
-    except ValueError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    fmt, out = cfg.fmt, cfg.out
-    try:
-        payload, code = _DISPATCH[cfg.command](cfg)
+        _check_args(args)
+        payload, code = _DISPATCH[args.command](args)
     except HypothesisError as e:
-        _emit(fmt, out, _error_payload(cfg, e))
+        _emit(fmt, out, _error_payload(args, e))
         return 2
     except IndeterminateSignError as e:
-        _emit(fmt, out, _error_payload(cfg, e))
+        _emit(fmt, out, _error_payload(args, e))
         return 3
     except (NonRealizableError, DegenerateConfigError, EmptyIntersectionError,
             FdNoiseError) as e:
-        _emit(fmt, out, _error_payload(cfg, e))
+        _emit(fmt, out, _error_payload(args, e))
         return 4
     except SphexError as e:
-        _emit(fmt, out, _error_payload(cfg, e))
+        _emit(fmt, out, _error_payload(args, e))
         return 4
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
@@ -497,10 +448,10 @@ def main(argv=None) -> int:
     return code
 
 
-def _error_payload(cfg: RunConfig, e: Exception) -> dict:
+def _error_payload(args, e: Exception) -> dict:
     return {
         "schema": SCHEMA,
-        "command": cfg.command,
+        "command": args.command,
         "error": {"type": type(e).__name__, "message": str(e)},
     }
 

@@ -34,6 +34,7 @@ from .errors import DegenerateConfigError, HypothesisError
 from .intersect import intersection_sphere, sphere_angle, vertices
 from .volume import (
     Rng,
+    _sqrt_starred,
     chamber_volume,
     chamber_volume_mc,
     decomposition_cell_coefficient,
@@ -77,16 +78,6 @@ def _report(name, lhs, terms, tolerance, passed=None) -> IdentityReport:
         passed = residual <= tolerance
     return IdentityReport(name, float(lhs), rhs, residual, float(tolerance),
                           bool(passed), tuple(terms))
-
-
-def _sqrt_starred(table: CMTable, J) -> float:
-    p = len(J)
-    starred = table.chain(("0", "*") + tuple(J), ("0", "*") + tuple(J))
-    arg = (-1) ** (p + 1) * starred
-    if arg <= 0:
-        raise HypothesisError(
-            f"B(0*J) has the wrong sign for J={tuple(J)}; face sphere missing")
-    return math.sqrt(arg / 2 ** p)
 
 
 def _sqrt_plain_full(table: CMTable, n: int) -> float:
@@ -134,11 +125,10 @@ def _estimators(a, c: Chamber, method: str):
     spherical-region kernel included.
     """
     if method == "mc":
-        bounding = None if c.minus_set() else "simplex"
         return (lambda samples, rng: chamber_volume_mc(
-                    a, c, samples, rng, bounding=bounding),
+                    a, c, samples, rng, bounding="simplex"),
                 lambda J, samples, rng: face_volume_mc(
-                    a, c, J, samples, rng, bounding=bounding))
+                    a, c, J, samples, rng, bounding="simplex"))
     return (lambda samples, rng: chamber_volume(a, c, samples, rng),
             lambda J, samples, rng: face_volume(a, c, J, samples, rng))
 
@@ -232,7 +222,9 @@ def check_lemma5_pointwise(a, x) -> IdentityReport:
     the f values; rhs is the weighted combination of mixed determinants
     divided by the same products.  The prefactor sign (-1)^(n(n-1)/2)
     is fixed by requiring lhs = rhs, which holds to machine precision
-    across random arrangements and points in n = 2 and 3.
+    across random arrangements and points in n = 2 and 3.  The check is
+    scale-free: a point with |f_j| < 1e-9 max r^2 counts as on a sphere,
+    and the tolerance is 1e-10 times the sum of the |lhs| summands.
     """
     x = np.asarray(x, dtype=float)
     n = a.n
@@ -240,8 +232,7 @@ def check_lemma5_pointwise(a, x) -> IdentityReport:
         raise ValueError(f"point must have {n} coordinates")
     N = tuple(range(1, n + 2))
     f = {j: evaluate_f(a, j, x) for j in N}
-    scale = max(1.0, float(np.max(a.radii)) ** 2)
-    if min(abs(v) for v in f.values()) < 1e-9 * scale:
+    if min(abs(v) for v in f.values()) < 1e-9 * float(np.max(a.radii)) ** 2:
         raise DegenerateConfigError("point lies on (or too near) a sphere")
     grads = {j: 2.0 * (x - a.center(j)) for j in N}
     lhs_parts = []
@@ -262,7 +253,7 @@ def check_lemma5_pointwise(a, x) -> IdentityReport:
         terms.append((f"face_{nu}", -pref * mixed / prod))
     starred_full = table.chain(("0", "*") + N, ("0", "*") + N)
     terms.append(("full", pref * starred_full / math.prod(f.values())))
-    tolerance = 1e-10 * max(abs(lhs), 1.0)
+    tolerance = 1e-10 * math.fsum(abs(v) for v in lhs_parts)
     return _report("lemma5_pointwise", lhs, terms, tolerance)
 
 

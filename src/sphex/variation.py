@@ -39,6 +39,7 @@ from .volume import (
     QUAD_TOL,
     Rng,
     _closed_form_failed,
+    _lens_half_angles,
     chamber_area_closed_n2,
     chamber_chords,
     face_volume,
@@ -99,6 +100,12 @@ class OneForm:
 
 def _dkey(j, k):
     return ("d", min(j, k), max(j, k))
+
+
+def _add(out: dict, form: dict, w: float):
+    """out += w * form, key by key."""
+    for key, cval in form.items():
+        out[key] = out.get(key, 0.0) + w * cval
 
 
 def _theta_dict(table: CMTable, params: ParamVector, J) -> dict:
@@ -186,9 +193,8 @@ def theta_prime(m: ConfigMatrix, J) -> OneForm:
             den = config_minor_pair(m, (0,) + dJ, (0,) + dJ)
             if den == 0.0:
                 raise DegenerateConfigError("vanishing minor in recursion")
-            w = -config_minor_pair(m, (0,) + dJ, (nu,) + dJ) / den
-            for key, cval in build(dJ).items():
-                out[key] = out.get(key, 0.0) + w * cval
+            _add(out, build(dJ),
+                 -config_minor_pair(m, (0,) + dJ, (nu,) + dJ) / den)
         return out
 
     return OneForm.from_dict(config_basis(m.n), build(J))
@@ -224,11 +230,7 @@ def lens_variation_form(n: int, r1: float, r2: float, rho: float) -> OneForm:
     the distance one-form.  Checked against finite differences of the
     closed lens volume for n = 2..5.
     """
-    params = {("r", 1): r1 * r1, ("r", 2): r2 * r2, ("d", 1, 2): rho * rho}
-    c1 = (rho * rho + r1 * r1 - r2 * r2) / (2.0 * rho * r1)
-    c2 = (rho * rho + r2 * r2 - r1 * r1) / (2.0 * rho * r2)
-    h1 = math.acos(max(-1.0, min(1.0, c1)))
-    h2 = math.acos(max(-1.0, min(1.0, c2)))
+    h1, h2 = _lens_half_angles(r1, r2, rho)
     area = unit_sphere_area(n - 2)
     face1 = area * r1 ** (n - 1) * sin_power_integral(n - 2, h1)
     face2 = area * r2 ** (n - 1) * sin_power_integral(n - 2, h2)
@@ -268,15 +270,8 @@ def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
     rng = rng if rng is not None else Rng(0)
     table = CMTable.from_arrangement(a)
     params = params_of(a)
-    plus = set(c.plus_set())
-    all_plus = len(plus) == n + 1
-    vol_coefs, _ = volume_identity_coefficients(table, n, c)
+    vol_coefs, vol_full = volume_identity_coefficients(table, n, c)
     out = {}
-
-    def add(form: dict, w: float):
-        for key, cval in form.items():
-            out[key] = out.get(key, 0.0) + w * cval
-
     stream = 0
     for J in sorted(vol_coefs, key=lambda t: (len(t), t)):
         p = len(J)
@@ -285,30 +280,22 @@ def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
         else:
             vJ = face_volume(a, c, J, samples, rng.substream(stream)).value
         stream += 1
-        # relative to the volume identity, every face coefficient of the
-        # differential differs by exactly (-1)^p, in all chamber cases
+        # relative to the volume identity, every coefficient of the
+        # differential differs by exactly (-1)^p, in all chamber cases,
+        # the determinant term (p = n + 1) included
         w = vol_coefs[J] * (-1) ** p
-        add(_theta_dict(table, params, J), w * vJ)
+        _add(out, _theta_dict(table, params, J), w * vJ)
     N = tuple(range(1, n + 2))
-    plain = table.chain(("0",) + N, ("0",) + N)
-    sq_full = math.sqrt((-1) ** (n + 1) * plain / 2 ** n)
-    if all_plus:
-        w_full = (-1) ** (n + 1) * sq_full / math.factorial(n - 1)
-    else:
-        w_full = -((-1) ** len(plus)) * sq_full / math.factorial(n - 1)
-    add(_theta_dict(table, params, N), w_full)
+    _add(out, _theta_dict(table, params, N), vol_full * (-1) ** (n + 1))
     return OneForm.from_dict(param_basis(n), out)
 
 
-def dA_volume_form_theorem_III(m: ConfigMatrix, samples: int = 1_000_000,
-                               rng: "Rng | None" = None,
+def dA_volume_form_theorem_III(m: ConfigMatrix,
                                face_values: "dict | None" = None) -> OneForm:
     """Differential of the spherical region area over the entry basis.
 
     Implemented for n = 3, where the face measures are the boundary arc
-    lengths (p = 1) and region vertex counts (p = 2), both exact from
-    circle geometry, so `samples` and `rng` are accepted for interface
-    uniformity but unused.
+    lengths (p = 1) and region vertex counts (p = 2), both exact.
     """
     n = m.n
     if n != 3:
@@ -319,22 +306,17 @@ def dA_volume_form_theorem_III(m: ConfigMatrix, samples: int = 1_000_000,
         face_values = {(j,): arcs[j] for j in arcs}
         face_values.update({jk: float(cnt) for jk, cnt in counts.items()})
     out = {}
-
-    def add(form: OneForm, w: float):
-        for key, cval in form.as_dict().items():
-            out[key] = out.get(key, 0.0) + w * cval
-
     for p in range(1, n):
         for J in itertools.combinations(range(1, n + 1), p):
             minor = config_minor(m, J)
             den = config_minor(m, J, with_zero=True)
             w = (-(-1) ** p * math.factorial(n - p - 1) / math.factorial(n - 2)
                  * math.sqrt(minor) / den * float(face_values[J]))
-            add(theta_prime(m, J), w)
+            _add(out, theta_prime(m, J).as_dict(), w)
     full = tuple(range(1, n + 1))
     den = config_minor(m, full, with_zero=True)
     w = (-1) ** n / math.factorial(n - 2) / math.sqrt(-den)
-    add(theta_prime(m, full), w)
+    _add(out, theta_prime(m, full).as_dict(), w)
     return OneForm.from_dict(config_basis(n), out)
 
 
@@ -352,21 +334,16 @@ def dA_volume_form_n3(m: ConfigMatrix,
         face_values.update({(j, k): 1.0
                             for j, k in itertools.combinations((1, 2, 3), 2)})
     out = {}
-
-    def add(form: OneForm, w: float):
-        for key, cval in form.as_dict().items():
-            out[key] = out.get(key, 0.0) + w * cval
-
     for j in (1, 2, 3):
-        add(theta_prime(m, (j,)),
-            float(face_values[(j,)]) / config_minor(m, (j,), with_zero=True))
+        _add(out, theta_prime(m, (j,)).as_dict(),
+             float(face_values[(j,)]) / config_minor(m, (j,), with_zero=True))
     for j, k in itertools.combinations((1, 2, 3), 2):
-        add(theta_prime(m, (j, k)),
-            -math.sqrt(config_minor(m, (j, k)))
-            / config_minor(m, (j, k), with_zero=True)
-            * float(face_values[(j, k)]))
-    add(theta_prime(m, (1, 2, 3)),
-        -1.0 / math.sqrt(-config_minor(m, (1, 2, 3), with_zero=True)))
+        _add(out, theta_prime(m, (j, k)).as_dict(),
+             -math.sqrt(config_minor(m, (j, k)))
+             / config_minor(m, (j, k), with_zero=True)
+             * float(face_values[(j, k)]))
+    _add(out, theta_prime(m, (1, 2, 3)).as_dict(),
+         -1.0 / math.sqrt(-config_minor(m, (1, 2, 3), with_zero=True)))
     return OneForm.from_dict(config_basis(3), out)
 
 

@@ -15,8 +15,10 @@ it counts the two points for m = 0, intersects arcs exactly for m = 1,
 integrates the exact feasible arc length of the circle fibres by
 Gauss-Legendre quadrature over the fibre height for m = 2, and for
 m >= 3 averages that length over random fibres (conditional Monte
-Carlo).  The restricted unit-sphere model uses the same kernel.  The indicator estimators
-`chamber_volume_mc` and `face_volume_mc` stay as independent oracles.
+Carlo).  The restricted unit-sphere model's region, arcs and vertices
+are regions of the same kernel too (`config_face_constraints`).  The
+indicator estimators `chamber_volume_mc` and `face_volume_mc` stay as
+independent oracles.
 
 Boundedness: a chamber with at least one minus sign lives inside the
 corresponding ball, so rejection sampling uses the intersection of the
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrangement import Chamber, check_hypotheses
+from .arrangement import Chamber, _check_chamber, check_hypotheses
 from .cayley_menger import CMTable, ConfigMatrix
 from .errors import (
     DegenerateConfigError,
@@ -43,9 +45,8 @@ from .errors import (
     HypothesisError,
     IndeterminateSignError,
     SphexError,
-    TangencyError,
 )
-from .intersect import angles_pair, intersection_sphere, sphere_circle, triangle_angles
+from .intersect import angles_pair, intersection_sphere, triangle_angles
 
 #: samples per RNG block; results are invariant under block scheduling
 BLOCK = 65536
@@ -114,38 +115,66 @@ class VolumeEstimate:
             raise ValueError(f"unknown volume method {self.method!r}")
 
 
-def _mc_fraction(samples: int, rng: Rng, hit_fn) -> float:
+def _blocks(samples: int, rng: Rng):
+    """(generator, count) for each RNG block of a `samples`-draw estimate.
+
+    Block i draws from `rng.generator(i)` and holds `BLOCK` draws (the
+    last one the rest), so a result depends only on (seed, stream,
+    samples).  `samples` is checked at the call, not at the first block.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    hits = 0
-    done = 0
-    block = 0
-    while done < samples:
-        cnt = min(BLOCK, samples - done)
-        hits += int(hit_fn(rng.generator(block), cnt))
-        done += cnt
-        block += 1
+    return ((rng.generator(b), min(BLOCK, samples - b * BLOCK))
+            for b in range(-(-samples // BLOCK)))
+
+
+def _mc_fraction(samples: int, rng: Rng, hit_fn) -> float:
+    hits = sum(int(hit_fn(gen, cnt)) for gen, cnt in _blocks(samples, rng))
     return hits / samples
 
 
-def _signs_mask(a, c: Chamber, pts, tol: float = 0.0):
+def _signs_mask(a, c: Chamber, pts, tol: float = 0.0, skip=()):
+    """Which of `pts` satisfy c's sign on every sphere outside `skip`."""
     mask = np.ones(len(pts), dtype=bool)
     for j in range(1, a.n + 2):
+        if j in skip:
+            continue
         d = pts - a.center(j)
         fj = np.einsum("ij,ij->i", d, d) - a.radius(j) ** 2
         mask &= c.sign(j) * fj >= -tol
     return mask
 
 
-def _barycentric(a):
-    T = (a.centers[:-1] - a.centers[-1]).T
-    return np.linalg.inv(T), a.centers[-1]
+def _simplex_rows(a):
+    """The center simplex as rows P (n+1, n), q (n+1,): P x + q >= 0 inside.
+
+    Row i < n is the barycentric coordinate lambda_i of x relative to
+    the last center, and row n is 1 - sum lambda.
+    """
+    P = np.empty((a.n + 1, a.n))
+    P[:-1] = np.linalg.inv((a.centers[:-1] - a.centers[-1]).T)
+    P[-1] = -P[:-1].sum(axis=0)
+    q = -(P @ a.centers[-1])
+    q[-1] += 1.0
+    return P, q
 
 
-def _simplex_mask(bary, pts, tol: float = 0.0):
-    Minv, base = bary
-    lam = (pts - base) @ Minv.T
-    return (lam >= -tol).all(axis=1) & (lam.sum(axis=1) <= 1.0 + tol)
+def _simplex_mask(rows, pts, tol: float = 0.0):
+    P, q = rows
+    return (pts @ P.T + q >= -tol).all(axis=1)
+
+
+def _sampling_box(a, c: Chamber):
+    """(lo, hi) of the box rejection sampling draws from for chamber c.
+
+    The minus balls' boxes intersected, or for the all-plus chamber the
+    box of the center simplex; lo >= hi on some axis means empty.
+    """
+    minus = c.minus_set()
+    if not minus:
+        return a.centers.min(axis=0), a.centers.max(axis=0)
+    return (np.max([a.center(j) - a.radius(j) for j in minus], axis=0),
+            np.min([a.center(j) + a.radius(j) for j in minus], axis=0))
 
 
 def _chord_lengths(centers, r2, simplex, c: Chamber, y):
@@ -209,17 +238,8 @@ def chamber_chords(arrs, c: Chamber, samples: int, rng: Rng):
     a time from RNG blocks of `BLOCK` lines, so they depend only on
     (seed, stream, samples).  An empty box gives area 0 and no chunks.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    minus = c.minus_set()
-    boxes = []
-    for a in arrs:
-        if minus:
-            boxes.append((
-                np.max([a.center(j) - a.radius(j) for j in minus], axis=0),
-                np.min([a.center(j) + a.radius(j) for j in minus], axis=0)))
-        else:
-            boxes.append((a.centers.min(axis=0), a.centers.max(axis=0)))
+    blocks = _blocks(samples, rng)
+    boxes = [_sampling_box(a, c) for a in arrs]
     lo = np.min([b[0] for b in boxes], axis=0)[:-1]
     hi = np.max([b[1] for b in boxes], axis=0)[:-1]
     if np.any(hi <= lo):
@@ -227,24 +247,16 @@ def chamber_chords(arrs, c: Chamber, samples: int, rng: Rng):
     centers = np.stack([a.centers for a in arrs])
     r2 = np.stack([a.radii for a in arrs]) ** 2
     simplex = None
-    if not minus:
-        Minv = np.stack([_barycentric(a)[0] for a in arrs])
-        lam0 = np.einsum("sij,sj->si", Minv, centers[:, -1])
-        P = np.concatenate([Minv, -Minv.sum(axis=1, keepdims=True)], axis=1)
-        q = np.concatenate([-lam0, 1.0 + lam0.sum(axis=1, keepdims=True)],
-                           axis=1)
-        simplex = (P, q)
+    if not c.minus_set():
+        rows = [_simplex_rows(a) for a in arrs]
+        simplex = tuple(np.stack(r) for r in zip(*rows))
 
     def chunks():
-        done = block = 0
-        while done < samples:
-            cnt = min(BLOCK, samples - done)
-            y = lo + (hi - lo) * rng.generator(block).random((cnt, len(lo)))
+        for gen, cnt in blocks:
+            y = lo + (hi - lo) * gen.random((cnt, len(lo)))
             for s in range(0, cnt, FIBRE_CHUNK):
                 yield _chord_lengths(centers, r2, simplex, c,
                                      y[s:s + FIBRE_CHUNK])
-            done += cnt
-            block += 1
 
     return float(np.prod(hi - lo)), chunks()
 
@@ -261,43 +273,37 @@ def chamber_volume_mc(a, c: Chamber, samples: int, rng: Rng,
     For chambers with a minus sign the sampling box is the intersection
     of the minus-ball boxes.  The all-plus sign region is unbounded; the
     caller must pass ``bounding="simplex"`` to select the bounded
-    component inside the center simplex, or a sphere index to sample
-    that ball's box when the region is known to lie inside it.
+    component inside the center simplex.
     """
-    if len(c.signs) != a.n + 1:
-        raise ValueError("chamber length must be n+1")
-    minus = c.minus_set()
-    use_simplex = False
-    if minus:
-        lo = np.max([a.center(j) - a.radius(j) for j in minus], axis=0)
-        hi = np.min([a.center(j) + a.radius(j) for j in minus], axis=0)
-        if np.any(hi <= lo):
-            return VolumeEstimate(0.0, 0.0, samples, exact=False)
-    elif bounding == "simplex":
-        lo = a.centers.min(axis=0)
-        hi = a.centers.max(axis=0)
-        use_simplex = True
-    elif isinstance(bounding, int):
-        lo = a.center(bounding) - a.radius(bounding)
-        hi = a.center(bounding) + a.radius(bounding)
-    else:
-        raise ValueError(
-            "all-plus chamber is unbounded; pass bounding='simplex' for the "
-            "component inside the center simplex, or a bounding sphere index")
+    _check_chamber(a, c)
+    rows = _simplex_rows(a) if _needs_simplex(c, bounding) else None
+    lo, hi = _sampling_box(a, c)
+    if np.any(hi <= lo):
+        return VolumeEstimate(0.0, 0.0, samples, exact=False)
     box = float(np.prod(hi - lo))
-    bary = _barycentric(a) if use_simplex else None
     width = hi - lo
 
     def hit_fn(gen, cnt):
         pts = lo + width * gen.random((cnt, a.n))
         mask = _signs_mask(a, c, pts)
-        if use_simplex:
-            mask &= _simplex_mask(bary, pts)
+        if rows is not None:
+            mask &= _simplex_mask(rows, pts)
         return mask.sum()
 
     f = _mc_fraction(samples, rng, hit_fn)
     return VolumeEstimate(box * f, box * math.sqrt(f * (1.0 - f) / samples),
                           samples, exact=False)
+
+
+def _needs_simplex(c: Chamber, bounding) -> bool:
+    """Whether c is all-plus, which needs ``bounding="simplex"``."""
+    if c.minus_set():
+        return False
+    if bounding != "simplex":
+        raise ValueError(
+            "all-plus chamber is unbounded; pass bounding='simplex' for the "
+            "component inside the center simplex")
+    return True
 
 
 def unit_sphere_area(m: int) -> float:
@@ -316,51 +322,34 @@ def face_volume_mc(a, c: Chamber, J, samples: int, rng: Rng,
     `chamber_volume_mc` (the far side of each sphere satisfies the sign
     constraints without bounding the gap component).
     """
+    _check_chamber(a, c)
     J = tuple(sorted(J))
-    p = len(J)
-    n = a.n
     sub = intersection_sphere(a, J)
-    others = [k for k in range(1, n + 2) if k not in J]
-    all_plus = not c.minus_set()
-    if all_plus and bounding != "simplex":
-        raise ValueError(
-            "all-plus chamber faces need bounding='simplex' to select the "
-            "bounded component")
-    bary = _barycentric(a) if all_plus else None
-    if p == n:
+    rows = _simplex_rows(a) if _needs_simplex(c, bounding) else None
+    m = a.n - len(J)
+    if m == 0:
+        pts = sub.center + np.multiply.outer([sub.radius, -sub.radius],
+                                             sub.basis[0])
         tol = 1e-9 * float(np.max(a.radii)) ** 2
-        count = 0
-        for sgn in (1.0, -1.0):
-            x = sub.center + sgn * sub.radius * sub.basis[0]
-            ok = all(c.sign(k) * _f_val(a, k, x) >= -tol for k in others)
-            if ok and all_plus:
-                ok = bool(_simplex_mask(bary, x[None, :], tol=1e-9)[0])
-            count += bool(ok)
-        return VolumeEstimate(float(count), 0.0, 2, exact=True, method="count")
-    m = n - p
+        ok = _signs_mask(a, c, pts, tol, skip=J)
+        if rows is not None:
+            ok &= _simplex_mask(rows, pts, tol=1e-9)
+        return VolumeEstimate(float(ok.sum()), 0.0, 2, exact=True,
+                              method="count")
     area = unit_sphere_area(m) * sub.radius ** m
 
     def hit_fn(gen, cnt):
         g = gen.normal(size=(cnt, m + 1))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         pts = sub.center + sub.radius * (g @ sub.basis)
-        mask = np.ones(cnt, dtype=bool)
-        for k in others:
-            d = pts - a.center(k)
-            fk = np.einsum("ij,ij->i", d, d) - a.radius(k) ** 2
-            mask &= c.sign(k) * fk >= 0.0
-        if all_plus:
-            mask &= _simplex_mask(bary, pts)
+        mask = _signs_mask(a, c, pts, skip=J)
+        if rows is not None:
+            mask &= _simplex_mask(rows, pts)
         return mask.sum()
 
     f = _mc_fraction(samples, rng, hit_fn)
     return VolumeEstimate(area * f, area * math.sqrt(f * (1.0 - f) / samples),
                           samples, exact=False)
-
-
-def _f_val(a, j, x):
-    d = np.asarray(x, float) - a.center(j)
-    return float(d @ d - a.radius(j) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -640,18 +629,14 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
                                   method="quadrature")
         reason = (f"quadrature did not converge: |Q{2 * QUAD_NODES} - "
                   f"Q{QUAD_NODES}| = {err:.3e} > {QUAD_TOL:g}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    blocks = _blocks(samples, rng)
     proj = beta @ _fibre_frame(beta).T          # (K, m+1) in the fibre frame
     amp = np.hypot(proj[:, 0], proj[:, 1])
     phase = np.arctan2(proj[:, 1], proj[:, 0])
     perp = proj[:, 2:]
     k = m - 1
     total = total_sq = 0.0
-    done = block = 0
-    while done < samples:
-        cnt = min(BLOCK, samples - done)
-        gen = rng.generator(block)
+    for gen, cnt in blocks:
         y = gen.normal(size=(cnt, k))
         y *= (gen.random(cnt) ** (1.0 / k)
               / np.linalg.norm(y, axis=1))[:, None]
@@ -660,8 +645,6 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
                                  phase)
             total += float(arc.sum())
             total_sq += float(arc @ arc)
-        done += cnt
-        block += 1
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     ball = unit_sphere_area(m) / TWO_PI          # vol(B^(m-1))
@@ -690,12 +673,39 @@ def face_constraints(a, c: Chamber, J):
     beta = d @ sub.basis.T
     beta *= (2.0 * R * s)[:, None]
     if not c.minus_set():
-        Minv, base = _barycentric(a)
-        lam0 = Minv @ (sub.center - base)
-        lam = R * (Minv @ sub.basis.T)
-        alpha = np.concatenate([alpha, lam0, [1.0 - lam0.sum()]])
-        beta = np.vstack([beta, lam, -lam.sum(axis=0)])
+        P, q = _simplex_rows(a)
+        alpha = np.concatenate([alpha, P @ sub.center + q])
+        beta = np.vstack([beta, R * (P @ sub.basis.T)])
     return alpha, beta, R
+
+
+def config_face_constraints(m: ConfigMatrix, J):
+    """The face on the planes in J of the restricted model's region.
+
+    The twin of `face_constraints` for the region
+    {x in S^(n-1) : u_j . x + u_j0 <= 0 for all j} of `m`.  The planes
+    in J cut the unit sphere in a sphere of dimension n - 1 - |J| with
+    centre c, the point of their intersection nearest the origin, and
+    radius R = sqrt(1 - |c|^2).  A point of it is x = c + R (g @ basis),
+    on which plane k outside J reads
+    -(u_k . c + u_k0) - R (basis u_k) . g >= 0.  Returns (alpha, beta,
+    R); planes that do not meet on the sphere (parallel, or meeting
+    outside it) give an empty face: one row that is never met, and
+    R = 0.  J = () is the region itself, with R = 1.
+    """
+    idx = [j - 1 for j in J]
+    p = len(idx)
+    empty = np.full(1, -1.0), np.zeros((1, m.n - p)), 0.0
+    W, s, Vt = np.linalg.svd(m.normals[idx])
+    if p and s[-1] <= 1e-12 * s[0]:
+        return empty
+    c = Vt[:p].T @ ((W.T @ -m.offsets[idx]) / s)
+    R2 = 1.0 - c @ c
+    if R2 <= 0.0:
+        return empty
+    R = math.sqrt(R2)
+    U, off = np.delete(m.normals, idx, axis=0), np.delete(m.offsets, idx)
+    return -(U @ c + off), -R * (U @ Vt[p:].T), R
 
 
 # ---------------------------------------------------------------------------
@@ -905,8 +915,10 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
     """Chamber volume, closed form when available (n = 2), else MC.
 
     When the n = 2 closed form raises, the MC estimate names the error in
-    its `fallback_reason`.
+    its `fallback_reason`.  A chamber of the wrong length raises
+    ValueError.
     """
+    _check_chamber(a, c)
     reason = None
     if a.n == 2:
         try:
@@ -915,8 +927,7 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
         except SphexError as e:
             reason = _closed_form_failed(e)
     rng = rng if rng is not None else Rng(0)
-    bounding = None if c.minus_set() else "simplex"
-    est = chamber_volume_mc(a, c, samples, rng, bounding=bounding)
+    est = chamber_volume_mc(a, c, samples, rng, bounding="simplex")
     return replace(est, fallback_reason=reason)
 
 
@@ -930,7 +941,8 @@ def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
     `sphere_region` kernel on the face's constraints (exact for
     |J| >= n - 2, conditional MC with `samples` fibres below).  A raised
     closed form, or a quadrature that did not converge, is named in
-    `fallback_reason`."""
+    `fallback_reason`.  A chamber of the wrong length raises ValueError."""
+    _check_chamber(a, c)
     J = tuple(sorted(J))
     rng = rng if rng is not None else Rng(0)
     reason = None
@@ -947,6 +959,17 @@ def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
                    fallback_reason=reason or est.fallback_reason)
 
 
+def _sqrt_starred(table: CMTable, J) -> float:
+    """sqrt((-1)^(p+1) B(0*J) / 2^p), the face factor of S_J."""
+    p = len(J)
+    starred = table.chain(("0", "*") + tuple(J), ("0", "*") + tuple(J))
+    arg = (-1) ** (p + 1) * starred
+    if arg <= 0:
+        raise HypothesisError(
+            f"B(0*J) has the wrong sign for J={tuple(J)}; face sphere missing")
+    return math.sqrt(arg / 2 ** p)
+
+
 def decomposition_cell_coefficient(a, J) -> float:
     """The constant (n-p)!/n! * sqrt((-1)^(p+1) B(0*J)/2^p) of a cone cell.
 
@@ -959,13 +982,8 @@ def decomposition_cell_coefficient(a, J) -> float:
     p = len(J)
     if not 1 <= p <= a.n:
         raise ValueError("cell index set must satisfy 1 <= |J| <= n")
-    table = CMTable.from_arrangement(a)
-    starred = table.chain(("0", "*") + J, ("0", "*") + J)
-    arg = (-1) ** (p + 1) * starred
-    if arg <= 0:
-        raise HypothesisError(f"B(0*J) has the wrong sign for J={J}")
     return (math.factorial(a.n - p) / math.factorial(a.n)
-            * math.sqrt(arg / 2 ** p))
+            * _sqrt_starred(CMTable.from_arrangement(a), J))
 
 
 def decomposition_cell_volume(a, J, samples: int = 1_000_000,
@@ -994,23 +1012,32 @@ def sphere_region_area_mc(m: ConfigMatrix, samples: int,
     over circle fibres for n = 3 (`samples` is used only if it does not
     converge), conditional Monte Carlo with `samples` fibres for n >= 4.
     """
-    return sphere_region(-m.offsets, -m.normals, samples, rng)
+    alpha, beta, _ = config_face_constraints(m, ())
+    return sphere_region(alpha, beta, samples, rng)
+
+
+def _config_face(m: ConfigMatrix, J) -> float:
+    """Measure of the region's face on the planes in J, |J| >= n - 2.
+
+    The face has dimension at most 1, which `sphere_region` measures
+    exactly without drawing samples.
+    """
+    alpha, beta, R = config_face_constraints(m, J)
+    return R ** (beta.shape[1] - 1) * sphere_region(alpha, beta, 0, None).value
 
 
 def circle_feasible_arcs(m: ConfigMatrix, j: int):
     """Feasible parameter arcs of circle j under the other constraints.
 
-    Returns (list of (t0, t1) intervals in [0, 2 pi], circle radius); the
-    boundary length of the region on circle j is radius times the total
-    measure.  Handles non-binding constraints (full circle) and empty
-    cases.
+    Returns (list of (t0, t1) intervals in [0, 2 pi], circle radius), t
+    measured in the frame of `sphere_circle`; the boundary length of the
+    region on circle j is radius times the total measure.  Handles
+    non-binding constraints (full circle) and empty cases.
     """
     if m.n != 3:
         raise ValueError("circle arcs are implemented for n = 3")
-    center, radius, frame = sphere_circle(m, j)
-    U = np.delete(m.normals, j - 1, axis=0)
-    alpha = -(U @ center + np.delete(m.offsets, j - 1))
-    start, length = _circle_arcs(alpha, -radius * (U @ frame.T))
+    alpha, beta, radius = config_face_constraints(m, (j,))
+    start, length = _circle_arcs(alpha, beta)
     intervals = []
     for t0, w in zip(start.tolist(), length.tolist()):
         if w > 0.0:
@@ -1022,40 +1049,14 @@ def circle_feasible_arcs(m: ConfigMatrix, j: int):
 
 def sphere_arc_lengths(m: ConfigMatrix) -> dict:
     """Closed-form boundary arc length of each circle on the unit sphere."""
-    out = {}
-    for j in range(1, m.n + 1):
-        intervals, radius = circle_feasible_arcs(m, j)
-        out[j] = radius * sum(hi - lo for lo, hi in intervals)
-    return out
+    if m.n != 3:
+        raise ValueError("circle arcs are implemented for n = 3")
+    return {j: _config_face(m, (j,)) for j in range(1, 4)}
 
 
-def sphere_vertex_counts(m: ConfigMatrix, tol: float = 1e-9) -> dict:
+def sphere_vertex_counts(m: ConfigMatrix) -> dict:
     """Number of region vertices on each circle pair (0, 1 or 2)."""
     if m.n != 3:
         raise ValueError("vertex counts are implemented for n = 3")
-    out = {}
-    for j in range(1, 4):
-        for k in range(j + 1, 4):
-            (l,) = (i for i in range(1, 4) if i not in (j, k))
-            uj, uk, ul = m.normals[j - 1], m.normals[k - 1], m.normals[l - 1]
-            A = np.array([uj, uk])
-            b = -np.array([m.offset(j), m.offset(k)])
-            x0, *_ = np.linalg.lstsq(A, b, rcond=None)
-            d = np.cross(uj, uk)
-            nd = np.linalg.norm(d)
-            if nd < 1e-12:
-                out[(j, k)] = 0
-                continue
-            d /= nd
-            t_sq = 1.0 - float(x0 @ x0)
-            if t_sq <= 0:
-                out[(j, k)] = 0
-                continue
-            t = math.sqrt(t_sq)
-            count = 0
-            for sgn in (1.0, -1.0):
-                x = x0 + sgn * t * d
-                if float(x @ ul) + m.offset(l) <= tol:
-                    count += 1
-            out[(j, k)] = count
-    return out
+    return {J: int(_config_face(m, J))
+            for J in ((1, 2), (1, 3), (2, 3))}

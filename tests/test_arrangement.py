@@ -28,6 +28,7 @@ from sphex.errors import (
     HypothesisError,
     NonRealizableError,
 )
+from sphex.variation import param_basis
 from conftest import SIDE, equilateral, gap_fixture, random_h1, tetrahedron
 
 
@@ -114,7 +115,7 @@ def test_param_vector_validation():
 
 def test_param_vector_basis_and_entry(tri):
     p = params_of(tri)
-    keys = p.basis()
+    keys = list(param_basis(tri.n))
     assert keys[:3] == [("r", 1), ("r", 2), ("r", 3)]
     assert keys[3:] == [("d", 1, 2), ("d", 1, 3), ("d", 2, 3)]
     assert p.get(("r", 1)) == 1.0

@@ -234,6 +234,31 @@ def test_identity_lemma5_points(tri_file, capsys):
     assert payload["pass_count"] == 5
 
 
+def test_identity_lemma5_is_scale_free(tmp_path, capsys):
+    """The README triangle passes at every scale from 1e-6 to 1e6."""
+    tri = equilateral()
+    for k in range(-6, 7):
+        s = 10.0 ** k
+        path = write(tmp_path, f"tri{k}.json",
+                     {"n": 2, "centers": (tri.centers * s).tolist(),
+                      "radii": (tri.radii * s).tolist()})
+        code, out, _ = run(capsys, ["identity", "--input", path,
+                                    "--which", "lemma5", "--points", "20"])
+        assert code == 0, k
+        assert json.loads(out)["pass_count"] == 20, k
+
+
+def test_identity_wrong_chamber_length(tri_file, capsys):
+    """A chamber of the wrong length is a usage error, not a traceback."""
+    for chamber in ("-", "----"):
+        code, out, err = run(capsys, ["identity", "--input", tri_file,
+                                      "--which", "thmI",
+                                      f"--chamber={chamber}"])
+        assert code == 1, chamber
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_identity_prop4(tri_file, capsys):
     code, out, _ = run(capsys, ["identity", "--input", tri_file,
                                 "--which", "prop4"])

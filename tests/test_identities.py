@@ -143,6 +143,21 @@ def test_lemma5_random_points():
             assert rep.residual <= rep.tolerance
 
 
+def test_lemma5_scale_sweep_passes_and_has_power(tri):
+    """At every scale from 1e-6 to 1e6 the identity holds, and the same
+    check with the `full` term dropped fails."""
+    pts = [np.array(p) for p in ((0.75, 0.4), (2.5, -0.7), (-1.2, 1.9))]
+    for k in range(-6, 7):
+        s = 10.0 ** k
+        a = sx.from_centers_radii(tri.centers * s, tri.radii * s)
+        for x in pts:
+            rep = check_lemma5_pointwise(a, s * x)
+            assert rep.passed, (k, rep)
+            partial = math.fsum(v for label, v in rep.terms
+                                if label != "full")
+            assert abs(rep.lhs - partial) > rep.tolerance, (k, rep)
+
+
 def test_lemma5_rejects_on_sphere_points(tri):
     x = tri.center(1) + np.array([1.0, 0.0])
     with pytest.raises(DegenerateConfigError):

@@ -120,6 +120,52 @@ def test_circle_feasible_arcs_are_feasible():
                 assert np.all(m.normals @ x + m.offsets <= 1e-12)
 
 
+def reference_vertex_counts(m, tol=1e-9):
+    """Vertices of each circle pair: the two points of the planes' line
+    on the sphere, solved directly, tested against the third plane."""
+    out = {}
+    for j, k in itertools.combinations((1, 2, 3), 2):
+        (l,) = {1, 2, 3} - {j, k}
+        U = m.normals[[j - 1, k - 1]]
+        x0, *_ = np.linalg.lstsq(U, -m.offsets[[j - 1, k - 1]], rcond=None)
+        d = np.cross(U[0], U[1])
+        t_sq = 1.0 - float(x0 @ x0)
+        if np.linalg.norm(d) < 1e-12 or t_sq <= 0.0:
+            out[(j, k)] = 0
+            continue
+        d /= np.linalg.norm(d)
+        out[(j, k)] = sum(
+            float((x0 + s * math.sqrt(t_sq) * d) @ m.normals[l - 1])
+            + m.offset(l) <= tol for s in (1.0, -1.0))
+    return out
+
+
+def test_jittered_arcs_and_vertices_match_grid():
+    """Arc lengths of a jittered tetrahedron's circles against 400k grid
+    points of each circle, and vertex counts against a direct solve."""
+    gen = np.random.default_rng(409)
+    while True:
+        try:
+            m = sx.config_matrix(sx.restrict_to_unit_sphere(random_h1(gen, 3)))
+            break
+        except sx.SphexError:
+            continue
+    arcs = sx.sphere_arc_lengths(m)
+    t = (np.arange(GRID) + 0.5) * (2.0 * math.pi / GRID)
+    for j in (1, 2, 3):
+        center, radius, frame = sx.sphere_circle(m, j)
+        x = center + radius * (np.cos(t)[:, None] * frame[0]
+                               + np.sin(t)[:, None] * frame[1])
+        others = [k for k in range(3) if k != j - 1]
+        ok = (x @ m.normals[others].T + m.offsets[others] <= 0.0).all(axis=1)
+        want = radius * 2.0 * math.pi * ok.mean()
+        assert 0.0 < want < radius * 2.0 * math.pi, j
+        # at most three pieces, each off by one grid cell at either end
+        assert arcs[j] == pytest.approx(want, abs=6 * radius * 2.0 * math.pi
+                                        / GRID), j
+    assert sx.sphere_vertex_counts(m) == reference_vertex_counts(m)
+
+
 def cap_area(m, cos_theta):
     """Measure of {g in S^m : g_0 >= cos_theta}."""
     return unit_sphere_area(m - 1) * sin_power_integral(m - 1,
@@ -348,6 +394,11 @@ def test_params_of_shares_one_table(monkeypatch):
     assert len(built) == 1
     assert forms[0] == forms[1] == forms[2]
     assert params_of(a) is params_of(a)
+    # the arrangement's own table is its parameter vector's table
+    sx.check_hypotheses(a)
+    sx.dB_volume_form(a, Chamber.all_minus(2))
+    assert CMTable.from_arrangement(a) is CMTable.from_params(params_of(a))
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from sphex.variation import (
 from sphex.volume import (
     BLOCK,
     Rng,
-    _barycentric,
     _signs_mask,
     _simplex_mask,
+    _simplex_rows,
     chamber_area_closed_n2,
     lens_volume_closed,
     sphere_arc_lengths,
@@ -338,8 +338,8 @@ def paired_indicator_fd(ap, am, c, samples, rng, eps):
         pts = lo + (hi - lo) * rng.generator(block).random((cnt, ap.n))
         mp, mm = _signs_mask(ap, c, pts), _signs_mask(am, c, pts)
         if not minus:
-            mp &= _simplex_mask(_barycentric(ap), pts)
-            mm &= _simplex_mask(_barycentric(am), pts)
+            mp &= _simplex_mask(_simplex_rows(ap), pts)
+            mm &= _simplex_mask(_simplex_rows(am), pts)
         hits += int(mp.sum()) - int(mm.sum())
         flips += int((mp != mm).sum())
     scale = box / samples / (2.0 * eps)

@@ -16,6 +16,7 @@ from sphex.errors import (
 from sphex.volume import (
     Rng,
     _chord_lengths,
+    _simplex_rows,
     cap_integral,
     chamber_arc_angles,
     chamber_area_closed_n2,
@@ -334,6 +335,64 @@ def test_notched_quarter_sphere_region():
     assert counts[(2, 3)] == 1
 
 
+def test_far_cap_misses_two_circles_and_never_binds():
+    """Two orthogonal walls through the pole and a cap of angular radius
+    30 degrees around d = (0.6, 0.6, sqrt(0.28)), 36.9 degrees from each
+    wall (u_3 = 2 d): plane 3 meets neither wall on the sphere, never
+    binds on circles 1 and 2, and circle 3 lies outside the region, which
+    is the quarter sphere between the walls with vertices +-e3."""
+    m = ConfigMatrix.from_entries(3, [0.0, 0.0, -math.sqrt(3.0)],
+                                  {(1, 2): 0.0, (1, 3): 1.2, (2, 3): 1.2})
+    est = sphere_region_area_mc(m, 400_000, Rng(14))
+    assert est.exact and est.method == "quadrature"
+    assert est.value == pytest.approx(math.pi, rel=1e-12, abs=0.0)
+    arcs = sphere_arc_lengths(m)
+    assert arcs[1] == pytest.approx(math.pi, rel=1e-12)
+    assert arcs[2] == pytest.approx(math.pi, rel=1e-12)
+    assert arcs[3] == 0.0
+    assert sphere_vertex_counts(m) == {(1, 2): 2, (1, 3): 0, (2, 3): 0}
+
+
+@pytest.mark.filterwarnings("error")
+def test_parallel_planes_have_no_vertices():
+    """Circle 2 is parallel to great circle 1 (plane x = -1/sqrt(5)); with
+    y <= 0 the region is half the cap x <= -1/sqrt(5), bounded by half
+    of circle 2 and two vertices on circle 3.  Plane 1 is never met on
+    its own circle (arc 0) and never binds elsewhere."""
+    normals = np.array([[1.0, 0.0, 0.0], [math.sqrt(1.25), 0.0, 0.0],
+                        [0.0, 1.0, 0.0]])
+    offsets = np.array([0.0, 0.5, 0.0])
+    A = np.eye(4)
+    A[0, 0] = -1.0
+    A[0, 1:] = A[1:, 0] = offsets
+    for j, k in itertools.combinations(range(3), 2):
+        A[j + 1, k + 1] = A[k + 1, j + 1] = (normals[j] @ normals[k]
+                                             - offsets[j] * offsets[k])
+    m = ConfigMatrix(3, A, normals, offsets)
+    assert sphere_vertex_counts(m) == {(1, 2): 0, (1, 3): 0, (2, 3): 2}
+    arcs = sphere_arc_lengths(m)
+    assert arcs[1] == 0.0
+    assert arcs[2] == pytest.approx(math.pi * math.sqrt(0.8), rel=1e-12)
+    assert arcs[3] == pytest.approx(math.pi - 2.0 * math.asin(math.sqrt(0.2)),
+                                    rel=1e-12)
+    est = sphere_region_area_mc(m, 1000, Rng(15))
+    assert est.value == pytest.approx(math.pi * (1.0 - math.sqrt(0.2)),
+                                      rel=1e-12)
+
+
+def test_wrong_chamber_length_is_refused(tri):
+    """A chamber needs n + 1 signs: a short one used to be read as the
+    chamber with its missing signs taken from another pattern."""
+    for signs in ("--", "----"):
+        c = Chamber.from_string(signs)
+        for call in (lambda: chamber_volume(tri, c),
+                     lambda: face_volume(tri, c, (1,)),
+                     lambda: face_volume_mc(tri, c, (1,), 100, Rng(0)),
+                     lambda: chamber_volume_mc(tri, c, 100, Rng(0))):
+            with pytest.raises(ValueError, match=r"chamber length must be n\+1"):
+                call()
+
+
 def test_sphere_region_n3_vs_chamber(tetra):
     """The spherical region areas feed the n = 3 boundary terms; check
     the generic fixture region against direct resampling."""
@@ -400,6 +459,16 @@ def test_chord_lengths_of_one_line():
     assert L == pytest.approx([2.0 - 0.5 - 0.2, 1.5, 0.0], abs=1e-15)
     both = _chord_lengths(*data, Chamber.from_string("--+"), y)[0]
     assert both == pytest.approx([0.5, 2.0 * h - 1.5, 0.0], abs=1e-15)
+
+
+def test_simplex_rows_are_barycentric_coordinates(tetra):
+    """At the centers the rows P x + q are the unit vectors, at any
+    offset and scale."""
+    for a in (equilateral(), tetra, sx.from_centers_radii(
+            tetra.centers * 1e6 + 3e6, tetra.radii * 1e6)):
+        P, q = _simplex_rows(a)
+        lam = a.centers @ P.T + q
+        np.testing.assert_allclose(lam, np.eye(a.n + 1), atol=1e-9)
 
 
 def test_chamber_chords_repeat_per_seed_and_samples(tetra):
