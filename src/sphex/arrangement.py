@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley_menger import CMTable, hadamard_scale
+from .cayley_menger import CMTable, _stored, hadamard_scale
 from .errors import (
     DegenerateConfigError,
     HypothesisError,
@@ -49,12 +49,9 @@ class Arrangement:
     centers: np.ndarray
     radii: np.ndarray
     dist: np.ndarray
-    #: set on first use by `params_of`
-    _params: "ParamVector" = field(default=None, init=False, repr=False,
-                                   compare=False)
-    #: intersection spheres by index set, filled by `intersection_sphere`
-    _spheres: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    #: quantities derived from the arrangement, computed once (`_stored`)
+    _store: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def center(self, j: int) -> np.ndarray:
         return self.centers[j - 1]
@@ -120,8 +117,9 @@ class ParamVector:
     n: int
     radii_sq: np.ndarray
     dist_sq: np.ndarray
-    #: set on first use by `CMTable.from_params`
-    _cm_table: CMTable = field(default=None, init=False, repr=False, compare=False)
+    #: its `CMTable` and `from_params` reconstruction, computed once
+    _store: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         m = self.n + 1
@@ -195,11 +193,12 @@ def params_of(a: Arrangement) -> ParamVector:
     built on first use and stored on it, so its `CMTable` is shared too.
     Squared distances are sums of squared coordinate differences, not
     squares of `a.dist`, which would round twice."""
-    if a._params is None:
+    def build():
         diff = a.centers[:, None, :] - a.centers[None, :, :]
-        object.__setattr__(a, "_params", ParamVector(
-            a.n, _frozen(a.radii ** 2), _frozen((diff * diff).sum(axis=2))))
-    return a._params
+        return ParamVector(a.n, _frozen(a.radii ** 2),
+                           _frozen((diff * diff).sum(axis=2)))
+
+    return _stored(a, "params", build)
 
 
 def from_params(p: ParamVector, n: int) -> Arrangement:
@@ -210,10 +209,14 @@ def from_params(p: ParamVector, n: int) -> Arrangement:
     relative to O_{n+1} must be positive semidefinite of full rank n.
     The gauge places O_{n+1} at the origin, O_n on the positive first
     axis, O_{n-1} in the span of the first two axes with positive second
-    coordinate, and so on.
+    coordinate, and so on.  Stored on `p`: one arrangement per vector.
     """
     if p.n != n:
         raise ValueError("parameter vector dimension mismatch")
+    return _stored(p, "from_params", lambda: _reconstruct(p, n))
+
+
+def _reconstruct(p: ParamVector, n: int) -> Arrangement:
     m = n + 1
     d2 = p.dist_sq
     G = np.empty((n, n))
@@ -262,12 +265,7 @@ def normalize(a: Arrangement):
     corresponding defining-function coefficient alpha_{j,n+1-j} is
     positive).  Radii and distances are preserved exactly.
     """
-    rep = check_hypotheses(a, h2="skip")
-    if rep.h1 is None:
-        raise IndeterminateSignError(
-            "hypothesis H1 indeterminate; cannot certify normalization")
-    if not rep.h1:
-        raise HypothesisError("hypothesis H1 fails; normalization undefined")
+    require_hypothesis(a, "h1", "normalization undefined")
     n = a.n
     shifted = a.centers - a.centers[n]
     new, W = _gauge(shifted, n, diag_sign=-1.0)
@@ -326,7 +324,7 @@ def chamber_contains(a: Arrangement, c: Chamber, x, tol: float = 0.0) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubsetSigns:
     """Determinant signs for one index subset, in the H1 reading.
 
@@ -385,8 +383,45 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
 
     Values whose magnitude is below 1e-9 times a Hadamard-type bound of
     the same degree in length are reported indeterminate rather than
-    pass/fail, whatever the arrangement's scale.
+    pass/fail, whatever the arrangement's scale.  The sign table and the
+    H1/H1' verdicts are stored on `a`; each call returns a new report.
     """
+    rows, h1, h1_prime = _stored(a, "signs", lambda: _sign_table(a))
+    h2_val = None
+    h2_details = []
+    if h2 != "skip" and h1:
+        from . import intersect  # local import: intersect builds on this module
+
+        try:
+            na, _ = normalize(a)
+            statuses = []
+            cscale = float(np.max(np.abs(na.centers)))
+            for j in range(1, a.n + 1):
+                pair = intersect.vertices(na, j)
+                coord = float(pair.P[a.n - j])
+                st = _status(coord, -1, SIGN_TOL * cscale)
+                h2_details.append((j, coord, st))
+                statuses.append(st)
+            h2_val = _combine(statuses)
+        except (DegenerateConfigError, ValueError):
+            h2_val = None
+    return HypothesisReport(h1, h1_prime, h2_val, list(rows), h2_details)
+
+
+def require_hypothesis(a: Arrangement, name: str, what: str):
+    """HypothesisError unless hypothesis `name` ("h1" or "h1_prime") holds
+    for `a`, IndeterminateSignError if it is unresolved; `what` ends the
+    message."""
+    verdict = getattr(check_hypotheses(a, h2="skip"), name)
+    label = {"h1": "H1", "h1_prime": "H1'"}[name]
+    if verdict is None:
+        raise IndeterminateSignError(f"{label} indeterminate; {what}")
+    if not verdict:
+        raise HypothesisError(f"{label} fails; {what}")
+
+
+def _sign_table(a: Arrangement):
+    """(rows, h1, h1_prime): the h2-free part of `check_hypotheses`."""
     table = CMTable.from_arrangement(a)
     n = a.n
     m = n + 1
@@ -413,27 +448,7 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
             primed.append(r.plain_status)
             # (-1)^n B(0*N) < 0, i.e. the starred full-set sign flips
             primed.append(_status(r.starred, (-1) ** m, tol))
-    h1_prime = _combine(primed)
-
-    h2_val = None
-    h2_details = []
-    if h2 != "skip" and h1:
-        from . import intersect  # local import: intersect builds on this module
-
-        try:
-            na, _ = normalize(a)
-            statuses = []
-            cscale = float(np.max(np.abs(na.centers)))
-            for j in range(1, n + 1):
-                pair = intersect.vertices(na, j)
-                coord = float(pair.P[n - j])
-                st = _status(coord, -1, SIGN_TOL * cscale)
-                h2_details.append((j, coord, st))
-                statuses.append(st)
-            h2_val = _combine(statuses)
-        except (DegenerateConfigError, ValueError):
-            h2_val = None
-    return HypothesisReport(h1, h1_prime, h2_val, rows, h2_details)
+    return tuple(rows), h1, _combine(primed)
 
 
 # ---------------------------------------------------------------------------

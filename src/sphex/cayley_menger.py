@@ -113,6 +113,16 @@ def _det_lu(M):
     return det, degraded
 
 
+def _stored(obj, key, compute):
+    """`compute()`, once per object: kept in `obj._store` under `key` once
+    it returns (an exception stores nothing; of two racing first calls,
+    the first value stored wins).  Stored values are shared: never mutate."""
+    store = obj._store
+    if key not in store:
+        store.setdefault(key, compute())
+    return store[key]
+
+
 @dataclass(frozen=True)
 class CMKey:
     """One of the four standard determinant shapes.
@@ -189,23 +199,22 @@ class CMTable:
     @classmethod
     def from_arrangement(cls, a):
         """The table of arrangement `a`: that of its `params_of` vector."""
-        if a._params is None:
-            from .arrangement import params_of  # arrangement imports this
+        from .arrangement import params_of  # arrangement imports this
 
-            params_of(a)
-        return cls.from_params(a._params)
+        return cls.from_params(params_of(a))
 
     @classmethod
     def from_params(cls, params):
         """The table of a parameter vector (no point coordinates needed)."""
-        if params._cm_table is None:
+        def build():
             m = params.n + 1
             r2 = np.zeros(m + 1)
             r2[1:] = params.radii_sq
             d2 = np.zeros((m + 1, m + 1))
             d2[1:, 1:] = params.dist_sq
-            object.__setattr__(params, "_cm_table", cls(params.n, r2, d2))
-        return params._cm_table
+            return cls(params.n, r2, d2)
+
+        return _stored(params, "cm_table", build)
 
     # -- evaluation -------------------------------------------------------
 

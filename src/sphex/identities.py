@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Chamber, evaluate_f
+from .arrangement import Chamber, evaluate_f, require_hypothesis
 from .cayley_menger import CMTable, ConfigMatrix
 from .errors import DegenerateConfigError, HypothesisError
 from .intersect import intersection_sphere, sphere_angle, vertices
@@ -166,18 +166,21 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
     the rest), and the tolerance is 3x the propagated standard error;
     method "mc" samples every term with the indicator estimators.
     `chamber` may be any sign vector with at least one minus entry; the
-    all-plus case has its own sign pattern and check.
+    all-plus case has its own sign pattern and check.  Needs H1, else
+    HypothesisError (IndeterminateSignError if H1 is unresolved).
     """
     c = chamber if chamber is not None else Chamber.all_minus(a.n)
     if not c.minus_set():
         raise ValueError("all-plus chamber: use check_theorem_II_i")
+    require_hypothesis(a, "h1", "theorem I does not apply")
     rng = rng if rng is not None else Rng(0)
     return _check_volume_identity("theorem_I_i", a, c, samples, rng, method)
 
 
 def check_theorem_II_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
                        method: str = "auto") -> IdentityReport:
-    """The all-plus (gap chamber) volume identity."""
+    """The all-plus (gap chamber) volume identity; needs H1'."""
+    require_hypothesis(a, "h1_prime", "theorem II does not apply")
     rng = rng if rng is not None else Rng(0)
     return _check_volume_identity("theorem_II_i", a, Chamber.all_plus(a.n),
                                   samples, rng, method)
@@ -189,8 +192,9 @@ def check_decomposition(a, samples: int = 1_000_000,
     """Closure of the cone-cell decomposition of the center simplex.
 
     lhs is the simplex volume; the terms are the cone cells over every
-    face of the gap chamber plus the gap chamber itself.
+    face of the gap chamber plus the gap chamber itself.  Needs H1'.
     """
+    require_hypothesis(a, "h1_prime", "the decomposition does not apply")
     rng = rng if rng is not None else Rng(0)
     lhs = simplex_volume(a)
     c = Chamber.all_plus(a.n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_menger import CMTable, ConfigMatrix, hadamard_scale
+from .cayley_menger import CMTable, ConfigMatrix, _stored, hadamard_scale
 from .errors import (
     DegenerateConfigError,
     EmptyIntersectionError,
@@ -104,8 +104,10 @@ def intersection_sphere(a, J) -> SubSphere:
     every chamber and check share one computation per index set.
     """
     J = tuple(sorted(J))
-    if J in a._spheres:
-        return a._spheres[J]
+    return _stored(a, ("sphere", J), lambda: _sub_sphere(a, J))
+
+
+def _sub_sphere(a, J) -> SubSphere:
     p = len(J)
     if not 1 <= p <= a.n:
         raise ValueError(f"|J| must be between 1 and n, got {p}")
@@ -125,8 +127,7 @@ def intersection_sphere(a, J) -> SubSphere:
     center = x0 + (d @ frame.T) @ frame
     center.setflags(write=False)
     frame.setflags(write=False)
-    sub = a._spheres[J] = SubSphere(J, center, math.sqrt(r_sq), frame)
-    return sub
+    return SubSphere(J, center, math.sqrt(r_sq), frame)
 
 
 def vertices(a, j: int) -> VertexPair:

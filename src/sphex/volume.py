@@ -37,13 +37,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrangement import Chamber, _check_chamber, check_hypotheses
-from .cayley_menger import CMTable, ConfigMatrix
+from .arrangement import Chamber, _check_chamber, require_hypothesis
+from .cayley_menger import CMTable, ConfigMatrix, _stored
 from .errors import (
     DegenerateConfigError,
     EmptyIntersectionError,
     HypothesisError,
-    IndeterminateSignError,
     SphexError,
 )
 from .intersect import angles_pair, intersection_sphere, triangle_angles
@@ -149,14 +148,18 @@ def _simplex_rows(a):
     """The center simplex as rows P (n+1, n), q (n+1,): P x + q >= 0 inside.
 
     Row i < n is the barycentric coordinate lambda_i of x relative to
-    the last center, and row n is 1 - sum lambda.
+    the last center, and row n is 1 - sum lambda.  Stored, read-only.
     """
-    P = np.empty((a.n + 1, a.n))
-    P[:-1] = np.linalg.inv((a.centers[:-1] - a.centers[-1]).T)
-    P[-1] = -P[:-1].sum(axis=0)
-    q = -(P @ a.centers[-1])
-    q[-1] += 1.0
-    return P, q
+    def build():
+        P = np.empty((a.n + 1, a.n))
+        P[:-1] = np.linalg.inv((a.centers[:-1] - a.centers[-1]).T)
+        P[-1] = -P[:-1].sum(axis=0)
+        q = -(P @ a.centers[-1])
+        q[-1] += 1.0
+        P.flags.writeable = q.flags.writeable = False
+        return P, q
+
+    return _stored(a, "simplex_rows", build)
 
 
 def _simplex_mask(rows, pts, tol: float = 0.0):
@@ -792,14 +795,16 @@ def lens_volume_closed(n: int, r1: float, r2: float, rho: float,
 
 
 def _pair_data(a):
-    """Half-angles psih[(j,k)] and triangle angles phi for n = 2."""
-    psih = {}
-    for j, k in ((1, 2), (1, 3), (2, 3)):
-        pjk, pkj = angles_pair(a, j, k)
-        psih[(j, k)] = 0.5 * pjk
-        psih[(k, j)] = 0.5 * pkj
-    phi = dict(zip((1, 2, 3), triangle_angles(a)))
-    return psih, phi
+    """Half-angles psih[(j,k)] and triangle angles phi for n = 2 (stored)."""
+    def build():
+        psih = {}
+        for j, k in ((1, 2), (1, 3), (2, 3)):
+            pjk, pkj = angles_pair(a, j, k)
+            psih[(j, k)] = 0.5 * pjk
+            psih[(k, j)] = 0.5 * pkj
+        return psih, dict(zip((1, 2, 3), triangle_angles(a)))
+
+    return _stored(a, "pair_data", build)
 
 
 def chamber_arc_angles(a, c: Chamber) -> dict:
@@ -842,11 +847,7 @@ def pseudo_triangle_area_closed(a, n: int = 2) -> float:
     """
     if n != 2 or a.n != 2:
         raise ValueError("closed area path is for n = 2")
-    rep = check_hypotheses(a, h2="skip")
-    if rep.h1 is None:
-        raise IndeterminateSignError("H1 indeterminate")
-    if not rep.h1:
-        raise HypothesisError("H1 fails; the three-arc region does not exist")
+    require_hypothesis(a, "h1", "the three-arc region does not exist")
     psih, phi = _pair_data(a)
     table = CMTable.from_arrangement(a)
     total = 0.25 * math.sqrt(-table.chain(("0", 1, 2, 3), ("0", 1, 2, 3)))
@@ -873,25 +874,26 @@ def chamber_area_closed_n2(a, c: Chamber) -> float:
     """Closed-form area of any n = 2 chamber.
 
     All-minus: the three-arc region.  All-plus (needs H1'): simplex
-    minus the decomposition cells.  One or two minus signs (needs H1):
-    inclusion-exclusion of disk, lens and three-arc areas.
+    minus the decomposition cells, vertices counted by `face_volume`.
+    One or two minus signs (needs H1): inclusion-exclusion of disk, lens
+    and three-arc areas.  Stored on `a` per chamber.
     """
     if a.n != 2:
         raise ValueError("closed area path is for n = 2")
+    return _stored(a, ("area", c.signs), lambda: _area_n2(a, c))
+
+
+def _area_n2(a, c: Chamber) -> float:
     minus = c.minus_set()
     if not minus:
-        rep = check_hypotheses(a, h2="skip")
-        if rep.h1_prime is None:
-            raise IndeterminateSignError("H1' indeterminate")
-        if not rep.h1_prime:
-            raise HypothesisError("H1' fails; bounded gap chamber undefined")
+        require_hypothesis(a, "h1_prime", "bounded gap chamber undefined")
         table = CMTable.from_arrangement(a)
         arcs = chamber_arc_angles(a, c)
         total = simplex_volume(a)
         for j in (1, 2, 3):
             total -= 0.5 * a.radius(j) ** 2 * arcs[j]
         for j, k in ((1, 2), (1, 3), (2, 3)):
-            cnt = face_volume_mc(a, c, (j, k), 1, Rng(0), bounding="simplex")
+            cnt = face_volume(a, c, (j, k))
             total -= 0.25 * math.sqrt(
                 -table.chain(("0", "*", j, k), ("0", "*", j, k))) * cnt.value
         return total
@@ -941,9 +943,18 @@ def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
     `sphere_region` kernel on the face's constraints (exact for
     |J| >= n - 2, conditional MC with `samples` fibres below).  A raised
     closed form, or a quadrature that did not converge, is named in
-    `fallback_reason`.  A chamber of the wrong length raises ValueError."""
+    `fallback_reason`.  A chamber of the wrong length raises ValueError.
+    A face of dimension n - |J| <= 1 ("closed", "count" or "arc") draws
+    no samples; its result is stored on `a` per (chamber, J)."""
     _check_chamber(a, c)
     J = tuple(sorted(J))
+    if a.n - len(J) <= 1:
+        return _stored(a, ("face", c.signs, J),
+                       lambda: _face_volume(a, c, J, samples, rng))
+    return _face_volume(a, c, J, samples, rng)
+
+
+def _face_volume(a, c: Chamber, J, samples: int, rng: "Rng | None"):
     rng = rng if rng is not None else Rng(0)
     reason = None
     if a.n == 2 and len(J) == 1:

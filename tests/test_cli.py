@@ -198,6 +198,21 @@ def test_identity_thmII_hypothesis_failure(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "HypothesisError"
 
 
+def test_identity_thmI_refuses_without_h1(tmp_path, capsys):
+    import numpy as np
+    from conftest import jitter_arrangement
+
+    gen = np.random.default_rng(5)
+    a = [jitter_arrangement(gen, 3) for _ in range(3)][-1]
+    path = write(tmp_path, "no_h1.json", arrangement_to_json(a))
+    code, out, _ = run(capsys, ["identity", "--input", path,
+                                "--which", "thmI", "--samples", "1000"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "HypothesisError"
+    assert err["message"].startswith("H1 fails")
+
+
 def test_identity_thmI(tri_file, capsys):
     code, out, _ = run(capsys, ["identity", "--input", tri_file,
                                 "--which", "thmI"])

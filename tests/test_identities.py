@@ -6,7 +6,11 @@ import pytest
 import sphex as sx
 from sphex.arrangement import Chamber
 from sphex.cayley_menger import ConfigMatrix
-from sphex.errors import DegenerateConfigError
+from sphex.errors import (
+    DegenerateConfigError,
+    HypothesisError,
+    IndeterminateSignError,
+)
 from sphex.identities import (
     check_decomposition,
     check_gauss_bonnet_n3,
@@ -17,7 +21,12 @@ from sphex.identities import (
     check_theorem_II_i,
 )
 from sphex.volume import Rng, pseudo_triangle_area_closed
-from conftest import equilateral, random_h1, random_h1_prime
+from conftest import (
+    equilateral,
+    jitter_arrangement,
+    random_h1,
+    random_h1_prime,
+)
 
 
 def term(report, label):
@@ -66,6 +75,22 @@ def test_theorem_I_i_mixed_chambers(tri):
 def test_theorem_I_i_rejects_all_plus(tri):
     with pytest.raises(ValueError):
         check_theorem_I_i(tri, chamber=Chamber.all_plus(2))
+
+
+def test_identity_checks_refuse_inputs_outside_their_hypothesis(tri):
+    gen = np.random.default_rng(5)
+    no_h1 = [jitter_arrangement(gen, 3) for _ in range(3)][-1]
+    assert sx.check_hypotheses(no_h1, h2="skip").h1 is False
+    with pytest.raises(HypothesisError, match="H1 fails"):
+        check_theorem_I_i(no_h1, 200_000, Rng(0))
+    for check in (check_theorem_II_i, check_decomposition):
+        with pytest.raises(HypothesisError, match="H1' fails"):
+            check(tri)                      # H1 holds, so H1' does not
+    # all three circles pass through the centroid: B(0*N) = 0
+    through = equilateral(radius=0.8660254037844386)
+    for check in (check_theorem_I_i, check_theorem_II_i, check_decomposition):
+        with pytest.raises(IndeterminateSignError):
+            check(through)
 
 
 def test_theorem_I_i_random_closed():

@@ -329,11 +329,29 @@ def test_restricted_model_regions_match_indicator():
         assert abs(got.value - want) <= Z * math.hypot(got.std_error, sigma), i
 
 
+def benchmark_gap_draws(gen, count):
+    """H1' draws as `planar_closed` in bench/workloads.py makes its gaps:
+    the side-1.5 triangle with radius 0.8, centers jittered by 0.25 and
+    radii by 0.15, some of them without a real gap."""
+    out = []
+    while len(out) < count:
+        c = equilateral().centers + gen.normal(scale=0.25, size=(3, 2))
+        r = np.abs(0.8 + gen.normal(scale=0.15, size=3))
+        a = sx.from_centers_radii(c, r)
+        if sx.check_hypotheses(a, h2="skip").h1_prime:
+            out.append(a)
+    return out
+
+
 def test_vertex_counts_match_indicator_oracle():
     """The two-point count keeps the indicator estimator's tolerance."""
     gen = np.random.default_rng(407)
     cases = [(random_h1(gen, 2), None) for _ in range(5)]
     cases += [(random_h1_prime(gen), "+++") for _ in range(5)]
+    # every gap draw of one benchmark-like round: the gap area counts its
+    # vertices with `face_volume`, the indicator estimator's count before
+    cases += [(a, "+++") for a in benchmark_gap_draws(
+        np.random.default_rng(1101), 144)]
     cases += [(random_h1(gen, 3), None) for _ in range(3)]
     cases.append((regular_gap3(), "++++"))
     for a, only in cases:
