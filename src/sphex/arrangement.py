@@ -347,6 +347,9 @@ class HypothesisReport:
     h2: "bool | None"
     table: list
     h2_details: list = field(default_factory=list)
+    #: sign-table determinants whose LU met a degraded pivot
+    #: (`CMTable.flagged`)
+    pivot_warnings: list = field(default_factory=list)
 
     def indeterminate_subsets(self):
         out = []
@@ -384,9 +387,11 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
     Values whose magnitude is below 1e-9 times a Hadamard-type bound of
     the same degree in length are reported indeterminate rather than
     pass/fail, whatever the arrangement's scale.  The sign table and the
-    H1/H1' verdicts are stored on `a`; each call returns a new report.
+    H1/H1' verdicts are stored on `a`; each call returns a new report,
+    which lists the sign table's determinants whose LU met a degraded
+    pivot.
     """
-    rows, h1, h1_prime = _stored(a, "signs", lambda: _sign_table(a))
+    rows, h1, h1_prime, flagged = _stored(a, "signs", lambda: _sign_table(a))
     h2_val = None
     h2_details = []
     if h2 != "skip" and h1:
@@ -405,7 +410,8 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
             h2_val = _combine(statuses)
         except (DegenerateConfigError, ValueError):
             h2_val = None
-    return HypothesisReport(h1, h1_prime, h2_val, list(rows), h2_details)
+    return HypothesisReport(h1, h1_prime, h2_val, list(rows), h2_details,
+                            list(flagged))
 
 
 def require_hypothesis(a: Arrangement, name: str, what: str):
@@ -421,7 +427,8 @@ def require_hypothesis(a: Arrangement, name: str, what: str):
 
 
 def _sign_table(a: Arrangement):
-    """(rows, h1, h1_prime): the h2-free part of `check_hypotheses`."""
+    """(rows, h1, h1_prime, flagged pivots): the h2-free part of
+    `check_hypotheses`."""
     table = CMTable.from_arrangement(a)
     n = a.n
     m = n + 1
@@ -448,7 +455,7 @@ def _sign_table(a: Arrangement):
             primed.append(r.plain_status)
             # (-1)^n B(0*N) < 0, i.e. the starred full-set sign flips
             primed.append(_status(r.starred, (-1) ** m, tol))
-    return tuple(rows), h1, _combine(primed)
+    return tuple(rows), h1, _combine(primed), tuple(table.flagged())
 
 
 # ---------------------------------------------------------------------------

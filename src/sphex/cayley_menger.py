@@ -247,6 +247,12 @@ class CMTable:
         value = self._raw[raw] = sign * det
         return value
 
+    def flagged(self) -> list:
+        """`pivot_warnings` as sorted chains, like "B(0 1 2; 0 1 2)"."""
+        return sorted("B(%s; %s)" % tuple(" ".join(map(str, h + i))
+                                           for h, i in key)
+                      for key in self.pivot_warnings)
+
 
 def hadamard_scale(table: CMTable, size: int) -> float:
     """Magnitude bound for a size x size determinant bordered by one row

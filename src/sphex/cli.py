@@ -154,6 +154,7 @@ def cmd_check(args):
             for r in rep.table
         ],
         "indeterminate": [list(s) for s in rep.indeterminate_subsets()],
+        "pivot_warnings": rep.pivot_warnings,
     }
     if (rep.h1 is True and rep.h2 is not False) or rep.h1_prime is True:
         code = 0

@@ -133,26 +133,25 @@ def _estimators(a, c: Chamber, method: str):
             lambda J, samples, rng: face_volume(a, c, J, samples, rng))
 
 
+def _tolerance(weighted) -> float:
+    """1e-9 if every (weight, VolumeEstimate) pair is exact, else 3x the
+    propagated standard error."""
+    if all(v.exact for _, v in weighted):
+        return 1e-9
+    return 3.0 * math.sqrt(sum((w * v.std_error) ** 2 for w, v in weighted))
+
+
 def _check_volume_identity(name, a, c, samples, rng, method="auto"):
-    table = CMTable.from_arrangement(a)
-    n = a.n
-    coefs, final = volume_identity_coefficients(table, n, c)
+    coefs, final = volume_identity_coefficients(
+        CMTable.from_arrangement(a), a.n, c)
     chamber_est, face_est = _estimators(a, c, method)
-    vol = chamber_est(samples, rng.substream(0))
-    lhs = n * vol.value
-    var = (n * vol.std_error) ** 2
-    all_exact = vol.exact
-    terms = []
-    stream = 1
-    for J in sorted(coefs, key=lambda t: (len(t), t)):
-        v = face_est(J, samples, rng.substream(stream))
-        stream += 1
-        terms.append((_label(J), coefs[J] * v.value))
-        var += (coefs[J] * v.std_error) ** 2
-        all_exact = all_exact and v.exact
-    terms.append(("simplex", final))
-    tolerance = 1e-9 if all_exact else 3.0 * math.sqrt(var)
-    return _report(name, lhs, terms, tolerance)
+    Js = sorted(coefs, key=lambda t: (len(t), t))
+    weighted = [(a.n, chamber_est(samples, rng.substream(0)))]
+    weighted += [(coefs[J], face_est(J, samples, rng.substream(s)))
+                 for s, J in enumerate(Js, 1)]
+    terms = [(_label(J), w * v.value) for J, (w, v) in zip(Js, weighted[1:])]
+    return _report(name, a.n * weighted[0][1].value,
+                   terms + [("simplex", final)], _tolerance(weighted))
 
 
 def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
@@ -161,10 +160,11 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
     """n * v(chamber) against the face-volume expansion, default all-minus.
 
     Closed-form volumes and arcs are used for n = 2 (tolerance 1e-9).
-    Otherwise the chamber volume is MC, faces come from `face_volume`
-    (exact on vertex pairs and 1-dimensional faces, conditional MC on
-    the rest), and the tolerance is 3x the propagated standard error;
-    method "mc" samples every term with the indicator estimators.
+    Otherwise `chamber_volume` integrates exactly along `samples` random
+    lines through an interior point, faces come from `face_volume` (exact
+    up to dimension 2, conditional MC above), and the tolerance is 3x
+    the propagated standard error; method "mc" samples every term with
+    the indicator estimators.
     `chamber` may be any sign vector with at least one minus entry; the
     all-plus case has its own sign pattern and check.  Needs H1, else
     HypothesisError (IndeterminateSignError if H1 is unresolved).
@@ -197,26 +197,17 @@ def check_decomposition(a, samples: int = 1_000_000,
     require_hypothesis(a, "h1_prime", "the decomposition does not apply")
     rng = rng if rng is not None else Rng(0)
     lhs = simplex_volume(a)
-    c = Chamber.all_plus(a.n)
-    chamber_est, face_est = _estimators(a, c, method)
-    terms = []
-    var = 0.0
-    all_exact = True
-    stream = 0
-    for p in range(1, a.n + 1):
-        for J in itertools.combinations(range(1, a.n + 2), p):
-            const = decomposition_cell_coefficient(a, J)
-            v = face_est(J, samples, rng.substream(stream))
-            stream += 1
-            terms.append(("cell_" + _label(J), const * v.value))
-            var += (const * v.std_error) ** 2
-            all_exact = all_exact and v.exact
-    gap = chamber_est(samples, rng.substream(stream))
-    terms.append(("gap", gap.value))
-    var += gap.std_error ** 2
-    all_exact = all_exact and gap.exact
-    tolerance = 1e-9 if all_exact else 3.0 * math.sqrt(var)
-    return _report("decomposition", lhs, terms, tolerance)
+    chamber_est, face_est = _estimators(a, Chamber.all_plus(a.n), method)
+    Js = [J for p in range(1, a.n + 1)
+          for J in itertools.combinations(range(1, a.n + 2), p)]
+    weighted = [(decomposition_cell_coefficient(a, J),
+                 face_est(J, samples, rng.substream(s)))
+                for s, J in enumerate(Js)]
+    weighted.append((1.0, chamber_est(samples, rng.substream(len(Js)))))
+    terms = [("cell_" + _label(J), w * v.value)
+             for J, (w, v) in zip(Js, weighted)]
+    terms.append(("gap", weighted[-1][1].value))
+    return _report("decomposition", lhs, terms, _tolerance(weighted))
 
 
 def check_lemma5_pointwise(a, x) -> IdentityReport:
@@ -270,7 +261,8 @@ def check_prop4_residue(a, J, trials: int = 20,
     value sqrt((-1)^(p-1) 2^p B(0*J)); the printed residue constant is
     its reciprocal up to an orientation sign.  Passing requires both
     the match to the constant (1e-9 relative) and constancy across the
-    samples (std below 1e-10 of the constant's scale).
+    samples (std below 1e-10 of the constant), so any rescaled copy of
+    the arrangement gets the same verdict.
     """
     J = tuple(sorted(J))
     p = len(J)
@@ -299,8 +291,8 @@ def check_prop4_residue(a, J, trials: int = 20,
     worst = float(vals[np.argmax(np.abs(vals - const))])
     residual = float(np.max(np.abs(vals - const)))
     spread = float(np.std(vals))
-    tolerance = 1e-9 * max(const, 1.0)
-    passed = residual <= tolerance and spread <= 1e-10 * max(const, 1.0)
+    tolerance = 1e-9 * const
+    passed = residual <= tolerance and spread <= 1e-10 * const
     name = "prop4_residue_" + "".join(str(j) for j in J)
     return IdentityReport(name, worst, const, residual, tolerance,
                           passed, (("constant", const),))

@@ -40,6 +40,7 @@ from .volume import (
     Rng,
     _closed_form_failed,
     _lens_half_angles,
+    _mean_error,
     chamber_area_closed_n2,
     chamber_chords,
     face_volume,
@@ -404,17 +405,17 @@ def _chord_fd(ap: Arrangement, am: Arrangement, c: Chamber, samples: int,
     changed).
     """
     area, chunks = chamber_chords((ap, am), c, samples, rng)
-    total = total_sq = 0.0
-    changed = 0
-    for L in chunks:
-        d = L[0] - L[1]
-        total += float(d.sum())
-        total_sq += float(d @ d)
-        changed += int(np.count_nonzero(d))
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
+    changed = []
+
+    def diffs():
+        for L in chunks:
+            d = L[0] - L[1]
+            changed.append(np.count_nonzero(d))
+            yield d
+
+    mean, err = _mean_error(diffs(), samples)
     scale = area / (2.0 * eps)
-    return scale * mean, scale * math.sqrt(var / samples), changed
+    return scale * mean, scale * err, int(sum(changed))
 
 
 def _perturbed_config(m: ConfigMatrix, key, eps: float) -> ConfigMatrix:

@@ -1,5 +1,9 @@
 """Chamber and face volumes: Monte Carlo estimators plus closed forms.
 
+Chamber volumes without a closed form integrate exactly along random
+lines through an interior point, cut into the chamber's pieces by the
+interval core (`_line_measure`) that `chamber_chords` uses as well.
+
 Monte Carlo sampling is organized in fixed blocks of a counter-based
 generator, so a result depends only on (seed, stream, sample count) and
 never on how blocks are scheduled.  Closed forms cover the n=2 chamber
@@ -78,7 +82,7 @@ class Rng:
 #: how a `VolumeEstimate` was obtained: a closed form, an exact count of
 #: points, an exact arc intersection, converged quadrature over circle
 #: fibres, indicator Monte Carlo, or Monte Carlo conditioned on circle
-#: fibres
+#: fibres or on lines
 METHODS = ("closed", "count", "arc", "quadrature", "mc", "conditional-mc")
 
 
@@ -91,10 +95,11 @@ class VolumeEstimate:
     "arc", "quadrature") carry std_error 0.  For "mc" `std_error` is the
     binomial standard error propagated through the bounding-measure
     factor and `samples` counts points; for "conditional-mc" it is the
-    sample standard error of the per-fibre arc lengths and `samples`
-    counts fibres.  `fallback_reason` says why a cheaper or exact path
-    was not taken (a closed form raised, or the quadrature did not
-    converge); it is None when the first path applied.
+    sample standard error of the per-fibre arc lengths (of a face) or of
+    the per-line scores (of a chamber, `chamber_volume`), and `samples`
+    counts fibres or lines.  `fallback_reason` says why a cheaper or
+    exact path was not taken (a closed form raised, or the quadrature
+    did not converge); it is None when the first path applied.
     """
 
     value: float
@@ -125,6 +130,17 @@ def _blocks(samples: int, rng: Rng):
         raise ValueError("samples must be >= 1")
     return ((rng.generator(b), min(BLOCK, samples - b * BLOCK))
             for b in range(-(-samples // BLOCK)))
+
+
+def _mean_error(scores, samples: int):
+    """Mean and standard error of `samples` scores arriving in chunks."""
+    total = total_sq = 0.0
+    for x in scores:
+        total += float(x.sum())
+        total_sq += float(x @ x)
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0)
+                           / samples)
 
 
 def _mc_fraction(samples: int, rng: Rng, hit_fn) -> float:
@@ -180,17 +196,55 @@ def _sampling_box(a, c: Chamber):
             np.min([a.center(j) + a.radius(j) for j in minus], axis=0))
 
 
+def _line_measure(lo, hi, c: Chamber, simplex=None, n: int = 1):
+    """Sum of F(end) - F(begin) over chamber c's pieces on N lines.
+
+    Ball j meets line i in [lo, hi][..., j, i] of its coordinate t (a
+    point if it misses).  The pieces are the window, the minus balls'
+    intervals intersected (the all-plus chamber's is the simplex's,
+    `simplex` = (lo, hi)), minus the plus balls' intervals.  F(t) =
+    t |t|^(n-1) increases, so the ends are mapped first; n = 1 gives the
+    length.  The starts and the ends of the plus intervals are sorted
+    apart by min/max networks: t is uncovered when the k-th smallest end
+    is <= t, k the number of starts <= t, so the k-th piece runs from
+    the k-th end to the (k+1)-th start.
+    """
+    minus = [j - 1 for j in c.minus_set()]
+    plus = [j - 1 for j in range(1, len(c.signs) + 1) if c.sign(j) > 0]
+    if minus:
+        wlo = functools.reduce(np.maximum, [lo[..., j, :] for j in minus])
+        whi = functools.reduce(np.minimum, [hi[..., j, :] for j in minus])
+    else:
+        wlo, whi = simplex
+
+    def F(t):   # t |t|^(n-1) by repeated multiplication, t^n for odd n
+        if n == 1:
+            return t
+        out = t * (t if n % 2 else np.abs(t))
+        for _ in range(n - 2):
+            out *= t
+        return out
+
+    whi = np.maximum(whi, wlo)
+    wlo, whi = F(wlo), F(whi)
+    los = [np.minimum(F(lo[..., j, :]), whi) for j in plus]
+    his = [np.maximum(F(hi[..., j, :]), wlo) for j in plus]
+    for i in range(len(plus) - 1, 0, -1):
+        for k in range(i):
+            for r in (los, his):
+                r[k], r[k + 1] = (np.minimum(r[k], r[k + 1]),
+                                  np.maximum(r[k], r[k + 1]))
+    return functools.reduce(np.add, [np.maximum(s - e, 0.0) for s, e in
+                                     zip(los + [whi], [wlo] + his)])
+
+
 def _chord_lengths(centers, r2, simplex, c: Chamber, y):
     """Exact lengths of chamber c's chords along the last axis, (S, N).
 
     `centers` (S, n+1, n) and `r2` (S, n+1) stack S arrangements; the
-    line through (y_i, t) is line i.  Each ball meets it in an interval
-    of t.  The chord is the intersection of the minus balls' intervals
-    (for the all-plus chamber, of the simplex's interval: `simplex`
-    holds its barycentric rows P (S, n+1, n), q (S, n+1), with
-    P x + q >= 0 inside) minus the union of the plus balls' intervals,
-    which one sort and a running max merge, as in `_arcs`.  A ball the
-    line misses gives a single point, which removes or keeps nothing.
+    line through (y_i, t) is line i.  For the all-plus chamber `simplex`
+    holds the barycentric rows P (S, n+1, n), q (S, n+1) of each
+    arrangement.  `_line_measure` measures the chord.
     """
     h2 = np.repeat(r2[..., None], len(y), axis=2)
     for i in range(y.shape[1]):
@@ -198,13 +252,7 @@ def _chord_lengths(centers, r2, simplex, c: Chamber, y):
         h2 -= diff * diff
     h = np.sqrt(np.maximum(h2, 0.0, out=h2), out=h2)
     mid = centers[..., -1, None]
-    lo, hi = mid - h, mid + h
-    minus = [j - 1 for j in c.minus_set()]
-    plus = [j - 1 for j in range(1, len(c.signs) + 1) if c.sign(j) > 0]
-    if minus:
-        wlo = lo[:, minus].max(axis=1)
-        whi = hi[:, minus].min(axis=1)
-    else:
+    if not c.minus_set():
         P, q = simplex
         a = P[..., :-1] @ y.T + q[..., None]
         b = P[..., -1, None]
@@ -214,18 +262,8 @@ def _chord_lengths(centers, r2, simplex, c: Chamber, y):
         whi = np.where(b < 0, t, np.inf).min(axis=1)
         # a facet parallel to the lines keeps a line whole or drops it
         whi[((b == 0) & (a < 0)).any(axis=1)] = -np.inf
-    whi = np.maximum(whi, wlo)
-    if not plus:
-        return whi - wlo
-    wlo, whi = wlo[:, None], whi[:, None]
-    plo = np.clip(lo[:, plus], wlo, whi)
-    phi = np.clip(hi[:, plus], wlo, whi)
-    order = plo.argsort(axis=1)
-    plo = np.take_along_axis(plo, order, axis=1)
-    phi = np.take_along_axis(phi, order, axis=1)
-    begin = np.concatenate([wlo, np.maximum.accumulate(phi, axis=1)], axis=1)
-    end = np.concatenate([plo, whi], axis=1)
-    return np.maximum(end - begin, 0.0).sum(axis=1)
+        simplex = wlo, whi
+    return _line_measure(mid - h, mid + h, c, simplex)
 
 
 def chamber_chords(arrs, c: Chamber, samples: int, rng: Rng):
@@ -236,10 +274,13 @@ def chamber_chords(arrs, c: Chamber, samples: int, rng: Rng):
     samples (the smallest box holding every arrangement's box).  The
     chamber's volume in arrangement s is `area` times the mean of the
     chords L[s]: the indicator estimate conditioned on the line, so its
-    variance is lower.  Returns (area, chunks): `chunks` yields
-    (len(arrs), N) arrays of exact chord lengths, `FIBRE_CHUNK` lines at
-    a time from RNG blocks of `BLOCK` lines, so they depend only on
-    (seed, stream, samples).  An empty box gives area 0 and no chunks.
+    variance is lower.  Parallel lines pair up between arrangements for
+    the Euclidean finite difference; `chamber_volume` draws lines through
+    one point instead.  Returns (area,
+    chunks): `chunks` yields (len(arrs), N) arrays of exact chord
+    lengths, `FIBRE_CHUNK` lines at a time from RNG blocks of `BLOCK`
+    lines, so they depend only on (seed, stream, samples).  An empty box
+    gives area 0 and no chunks.
     """
     blocks = _blocks(samples, rng)
     boxes = [_sampling_box(a, c) for a in arrs]
@@ -363,10 +404,10 @@ TWO_PI = 2.0 * math.pi
 #: tolerance of the two-point count (m = 0); constraint rows from
 #: `face_constraints` are scaled so that it matches `face_volume_mc`
 COUNT_TOL = 1e-9
-#: fibres (or lines, for `chamber_chords`) per sub-chunk of an RNG block:
-#: the arc and chord intersections hold about a dozen (fibres, K) arrays,
-#: so a sub-chunk keeps the working set of a block no larger than the
-#: indicator estimators'
+#: fibres (or lines, for `chamber_chords` and `chamber_volume`) per
+#: sub-chunk of an RNG block: the arc and line intersections hold about a
+#: dozen (fibres, K) arrays, so a sub-chunk keeps the working set of a
+#: block no larger than the indicator estimators'
 FIBRE_CHUNK = 4096
 #: Gauss-Legendre nodes k per piece of the m = 2 quadrature; the result
 #: with 2k nodes is kept when it agrees with the k-node one to QUAD_TOL
@@ -382,10 +423,10 @@ def _arcs(A, B, phase):
     [s_k, s_k + w_k) of t with w_k = 2 arccos(-A/B), 2 pi when A >= B.
     The intersection lies in the narrowest arc r, so it is the window
     [s_r, s_r + w_r) minus the gap of every arc.  Because w_k >= w_r,
-    each gap meets the window in one interval, and sorting these by
-    their left ends merges them in one pass.  Returns (start, length),
-    both (N, K+1): the feasible pieces between the merged gaps, some of
-    length 0.
+    each gap meets the window in one interval; their starts and ends,
+    sorted apart, bound the pieces as in `_line_measure`.  Returns
+    (start, length), both (N, K+1): the feasible pieces between the
+    merged gaps, some of length 0 (with an arbitrary start).
     """
     half = np.arccos(np.clip(-A / np.maximum(B, 1e-300), -1.0, 1.0))
     width = 2.0 * half
@@ -400,11 +441,9 @@ def _arcs(A, B, phase):
     hi = np.minimum(sig, w_r, out=sig)
     empty = hi <= lo
     lo[empty] = hi[empty] = np.broadcast_to(w_r, lo.shape)[empty]
-    order = lo.argsort(axis=1)
-    lo = np.take_along_axis(lo, order, axis=1)
-    hi = np.take_along_axis(hi, order, axis=1)
-    reach = np.maximum.accumulate(hi, axis=1)
-    begin = np.concatenate([np.zeros_like(w_r), reach], axis=1)
+    lo.sort(axis=1)
+    hi.sort(axis=1)
+    begin = np.concatenate([np.zeros_like(w_r), hi], axis=1)
     length = np.concatenate([lo, w_r], axis=1)
     np.subtract(length, begin, out=length)
     np.maximum(length, 0.0, out=length)
@@ -638,22 +677,20 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     phase = np.arctan2(proj[:, 1], proj[:, 0])
     perp = proj[:, 2:]
     k = m - 1
-    total = total_sq = 0.0
-    for gen, cnt in blocks:
-        y = gen.normal(size=(cnt, k))
-        y *= (gen.random(cnt) ** (1.0 / k)
-              / np.linalg.norm(y, axis=1))[:, None]
-        for lo in range(0, cnt, FIBRE_CHUNK):
-            arc = _fibre_lengths(y[lo:lo + FIBRE_CHUNK], alpha, perp, amp,
-                                 phase)
-            total += float(arc.sum())
-            total_sq += float(arc @ arc)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
+
+    def arcs():
+        for gen, cnt in blocks:
+            y = gen.normal(size=(cnt, k))
+            y *= (gen.random(cnt) ** (1.0 / k)
+                  / np.linalg.norm(y, axis=1))[:, None]
+            for lo in range(0, cnt, FIBRE_CHUNK):
+                yield _fibre_lengths(y[lo:lo + FIBRE_CHUNK], alpha, perp,
+                                     amp, phase)
+
+    mean, err = _mean_error(arcs(), samples)
     ball = unit_sphere_area(m) / TWO_PI          # vol(B^(m-1))
-    return VolumeEstimate(ball * mean, ball * math.sqrt(var / samples),
-                          samples, exact=False, method="conditional-mc",
-                          fallback_reason=reason)
+    return VolumeEstimate(ball * mean, ball * err, samples, exact=False,
+                          method="conditional-mc", fallback_reason=reason)
 
 
 def face_constraints(a, c: Chamber, J):
@@ -914,11 +951,16 @@ def _area_n2(a, c: Chamber) -> float:
 
 def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
                    rng: "Rng | None" = None) -> VolumeEstimate:
-    """Chamber volume, closed form when available (n = 2), else MC.
+    """Chamber volume: the closed form for n = 2, else rays through x0.
 
-    When the n = 2 closed form raises, the MC estimate names the error in
-    its `fallback_reason`.  A chamber of the wrong length raises
-    ValueError.
+    Otherwise ("conditional-mc") `samples` lines x0 + t w, w uniform on
+    S^(n-1), each score the exact integral of |t|^(n-1) over the
+    chamber's pieces (`_line_measure`); in polar coordinates about x0
+    the volume is |S^(n-1)| / 2 times the mean score, for any x0.  x0 is
+    the mean of the minus balls' centres (of all centres for the
+    all-plus chamber, the gap in the centre simplex).  `std_error` is the
+    per-line standard error.  `fallback_reason` names a raised n = 2
+    closed form; a chamber of the wrong length raises ValueError.
     """
     _check_chamber(a, c)
     reason = None
@@ -929,8 +971,33 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
         except SphexError as e:
             reason = _closed_form_failed(e)
     rng = rng if rng is not None else Rng(0)
-    est = chamber_volume_mc(a, c, samples, rng, bounding="simplex")
-    return replace(est, fallback_reason=reason)
+    minus = [j - 1 for j in c.minus_set()]
+    x0 = (a.centers[minus] if minus else a.centers).mean(axis=0)
+    D = a.centers - x0
+    e = (np.einsum("ij,ij->i", D, D) - a.radii ** 2)[:, None]
+    if not minus:
+        # x0 + t w is in the simplex iff 1 + t (P w)_i >= 0 on every row
+        P, q = _simplex_rows(a)
+        P = P / (P @ x0 + q)[:, None]
+
+    def scores():
+        for gen, cnt in _blocks(samples, rng):
+            w = gen.standard_normal((cnt, a.n))
+            w /= np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
+            for s in range(0, cnt, FIBRE_CHUNK):
+                W = w[s:s + FIBRE_CHUNK].T
+                mid = D @ W
+                h = np.sqrt(np.maximum(mid * mid - e, 0.0))
+                window = None
+                if not minus:           # max u > 0 > min u: x0 is inside
+                    u = P @ W
+                    window = -1.0 / u.max(axis=0), -1.0 / u.min(axis=0)
+                yield _line_measure(mid - h, mid + h, c, window, a.n)
+
+    mean, err = _mean_error(scores(), samples)
+    half = unit_sphere_area(a.n - 1) / (2 * a.n)   # |S^(n-1)| / 2n
+    return VolumeEstimate(half * mean, half * err, samples, exact=False,
+                          method="conditional-mc", fallback_reason=reason)
 
 
 def _closed_form_failed(err: SphexError) -> str:

@@ -1,0 +1,195 @@
+"""Chamber volumes by exact integrals along random lines through x0.
+
+`chamber_volume` scores each line x0 + t w by the integral of |t|^(n-1)
+over the chamber's pieces on it (`_line_measure`, the interval core the
+Euclidean finite difference shares).  The indicator estimator
+`chamber_volume_mc` is the independent oracle.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import sphex as sx
+from sphex.arrangement import Chamber
+from sphex.volume import (
+    Rng,
+    _line_measure,
+    _sampling_box,
+    chamber_volume,
+    chamber_volume_mc,
+)
+from conftest import equilateral, random_h1, tetrahedron
+
+SIDE = 1.5
+
+
+def simplex4(radius=1.0, side=SIDE):
+    a = side / math.sqrt(2.0)
+    t = a * (1.0 - math.sqrt(5.0)) / 4.0
+    return sx.from_centers_radii(np.vstack([np.eye(4) * a, np.full(4, t)]),
+                                 [radius] * 5)
+
+
+def jittered(base, gen, want, center_scale, radius_scale, tries=300):
+    """A jittered copy of `base` for which hypothesis `want` holds."""
+    for _ in range(tries):
+        c = base.centers + gen.normal(scale=center_scale,
+                                      size=base.centers.shape)
+        r = base.radii + gen.normal(scale=radius_scale, size=len(base.radii))
+        a = sx.from_centers_radii(c, np.abs(r))
+        if getattr(sx.check_hypotheses(a, h2="skip"), want) is True:
+            return a
+    raise RuntimeError(f"no {want} draw in {tries} tries")
+
+
+def chambers(n, all_plus=False):
+    out = [Chamber.from_string("".join(s))
+           for s in itertools.product("-+", repeat=n + 1)]
+    return [c for c in out if all_plus or c.minus_set()]
+
+
+def agree(a, c, rays=20_000, points=200_000, seed=3):
+    """The ray estimate against the indicator oracle at 5 sigma.
+
+    The indicator's sigma is floored at one hit of its sampling box, so
+    a chamber too small for any hit still bounds the comparison.
+    """
+    est = chamber_volume(a, c, rays, Rng(seed, 1))
+    ind = chamber_volume_mc(a, c, points, Rng(seed, 2), bounding="simplex")
+    lo, hi = _sampling_box(a, c)
+    floor = float(np.prod(np.maximum(hi - lo, 0.0))) / points
+    sigma = math.hypot(est.std_error, max(ind.std_error, floor))
+    assert abs(est.value - ind.value) <= 5.0 * sigma, (str(c), est, ind)
+    return est
+
+
+def test_ray_volume_provenance(tetra):
+    est = chamber_volume(tetra, Chamber.from_string("--+-"), 5000, Rng(1))
+    assert est.method == "conditional-mc" and not est.exact
+    assert est.samples == 5000 and est.fallback_reason is None
+    assert est.value > 0.0 and est.std_error > 0.0
+
+
+@pytest.mark.parametrize("signs", ["----", "-+++", "++++"])
+def test_reported_sigma_is_calibrated(signs):
+    """Over 40 seeds the spread of the values matches the reported sigma."""
+    a = tetrahedron(radius=0.89) if signs == "++++" else tetrahedron()
+    c = Chamber.from_string(signs)
+    runs = [chamber_volume(a, c, 20_000, Rng(seed)) for seed in range(40)]
+    spread = float(np.std([r.value for r in runs], ddof=1))
+    reported = float(np.mean([r.std_error for r in runs]))
+    assert 0.75 <= spread / reported <= 1.3
+
+
+def test_every_chamber_of_n3_and_n4_h1_draws_matches_indicator():
+    gen = np.random.default_rng(17)
+    for a in (random_h1(gen, n=3), jittered(simplex4(), gen, "h1", 0.1,
+                                             0.06)):
+        for c in chambers(a.n):
+            agree(a, c)
+
+
+def test_gap_chambers_of_h1_prime_draws_match_indicator():
+    gen = np.random.default_rng(29)
+    for _ in range(3):
+        a = jittered(tetrahedron(radius=0.89), gen, "h1_prime", 0.03, 0.01)
+        est = agree(a, Chamber.all_plus(3))
+        assert est.value > 0.0
+
+
+def test_n2_fallback_uses_rays():
+    """Disks that do not share a point: the closed forms refuse H1, the
+    rays still measure every chamber."""
+    a = equilateral(radius=0.8)
+    for c in chambers(2):
+        est = agree(a, c)
+        assert est.method == "conditional-mc"
+        assert est.fallback_reason.startswith(
+            "closed form unavailable: HypothesisError")
+
+
+@pytest.mark.parametrize("signs", ["--++", "++++"])
+def test_scale_sweep(signs):
+    """value / s^n and sigma / s^n do not depend on the scale s."""
+    base = tetrahedron(radius=0.89)
+    c = Chamber.from_string(signs)
+    ref = chamber_volume(base, c, 20_000, Rng(9))
+    for s in (1e-12, 1e-6, 1e6, 1e12):
+        a = sx.from_centers_radii(base.centers * s, base.radii * s)
+        est = chamber_volume(a, c, 20_000, Rng(9))
+        assert est.value / s ** 3 == pytest.approx(ref.value, rel=1e-12)
+        assert est.std_error / s ** 3 == pytest.approx(ref.std_error,
+                                                       rel=1e-12)
+
+
+def test_rays_repeat_per_seed_stream_and_samples(tetra):
+    c = Chamber.all_minus(3)
+    one = chamber_volume(tetra, c, 70_000, Rng(5, 1))
+    assert chamber_volume(tetra, c, 70_000, Rng(5, 1)) == one
+    assert chamber_volume(tetra, c, 70_000, Rng(5, 2)).value != one.value
+    assert chamber_volume(tetra, c, 60_000, Rng(5, 1)).value != one.value
+
+
+def test_line_scores_by_hand():
+    """Two lines with hand-cut pieces; a score is F(end) - F(begin)
+    summed, F(t) = t |t|^(n-1), that is n times the integral of
+    |t|^(n-1) (the length for n = 1)."""
+    # balls 1 and 3 minus, 2 and 4 plus
+    lo = np.array([[-2.0, -2.0], [0.0, 1.5], [-1.0, -2.0], [0.5, -1.0]])
+    hi = np.array([[3.0, 2.0], [1.0, 5.0], [4.0, 2.0], [2.0, -1.0]])
+    c = Chamber.from_string("-+-+")
+    # line 0: window [-1, 3] minus [0, 2]; line 1: [-2, 2] minus [1.5, 2]
+    # (ball 4 misses line 1: a point)
+    assert _line_measure(lo, hi, c, n=3) == pytest.approx(
+        [1.0 + (27.0 - 8.0), 8.0 + 1.5 ** 3], rel=1e-15)
+    assert _line_measure(lo, hi, c) == pytest.approx([2.0, 3.5], rel=1e-15)
+    # the all-plus chamber's window comes from the simplex; the plus
+    # intervals overlap, nest and reach past the window
+    lo = np.array([[-3.0], [1.0], [0.0], [0.2]])
+    hi = np.array([[-0.5], [3.0], [0.0], [0.4]])
+    window = np.array([-1.0]), np.array([2.0])
+    got = _line_measure(lo, hi, Chamber.all_plus(3), window, n=3)
+    assert got == pytest.approx([0.5 ** 3 + 0.2 ** 3 + (1.0 - 0.4 ** 3)],
+                                rel=1e-15)
+    got = _line_measure(lo, hi, Chamber.all_plus(3), window, n=2)
+    assert got == pytest.approx([0.25 + 0.04 + (1.0 - 0.16)], rel=1e-15)
+
+
+def merged_pieces(w0, w1, intervals):
+    """The window [w0, w1] minus the intervals, by the textbook merge of
+    the intervals sorted by start, one line at a time."""
+    pieces, at = [], w0
+    for s, e in sorted(intervals):
+        if s > at:
+            pieces.append((at, min(s, w1)))
+        at = max(at, e)
+    if at < w1:
+        pieces.append((at, w1))
+    return [(s, e) for s, e in pieces if e > s]
+
+
+@pytest.mark.parametrize("signs", ["-+++", "--++", "++++"])
+def test_line_measure_matches_sorted_merge(signs):
+    """Random nested, overlapping, tied and missing intervals."""
+    gen = np.random.default_rng(41)
+    c = Chamber.from_string(signs)
+    lo = gen.uniform(-2.0, 2.0, size=(4, 500))
+    hi = lo + gen.exponential(1.0, size=lo.shape)
+    hi[:, ::7] = lo[:, ::7]                 # a ball the line misses
+    lo[1, ::5], hi[1, ::5] = lo[2, ::5], hi[2, ::5]     # a tied interval
+    window = (gen.uniform(-3.0, 0.0, 500), gen.uniform(0.0, 3.0, 500))
+    got1 = _line_measure(lo, hi, c, window)
+    got3 = _line_measure(lo, hi, c, window, n=3)
+    minus = [j - 1 for j in c.minus_set()]
+    plus = [j - 1 for j in c.plus_set()]
+    for i in range(lo.shape[1]):
+        w0, w1 = (max(lo[minus, i]), min(hi[minus, i])) if minus else (
+            window[0][i], window[1][i])
+        pieces = merged_pieces(w0, w1, [(lo[j, i], hi[j, i]) for j in plus])
+        assert got1[i] == pytest.approx(sum(e - s for s, e in pieces),
+                                        rel=1e-12, abs=1e-15)
+        assert got3[i] == pytest.approx(sum(e ** 3 - s ** 3 for s, e in pieces),
+                                        rel=1e-12, abs=1e-12)

@@ -62,6 +62,22 @@ def test_check_pass(tri_file, capsys):
     assert len(payload["subsets"]) == 7
 
 
+def test_check_lists_degraded_pivots(tri_file, tmp_path, capsys):
+    """Centres 1e-7 apart make B(0 1 2) ~ 2e-14 a degraded pivot; the
+    report and the check JSON name it, and a regular triangle names
+    none."""
+    near = sphex.from_centers_radii([[0.0, 0.0], [1e-7, 0.0], [0.5, 1.0]],
+                                    [1.0, 1.0, 1.0])
+    flagged = sphex.check_hypotheses(near).pivot_warnings
+    assert "B(0 1 2; 0 1 2)" in flagged and flagged == sorted(flagged)
+    path = write(tmp_path, "near.json", arrangement_to_json(near))
+    _, out, _ = run(capsys, ["check", "--input", path])
+    assert json.loads(out)["pivot_warnings"] == flagged
+    assert sphex.check_hypotheses(equilateral()).pivot_warnings == []
+    _, out, _ = run(capsys, ["check", "--input", tri_file])
+    assert json.loads(out)["pivot_warnings"] == []
+
+
 def test_check_gap_passes_via_h1_prime(gap_file, capsys):
     code, out, _ = run(capsys, ["check", "--input", gap_file])
     assert code == 0
@@ -129,7 +145,7 @@ def test_volume_reports_method(lens3_file, tetra_file, capsys):
     assert json.loads(out)["method"] == "closed"
     _, out, _ = run(capsys, ["volume", "--input", tetra_file,
                              "--samples", "20000"])
-    assert json.loads(out)["method"] == "mc"
+    assert json.loads(out)["method"] == "conditional-mc"
 
 
 def test_volume_reports_fallback_reason(lens3_file, tmp_path, capsys):
@@ -142,7 +158,7 @@ def test_volume_reports_fallback_reason(lens3_file, tmp_path, capsys):
     _, out, _ = run(capsys, ["volume", "--input", str(path),
                              "--chamber", "---", "--samples", "1000"])
     payload = json.loads(out)
-    assert payload["method"] == "mc"
+    assert payload["method"] == "conditional-mc"
     assert payload["fallback_reason"].startswith(
         "closed form unavailable: HypothesisError")
 

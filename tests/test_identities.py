@@ -210,6 +210,18 @@ def test_prop4_random():
         assert rep.passed, J
 
 
+def test_prop4_is_scale_free(tri, tetra):
+    """The tolerance follows the constant at every scale: at 1e-6 the
+    constant of J = (1, 2) is about 4e-12, below any absolute floor."""
+    for base in (tri, tetra):
+        for s in 10.0 ** np.arange(-6, 7, 2):
+            a = sx.from_centers_radii(base.centers * s, base.radii * s)
+            for J in ((1,), (1, 2)):
+                rep = check_prop4_residue(a, J, trials=10, rng=Rng(3))
+                assert rep.passed, (s, J)
+                assert rep.tolerance <= 1e-9 * rep.rhs, (s, J)
+
+
 def test_prop6_values(tri):
     for j in (1, 2, 3):
         rep = check_prop6_values(tri, j)

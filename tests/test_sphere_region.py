@@ -379,7 +379,7 @@ def test_volume_estimate_method():
     assert face_volume(tri, Chamber.all_minus(2), (1,)).method == "closed"
     assert sx.chamber_volume(tri, Chamber.all_minus(2)).method == "closed"
     est = sx.chamber_volume(tetrahedron(), Chamber.all_minus(3), 1000, Rng(1))
-    assert est.method == "mc"
+    assert est.method == "conditional-mc"
 
 
 def test_closed_form_fallbacks_name_their_reason():
@@ -389,7 +389,7 @@ def test_closed_form_fallbacks_name_their_reason():
     assert face_volume(tri, allm, (1,)).fallback_reason is None
     apart = equilateral(0.5)                # the three disks do not meet
     est = sx.chamber_volume(apart, allm, 1000, Rng(1))
-    assert est.method == "mc"
+    assert est.method == "conditional-mc"
     assert est.fallback_reason.startswith(
         "closed form unavailable: HypothesisError")
     face = face_volume(apart, allm, (1,))

@@ -122,6 +122,6 @@ def test_sampled_volumes_are_not_stored():
     allm = Chamber.all_minus(3)
     one = sx.chamber_volume(a, allm, 2000, Rng(1))
     two = sx.chamber_volume(a, allm, 2000, Rng(2))
-    assert one.method == two.method == "mc"
+    assert one.method == two.method == "conditional-mc"
     assert one.value != two.value
     assert sx.chamber_volume(a, allm, 2000, Rng(1)) == one
