@@ -296,13 +296,18 @@ def restrict_to_unit_sphere(a: Arrangement) -> Arrangement:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_f(a: Arrangement, j: int, x) -> float:
-    """f_j(x) = |x - O_j|^2 - r_j^2; negative inside sphere j."""
+def evaluate_f(a: Arrangement, j: int, x):
+    """f_j(x) = |x - O_j|^2 - r_j^2; negative inside sphere j.
+
+    A float for one point x of shape (n,), an array (N,) for points
+    (N, n); each point's value is the same float either way.
+    """
     x = np.asarray(x, float)
-    if x.shape != (a.n,):
+    if x.ndim not in (1, 2) or x.shape[-1] != a.n:
         raise ValueError(f"point must have dimension {a.n}")
-    d = x - a.center(j)
-    return float(d @ d - a.radius(j) ** 2)
+    d = np.atleast_2d(x) - a.center(j)
+    f = np.einsum("ij,ij->i", d, d) - a.radius(j) ** 2
+    return float(f[0]) if x.ndim == 1 else f
 
 
 def _check_chamber(a: Arrangement, c: Chamber):

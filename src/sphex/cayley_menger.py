@@ -15,10 +15,10 @@ rows.  The entry rule is symmetric:
 vector) object, which stores it on first use, and memoizes raw chain
 pairs over canonical keys (index order sorted, transpose normalized,
 the permutation sign applied on lookup).  A small pure-Python LU
-evaluates them; no scipy is needed.  `cm` is the narrow public face
-restricted to the four standard header shapes; `cm_chain` accepts any
-square pair of chains (several mixed shapes appear in the one-form
-coefficients and in the vertex value formulas).
+evaluates them.  `CMTable.chain` is the one evaluator: it accepts any
+square pair of chains, the printed shapes B(0 J; 0 K) and B(0*J; 0*K)
+as well as the mixed ones of the one-form coefficients and the vertex
+value formulas.
 
 The module also builds the configuration matrix of an arrangement whose
 last sphere is the unit sphere at the origin: each other sphere is cut
@@ -35,15 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateConfigError, NonRealizableError
-
-Token = "int | str"
-
-_HEADERS = {
-    ("0", "0"),
-    ("*", "0"),
-    ("*", "*"),
-    ("0*", "0*"),
-}
 
 #: pivot magnitudes below this fraction of the entry scale set a warning flag
 PIVOT_WARN = 1e-12
@@ -121,46 +112,6 @@ def _stored(obj, key, compute):
     if key not in store:
         store.setdefault(key, compute())
     return store[key]
-
-
-@dataclass(frozen=True)
-class CMKey:
-    """One of the four standard determinant shapes.
-
-    `row_header` / `col_header` are ``"0"``, ``"*"`` or ``"0*"``; `rows`
-    and `cols` are equal-length tuples of 1-based sphere indices.  Shapes
-    outside the standard four are rejected; use `cm_chain` for those.
-    """
-
-    row_header: str
-    col_header: str
-    rows: tuple
-    cols: tuple
-
-    def __post_init__(self):
-        if (self.row_header, self.col_header) not in _HEADERS:
-            raise ValueError(
-                f"unsupported header shape ({self.row_header!r}, {self.col_header!r})")
-        if len(self.rows) != len(self.cols):
-            raise ValueError("row and column index sets must have equal size")
-        if not self.rows:
-            raise ValueError("index sets must be non-empty")
-
-    @classmethod
-    def plain(cls, J, K=None):
-        """B(0 J; 0 K); K defaults to J."""
-        J = tuple(J)
-        return cls("0", "0", J, tuple(K) if K is not None else J)
-
-    @classmethod
-    def starred(cls, J, K=None):
-        """B(0 * J; 0 * K); K defaults to J."""
-        J = tuple(J)
-        return cls("0*", "0*", J, tuple(K) if K is not None else J)
-
-    def chains(self):
-        rh = {"0": ("0",), "*": ("*",), "0*": ("0", "*")}
-        return rh[self.row_header] + self.rows, rh[self.col_header] + self.cols
 
 
 @dataclass
@@ -263,17 +214,6 @@ def hadamard_scale(table: CMTable, size: int) -> float:
     the same verdict for any rescaled copy of the arrangement.
     """
     return table.scale ** (size - 2) * size ** (size / 2.0)
-
-
-def cm(table: CMTable, key: CMKey) -> float:
-    """Evaluate one of the four standard determinant shapes."""
-    rows, cols = key.chains()
-    return table.chain(rows, cols)
-
-
-def cm_chain(table: CMTable, rows, cols) -> float:
-    """Evaluate a determinant given explicit row and column chains."""
-    return table.chain(rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import numpy as np
 from .arrangement import (
     Chamber,
     check_hypotheses,
+    evaluate_f,
     load_arrangement,
     restrict_to_unit_sphere,
 )
@@ -192,9 +193,7 @@ def _lemma5_points(a, args):
     guard = 0
     while len(pts) < args.points:
         x = lo + (hi - lo) * gen.random(a.n)
-        near = min(
-            abs(float(np.sum((x - a.center(j)) ** 2) - a.radius(j) ** 2))
-            for j in range(1, a.n + 2))
+        near = min(abs(evaluate_f(a, j, x)) for j in range(1, a.n + 2))
         guard += 1
         if near > 1e-6 * maxr ** 2:
             pts.append(x)

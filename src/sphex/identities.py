@@ -4,7 +4,10 @@ Each check returns an IdentityReport whose terms always sum (fsum) to
 the reported rhs, so a failing identity can be diagnosed per summand.
 Tolerances are fixed absolute bounds when every ingredient is closed
 form, and 3x the propagated standard error when Monte Carlo estimates
-enter the sum.
+enter the sum.  The volume identities take each term from
+`chamber_volume` and `face_volume`, which use an exact path wherever
+one applies; the indicator estimators `chamber_volume_mc` and
+`face_volume_mc` are independent oracles for tests, not a mode here.
 
 The volume identity for a chamber with sign vector sigma reads
 
@@ -36,10 +39,8 @@ from .volume import (
     Rng,
     _sqrt_starred,
     chamber_volume,
-    chamber_volume_mc,
     decomposition_cell_coefficient,
     face_volume,
-    face_volume_mc,
     simplex_volume,
     sphere_arc_lengths,
     sphere_region_area_mc,
@@ -71,13 +72,11 @@ class IdentityReport:
         }
 
 
-def _report(name, lhs, terms, tolerance, passed=None) -> IdentityReport:
+def _report(name, lhs, terms, tolerance) -> IdentityReport:
     rhs = math.fsum(v for _, v in terms)
     residual = abs(lhs - rhs)
-    if passed is None:
-        passed = residual <= tolerance
     return IdentityReport(name, float(lhs), rhs, residual, float(tolerance),
-                          bool(passed), tuple(terms))
+                          bool(residual <= tolerance), tuple(terms))
 
 
 def _sqrt_plain_full(table: CMTable, n: int) -> float:
@@ -116,23 +115,6 @@ def _label(J) -> str:
     return "S_" + "".join(str(j) for j in J)
 
 
-def _estimators(a, c: Chamber, method: str):
-    """The (chamber, face) volume estimators of a check.
-
-    method "mc" selects the indicator estimators, which count vertices
-    exactly and sample everything else; any other method takes
-    `chamber_volume` and `face_volume`, closed forms and the
-    spherical-region kernel included.
-    """
-    if method == "mc":
-        return (lambda samples, rng: chamber_volume_mc(
-                    a, c, samples, rng, bounding="simplex"),
-                lambda J, samples, rng: face_volume_mc(
-                    a, c, J, samples, rng, bounding="simplex"))
-    return (lambda samples, rng: chamber_volume(a, c, samples, rng),
-            lambda J, samples, rng: face_volume(a, c, J, samples, rng))
-
-
 def _tolerance(weighted) -> float:
     """1e-9 if every (weight, VolumeEstimate) pair is exact, else 3x the
     propagated standard error."""
@@ -141,13 +123,12 @@ def _tolerance(weighted) -> float:
     return 3.0 * math.sqrt(sum((w * v.std_error) ** 2 for w, v in weighted))
 
 
-def _check_volume_identity(name, a, c, samples, rng, method="auto"):
+def _check_volume_identity(name, a, c, samples, rng):
     coefs, final = volume_identity_coefficients(
         CMTable.from_arrangement(a), a.n, c)
-    chamber_est, face_est = _estimators(a, c, method)
     Js = sorted(coefs, key=lambda t: (len(t), t))
-    weighted = [(a.n, chamber_est(samples, rng.substream(0)))]
-    weighted += [(coefs[J], face_est(J, samples, rng.substream(s)))
+    weighted = [(a.n, chamber_volume(a, c, samples, rng.substream(0)))]
+    weighted += [(coefs[J], face_volume(a, c, J, samples, rng.substream(s)))
                  for s, J in enumerate(Js, 1)]
     terms = [(_label(J), w * v.value) for J, (w, v) in zip(Js, weighted[1:])]
     return _report(name, a.n * weighted[0][1].value,
@@ -155,16 +136,14 @@ def _check_volume_identity(name, a, c, samples, rng, method="auto"):
 
 
 def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
-                      chamber: "Chamber | None" = None,
-                      method: str = "auto") -> IdentityReport:
+                      chamber: "Chamber | None" = None) -> IdentityReport:
     """n * v(chamber) against the face-volume expansion, default all-minus.
 
     Closed-form volumes and arcs are used for n = 2 (tolerance 1e-9).
     Otherwise `chamber_volume` integrates exactly along `samples` random
     lines through an interior point, faces come from `face_volume` (exact
     up to dimension 2, conditional MC above), and the tolerance is 3x
-    the propagated standard error; method "mc" samples every term with
-    the indicator estimators.
+    the propagated standard error.
     `chamber` may be any sign vector with at least one minus entry; the
     all-plus case has its own sign pattern and check.  Needs H1, else
     HypothesisError (IndeterminateSignError if H1 is unresolved).
@@ -174,21 +153,20 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
         raise ValueError("all-plus chamber: use check_theorem_II_i")
     require_hypothesis(a, "h1", "theorem I does not apply")
     rng = rng if rng is not None else Rng(0)
-    return _check_volume_identity("theorem_I_i", a, c, samples, rng, method)
+    return _check_volume_identity("theorem_I_i", a, c, samples, rng)
 
 
-def check_theorem_II_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
-                       method: str = "auto") -> IdentityReport:
+def check_theorem_II_i(a, samples: int = 1_000_000,
+                       rng: "Rng | None" = None) -> IdentityReport:
     """The all-plus (gap chamber) volume identity; needs H1'."""
     require_hypothesis(a, "h1_prime", "theorem II does not apply")
     rng = rng if rng is not None else Rng(0)
     return _check_volume_identity("theorem_II_i", a, Chamber.all_plus(a.n),
-                                  samples, rng, method)
+                                  samples, rng)
 
 
 def check_decomposition(a, samples: int = 1_000_000,
-                        rng: "Rng | None" = None,
-                        method: str = "auto") -> IdentityReport:
+                        rng: "Rng | None" = None) -> IdentityReport:
     """Closure of the cone-cell decomposition of the center simplex.
 
     lhs is the simplex volume; the terms are the cone cells over every
@@ -197,13 +175,14 @@ def check_decomposition(a, samples: int = 1_000_000,
     require_hypothesis(a, "h1_prime", "the decomposition does not apply")
     rng = rng if rng is not None else Rng(0)
     lhs = simplex_volume(a)
-    chamber_est, face_est = _estimators(a, Chamber.all_plus(a.n), method)
+    c = Chamber.all_plus(a.n)
     Js = [J for p in range(1, a.n + 1)
           for J in itertools.combinations(range(1, a.n + 2), p)]
     weighted = [(decomposition_cell_coefficient(a, J),
-                 face_est(J, samples, rng.substream(s)))
+                 face_volume(a, c, J, samples, rng.substream(s)))
                 for s, J in enumerate(Js)]
-    weighted.append((1.0, chamber_est(samples, rng.substream(len(Js)))))
+    weighted.append((1.0, chamber_volume(a, c, samples,
+                                         rng.substream(len(Js)))))
     terms = [("cell_" + _label(J), w * v.value)
              for J, (w, v) in zip(Js, weighted)]
     terms.append(("gap", weighted[-1][1].value))

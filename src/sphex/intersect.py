@@ -87,7 +87,7 @@ def _hull(a, J):
     A, b = _radical_system(a, J)
     x0, *_ = np.linalg.lstsq(A, b, rcond=None)
     _, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
+    rank = int(np.sum(s > 1e-12 * s[0]))
     if rank < len(J) - 1:
         raise DegenerateConfigError(
             f"radical hyperplanes of {J} are linearly dependent")

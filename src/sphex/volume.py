@@ -21,8 +21,11 @@ Gauss-Legendre quadrature over the fibre height for m = 2, and for
 m >= 3 averages that length over random fibres (conditional Monte
 Carlo).  The restricted unit-sphere model's region, arcs and vertices
 are regions of the same kernel too (`config_face_constraints`).  The
-indicator estimators `chamber_volume_mc` and `face_volume_mc` stay as
-independent oracles.
+indicator estimators `chamber_volume_mc` and `face_volume_mc` only
+draw points and test their signs with `evaluate_f`; they stay as the
+independent oracles that tests and benchmarks check the rest against.
+
+Every estimate names its `method`; `exact` follows from it.
 
 Boundedness: a chamber with at least one minus sign lives inside the
 corresponding ball, so rejection sampling uses the intersection of the
@@ -41,7 +44,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrangement import Chamber, _check_chamber, require_hypothesis
+from .arrangement import (
+    Chamber,
+    _check_chamber,
+    evaluate_f,
+    require_hypothesis,
+)
 from .cayley_menger import CMTable, ConfigMatrix, _stored
 from .errors import (
     DegenerateConfigError,
@@ -84,15 +92,17 @@ class Rng:
 #: fibres, indicator Monte Carlo, or Monte Carlo conditioned on circle
 #: fibres or on lines
 METHODS = ("closed", "count", "arc", "quadrature", "mc", "conditional-mc")
+#: the methods whose value is exact
+EXACT_METHODS = METHODS[:4]
 
 
 @dataclass(frozen=True)
 class VolumeEstimate:
     """A volume value with its uncertainty bookkeeping.
 
-    `method` is one of `METHODS`; left out, it is "closed" for an exact
-    result and "mc" otherwise.  Exact results ("closed", "count",
-    "arc", "quadrature") carry std_error 0.  For "mc" `std_error` is the
+    `method` is one of `METHODS`, and `exact` says whether it is one of
+    `EXACT_METHODS` ("closed", "count", "arc", "quadrature"), whose
+    results carry std_error 0.  For "mc" `std_error` is the
     binomial standard error propagated through the bounding-measure
     factor and `samples` counts points; for "conditional-mc" it is the
     sample standard error of the per-fibre arc lengths (of a face) or of
@@ -105,18 +115,18 @@ class VolumeEstimate:
     value: float
     std_error: float
     samples: int
-    exact: bool = False
-    method: "str | None" = None
+    method: str
     fallback_reason: "str | None" = None
 
+    @property
+    def exact(self) -> bool:
+        return self.method in EXACT_METHODS
+
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown volume method {self.method!r}")
         if self.exact and self.std_error != 0.0:
             raise ValueError("exact results must have zero std_error")
-        if self.method is None:
-            object.__setattr__(self, "method",
-                               "closed" if self.exact else "mc")
-        elif self.method not in METHODS:
-            raise ValueError(f"unknown volume method {self.method!r}")
 
 
 def _blocks(samples: int, rng: Rng):
@@ -152,11 +162,8 @@ def _signs_mask(a, c: Chamber, pts, tol: float = 0.0, skip=()):
     """Which of `pts` satisfy c's sign on every sphere outside `skip`."""
     mask = np.ones(len(pts), dtype=bool)
     for j in range(1, a.n + 2):
-        if j in skip:
-            continue
-        d = pts - a.center(j)
-        fj = np.einsum("ij,ij->i", d, d) - a.radius(j) ** 2
-        mask &= c.sign(j) * fj >= -tol
+        if j not in skip:
+            mask &= c.sign(j) * evaluate_f(a, j, pts) >= -tol
     return mask
 
 
@@ -323,7 +330,7 @@ def chamber_volume_mc(a, c: Chamber, samples: int, rng: Rng,
     rows = _simplex_rows(a) if _needs_simplex(c, bounding) else None
     lo, hi = _sampling_box(a, c)
     if np.any(hi <= lo):
-        return VolumeEstimate(0.0, 0.0, samples, exact=False)
+        return VolumeEstimate(0.0, 0.0, samples, "mc")
     box = float(np.prod(hi - lo))
     width = hi - lo
 
@@ -336,7 +343,7 @@ def chamber_volume_mc(a, c: Chamber, samples: int, rng: Rng,
 
     f = _mc_fraction(samples, rng, hit_fn)
     return VolumeEstimate(box * f, box * math.sqrt(f * (1.0 - f) / samples),
-                          samples, exact=False)
+                          samples, "mc")
 
 
 def _needs_simplex(c: Chamber, bounding) -> bool:
@@ -378,8 +385,7 @@ def face_volume_mc(a, c: Chamber, J, samples: int, rng: Rng,
         ok = _signs_mask(a, c, pts, tol, skip=J)
         if rows is not None:
             ok &= _simplex_mask(rows, pts, tol=1e-9)
-        return VolumeEstimate(float(ok.sum()), 0.0, 2, exact=True,
-                              method="count")
+        return VolumeEstimate(float(ok.sum()), 0.0, 2, "count")
     area = unit_sphere_area(m) * sub.radius ** m
 
     def hit_fn(gen, cnt):
@@ -393,7 +399,7 @@ def face_volume_mc(a, c: Chamber, J, samples: int, rng: Rng,
 
     f = _mc_fraction(samples, rng, hit_fn)
     return VolumeEstimate(area * f, area * math.sqrt(f * (1.0 - f) / samples),
-                          samples, exact=False)
+                          samples, "mc")
 
 
 # ---------------------------------------------------------------------------
@@ -652,23 +658,20 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
         b = beta[:, 0]
         count = (int((alpha + b >= -COUNT_TOL).all())
                  + int((alpha - b >= -COUNT_TOL).all()))
-        return VolumeEstimate(float(count), 0.0, 2, exact=True,
-                              method="count")
+        return VolumeEstimate(float(count), 0.0, 2, "count")
     if m == 1:
         _, length = _circle_arcs(alpha, beta)
-        return VolumeEstimate(math.fsum(length), 0.0, 0, exact=True,
-                              method="arc")
+        return VolumeEstimate(math.fsum(length), 0.0, 0, "arc")
     rows = _binding(alpha, beta)
     if rows is None or not len(rows[0]):
         value = 0.0 if rows is None else unit_sphere_area(m)
-        return VolumeEstimate(value, 0.0, 0, exact=True, method="closed")
+        return VolumeEstimate(value, 0.0, 0, "closed")
     alpha, beta = rows
     reason = None
     if m == 2:
         value, err = _region_quadrature(alpha, beta, QUAD_NODES)
         if err <= QUAD_TOL:
-            return VolumeEstimate(value, 0.0, 0, exact=True,
-                                  method="quadrature")
+            return VolumeEstimate(value, 0.0, 0, "quadrature")
         reason = (f"quadrature did not converge: |Q{2 * QUAD_NODES} - "
                   f"Q{QUAD_NODES}| = {err:.3e} > {QUAD_TOL:g}")
     blocks = _blocks(samples, rng)
@@ -689,8 +692,8 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
 
     mean, err = _mean_error(arcs(), samples)
     ball = unit_sphere_area(m) / TWO_PI          # vol(B^(m-1))
-    return VolumeEstimate(ball * mean, ball * err, samples, exact=False,
-                          method="conditional-mc", fallback_reason=reason)
+    return VolumeEstimate(ball * mean, ball * err, samples, "conditional-mc",
+                          fallback_reason=reason)
 
 
 def face_constraints(a, c: Chamber, J):
@@ -765,24 +768,14 @@ def sin_power_integral(m: int, theta: float) -> float:
             + (m - 1) * sin_power_integral(m - 2, theta)) / m
 
 
-def cap_integral(n: int, t0: float, method: str = "expansion") -> float:
+def cap_integral(n: int, t0: float) -> float:
     """int_{t0}^1 (1 - tau^2)^((n-1)/2) dtau.
 
-    The expansion path substitutes tau = cos t and uses the finite
-    sine-power recurrence; the quadrature path integrates adaptively.
-    Both agree to 1e-12 and are exposed for cross-checking.
+    Substitutes tau = cos t and uses the finite sine-power recurrence.
     """
     if not -1.0 <= t0 <= 1.0:
         raise ValueError("t0 must lie in [-1, 1]")
-    if method == "expansion":
-        return sin_power_integral(n, math.acos(t0))
-    if method == "quadrature":
-        from scipy.integrate import quad  # cross-check only: scipy is a test extra
-
-        val, _ = quad(lambda t: (1.0 - t * t) ** ((n - 1) / 2.0), t0, 1.0,
-                      epsabs=1e-13, epsrel=1e-13)
-        return float(val)
-    raise ValueError(f"unknown method {method!r}")
+    return sin_power_integral(n, math.acos(t0))
 
 
 def _lens_half_angles(r1, r2, rho):
@@ -791,39 +784,19 @@ def _lens_half_angles(r1, r2, rho):
     return math.acos(max(-1.0, min(1.0, c1))), math.acos(max(-1.0, min(1.0, c2)))
 
 
-def lens_volume_closed(n: int, r1: float, r2: float, rho: float,
-                       method: str = "general") -> float:
-    """Volume of the intersection of two n-balls with center distance rho.
-
-    The general path sums two hyperspherical caps; "2d" and "3d" are the
-    printed low-dimensional specializations (circular segments, and the
-    cubic cap polynomial).  All paths agree to 1e-12.
-    """
+def lens_volume_closed(n: int, r1: float, r2: float, rho: float) -> float:
+    """Volume of the intersection of two n-balls with center distance rho:
+    the sum of two hyperspherical caps."""
     if rho >= r1 + r2:
         raise EmptyIntersectionError("balls do not overlap")
     if rho <= abs(r1 - r2):
         raise EmptyIntersectionError("one ball is nested inside the other")
     h1, h2 = _lens_half_angles(r1, r2, rho)
-    if method == "general":
-        out = 0.0
-        for r, h in ((r1, h1), (r2, h2)):
-            out += unit_sphere_area(n - 2) / (n - 1) * r ** n \
-                * sin_power_integral(n, h)
-        return out
-    if method == "2d":
-        if n != 2:
-            raise ValueError("2d path needs n = 2")
-        return (0.5 * r1 * r1 * (2 * h1 - math.sin(2 * h1))
-                + 0.5 * r2 * r2 * (2 * h2 - math.sin(2 * h2)))
-    if method == "3d":
-        if n != 3:
-            raise ValueError("3d path needs n = 3")
-        out = 0.0
-        for r, h in ((r1, h1), (r2, h2)):
-            ch = math.cos(h)
-            out += math.pi * r ** 3 * (2.0 / 3.0 - ch + ch ** 3 / 3.0)
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    out = 0.0
+    for r, h in ((r1, h1), (r2, h2)):
+        out += unit_sphere_area(n - 2) / (n - 1) * r ** n \
+            * sin_power_integral(n, h)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -967,7 +940,7 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
     if a.n == 2:
         try:
             return VolumeEstimate(chamber_area_closed_n2(a, c), 0.0, 0,
-                                  exact=True)
+                                  "closed")
         except SphexError as e:
             reason = _closed_form_failed(e)
     rng = rng if rng is not None else Rng(0)
@@ -996,8 +969,8 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
 
     mean, err = _mean_error(scores(), samples)
     half = unit_sphere_area(a.n - 1) / (2 * a.n)   # |S^(n-1)| / 2n
-    return VolumeEstimate(half * mean, half * err, samples, exact=False,
-                          method="conditional-mc", fallback_reason=reason)
+    return VolumeEstimate(half * mean, half * err, samples, "conditional-mc",
+                          fallback_reason=reason)
 
 
 def _closed_form_failed(err: SphexError) -> str:
@@ -1027,7 +1000,7 @@ def _face_volume(a, c: Chamber, J, samples: int, rng: "Rng | None"):
     if a.n == 2 and len(J) == 1:
         try:
             ang = chamber_arc_angles(a, c)[J[0]]
-            return VolumeEstimate(a.radius(J[0]) * ang, 0.0, 0, exact=True)
+            return VolumeEstimate(a.radius(J[0]) * ang, 0.0, 0, "closed")
         except SphexError as e:
             reason = _closed_form_failed(e)
     alpha, beta, R = face_constraints(a, c, J)

@@ -1,11 +1,14 @@
-"""Shared fixtures: the reference arrangements used across the suite."""
+"""Shared fixtures: the reference arrangements used across the suite,
+and the indicator-MC oracles of the volume identities."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import sphex as sx
+from sphex.identities import _label, _report, _tolerance
 
 SIDE = 1.5
 
@@ -96,6 +99,49 @@ def random_h1_prime(gen, tries: int = 300):
         if h.h1_prime is True:
             return a
     raise RuntimeError("failed to draw an H1' arrangement")
+
+
+def indicator_volume_identity(a, c, samples, rng):
+    """The volume identity of chamber c (theorem I, or II if all-plus)
+    with every volume from the indicator estimators.
+
+    Terms, substreams and tolerance are those of `check_theorem_I_i` /
+    `check_theorem_II_i`, so the report differs from the library's only
+    in how the volumes were measured: an oracle independent of the rays
+    and of the face kernel.
+    """
+    coefs, final = sx.volume_identity_coefficients(
+        sx.CMTable.from_arrangement(a), a.n, c)
+    Js = sorted(coefs, key=lambda t: (len(t), t))
+    weighted = [(a.n, sx.chamber_volume_mc(a, c, samples, rng.substream(0),
+                                           bounding="simplex"))]
+    weighted += [(coefs[J], sx.face_volume_mc(a, c, J, samples,
+                                              rng.substream(s),
+                                              bounding="simplex"))
+                 for s, J in enumerate(Js, 1)]
+    terms = [(_label(J), w * v.value) for J, (w, v) in zip(Js, weighted[1:])]
+    name = "theorem_I_i" if c.minus_set() else "theorem_II_i"
+    return _report(name, a.n * weighted[0][1].value,
+                   terms + [("simplex", final)], _tolerance(weighted))
+
+
+def indicator_decomposition(a, samples, rng):
+    """`check_decomposition` with every volume from the indicator
+    estimators, on the same substreams."""
+    c = sx.Chamber.all_plus(a.n)
+    Js = [J for p in range(1, a.n + 1)
+          for J in itertools.combinations(range(1, a.n + 2), p)]
+    weighted = [(sx.decomposition_cell_coefficient(a, J),
+                 sx.face_volume_mc(a, c, J, samples, rng.substream(s),
+                                   bounding="simplex"))
+                for s, J in enumerate(Js)]
+    weighted.append((1.0, sx.chamber_volume_mc(
+        a, c, samples, rng.substream(len(Js)), bounding="simplex")))
+    terms = [("cell_" + _label(J), w * v.value)
+             for J, (w, v) in zip(Js, weighted)]
+    terms.append(("gap", weighted[-1][1].value))
+    return _report("decomposition", sx.simplex_volume(a), terms,
+                   _tolerance(weighted))
 
 
 @pytest.fixture

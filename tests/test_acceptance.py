@@ -46,12 +46,15 @@ from conftest import (
     embedded_lens,
     equilateral,
     gap_fixture,
+    indicator_decomposition,
+    indicator_volume_identity,
     random_h1,
     tetrahedron,
 )
 
 from test_intersect import two_unit_circles  # noqa: F401  (fixture source)
 from test_variation import gb_closed_area, perturbed_entries
+from test_volume import printed_lens
 
 
 def elapsed_under(t0, budget, label):
@@ -67,12 +70,9 @@ def test_criterion_01_lens_closed_and_mc():
             r1, r2 = gen.uniform(0.5, 2.0, size=2)
             rho = gen.uniform(abs(r1 - r2) + 0.05, r1 + r2 - 0.05)
             general = lens_volume_closed(n, r1, r2, rho)
-            if n == 2:
-                special = lens_volume_closed(n, r1, r2, rho, method="2d")
-            elif n == 3:
-                special = lens_volume_closed(n, r1, r2, rho, method="3d")
-            else:
+            if n == 4:
                 continue
+            special = printed_lens(n, r1, r2, rho)
             assert abs(general - special) <= 1e-12 * max(1.0, general)
     for n in (2, 3):
         a = embedded_lens(n)
@@ -117,12 +117,12 @@ def test_criterion_05_gap_identity_and_decomposition():
     gap = gap_fixture()
     closed = check_decomposition(gap)
     assert closed.passed and closed.residual <= 1e-9
-    mc = check_decomposition(gap, samples=500_000, rng=Rng(4), method="mc")
+    mc = indicator_decomposition(gap, 500_000, Rng(4))
     assert mc.passed, (mc.residual, mc.tolerance)
     ident = check_theorem_II_i(gap)
     assert ident.passed and ident.residual <= 1e-9
-    ident_mc = check_theorem_II_i(gap, samples=500_000, rng=Rng(5),
-                                  method="mc")
+    ident_mc = indicator_volume_identity(gap, Chamber.all_plus(2), 500_000,
+                                         Rng(5))
     assert ident_mc.passed, (ident_mc.residual, ident_mc.tolerance)
 
 

@@ -135,6 +135,21 @@ def test_evaluate_f_inside_boundary_outside():
         evaluate_f(a, 1, [0.0, 0.0, 0.0])
 
 
+def test_evaluate_f_batch_matches_points():
+    """Points (N, n) give the (N,) array of the per-point floats, bit for
+    bit; other shapes raise."""
+    gen = np.random.default_rng(5)
+    for a in (equilateral(), tetrahedron(), random_h1(gen, 3)):
+        pts = gen.normal(scale=2.0, size=(300, a.n))
+        for j in range(1, a.n + 2):
+            batch = evaluate_f(a, j, pts)
+            assert batch.shape == (300,)
+            assert batch.tolist() == [evaluate_f(a, j, x) for x in pts]
+        for bad in (np.zeros((2, 2, a.n)), np.zeros((4, a.n + 1)), 1.0):
+            with pytest.raises(ValueError):
+                evaluate_f(a, 1, bad)
+
+
 def test_chamber_string_round_trip():
     c = Chamber.from_string("--+")
     assert c.signs == (-1, -1, 1)

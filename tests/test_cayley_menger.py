@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 import sphex as sx
-from sphex.cayley_menger import (
-    CMKey,
-    CMTable,
-    _det_lu,
-    cm,
-    cm_chain,
-    hadamard_scale,
-)
+from sphex.cayley_menger import CMTable, _det_lu, hadamard_scale
 from conftest import equilateral, random_h1, tetrahedron
 
 
@@ -111,28 +104,17 @@ def test_transposition_symmetry():
         t.chain(("0", 3, 1, 2), ("0", "*", 1, 2)), rel=1e-12)
 
 
-def test_cmkey_rejects_mixed_headers():
-    with pytest.raises(ValueError):
-        CMKey("0*", "0", (1, 2), (1, 2))
-    with pytest.raises(ValueError):
-        CMKey("*", "0*", (1,), (1,))
-
-
 def test_cm_printed_shapes(tri):
     t = table_of(tri)
-    key = CMKey("0", "0", (1, 2, 3), (1, 2, 3))
-    assert cm(t, key) == pytest.approx(-15.1875, abs=1e-10)
-    key = CMKey("0*", "0*", (1, 2), (1, 2))
-    assert cm(t, key) == pytest.approx(
-        t.chain(("0", "*", 1, 2), ("0", "*", 1, 2)), rel=1e-12)
-    key = CMKey("*", "0", (1, 2), (1, 2))
+    assert t.chain(("0", 1, 2, 3), ("0", 1, 2, 3)) == pytest.approx(
+        -15.1875, abs=1e-10)
+    want = np.linalg.det(brute_matrix(tri, ("0", "*", 1, 2),
+                                      ("0", "*", 1, 2)))
+    assert t.chain(("0", "*", 1, 2), ("0", "*", 1, 2)) == pytest.approx(
+        want, rel=1e-10, abs=1e-10)
     want = np.linalg.det(brute_matrix(tri, ("*", 1, 2), ("0", 1, 2)))
-    assert cm(t, key) == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-
-def test_cm_chain_function(tri):
-    assert cm_chain(table_of(tri), ("0", 1, 2, 3), ("0", 1, 2, 3)) == \
-        pytest.approx(-15.1875, abs=1e-10)
+    assert t.chain(("*", 1, 2), ("0", 1, 2)) == pytest.approx(
+        want, rel=1e-10, abs=1e-10)
 
 
 def test_hadamard_scale_positive(tri):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -451,10 +452,9 @@ def test_embedded_lens_values_through_cli(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    """scipy is a test extra (the quadrature cross-check imports it on
-    demand), so a cold `import sphex` must not load it; the Gauss-Legendre
-    nodes of the face quadrature are built on first use without
-    numpy.polynomial."""
+    """scipy is a test extra, so a cold `import sphex` must not load it;
+    the Gauss-Legendre nodes of the face quadrature are built on first
+    use without numpy.polynomial."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphex.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, sphex; "
@@ -462,3 +462,13 @@ def test_import_loads_no_scipy():
             "2 if 'numpy.polynomial' in sys.modules else 0)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+def test_package_source_does_not_mention_scipy():
+    """scipy serves the tests as an oracle only: no module of the
+    package imports it, not even on demand."""
+    pkg = os.path.dirname(os.path.abspath(sphex.__file__))
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                assert not re.search(r"\bscipy\b", fh.read()), name

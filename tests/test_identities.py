@@ -23,6 +23,8 @@ from sphex.identities import (
 from sphex.volume import Rng, pseudo_triangle_area_closed
 from conftest import (
     equilateral,
+    indicator_decomposition,
+    indicator_volume_identity,
     jitter_arrangement,
     random_h1,
     random_h1_prime,
@@ -112,7 +114,7 @@ def test_theorem_II_i_gap(gap):
     rep = check_theorem_II_i(gap)
     assert rep.passed
     assert rep.residual <= 1e-12
-    mc = check_theorem_II_i(gap, samples=300_000, rng=Rng(2), method="mc")
+    mc = indicator_volume_identity(gap, Chamber.all_plus(2), 300_000, Rng(2))
     assert mc.passed
 
 
@@ -138,7 +140,7 @@ def test_decomposition_closure(gap):
 
 
 def test_decomposition_mc(gap):
-    rep = check_decomposition(gap, samples=250_000, rng=Rng(3), method="mc")
+    rep = indicator_decomposition(gap, 250_000, Rng(3))
     assert rep.passed
 
 

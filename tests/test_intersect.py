@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from sphex.intersect import (
     triangle_angles,
     vertices,
 )
-from conftest import random_h1
+from conftest import random_h1, tetrahedron
 
 
 def two_unit_circles():
@@ -219,3 +220,24 @@ def test_sphere_circle_lies_on_sphere_and_plane():
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
             u = m.normals[j - 1]
             assert u @ x + m.offset(j) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_hull_rank_is_scale_free():
+    """Scaled copies of the tetrahedron (edge 1.5, r = 1), 1e-15 to 1e15,
+    get the same H1/H1'/H2 verdicts and the same radius / s of every S_J:
+    the rank test of the radical hyperplanes is relative to their largest
+    singular value."""
+    base = tetrahedron()
+    Js = [J for p in range(1, 4) for J in itertools.combinations(range(1, 5), p)]
+    rep = sx.check_hypotheses(base)
+    want = (rep.h1, rep.h1_prime, rep.h2)
+    assert None not in want
+    radii = [intersection_sphere(base, J).radius for J in Js]
+    for k in range(-15, 16):
+        s = 10.0 ** k
+        a = sx.from_centers_radii(base.centers * s, base.radii * s)
+        rep = sx.check_hypotheses(a)
+        assert (rep.h1, rep.h1_prime, rep.h2) == want, s
+        for J, r in zip(Js, radii):
+            assert intersection_sphere(a, J).radius / s == pytest.approx(
+                r, rel=1e-9), (s, J)

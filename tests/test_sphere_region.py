@@ -12,6 +12,8 @@ from sphex.cayley_menger import CMTable, ConfigMatrix
 from sphex import volume
 from sphex.volume import (
     BLOCK,
+    EXACT_METHODS,
+    METHODS,
     QUAD_NODES,
     QUAD_TOL,
     Rng,
@@ -369,17 +371,33 @@ def test_vertex_counts_match_indicator_oracle():
 
 
 def test_volume_estimate_method():
-    assert VolumeEstimate(1.0, 0.0, 0, exact=True).method == "closed"
-    assert VolumeEstimate(1.0, 0.1, 10).method == "mc"
-    assert VolumeEstimate(1.0, 0.1, 10, False, "conditional-mc").method == \
+    assert VolumeEstimate(1.0, 0.1, 10, "conditional-mc").method == \
         "conditional-mc"
     with pytest.raises(ValueError):
-        VolumeEstimate(1.0, 0.0, 0, True, "guess")
+        VolumeEstimate(1.0, 0.0, 0, "guess")
     tri = equilateral()
     assert face_volume(tri, Chamber.all_minus(2), (1,)).method == "closed"
     assert sx.chamber_volume(tri, Chamber.all_minus(2)).method == "closed"
     est = sx.chamber_volume(tetrahedron(), Chamber.all_minus(3), 1000, Rng(1))
     assert est.method == "conditional-mc"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_volume_estimate_exact_follows_method(method):
+    est = VolumeEstimate(1.0, 0.0, 0, method)
+    assert est.exact == (method in EXACT_METHODS)
+    assert est.exact == (method not in ("mc", "conditional-mc"))
+
+
+def test_volume_estimate_rejects_inconsistent_fields():
+    for method in EXACT_METHODS:
+        with pytest.raises(ValueError):
+            VolumeEstimate(1.0, 0.1, 10, method)
+    for method in ("mc", "conditional-mc"):
+        assert VolumeEstimate(1.0, 0.1, 10, method).std_error == 0.1
+    for method in ("guess", None, "exact"):
+        with pytest.raises(ValueError):
+            VolumeEstimate(1.0, 0.0, 0, method)
 
 
 def test_closed_form_fallbacks_name_their_reason():
