@@ -12,13 +12,13 @@ rows.  The entry rule is symmetric:
     ("0", "*") -> 1      ("*", "*") -> 0      (j, k)   -> rho_jk^2  (0 if j = k)
 
 `CMTable` holds the determinants of one arrangement (or parameter
-vector) object, which stores it on first use, and memoizes raw chain
-pairs over canonical keys (index order sorted, transpose normalized,
-the permutation sign applied on lookup).  A small pure-Python LU
-evaluates them.  `CMTable.chain` is the one evaluator: it accepts any
-square pair of chains, the printed shapes B(0 J; 0 K) and B(0*J; 0*K)
-as well as the mixed ones of the one-form coefficients and the vertex
-value formulas.
+vector) object, which stores it on first use.  `CMTable.chain` is the
+one evaluator: it accepts any square pair of chains, with tokens in any
+order, the printed shapes B(0 J; 0 K) and B(0*J; 0*K) as well as the
+mixed ones of the one-form coefficients and the vertex value formulas.
+It memoizes each (rows, cols) pair exactly as called, and a small
+pure-Python LU evaluates the matrix in that order, so a permuted or
+transposed chain agrees with the sign rule to rounding, not bit for bit.
 
 The module also builds the configuration matrix of an arrangement whose
 last sphere is the unit sphere at the origin: each other sphere is cut
@@ -38,39 +38,6 @@ from .errors import DegenerateConfigError, NonRealizableError
 
 #: pivot magnitudes below this fraction of the entry scale set a warning flag
 PIVOT_WARN = 1e-12
-
-
-def _perm_sign(seq):
-    """Sign of the permutation sorting `seq` (distinct ints)."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
-def _split_chain(chain):
-    """Separate leading header tokens from index tokens.
-
-    Headers may appear only before the first index.  Returns
-    (headers, indices).
-    """
-    head = []
-    idx = []
-    for t in chain:
-        if isinstance(t, str):
-            if t not in ("0", "*"):
-                raise ValueError(f"unknown chain token {t!r}")
-            if idx:
-                raise ValueError("header tokens must precede index tokens")
-            head.append(t)
-        else:
-            idx.append(int(t))
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"repeated index in chain {chain!r}")
-    return tuple(head), tuple(idx)
 
 
 def _det_lu(M):
@@ -119,19 +86,19 @@ class CMTable:
     """Memoized determinant evaluator for one set of squared parameters.
 
     `from_arrangement` / `from_params` return the one table of a frozen
-    object, built on first use and stored on it.  `chain` looks up the
-    raw (rows, cols) pair as given and validates only on a miss, so
-    invalid chains raise on every call.  The caches hold pure values, so
-    concurrent callers inserting the same key are harmless.  Keys whose
-    LU met a degraded pivot are collected in `pivot_warnings`.  `scale`
-    is the largest squared radius or distance (see `hadamard_scale`).
+    object, built on first use and stored on it.  `chain` memoizes the
+    (rows, cols) pair as given and validates only on a miss, so invalid
+    chains raise on every call.  The memo holds pure values, so
+    concurrent callers inserting the same key are harmless.  Pairs whose
+    LU met a degraded pivot are collected, as called, in
+    `pivot_warnings`.  `scale` is the largest squared radius or distance
+    (see `hadamard_scale`).
     """
 
     n: int
     radii_sq: np.ndarray  # shape (n+2,), entry 0 unused
     dist_sq: np.ndarray   # shape (n+2, n+2), entry [j, k] = rho_jk^2
 
-    _cache: dict = field(default_factory=dict, repr=False)
     _raw: dict = field(default_factory=dict, repr=False)
     pivot_warnings: set = field(default_factory=set, repr=False)
 
@@ -171,37 +138,32 @@ class CMTable:
 
     def chain(self, rows, cols):
         """Determinant for an arbitrary square pair of chains."""
-        raw = (tuple(rows), tuple(cols))
-        value = self._raw.get(raw)
+        key = (tuple(rows), tuple(cols))
+        value = self._raw.get(key)
         if value is not None:
             return value
-        rh, ri = _split_chain(rows)
-        ch, ci = _split_chain(cols)
-        if len(rh) + len(ri) != len(ch) + len(ci):
+        rows, cols = key
+        if len(rows) != len(cols):
             raise ValueError("row and column chains must have equal length")
-        for t in ri + ci:
-            if not 1 <= t <= self.n + 1:
-                raise ValueError(f"sphere index {t} out of range 1..{self.n + 1}")
-        sign = _perm_sign(ri) * _perm_sign(ci)
-        rkey = (rh, tuple(sorted(ri)))
-        ckey = (ch, tuple(sorted(ci)))
-        key = (rkey, ckey) if rkey <= ckey else (ckey, rkey)  # transpose symmetry
-        det = self._cache.get(key)
-        if det is None:
-            chain_r = key[0][0] + key[0][1]
-            chain_c = key[1][0] + key[1][1]
-            e = self._entries
-            det, degraded = _det_lu([[e[x, y] for y in chain_c] for x in chain_r])
-            self._cache[key] = det
-            if degraded:
-                self.pivot_warnings.add(key)
-        value = self._raw[raw] = sign * det
+        for c in key:
+            idx = [t for t in c if not isinstance(t, str)]
+            if len(set(idx)) != len(idx):
+                raise ValueError(f"repeated index in chain {c!r}")
+        e = self._entries
+        try:
+            M = [[e[x, y] for y in cols] for x in rows]
+        except KeyError as err:
+            raise ValueError(f"no entry for tokens {err.args[0]!r}: a token is "
+                             f"'0', '*' or a sphere index 1..{self.n + 1}") from None
+        value, degraded = _det_lu(M)
+        self._raw[key] = value
+        if degraded:
+            self.pivot_warnings.add(key)
         return value
 
     def flagged(self) -> list:
         """`pivot_warnings` as sorted chains, like "B(0 1 2; 0 1 2)"."""
-        return sorted("B(%s; %s)" % tuple(" ".join(map(str, h + i))
-                                           for h, i in key)
+        return sorted("B(%s; %s)" % tuple(" ".join(map(str, c)) for c in key)
                       for key in self.pivot_warnings)
 
 
@@ -322,11 +284,8 @@ def config_minor(m: ConfigMatrix, J, with_zero: bool = False) -> float:
     `J` holds 1-based sphere labels; `with_zero` prepends the
     distinguished index 0.  An empty J with `with_zero` gives -1.
     """
-    J = tuple(J)
-    rows = ((0,) if with_zero else ()) + J
-    if not rows:
-        return 1.0
-    return float(np.linalg.det(m.matrix[np.ix_(rows, rows)]))
+    rows = ((0,) if with_zero else ()) + tuple(J)
+    return config_minor_pair(m, rows, rows)
 
 
 def config_minor_pair(m: ConfigMatrix, rows, cols) -> float:

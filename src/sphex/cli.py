@@ -30,11 +30,9 @@ from .arrangement import (
 from .cayley_menger import config_matrix
 from .errors import (
     DegenerateConfigError,
-    EmptyIntersectionError,
     FdNoiseError,
     HypothesisError,
     IndeterminateSignError,
-    NonRealizableError,
     SphexError,
 )
 from .identities import (
@@ -46,7 +44,12 @@ from .identities import (
     check_theorem_I_i,
     check_theorem_II_i,
 )
-from .variation import config_basis, param_basis, verify_variation_fd
+from .variation import (
+    _param_name,
+    config_basis,
+    param_basis,
+    verify_variation_fd,
+)
 from .volume import Rng, chamber_volume
 
 SCHEMA = "sphex/1"
@@ -102,23 +105,30 @@ def _check_args(args):
         raise ValueError("--points must be at least 1")
 
 
-def parse_param_token(tok: str, model: str):
-    """Parse 'r1' / 'd12' / 'd1,3' (euclidean) or 'a01' / 'a12' tokens."""
-    tok = tok.strip()
-    one, two = ("r", "d") if model == "euclidean" else ("a0", "a")
-    try:
-        if tok.startswith(one):
-            return (one, int(tok[len(one):]))
-        if tok.startswith(two):
-            body = tok[len(two):]
-            if "," in body:
-                j, k = (int(t) for t in body.split(","))
-            else:
-                j, k = int(body[0]), int(body[1])
-            return (two, min(j, k), max(j, k))
-    except (ValueError, IndexError):
-        pass
-    raise ValueError(f"cannot parse parameter token {tok!r}")
+def _param_keys(spec: str, basis) -> list:
+    """The basis keys a --params list names: 'r1,d12', 'a01,a12', 'r1,d1,3'.
+
+    A key goes by its report name (`r1`, `d12`, `a01`, `a12`) or, for two
+    indices, with a comma between them (`d1,3`).
+    """
+    names = {}
+    for key in basis:
+        names[_param_name(key)] = key
+        if len(key) == 3:
+            names[f"{key[0]}{key[1]},{key[2]}"] = key
+    tokens = []
+    for tok in spec.split(","):
+        tok = tok.strip()
+        if tok.isdigit() and tokens:
+            tokens[-1] += "," + tok  # the second index of a `d1,3` name
+        else:
+            tokens.append(tok)
+    for tok in tokens:
+        if tok not in names:
+            valid = ", ".join(_param_name(k) for k in basis)
+            raise ValueError(f"unknown parameter {tok!r}; valid names: {valid}"
+                             " (a comma may separate two indices)")
+    return [names[tok] for tok in tokens]
 
 
 def _chamber_for(args, n: int) -> Chamber:
@@ -259,7 +269,7 @@ def cmd_variation(args):
         keys = config_basis(m.n)
         target = m
     if args.params != "all":
-        keys = [parse_param_token(t, args.model) for t in args.params.split(",")]
+        keys = _param_keys(args.params, keys)
     for i, key in enumerate(keys):
         try:
             rep = verify_variation_fd(args.model, target, c, key, args.eps,
@@ -269,7 +279,7 @@ def cmd_variation(args):
         except FdNoiseError as e:
             saw_noise = True
             rows.append({
-                "parameter": "".join(str(t) for t in key),
+                "parameter": _param_name(key),
                 "error": str(e),
             })
     payload = {
@@ -434,10 +444,6 @@ def main(argv=None) -> int:
     except IndeterminateSignError as e:
         _emit(fmt, out, _error_payload(args, e))
         return 3
-    except (NonRealizableError, DegenerateConfigError, EmptyIntersectionError,
-            FdNoiseError) as e:
-        _emit(fmt, out, _error_payload(args, e))
-        return 4
     except SphexError as e:
         _emit(fmt, out, _error_payload(args, e))
         return 4

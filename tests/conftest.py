@@ -33,6 +33,13 @@ def tetrahedron(radius: float = 1.0, side: float = SIDE):
     return sx.from_centers_radii(c, [radius] * 4)
 
 
+def regular_simplex4(side=SIDE):
+    """Centers of the regular 4-simplex with edge `side`."""
+    s = side / math.sqrt(2.0)
+    t = s * (1.0 - math.sqrt(5.0)) / 4.0
+    return np.vstack([np.eye(4) * s, np.full(4, t)])
+
+
 def lens_trio():
     """Two unit circles at distance 1 plus a third that shaves a sliver.
 
@@ -68,8 +75,9 @@ def gap_fixture(radius: float = 0.8):
 
 def jitter_arrangement(gen, n: int = 2, center_scale: float = 0.12,
                        radius_scale: float = 0.08):
-    base = equilateral() if n == 2 else tetrahedron()
-    c = base.centers + gen.normal(scale=center_scale, size=base.centers.shape)
+    base = {2: equilateral().centers, 3: tetrahedron().centers,
+            4: regular_simplex4()}[n]
+    c = base + gen.normal(scale=center_scale, size=base.shape)
     r = np.abs(1.0 + gen.normal(scale=radius_scale, size=n + 1))
     return sx.from_centers_radii(c, r)
 

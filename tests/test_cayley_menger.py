@@ -274,21 +274,80 @@ def test_one_table_per_object(tri):
     assert CMTable.from_params(q) is not CMTable.from_params(p)
 
 
-def test_memoised_permuted_chain_keeps_sign():
-    gen = np.random.default_rng(7)
-    t = table_of(random_h1(gen, n=3))
-    base = t.chain(("0", 1, 2, 3), ("0", 1, 2, 3))
-    for _ in range(2):
-        assert t.chain(("0", 2, 1, 3), ("0", 1, 2, 3)) == -base
-        assert t.chain(("0", 1, 2, 3), ("0", 3, 2, 1)) == -base
-        assert t.chain(("0", 3, 1, 2), ("0", 2, 3, 1)) == base
+def _parity(perm):
+    """Sign of a permutation of range(len(perm)), by counting inversions."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def _sorted_pairs(gen, n):
+    """(rows, cols) pairs in sorted order, one random J per size |J|:
+    B(0J), B(0*J) and the mixed B(*J; 0J) and B(0*J; 0kJ)."""
+    m = n + 1
+    for p in range(1, m + 1):
+        J = tuple(sorted(gen.choice(np.arange(1, m + 1), p, replace=False)
+                         .tolist()))
+        yield ("0",) + J, ("0",) + J
+        yield ("0", "*") + J, ("0", "*") + J
+        yield ("*",) + J, ("0",) + J
+        rest = [k for k in range(1, m + 1) if k not in J]
+        if rest:
+            yield ("0", "*") + J, ("0", rest[0]) + J
+
+
+#: permuted B(0 1 2 3) chains and their sign against the sorted pair
+_ORDERINGS = [
+    (("0", 2, 1, 3), ("0", 1, 2, 3), -1),
+    (("0", 1, 2, 3), ("0", 3, 2, 1), -1),
+    (("0", 3, 1, 2), ("0", 2, 3, 1), 1),
+    ((1, "0", 2, 3), ("0", 1, 2, 3), -1),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_permuted_chain_follows_sign_rule(n):
+    """The memo keys chains as called and the LU runs in that order, so a
+    permuted or transposed chain is sign x the sorted one to rounding,
+    and a repeated call returns the stored float."""
+    gen = np.random.default_rng(40 + n)
+    for _ in range(4):
+        a = random_h1(gen, n=n)
+        t = table_of(a)
+        cases = []
+        for rows, cols in _sorted_pairs(gen, n):
+            for _ in range(3):
+                pr = gen.permutation(len(rows))
+                pc = gen.permutation(len(cols))
+                cases.append((rows, cols, tuple(rows[i] for i in pr),
+                              tuple(cols[i] for i in pc),
+                              _parity(pr) * _parity(pc)))
+        cases += [(("0", 1, 2, 3), ("0", 1, 2, 3)) + o for o in _ORDERINGS]
+        for rows, cols, r, c, sign in cases:
+            want = sign * t.chain(rows, cols)
+            got, got_t = t.chain(r, c), t.chain(c, r)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert got_t == pytest.approx(want, rel=1e-12)
+            assert t.chain(r, c) == got and t.chain(c, r) == got_t
+        assert t.flagged() == []
+
+        # centers 1 and 2 1e-7 apart: every B(0 1 2) ordering is degraded
+        centers = a.centers.copy()
+        centers[1] = centers[0] + 1e-7
+        t = table_of(sx.from_centers_radii(centers, a.radii))
+        t.chain(("0", 2, 1), ("0", 1, 2))
+        t.chain((1, 2, "0"), (2, "0", 1))
+        assert t.flagged() == ["B(0 2 1; 0 1 2)", "B(1 2 0; 2 0 1)"]
 
 
 @pytest.mark.parametrize("rows, cols", [
     (("0", 1, 1), ("0", 1, 2)),      # repeated index
     (("0", 1, 4), ("0", 1, 2)),      # index out of range
     (("0", 1), ("0", 1, 2)),         # unequal lengths
-    ((1, "0"), (1, "0")),            # header after an index
+    (("0", 0), ("0", 1)),            # index below range
     (("x", 1), ("0", 1)),            # unknown token
 ])
 def test_bad_chain_raises_on_every_call(tri, rows, cols):
@@ -296,3 +355,8 @@ def test_bad_chain_raises_on_every_call(tri, rows, cols):
     for _ in range(2):
         with pytest.raises(ValueError):
             t.chain(rows, cols)
+
+
+def test_border_token_may_follow_an_index(tri):
+    t = table_of(tri)
+    assert t.chain((1, "0"), (1, "0")) == t.chain(("0", 1), ("0", 1))

@@ -351,6 +351,22 @@ def test_variation_selected_params(tri_file, capsys):
     assert all(r["pass"] for r in payload["rows"])
 
 
+def test_variation_comma_form_params(tri_file, capsys):
+    code, out, _ = run(capsys, ["variation", "--input", tri_file,
+                                "--params", "r1,d1,3", "--eps", "1e-5"])
+    assert code == 0
+    assert [r["parameter"] for r in json.loads(out)["rows"]] == ["r1", "d13"]
+
+
+@pytest.mark.parametrize("token", ["r12", "d14", "d11", "r0", "d123"])
+def test_variation_unknown_param_exits_1(tri_file, capsys, token):
+    code, out, err = run(capsys, ["variation", "--input", tri_file,
+                                  "--params", token, "--eps", "1e-5"])
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert repr(token) in err and "r1, r2, r3, d12, d13, d23" in err
+
+
 def test_variation_all_params(tri_file, capsys):
     code, out, _ = run(capsys, ["variation", "--input", tri_file,
                                 "--eps", "1e-5"])

@@ -33,7 +33,8 @@ from sphex.volume import (
     sphere_region_area_mc,
     unit_sphere_area,
 )
-from conftest import equilateral, random_h1, random_h1_prime, tetrahedron
+from conftest import (equilateral, random_h1, random_h1_prime,
+                      regular_simplex4, tetrahedron)
 
 Z = 5.0
 GRID = 400_000
@@ -271,12 +272,6 @@ def test_faces_of_random_n3_draws_match_indicator():
         for signs in ("----", "-+-+", "+--+"):
             assert_faces_match_oracle(a, Chamber.from_string(signs), 20_000,
                                       100_000, 40 + i)
-
-
-def regular_simplex4(side=1.5):
-    s = side / math.sqrt(2.0)
-    t = s * (1.0 - math.sqrt(5.0)) / 4.0
-    return np.vstack([np.eye(4) * s, np.full(4, t)])
 
 
 def test_faces_of_random_n4_draws_match_indicator():
