@@ -37,6 +37,7 @@ from .errors import DegenerateConfigError, HypothesisError
 from .intersect import intersection_sphere, sphere_angle, vertices
 from .volume import (
     Rng,
+    _require_gap,
     _sqrt_starred,
     chamber_volume,
     decomposition_cell_coefficient,
@@ -158,8 +159,9 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
 
 def check_theorem_II_i(a, samples: int = 1_000_000,
                        rng: "Rng | None" = None) -> IdentityReport:
-    """The all-plus (gap chamber) volume identity; needs H1'."""
-    require_hypothesis(a, "h1_prime", "theorem II does not apply")
+    """The all-plus (gap chamber) volume identity; needs H1' and, at
+    n = 2, positive gap arcs."""
+    _require_gap(a, "theorem II does not apply")
     rng = rng if rng is not None else Rng(0)
     return _check_volume_identity("theorem_II_i", a, Chamber.all_plus(a.n),
                                   samples, rng)
@@ -170,9 +172,10 @@ def check_decomposition(a, samples: int = 1_000_000,
     """Closure of the cone-cell decomposition of the center simplex.
 
     lhs is the simplex volume; the terms are the cone cells over every
-    face of the gap chamber plus the gap chamber itself.  Needs H1'.
+    face of the gap chamber plus the gap chamber itself.  Needs H1' and,
+    at n = 2, positive gap arcs.
     """
-    require_hypothesis(a, "h1_prime", "the decomposition does not apply")
+    _require_gap(a, "the decomposition does not apply")
     rng = rng if rng is not None else Rng(0)
     lhs = simplex_volume(a)
     c = Chamber.all_plus(a.n)

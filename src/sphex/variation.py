@@ -263,32 +263,49 @@ def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
     otherwise, and the determinant term carries -1/(n-1)! (all-minus),
     -(-1)^{#plus}/(n-1)! (mixed), or +(-1)^(n+1)/(n-1)! (all-plus).
     Face volumes come from the volume module unless supplied in
-    `face_values`.
+    `face_values`; face J (in order of size, then index) draws from
+    `rng.substream(position of J)`.
     """
     if isinstance(a, ParamVector):
         a = from_params(a, a.n)
-    n = a.n
     rng = rng if rng is not None else Rng(0)
+    return _dB_form(a, c, param_basis(a.n), samples, rng, face_values)[0]
+
+
+def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng,
+             face_values: "dict | None" = None):
+    """`dB_volume_form` on the basis `keys`, and each coefficient's
+    standard error sqrt(sum_J (w_J theta_J[key] sigma_J)^2).  Face J is
+    measured (on its usual stream) only if theta_J has an entry on `keys`.
+    """
+    n = a.n
     table = CMTable.from_arrangement(a)
     params = params_of(a)
     vol_coefs, vol_full = volume_identity_coefficients(table, n, c)
-    out = {}
-    stream = 0
-    for J in sorted(vol_coefs, key=lambda t: (len(t), t)):
-        p = len(J)
+
+    def wanted(J) -> dict:
+        return {key: v for key, v in _theta_dict(table, params, J).items()
+                if key in keys}
+
+    out, var = {}, {}
+    for stream, J in enumerate(sorted(vol_coefs, key=lambda t: (len(t), t))):
+        th = wanted(J)
+        if not th:
+            continue
         if face_values is not None and J in face_values:
-            vJ = float(face_values[J])
+            vJ, sJ = float(face_values[J]), 0.0
         else:
-            vJ = face_volume(a, c, J, samples, rng.substream(stream)).value
-        stream += 1
+            est = face_volume(a, c, J, samples, rng.substream(stream))
+            vJ, sJ = est.value, est.std_error
         # relative to the volume identity, every coefficient of the
         # differential differs by exactly (-1)^p, in all chamber cases,
         # the determinant term (p = n + 1) included
-        w = vol_coefs[J] * (-1) ** p
-        _add(out, _theta_dict(table, params, J), w * vJ)
-    N = tuple(range(1, n + 2))
-    _add(out, _theta_dict(table, params, N), vol_full * (-1) ** (n + 1))
-    return OneForm.from_dict(param_basis(n), out)
+        w = vol_coefs[J] * (-1) ** len(J)
+        _add(out, th, w * vJ)
+        _add(var, {key: v * v for key, v in th.items()}, (w * sJ) ** 2)
+    _add(out, wanted(tuple(range(1, n + 2))), vol_full * (-1) ** (n + 1))
+    return (OneForm.from_dict(keys, out),
+            {key: math.sqrt(var.get(key, 0.0)) for key in keys})
 
 
 def dA_volume_form_theorem_III(m: ConfigMatrix,
@@ -389,11 +406,6 @@ def _param_name(key) -> str:
     return f"a{key[1]}{key[2]}"
 
 
-def _perturbed_params(params: ParamVector, key, eps: float):
-    return (params.with_entry(key, params.get(key) + eps),
-            params.with_entry(key, params.get(key) - eps))
-
-
 def _chord_fd(ap: Arrangement, am: Arrangement, c: Chamber, samples: int,
               rng: Rng, eps: float):
     """Central difference of paired chord lengths.
@@ -436,13 +448,17 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     """Central finite difference of a volume against the one-form.
 
     model "euclidean": `a` is an Arrangement (or ParamVector), `c` a
-    Chamber, `param` a squared-parameter key.  For n = 2 the difference
-    of the closed-form areas is checked to 1e-6 ("closed").  Otherwise,
-    and when an n = 2 closed form raises (named in `fallback_reason`),
-    both perturbed chambers are scored on the same `samples` random
-    lines by their exact chord lengths ("conditional-mc"), with tolerance
-    max(3 sigma, 1e-4 |coefficient|); FdNoiseError if no line's chord
-    changed or sigma exceeds the difference.
+    Chamber, `param` a squared-parameter key.  The coefficient is that of
+    `dB_volume_form` on `rng.substream(1)`, from the faces whose theta_J
+    carries `param` alone (at n = 3 one face for r_j, one arc and two
+    vertex counts for d_jk).  For n = 2 the difference of the closed-form
+    areas is checked to 1e-6 ("closed").  Otherwise, and when an n = 2
+    closed form raises (named in `fallback_reason`), both perturbed
+    chambers are scored on the same `samples` random lines by their
+    exact chord lengths ("conditional-mc"), with tolerance max(3 hypot(
+    sigma, sigma_coef), 1e-4 |coefficient|), sigma_coef from the sampled
+    faces (0 up to n = 3); FdNoiseError if no line's chord changed or
+    sigma exceeds the difference.
     model "unit-sphere": `a` is a ConfigMatrix, `c` is ignored, `param`
     an entry key.  The two region areas are exact quadratures for n = 3
     ("quadrature", sigma 0; tolerance 1e-4 |coefficient|), so the check
@@ -460,12 +476,11 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
         n = params.n
         if eps <= 1e-10 * abs(params.get(param)):
             raise FdNoiseError("step too small relative to the parameter")
-        form = dB_volume_form(from_params(params, n), c, samples,
+        form, errs = _dB_form(from_params(params, n), c, (param,), samples,
                               rng.substream(1))
         coef = form.get(param)
-        pp, pm = _perturbed_params(params, param, eps)
-        ap = from_params(pp, n)
-        am = from_params(pm, n)
+        ap, am = (from_params(params.with_entry(param, x), n) for x in
+                  (params.get(param) + eps, params.get(param) - eps))
         reason = None
         if n == 2:
             try:
@@ -482,7 +497,8 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
                                        eps)
         if changed == 0:
             raise FdNoiseError("step too small: no line's chord changed")
-        return _fd_report(param, fd, sigma, coef, "conditional-mc", reason)
+        return _fd_report(param, fd, sigma, coef, "conditional-mc", reason,
+                          errs[param])
     if model == "unit-sphere":
         m = a
         if not isinstance(m, ConfigMatrix):
@@ -507,12 +523,13 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     raise ValueError(f"unknown model {model!r}")
 
 
-def _fd_report(param, fd, sigma, coef, method, reason):
-    """Report with tolerance max(3 sigma, 1e-4 |coef|), after the noise guard."""
+def _fd_report(param, fd, sigma, coef, method, reason, coef_sigma=0.0):
+    """Report with tolerance max(3 hypot(sigma, coef_sigma), 1e-4 |coef|),
+    after the noise guard on the difference's own sigma."""
     if sigma > abs(fd):
         raise FdNoiseError(
             f"fd noise dominates: sigma {sigma:.3e} vs fd {fd:.3e}")
-    tolerance = max(3.0 * sigma, 1e-4 * abs(coef))
+    tolerance = max(3.0 * math.hypot(sigma, coef_sigma), 1e-4 * abs(coef))
     residual = abs(fd - coef)
     return VariationReport(param, fd, coef, residual, tolerance,
                            residual <= tolerance, method, reason)

@@ -70,18 +70,26 @@ class Rng:
 
     Each (seed, stream) pair is an independent Philox stream; block i of
     a computation always draws from counter offset i * 2^24, so any
-    partition of blocks over workers yields bit-identical results.
+    partition of blocks over workers yields bit-identical results.  An
+    integer stream k keys Philox with (seed, k); `substream(k)` is the
+    stream with path (parent stream, k), keyed by `SeedSequence`.
     """
 
     seed: int
-    stream: int = 0
+    stream: "int | tuple" = 0
 
     def substream(self, stream: int) -> "Rng":
-        return Rng(self.seed, stream)
+        path = self.stream if isinstance(self.stream, tuple) \
+            else (self.stream,)
+        return Rng(self.seed, path + (stream,))
 
     def generator(self, block: int) -> np.random.Generator:
-        key = np.array([self.seed % 2 ** 64, self.stream % 2 ** 64],
-                       dtype=np.uint64)
+        seed = self.seed % 2 ** 64
+        if isinstance(self.stream, tuple):
+            key = np.random.SeedSequence(seed, spawn_key=[
+                k % 2 ** 64 for k in self.stream]).generate_state(2, np.uint64)
+        else:
+            key = np.array([seed, self.stream % 2 ** 64], dtype=np.uint64)
         bit = np.random.Philox(key=key)
         bit.advance(block * _ADVANCE)
         return np.random.Generator(bit)
@@ -883,8 +891,9 @@ def simplex_volume(a) -> float:
 def chamber_area_closed_n2(a, c: Chamber) -> float:
     """Closed-form area of any n = 2 chamber.
 
-    All-minus: the three-arc region.  All-plus (needs H1'): simplex
-    minus the decomposition cells, vertices counted by `face_volume`.
+    All-minus: the three-arc region.  All-plus (needs H1' and a positive
+    gap arc on every circle, `_require_gap`): simplex minus the
+    decomposition cells, vertices counted by `face_volume`.
     One or two minus signs (needs H1): inclusion-exclusion of disk, lens
     and three-arc areas.  Stored on `a` per chamber.
     """
@@ -893,10 +902,21 @@ def chamber_area_closed_n2(a, c: Chamber) -> float:
     return _stored(a, ("area", c.signs), lambda: _area_n2(a, c))
 
 
+def _require_gap(a, what: str):
+    """`require_hypothesis(a, "h1_prime", what)`; at n = 2 also
+    HypothesisError unless every gap arc is positive."""
+    require_hypothesis(a, "h1_prime", what)
+    if a.n == 2:
+        for j, t in chamber_arc_angles(a, Chamber.all_plus(2)).items():
+            if t <= 0.0:
+                raise HypothesisError(
+                    f"gap arc of circle {j} is {t:.3g} <= 0; {what}")
+
+
 def _area_n2(a, c: Chamber) -> float:
     minus = c.minus_set()
     if not minus:
-        require_hypothesis(a, "h1_prime", "bounded gap chamber undefined")
+        _require_gap(a, "bounded gap chamber undefined")
         table = CMTable.from_arrangement(a)
         arcs = chamber_arc_angles(a, c)
         total = simplex_volume(a)

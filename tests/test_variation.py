@@ -35,7 +35,14 @@ from sphex.volume import (
     sphere_arc_lengths,
     sphere_vertex_counts,
 )
-from conftest import equilateral, lens_trio, random_h1, tetrahedron
+from conftest import (
+    equilateral,
+    lens_trio,
+    random_h1,
+    random_h1_prime,
+    regular_simplex4,
+    tetrahedron,
+)
 
 
 def test_basis_contents():
@@ -457,3 +464,78 @@ def test_verify_fd_unit_sphere_fallback_is_named(tetra, monkeypatch):
     assert rep.fallback_reason.startswith("quadrature did not converge")
     assert rep.tolerance > 1e-4 * abs(rep.formula_value)  # 3 sigma, not 0
     assert rep.passed
+
+
+def jittered_gap3(gen):
+    """The regular tetrahedron of radius 0.89 jittered, with H1'."""
+    base = tetrahedron(radius=0.89)
+    while True:
+        a = sx.from_centers_radii(
+            base.centers + gen.normal(scale=0.03, size=(4, 3)),
+            np.abs(0.89 + gen.normal(scale=0.01, size=4)))
+        if sx.check_hypotheses(a, h2="skip").h1_prime is True:
+            return a
+
+
+def test_fd_coefficient_is_the_full_form_entry():
+    """The FD measures only the faces that carry its parameter, and its
+    coefficient is bit-identical to the full one-form's on the same
+    stream, for every key, chamber type and n = 2, 3, 4."""
+    gen = np.random.default_rng(71)
+    cases = []
+    # n = 3 faces are exact, so its samples only steady the chords
+    for n, eps, samples in ((2, 1e-5, 2000), (3, 5e-2, 20_000)):
+        for _ in range(2):
+            a = random_h1(gen, n)
+            cases += [(a, Chamber.all_minus(n), eps, samples),
+                      (a, Chamber.from_string("-" * n + "+"), eps, samples)]
+        gap = random_h1_prime(gen) if n == 2 else jittered_gap3(gen)
+        cases.append((gap, Chamber.all_plus(n), eps, samples))
+    cases.append((sx.from_centers_radii(regular_simplex4(), [1.0] * 5),
+                  Chamber.all_minus(4), 5e-2, 2000))
+    for a, c, eps, samples in cases:
+        n = a.n
+        rng = Rng(3, 7)
+        full = dB_volume_form(from_params(params_of(a), n), c, samples,
+                              rng.substream(1))
+        for key in param_basis(n):
+            rep = verify_variation_fd("euclidean", a, c, key, eps, samples,
+                                      rng)
+            assert rep.formula_value == full.get(key), (n, c, key)
+
+
+def test_fd_measures_only_the_faces_of_its_parameter(tetra, monkeypatch):
+    """At n = 3 an r_j check measures one face (a quadrature), a d_jk
+    check one arc and two vertex counts."""
+    calls = []
+    face_volume = variation.face_volume
+
+    def counted(a, c, J, *args):
+        calls.append(tuple(J))
+        return face_volume(a, c, J, *args)
+
+    monkeypatch.setattr(variation, "face_volume", counted)
+    for key in param_basis(3):
+        calls.clear()
+        verify_variation_fd("euclidean", tetra, Chamber.all_minus(3), key,
+                            1e-2, 2000, Rng(1))
+        if key[0] == "r":
+            assert calls == [(key[1],)]
+        else:
+            j, k = key[1:]
+            assert calls == [(j, k)] + [tuple(sorted((j, k, m)))
+                                        for m in (1, 2, 3, 4)
+                                        if m not in (j, k)]
+
+
+def test_fd_tolerance_counts_the_coefficient_error_n4():
+    """At n = 4 the faces |J| = 1 are sampled, so the tolerance adds the
+    coefficient's standard error to the chords'; the r1 check on the
+    regular 4-simplex passes on every one of 20 seeds."""
+    a = sx.from_centers_radii(regular_simplex4(), [1.0] * 5)
+    c = Chamber.all_minus(4)
+    for seed in range(20):
+        rep = verify_variation_fd("euclidean", a, c, ("r", 1), 1e-2, 20_000,
+                                  Rng(seed))
+        assert rep.method == "conditional-mc"
+        assert rep.passed, (seed, rep.residual, rep.tolerance)

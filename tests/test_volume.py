@@ -131,6 +131,83 @@ def test_rng_determinism():
     assert c.value != a.value
 
 
+def test_rng_substreams_are_paths():
+    """A child stream is the path (parent stream, k), so distinct parents
+    give distinct draws; an integer stream keeps its Philox key (seed, k)."""
+    def draws(rng, block=0):
+        return rng.generator(block).random(4)
+
+    assert Rng(5, 101).substream(2) == Rng(5, (101, 2))
+    assert Rng(5, 101).substream(2).substream(3) == Rng(5, (101, 2, 3))
+    assert np.array_equal(draws(Rng(5, (101, 2))),
+                          draws(Rng(5, 101).substream(2)))
+    distinct = [Rng(5, 101).substream(2), Rng(5, 7).substream(2), Rng(5, 2),
+                Rng(5).substream(2), Rng(6, 101).substream(2),
+                Rng(5, 101).substream(2).substream(0),
+                Rng(5, 2).substream(101)]
+    for x, y in itertools.combinations(distinct, 2):
+        assert not np.array_equal(draws(x), draws(y)), (x, y)
+    for seed, stream, block in ((5, 101, 0), (0, 0, 3), (-1, 7, 1)):
+        bit = np.random.Philox(key=np.array([seed % 2 ** 64, stream],
+                                            dtype=np.uint64))
+        bit.advance(block << 24)
+        assert np.array_equal(draws(Rng(seed, stream), block),
+                              np.random.Generator(bit).random(4))
+
+
+def draw_wide_h1_prime(gen):
+    """A jittered equilateral arrangement wide enough that H1' holds on
+    some draws whose gap arcs are not all positive."""
+    while True:
+        c = equilateral().centers + gen.normal(scale=0.25, size=(3, 2))
+        r = np.abs(0.8 + gen.normal(scale=0.15, size=3))
+        try:
+            a = sx.from_centers_radii(c, r)
+        except ValueError:
+            continue
+        if sx.check_hypotheses(a, h2="skip").h1_prime is True:
+            return a
+
+
+def test_n2_gap_is_refused_or_matches_indicator():
+    """H1' alone does not certify an n = 2 gap: a closed all-plus area is
+    either refused or within 5 sigma of indicator MC (sigma floored at
+    one hit), and every refusal has a gap arc <= 0."""
+    gen = np.random.default_rng(12345)
+    c = Chamber.all_plus(2)
+    samples = 20_000
+    refused = 0
+    for i in range(100):
+        a = draw_wide_h1_prime(gen)
+        arcs = chamber_arc_angles(a, c)
+        try:
+            closed = chamber_area_closed_n2(a, c)
+        except HypothesisError as e:
+            assert "gap arc" in str(e) and min(arcs.values()) <= 0.0, i
+            refused += 1
+            continue
+        assert min(arcs.values()) > 0.0
+        est = chamber_volume_mc(a, c, samples, Rng(1, i), bounding="simplex")
+        box = float(np.prod(a.centers.max(axis=0) - a.centers.min(axis=0)))
+        sigma = max(est.std_error, box / samples)
+        assert abs(est.value - closed) <= 5.0 * sigma, (i, closed, est)
+    assert refused > 0
+
+
+def test_uncertified_n2_gap_is_refused_everywhere():
+    gen = np.random.default_rng(12345)
+    a = draw_wide_h1_prime(gen)
+    while min(chamber_arc_angles(a, Chamber.all_plus(2)).values()) > 0.0:
+        a = draw_wide_h1_prime(gen)
+    for check in (sx.check_theorem_II_i, sx.check_decomposition):
+        with pytest.raises(HypothesisError, match="gap arc"):
+            check(a)
+    est = chamber_volume(a, Chamber.all_plus(2), 2000, Rng(1))
+    assert est.method == "conditional-mc"
+    assert est.fallback_reason.startswith(
+        "closed form unavailable: HypothesisError: gap arc")
+
+
 def test_single_disk_chamber():
     """Circle 1 nested inside two big circles: the all-minus chamber is
     the whole unit disk."""
