@@ -320,12 +320,12 @@ def check_gauss_bonnet_n3(m: ConfigMatrix, samples: int = 1_000_000,
     """Spherical region area against its boundary-integral closed form.
 
     lhs is the area of the region cut by the planes on the unit
-    2-sphere, from `sphere_region_area_mc`: exact by quadrature, or
-    conditional MC with `samples` fibres if the quadrature does not
-    converge.  rhs combines the Euler term 2 pi, the offset-weighted
+    2-sphere, from `sphere_region_area_mc`: exact, by Stokes' theorem
+    over the region's boundary arcs, so `samples` and `rng` are not
+    used.  rhs combines the Euler term 2 pi, the offset-weighted
     boundary arc lengths, and the exterior angles at the vertices, all
     computed exactly from circle geometry.  The tolerance is
-    max(3 std_error, 1e-12).
+    max(3 std_error, 1e-12), which is 1e-12.
     """
     if m.n != 3:
         raise ValueError("this check is specific to n = 3")

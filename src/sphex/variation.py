@@ -36,7 +36,7 @@ from .errors import (
 )
 from .identities import volume_identity_coefficients
 from .volume import (
-    QUAD_TOL,
+    AREA_TOL,
     Rng,
     _closed_form_failed,
     _lens_half_angles,
@@ -253,8 +253,7 @@ def lens_variation_form(n: int, r1: float, r2: float, rho: float) -> OneForm:
 
 
 def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
-                   rng: "Rng | None" = None,
-                   face_values: "dict | None" = None) -> OneForm:
+                   rng: "Rng | None" = None) -> OneForm:
     """Differential of the chamber volume in the squared parameters.
 
     Pairs each face volume with its one-form: the coefficient on
@@ -262,18 +261,16 @@ def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
     where s_J = +1 for the all-minus chamber and (-1)^{|J cap plus|}
     otherwise, and the determinant term carries -1/(n-1)! (all-minus),
     -(-1)^{#plus}/(n-1)! (mixed), or +(-1)^(n+1)/(n-1)! (all-plus).
-    Face volumes come from the volume module unless supplied in
-    `face_values`; face J (in order of size, then index) draws from
-    `rng.substream(position of J)`.
+    Face volumes come from `face_volume`; face J (in order of size, then
+    index) draws from `rng.substream(position of J)`.
     """
     if isinstance(a, ParamVector):
         a = from_params(a, a.n)
     rng = rng if rng is not None else Rng(0)
-    return _dB_form(a, c, param_basis(a.n), samples, rng, face_values)[0]
+    return _dB_form(a, c, param_basis(a.n), samples, rng)[0]
 
 
-def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng,
-             face_values: "dict | None" = None):
+def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
     """`dB_volume_form` on the basis `keys`, and each coefficient's
     standard error sqrt(sum_J (w_J theta_J[key] sigma_J)^2).  Face J is
     measured (on its usual stream) only if theta_J has an entry on `keys`.
@@ -292,11 +289,8 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng,
         th = wanted(J)
         if not th:
             continue
-        if face_values is not None and J in face_values:
-            vJ, sJ = float(face_values[J]), 0.0
-        else:
-            est = face_volume(a, c, J, samples, rng.substream(stream))
-            vJ, sJ = est.value, est.std_error
+        est = face_volume(a, c, J, samples, rng.substream(stream))
+        vJ, sJ = est.value, est.std_error
         # relative to the volume identity, every coefficient of the
         # differential differs by exactly (-1)^p, in all chamber cases,
         # the determinant term (p = n + 1) included
@@ -308,8 +302,7 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng,
             {key: math.sqrt(var.get(key, 0.0)) for key in keys})
 
 
-def dA_volume_form_theorem_III(m: ConfigMatrix,
-                               face_values: "dict | None" = None) -> OneForm:
+def dA_volume_form_theorem_III(m: ConfigMatrix) -> OneForm:
     """Differential of the spherical region area over the entry basis.
 
     Implemented for n = 3, where the face measures are the boundary arc
@@ -318,18 +311,15 @@ def dA_volume_form_theorem_III(m: ConfigMatrix,
     n = m.n
     if n != 3:
         raise ValueError("the restricted variational form is built for n = 3")
-    if face_values is None:
-        arcs = sphere_arc_lengths(m)
-        counts = sphere_vertex_counts(m)
-        face_values = {(j,): arcs[j] for j in arcs}
-        face_values.update({jk: float(cnt) for jk, cnt in counts.items()})
+    faces = {(j,): arc for j, arc in sphere_arc_lengths(m).items()}
+    faces.update(sphere_vertex_counts(m))
     out = {}
     for p in range(1, n):
         for J in itertools.combinations(range(1, n + 1), p):
             minor = config_minor(m, J)
             den = config_minor(m, J, with_zero=True)
             w = (-(-1) ** p * math.factorial(n - p - 1) / math.factorial(n - 2)
-                 * math.sqrt(minor) / den * float(face_values[J]))
+                 * math.sqrt(minor) / den * float(faces[J]))
             _add(out, theta_prime(m, J).as_dict(), w)
     full = tuple(range(1, n + 1))
     den = config_minor(m, full, with_zero=True)
@@ -338,28 +328,22 @@ def dA_volume_form_theorem_III(m: ConfigMatrix,
     return OneForm.from_dict(config_basis(n), out)
 
 
-def dA_volume_form_n3(m: ConfigMatrix,
-                      face_values: "dict | None" = None) -> OneForm:
+def dA_volume_form_n3(m: ConfigMatrix) -> OneForm:
     """The explicit three-circle shape of the restricted variational form.
 
     Independent of the general assembly; used to cross-check it.
     """
     if m.n != 3:
         raise ValueError("explicit shape exists for n = 3 only")
-    if face_values is None:
-        arcs = sphere_arc_lengths(m)
-        face_values = {(j,): arcs[j] for j in arcs}
-        face_values.update({(j, k): 1.0
-                            for j, k in itertools.combinations((1, 2, 3), 2)})
+    arcs = sphere_arc_lengths(m)
     out = {}
     for j in (1, 2, 3):
         _add(out, theta_prime(m, (j,)).as_dict(),
-             float(face_values[(j,)]) / config_minor(m, (j,), with_zero=True))
+             arcs[j] / config_minor(m, (j,), with_zero=True))
     for j, k in itertools.combinations((1, 2, 3), 2):
         _add(out, theta_prime(m, (j, k)).as_dict(),
              -math.sqrt(config_minor(m, (j, k)))
-             / config_minor(m, (j, k), with_zero=True)
-             * float(face_values[(j, k)]))
+             / config_minor(m, (j, k), with_zero=True))
     _add(out, theta_prime(m, (1, 2, 3)).as_dict(),
          -1.0 / math.sqrt(-config_minor(m, (1, 2, 3), with_zero=True)))
     return OneForm.from_dict(config_basis(3), out)
@@ -369,11 +353,11 @@ def dA_volume_form_n3(m: ConfigMatrix,
 class VariationReport:
     """Finite-difference check of one coefficient of a volume one-form.
 
-    `method` says how the difference was obtained: "closed" (n = 2
-    closed-form areas), "quadrature" (exact unit-sphere areas) or
-    "conditional-mc" (paired chord lengths, or a unit-sphere area whose
-    quadrature did not converge).  `fallback_reason` says why the
-    closed form or the quadrature was not used; None when it was.
+    `method` says how the difference was obtained: "closed" (exact
+    areas: n = 2 closed forms, or the unit-sphere areas from their
+    boundary arcs) or "conditional-mc" (paired chord lengths).
+    `fallback_reason` says why an n = 2 closed form was not used; None
+    when it was.
     """
 
     parameter: tuple
@@ -459,13 +443,13 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     sigma, sigma_coef), 1e-4 |coefficient|), sigma_coef from the sampled
     faces (0 up to n = 3); FdNoiseError if no line's chord changed or
     sigma exceeds the difference.
-    model "unit-sphere": `a` is a ConfigMatrix, `c` is ignored, `param`
-    an entry key.  The two region areas are exact quadratures for n = 3
-    ("quadrature", sigma 0; tolerance 1e-4 |coefficient|), so the check
-    measures the central difference's O(eps^2) error, and FdNoiseError
-    is raised when eps is so small that the quadrature's accuracy
-    `QUAD_TOL` / eps exceeds 1e-5 |coefficient|.  `samples` and `rng`
-    serve only an area whose quadrature falls back to conditional MC.
+    model "unit-sphere": `a` is a ConfigMatrix (n = 3), `c` is ignored,
+    `param` an entry key.  The two region areas are exact, from their
+    boundary arcs ("closed", sigma 0; tolerance 1e-4 |coefficient|), so
+    the check measures the central difference's O(eps^2) error, and
+    FdNoiseError is raised when eps is so small that the areas' accuracy
+    `AREA_TOL` / eps exceeds 1e-5 |coefficient|.  `samples` and `rng`
+    are not used.
     """
     rng = rng if rng is not None else Rng(0)
     param = tuple(param)
@@ -509,17 +493,13 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
             raise FdNoiseError("step too small relative to the parameter")
         form = dA_volume_form_theorem_III(m)
         coef = form.get(param)
-        mp = _perturbed_config(m, param, eps)
-        mm = _perturbed_config(m, param, -eps)
-        up = sphere_region_area_mc(mp, samples, rng.substream(2))
-        dn = sphere_region_area_mc(mm, samples, rng.substream(2))
-        fd = (up.value - dn.value) / (2.0 * eps)
-        sigma = math.hypot(up.std_error, dn.std_error) / (2.0 * eps)
-        if sigma == 0.0 and QUAD_TOL / eps > 1e-5 * abs(coef):
-            raise FdNoiseError("step too small for the quadrature's accuracy")
-        method = "quadrature" if up.exact and dn.exact else "conditional-mc"
-        return _fd_report(param, fd, sigma, coef, method,
-                          up.fallback_reason or dn.fallback_reason)
+        if AREA_TOL / eps > 1e-5 * abs(coef):
+            raise FdNoiseError("step too small for the areas' accuracy")
+        up, dn = (sphere_region_area_mc(_perturbed_config(m, param, x),
+                                        samples, rng).value
+                  for x in (eps, -eps))
+        return _fd_report(param, (up - dn) / (2.0 * eps), 0.0, coef,
+                          "closed", None)
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -16,10 +16,10 @@ every barycentric constraint of the center simplex, is affine in the
 unit direction g, so a face is a region {g in S^m : alpha + beta.g >= 0}
 with m = n - |J|.  One kernel, `sphere_region`, measures such a region:
 it counts the two points for m = 0, intersects arcs exactly for m = 1,
-integrates the exact feasible arc length of the circle fibres by
-Gauss-Legendre quadrature over the fibre height for m = 2, and for
-m >= 3 averages that length over random fibres (conditional Monte
-Carlo).  The restricted unit-sphere model's region, arcs and vertices
+sums a one-form over those exact boundary arcs for m = 2 (Stokes'
+theorem gives the area in closed form), and for m >= 3 averages the
+exact feasible arc length of circle fibres over random fibres
+(conditional Monte Carlo).  The restricted unit-sphere model's region, arcs and vertices
 are regions of the same kernel too (`config_face_constraints`).  The
 indicator estimators `chamber_volume_mc` and `face_volume_mc` only
 draw points and test their signs with `evaluate_f`; they stay as the
@@ -39,6 +39,7 @@ membership.  Face estimators restrict to the same bounded component.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -96,12 +97,11 @@ class Rng:
 
 
 #: how a `VolumeEstimate` was obtained: a closed form, an exact count of
-#: points, an exact arc intersection, converged quadrature over circle
-#: fibres, indicator Monte Carlo, or Monte Carlo conditioned on circle
-#: fibres or on lines
-METHODS = ("closed", "count", "arc", "quadrature", "mc", "conditional-mc")
+#: points, an exact arc intersection, indicator Monte Carlo, or Monte
+#: Carlo conditioned on circle fibres or on lines
+METHODS = ("closed", "count", "arc", "mc", "conditional-mc")
 #: the methods whose value is exact
-EXACT_METHODS = METHODS[:4]
+EXACT_METHODS = METHODS[:3]
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,16 @@ class VolumeEstimate:
     """A volume value with its uncertainty bookkeeping.
 
     `method` is one of `METHODS`, and `exact` says whether it is one of
-    `EXACT_METHODS` ("closed", "count", "arc", "quadrature"), whose
-    results carry std_error 0.  For "mc" `std_error` is the
+    `EXACT_METHODS` ("closed", "count", "arc"), whose results carry
+    std_error 0; "closed" covers the closed forms and the m = 2 areas
+    that `sphere_region` takes from their boundary arcs.  For "mc" `std_error` is the
     binomial standard error propagated through the bounding-measure
     factor and `samples` counts points; for "conditional-mc" it is the
     sample standard error of the per-fibre arc lengths (of a face) or of
     the per-line scores (of a chamber, `chamber_volume`), and `samples`
-    counts fibres or lines.  `fallback_reason` says why a cheaper or
-    exact path was not taken (a closed form raised, or the quadrature
-    did not converge); it is None when the first path applied.
+    counts fibres or lines.  `fallback_reason` says why a closed form
+    was not taken (it raised, or its hypothesis failed); it is None when
+    the first path applied.
     """
 
     value: float
@@ -423,29 +424,36 @@ COUNT_TOL = 1e-9
 #: dozen (fibres, K) arrays, so a sub-chunk keeps the working set of a
 #: block no larger than the indicator estimators'
 FIBRE_CHUNK = 4096
-#: Gauss-Legendre nodes k per piece of the m = 2 quadrature; the result
-#: with 2k nodes is kept when it agrees with the k-node one to QUAD_TOL
-QUAD_NODES = 64
-QUAD_TOL = 1e-12
+#: absolute accuracy of an m = 2 area (`_region_area`): random rotations
+#: of the rows move the tests' areas by at most a tenth of it
+AREA_TOL = 1e-12
+#: normalized rows (h, b) of an m = 2 region that agree to this are one
+#: circle, given twice
+SAME_ROW_TOL = 1e-15
 
 
-def _arcs(A, B, phase):
-    """Feasible arcs of circles under constraints A + B cos(t - phase) >= 0.
+def _half_width(A, B):
+    """Half the arc {t : A + B cos t >= 0}: arccos(-A/B), pi when A >= B."""
+    return np.arccos(np.clip(-A / np.maximum(B, 1e-300), -1.0, 1.0))
 
-    A and B (B >= 0) are (N, K): one row per circle, one column per
-    constraint; `phase` is (K,).  Constraint k alone allows the arc
-    [s_k, s_k + w_k) of t with w_k = 2 arccos(-A/B), 2 pi when A >= B.
-    The intersection lies in the narrowest arc r, so it is the window
+
+def _arcs(half, phase):
+    """Feasible arcs of circles on which constraint k allows the t within
+    half_k of phase_k (A + B cos(t - phase) >= 0 has `_half_width(A, B)`).
+
+    `half` is (N, K): one row per circle, one column per constraint;
+    `phase` is (K,), or (N, K) for a phase per row, and broadcasts.
+    Constraint k alone allows the arc [s_k, s_k + w_k) of t with
+    s_k = phase_k - half_k and w_k = 2 half_k.  The intersection lies in the narrowest arc r, so it is the window
     [s_r, s_r + w_r) minus the gap of every arc.  Because w_k >= w_r,
     each gap meets the window in one interval; their starts and ends,
     sorted apart, bound the pieces as in `_line_measure`.  Returns
     (start, length), both (N, K+1): the feasible pieces between the
     merged gaps, some of length 0 (with an arbitrary start).
     """
-    half = np.arccos(np.clip(-A / np.maximum(B, 1e-300), -1.0, 1.0))
     width = 2.0 * half
     start = np.subtract(phase, half)
-    rows = np.arange(len(A))[:, None]
+    rows = np.arange(len(half))[:, None]
     r = width.argmin(axis=1)[:, None]
     s_r, w_r = start[rows, r], width[rows, r]
     # arc k relative to s_r: [sig, sig + w), so its gap is [sig + w - 2pi, sig)
@@ -484,7 +492,7 @@ def _circle_arcs(alpha, beta):
     if not len(alpha):
         return np.zeros(1), np.full(1, TWO_PI)
     amp = np.hypot(beta[:, 0], beta[:, 1])
-    start, length = _arcs(alpha[None, :], amp[None, :],
+    start, length = _arcs(_half_width(alpha, amp)[None, :],
                           np.arctan2(beta[:, 1], beta[:, 0]))
     return start[0], length[0]
 
@@ -517,126 +525,93 @@ def _fibre_lengths(y, alpha, perp, amp, phase):
     out = np.zeros(len(y))
     meets = (A + B > 0.0).all(axis=1)
     if meets.any():
-        out[meets] = _arcs(A[meets], B[meets], phase)[1].sum(axis=1)
+        out[meets] = _arcs(_half_width(A[meets], B[meets]),
+                           phase)[1].sum(axis=1)
     return out
 
 
-def _gauss_legendre(k: int):
-    """Gauss-Legendre nodes and weights on [-1, 1].
-
-    Newton's method on the three-term recurrence of P_k from the
-    asymptotic guesses cos(pi (i - 1/4) / (k + 1/2)); the weights are
-    2 / ((1 - x^2) P_k'(x)^2).  Cheaper at first use, in time and
-    memory, than importing numpy.polynomial.
-    """
-    x = np.cos(math.pi * (np.arange(1, k + 1) - 0.25) / (k + 0.5))
-    for _ in range(100):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, k + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = k * (x * p1 - p0) / (x * x - 1.0)
-        step = p1 / dp
-        x = x - step
-        if np.abs(step).max() < 1e-15:
-            break
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+#: pole candidates of `_region_area` besides +-b_k: the axes and the cube
+#: diagonals (the octant's circles pass through every axis)
+_POLES = np.vstack([np.eye(3), -np.eye(3), np.array(list(
+    itertools.product((1.0, -1.0), repeat=3))) / math.sqrt(3.0)])
 
 
-@functools.lru_cache(maxsize=None)
-def _piece_rule(k: int):
-    """k nodes and weights on [0, 1] for a piece of the fibre integral.
+def _region_area(alpha, beta):
+    """Exact measure of {g in S^2 : alpha_k + beta_k . g >= 0}, binding rows.
 
-    Gauss-Legendre in u after the map s = S(S(u)), S(u) = sin^2(pi u / 2),
-    built on first use.  One S turns the square-root behaviour at the
-    ends of a piece into an analytic one; the second clusters the nodes
-    at the ends like u^4, which resolves a branch point just outside the
-    piece (a tangency height next to a vertex height).
-    """
-    x, w = _gauss_legendre(k)
-    s, sw = 0.5 * (x + 1.0), 0.5 * w
-    for _ in range(2):
-        sw = sw * (0.5 * math.pi) * np.sin(math.pi * s)
-        s = np.sin(0.5 * math.pi * s) ** 2
-    s.flags.writeable = sw.flags.writeable = False  # shared by the cache
-    return s, sw
+    Row k is the cap b_k . g >= h_k (b = beta / |beta|, h = -alpha /
+    |beta|) inside the circle g = h b + rho (cos t u + sin t v), rho =
+    sqrt(1 - h^2), with (u, v, b) right-handed: the region lies on the
+    left as t grows.  With phi the azimuth about a pole N, dA =
+    d((1 - N . g) dphi) on S^2 minus -N, so by Stokes' theorem the area
+    is that one-form summed over the boundary arcs, plus 4 pi when -N
+    is in the region.  On circle k it reads
+    (-h + (h + a0) / (A + B cos(t - tau))) dt, a0 = N . b, A = 1 + h a0,
+    B = rho |(N . u, N . v)|, tau = atan2(N . v, N . u).  As
+    A^2 - B^2 = (h + a0)^2, an arc of length L adds
+    -h L + 2 sgn(h + a0) (Phi(x1) - Phi(x0)), x = (t - tau) / 2, where
+    Phi(x) = x + atan2((kappa - 1) sin x cos x, cos^2 x + kappa sin^2 x),
+    kappa = |h + a0| / (A + B), is the continuous branch of
+    atan(kappa tan x).  N is the axis, cube diagonal or +-b_k whose
+    antipode keeps the largest angle to every circle.
 
-
-def _critical_heights(alpha, proj):
-    """Fibre heights y = g . e3 between which the feasible length is analytic.
-
-    `proj` holds the constraint normals in the fibre frame.  The
-    feasible set of a fibre changes shape only where a boundary circle
-    alpha_k + beta_k . g = 0 touches a fibre plane (an arc appears,
-    vanishes or closes up: the roots of (alpha + y p)^2 = (1 - y^2)
-    amp^2) or where two boundary circles cross at a point of the region;
-    a crossing that another constraint excludes leaves the feasible set
-    of nearby fibres alone, so it is skipped.
-    """
-    b2 = np.einsum("ij,ij->i", proj, proj)
-    amp = np.hypot(proj[:, 0], proj[:, 1])
-    spread = amp * np.sqrt(np.maximum(b2 - alpha * alpha, 0.0)) / b2
-    centre = -alpha * proj[:, 2] / b2
-    i, j = np.triu_indices(len(alpha), 1)
-    n = np.cross(proj[i], proj[j])
-    nn = np.einsum("ij,ij->i", n, n)
-    par = nn <= 1e-24 * b2[i] * b2[j]           # parallel circles never cross
-    nn[par] = 1.0
-    x0 = -(alpha[i, None] * np.cross(proj[j], n)
-           + alpha[j, None] * np.cross(n, proj[i])) / nn[:, None]
-    s2 = (1.0 - np.einsum("ij,ij->i", x0, x0)) / nn
-    ok = ~par & (s2 >= 0.0)
-    s = np.sqrt(np.where(ok, s2, 0.0))[:, None] * n
-    pts = np.concatenate([(x0 + s)[ok], (x0 - s)[ok]])
-    inside = (alpha + pts @ proj.T >= -1e-9 * np.sqrt(b2)).all(axis=1)
-    return np.concatenate([centre - spread, centre + spread,
-                           pts[inside, 2]])
-
-
-def _quadrature_frame(alpha, beta):
-    """Rows e1, e2, e3 with the fibre poles +-e3 far from every boundary circle.
-
-    Near a pole a boundary circle that passes close by sweeps a fibre
-    from one side to the other within a tiny height interval, which no
-    quadrature resolves.  Of the centre direction and the unit normals
-    (a pole at a normal makes that circle's fibres concentric), e3 is
-    the candidate whose poles keep the largest angle to every circle.
+    The arcs are the other rows on each circle, in one `_arcs` call.
+    Products b_j . b_k come from the difference w = b_j - s b_k (s the
+    sign of the product), so nearly coinciding circles keep their
+    crossings, and the two circles of a pair take their half-widths from
+    one value D = rho_k^2 |w_perp|^2 - A_kj^2, the same for both circles
+    up to rounding, so their arcs end at the same points where they
+    nearly touch.  A circle given twice bounds the region once; given
+    with both sides it leaves a region of measure 0.
     """
     norm = np.linalg.norm(beta, axis=1)
-    unit = beta / norm[:, None]
-    radius = np.arccos(np.clip(-alpha / norm, -1.0, 1.0))
-    cand = np.vstack([unit.sum(axis=0), unit])
-    cand_norm = np.linalg.norm(cand, axis=1)
-    ok = cand_norm > 1e-12
-    cand = cand[ok] / cand_norm[ok, None]
-    ang = np.arccos(np.clip(cand @ unit.T, -1.0, 1.0))
-    clear = np.minimum(np.abs(ang - radius),
-                       np.abs(math.pi - ang - radius)).min(axis=1)
-    q, _ = np.linalg.qr(np.column_stack([cand[clear.argmax()], np.eye(3)]))
-    return q.T[[1, 2, 0]]
+    b, h = beta / norm[:, None], -alpha / norm
+    rows = np.column_stack([h, b])
+    dist = np.abs(rows[:, None] - rows).max(axis=2)
+    if (np.abs(rows[:, None] + rows).max(axis=2) <= SAME_ROW_TOL).any():
+        return 0.0
+    keep = ~np.tril(dist <= SAME_ROW_TOL, -1).any(axis=1)
+    b, h = b[keep], h[keep]
+    K = len(h)
+    rho = np.sqrt(1.0 - h * h)
+    u = np.cross(b, np.eye(3)[np.abs(b).argmin(axis=1)])
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(b, u)
+    if K == 1:
+        start, length = np.zeros((1, 1)), np.full((1, 1), TWO_PI)
+    else:
+        s = np.where(b @ b.T < 0.0, -1.0, 1.0)           # [k, j]
+        w = b - s[..., None] * b[:, None]                 # b_j - s b_k
+        # h_k (b_j . b_k) - h_j, with b_j . b_k = s (1 - |w|^2 / 2)
+        A = (s * h[:, None] - h) \
+            - 0.5 * s * h[:, None] * np.einsum("kjx,kjx->kj", w, w)
+        wu = np.einsum("kjx,kx->kj", w, u)
+        wv = np.einsum("kjx,kx->kj", w, v)
+        B = rho[:, None] * np.hypot(wu, wv)
+        D = (B - A) * (B + A)
+        D = 0.5 * (D + D.T)
+        half = np.arctan2(np.sqrt(np.maximum(D, 0.0)), -A)
+        off = ~np.eye(K, dtype=bool)
+        start, length = _arcs(half[off].reshape(K, K - 1),
+                              np.arctan2(wv, wu)[off].reshape(K, K - 1))
+    cand = np.vstack([_POLES, b, -b])
+    ang = np.arccos(np.clip(-cand @ b.T, -1.0, 1.0))
+    N = cand[np.abs(ang - np.arccos(h)).min(axis=1).argmax()]
+    a0 = b @ N
+    A, B = 1.0 + h * a0, rho * np.hypot(u @ N, v @ N)
+    kappa = (np.abs(h + a0) / (A + B))[:, None]
+    x0 = 0.5 * (start - np.arctan2(v @ N, u @ N)[:, None])
 
+    def Phi(x):
+        sin, cos = np.sin(x), np.cos(x)
+        return x + np.arctan2((kappa - 1.0) * sin * cos,
+                              cos * cos + kappa * sin * sin)
 
-def _region_quadrature(alpha, beta, k: int):
-    """Measure of an m = 2 region as the integral of the fibre length.
-
-    With y = g . e3 the region's measure is exactly the integral over
-    [-1, 1] of the feasible arc length L(y) of the fibre at height y.
-    L is analytic between the `_critical_heights` and behaves like a
-    square root at them, so each piece is integrated by `_piece_rule`
-    with k and with 2k nodes.  Returns (Q_2k, |Q_2k - Q_k|).
-    """
-    proj = beta @ _quadrature_frame(alpha, beta).T
-    amp = np.hypot(proj[:, 0], proj[:, 1])
-    phase = np.arctan2(proj[:, 1], proj[:, 0])
-    ends = np.unique(np.clip(np.concatenate(
-        [[-1.0, 1.0], _critical_heights(alpha, proj)]), -1.0, 1.0))
-    lo, width = ends[:-1, None], np.diff(ends)[:, None]
-    (s1, w1), (s2, w2) = _piece_rule(k), _piece_rule(2 * k)
-    y = lo + width * np.concatenate([s1, s2])   # (pieces, 3k)
-    length = _fibre_lengths(y.reshape(-1, 1), alpha, proj[:, 2:], amp,
-                            phase).reshape(y.shape) * width
-    coarse = float((length[:, :k] @ w1).sum())
-    fine = float((length[:, k:] @ w2).sum())
-    return fine, abs(fine - coarse)
+    total = float((-h * length.sum(axis=1)).sum() + 2.0 * (
+        np.sign(h + a0)[:, None] * (Phi(x0 + 0.5 * length) - Phi(x0))).sum())
+    if np.all(-a0 >= h):
+        total += 2.0 * TWO_PI
+    return max(total, 0.0)
 
 
 def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
@@ -644,19 +619,17 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
 
     `alpha` has K entries and `beta` is (K, m+1).  m = 0: counts the two
     points g = +-1, with tolerance `COUNT_TOL`.  m = 1: exact arc
-    intersection.  m >= 2: circle fibres
-    g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2), y in the unit
-    (m-1)-ball orthogonal to e1, e2; the surface measure is exactly
-    dy dt, so the region's measure is the integral over the ball of the
-    exact feasible arc length of a fibre.  m = 2: that integral by
-    `_region_quadrature` ("quadrature", exact, `samples` unused) when
-    k = `QUAD_NODES` and 2k nodes agree to `QUAD_TOL`; otherwise, and
-    for m >= 3, conditional Monte Carlo with y uniform in the ball:
-    vol(B^(m-1)) times the mean fibre length, `std_error` the per-fibre
-    sample standard error and `samples` the number of fibres.  A
-    non-converged quadrature is named in `fallback_reason`.  Constraints
-    that never bind are dropped first, and a constraint that is never
-    met gives an exact 0.  A Monte Carlo result depends only on (seed,
+    intersection.  m = 2: the area from the boundary arcs by Stokes'
+    theorem (`_region_area`, "closed").  None of these draws samples.
+    m >= 3: circle fibres g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2),
+    y in the unit (m-1)-ball orthogonal to e1, e2; the surface measure
+    is exactly dy dt, so the region's measure is the integral over the
+    ball of the exact feasible arc length of a fibre, estimated by
+    conditional Monte Carlo with y uniform in the ball: vol(B^(m-1))
+    times the mean fibre length, `std_error` the per-fibre sample
+    standard error and `samples` the number of fibres.  Constraints that
+    never bind are dropped first, and a constraint that is never met
+    gives an exact 0.  A Monte Carlo result depends only on (seed,
     stream, samples).
     """
     alpha = np.asarray(alpha, float).reshape(-1)
@@ -675,13 +648,8 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
         value = 0.0 if rows is None else unit_sphere_area(m)
         return VolumeEstimate(value, 0.0, 0, "closed")
     alpha, beta = rows
-    reason = None
     if m == 2:
-        value, err = _region_quadrature(alpha, beta, QUAD_NODES)
-        if err <= QUAD_TOL:
-            return VolumeEstimate(value, 0.0, 0, "quadrature")
-        reason = (f"quadrature did not converge: |Q{2 * QUAD_NODES} - "
-                  f"Q{QUAD_NODES}| = {err:.3e} > {QUAD_TOL:g}")
+        return VolumeEstimate(_region_area(alpha, beta), 0.0, 0, "closed")
     blocks = _blocks(samples, rng)
     proj = beta @ _fibre_frame(beta).T          # (K, m+1) in the fibre frame
     amp = np.hypot(proj[:, 0], proj[:, 1])
@@ -700,8 +668,7 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
 
     mean, err = _mean_error(arcs(), samples)
     ball = unit_sphere_area(m) / TWO_PI          # vol(B^(m-1))
-    return VolumeEstimate(ball * mean, ball * err, samples, "conditional-mc",
-                          fallback_reason=reason)
+    return VolumeEstimate(ball * mean, ball * err, samples, "conditional-mc")
 
 
 def face_constraints(a, c: Chamber, J):
@@ -857,13 +824,13 @@ def chamber_arc_angles(a, c: Chamber) -> dict:
     return out
 
 
-def pseudo_triangle_area_closed(a, n: int = 2) -> float:
+def pseudo_triangle_area_closed(a) -> float:
     """Area of the all-minus chamber for n = 2, assembled exactly.
 
     Triangle area minus the three circular sectors at the corners plus
     the half-lens corrections over the edges.
     """
-    if n != 2 or a.n != 2:
+    if a.n != 2:
         raise ValueError("closed area path is for n = 2")
     require_hypothesis(a, "h1", "the three-arc region does not exist")
     psih, phi = _pair_data(a)
@@ -1001,14 +968,15 @@ def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
                 rng: "Rng | None" = None) -> VolumeEstimate:
     """Face measure v_J: the n = 2 closed arc when it applies, else the
     `sphere_region` kernel on the face's constraints (exact for
-    |J| >= n - 2, conditional MC with `samples` fibres below).  A raised
-    closed form, or a quadrature that did not converge, is named in
+    |J| >= n - 2, conditional MC with `samples` fibres below).  The
+    closed arc of the n = 2 gap chamber needs a certified gap
+    (`_require_gap`); a closed form that raised is named in
     `fallback_reason`.  A chamber of the wrong length raises ValueError.
-    A face of dimension n - |J| <= 1 ("closed", "count" or "arc") draws
+    A face of dimension n - |J| <= 2 ("closed", "count" or "arc") draws
     no samples; its result is stored on `a` per (chamber, J)."""
     _check_chamber(a, c)
     J = tuple(sorted(J))
-    if a.n - len(J) <= 1:
+    if a.n - len(J) <= 2:
         return _stored(a, ("face", c.signs, J),
                        lambda: _face_volume(a, c, J, samples, rng))
     return _face_volume(a, c, J, samples, rng)
@@ -1019,6 +987,8 @@ def _face_volume(a, c: Chamber, J, samples: int, rng: "Rng | None"):
     reason = None
     if a.n == 2 and len(J) == 1:
         try:
+            if not c.minus_set():
+                _require_gap(a, "closed gap arc undefined")
             ang = chamber_arc_angles(a, c)[J[0]]
             return VolumeEstimate(a.radius(J[0]) * ang, 0.0, 0, "closed")
         except SphexError as e:
@@ -1027,7 +997,7 @@ def _face_volume(a, c: Chamber, J, samples: int, rng: "Rng | None"):
     est = sphere_region(alpha, beta, samples, rng)
     f = R ** (a.n - len(J))
     return replace(est, value=est.value * f, std_error=est.std_error * f,
-                   fallback_reason=reason or est.fallback_reason)
+                   fallback_reason=reason)
 
 
 def _sqrt_starred(table: CMTable, J) -> float:
@@ -1079,9 +1049,9 @@ def sphere_region_area_mc(m: ConfigMatrix, samples: int,
                           rng: Rng) -> VolumeEstimate:
     """Area of the region {x on S^(n-1) : u_j . x + u_j0 <= 0 for all j}.
 
-    Measured by `sphere_region`: exact arcs for n = 2, exact quadrature
-    over circle fibres for n = 3 (`samples` is used only if it does not
-    converge), conditional Monte Carlo with `samples` fibres for n >= 4.
+    Measured by `sphere_region`: exact arcs for n = 2, the exact area
+    from the boundary arcs for n = 3 (neither uses `samples` or `rng`),
+    conditional Monte Carlo with `samples` fibres for n >= 4.
     """
     alpha, beta, _ = config_face_constraints(m, ())
     return sphere_region(alpha, beta, samples, rng)

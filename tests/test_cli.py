@@ -412,7 +412,7 @@ def test_variation_reports_method(tri_file, tetra_file, capsys):
                                 "--eps", "3e-2"])
     assert code == 0
     row = json.loads(out)["rows"][0]
-    assert row["method"] == "quadrature" and row["fallback_reason"] is None
+    assert row["method"] == "closed" and row["fallback_reason"] is None
     code, out, _ = run(capsys, ["variation", "--input", tetra_file,
                                 "--params", "d12", "--eps", "1e-2",
                                 "--samples", "50000"])
@@ -468,9 +468,8 @@ def test_embedded_lens_values_through_cli(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    """scipy is a test extra, so a cold `import sphex` must not load it;
-    the Gauss-Legendre nodes of the face quadrature are built on first
-    use without numpy.polynomial."""
+    """scipy is a test extra, so a cold `import sphex` must not load it,
+    nor numpy.polynomial."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphex.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, sphex; "

@@ -7,7 +7,7 @@ import pytest
 import sphex as sx
 from sphex.arrangement import Chamber, from_params, params_of
 from sphex.cayley_menger import CMTable, ConfigMatrix
-from sphex import variation, volume
+from sphex import variation
 from sphex.errors import FdNoiseError
 from sphex.intersect import angles_pair, sphere_angle
 from sphex.variation import (
@@ -191,18 +191,6 @@ def test_dB_form_all_plus_fd(gap):
     for key in param_basis(2):
         assert form.get(key) == pytest.approx(closed_fd(gap, c, key),
                                               abs=1e-6), key
-
-
-def test_dB_form_face_values_override(tri):
-    c = Chamber.all_minus(2)
-    base = dB_volume_form(tri, c)
-    from sphex.volume import face_volume
-
-    vals = {J: face_volume(tri, c, J).value
-            for p in (1, 2)
-            for J in itertools.combinations((1, 2, 3), p)}
-    override = dB_volume_form(tri, c, face_values=vals)
-    assert override.coeffs == base.coeffs
 
 
 def test_verify_fd_euclidean_closed(tri):
@@ -417,13 +405,14 @@ def test_verify_fd_n2_fallback_is_named():
 
 
 def test_verify_fd_unit_sphere_is_exact(tetra):
-    """Quadrature areas: sigma 0, so the check resolves the central
-    difference's O(eps^2) error and ignores samples and rng."""
+    """Exact areas from their boundary arcs: sigma 0, so the check
+    resolves the central difference's O(eps^2) error and ignores samples
+    and rng."""
     m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
     form = dA_volume_form_theorem_III(m)
     for key in config_basis(3):
         rep = verify_variation_fd("unit-sphere", m, None, key, eps=3e-2)
-        assert rep.method == "quadrature" and rep.fallback_reason is None
+        assert rep.method == "closed" and rep.fallback_reason is None
         assert rep.passed and rep.tolerance == 1e-4 * abs(form.get(key))
         again = verify_variation_fd("unit-sphere", m, None, key, eps=3e-2,
                                     samples=7, rng=Rng(44))
@@ -451,19 +440,8 @@ def test_verify_fd_unit_sphere_detects_a_shifted_coefficient(tetra,
 
 def test_verify_fd_unit_sphere_step_below_quadrature_accuracy(tetra):
     m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
-    with pytest.raises(FdNoiseError, match="quadrature's accuracy"):
+    with pytest.raises(FdNoiseError, match="areas' accuracy"):
         verify_variation_fd("unit-sphere", m, None, ("a", 1, 2), eps=1e-7)
-
-
-def test_verify_fd_unit_sphere_fallback_is_named(tetra, monkeypatch):
-    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
-    monkeypatch.setattr(volume, "QUAD_NODES", 2)
-    rep = verify_variation_fd("unit-sphere", m, None, ("a0", 1), eps=3e-2,
-                              samples=200_000, rng=Rng(45))
-    assert rep.method == "conditional-mc"
-    assert rep.fallback_reason.startswith("quadrature did not converge")
-    assert rep.tolerance > 1e-4 * abs(rep.formula_value)  # 3 sigma, not 0
-    assert rep.passed
 
 
 def jittered_gap3(gen):
@@ -505,7 +483,7 @@ def test_fd_coefficient_is_the_full_form_entry():
 
 
 def test_fd_measures_only_the_faces_of_its_parameter(tetra, monkeypatch):
-    """At n = 3 an r_j check measures one face (a quadrature), a d_jk
+    """At n = 3 an r_j check measures one face (an exact area), a d_jk
     check one arc and two vertex counts."""
     calls = []
     face_volume = variation.face_volume

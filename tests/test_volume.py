@@ -25,6 +25,7 @@ from sphex.volume import (
     chamber_volume_mc,
     decomposition_cell_coefficient,
     decomposition_cell_volume,
+    face_constraints,
     face_volume,
     face_volume_mc,
     lens_volume_closed,
@@ -32,6 +33,7 @@ from sphex.volume import (
     simplex_volume,
     sin_power_integral,
     sphere_arc_lengths,
+    sphere_region,
     sphere_region_area_mc,
     sphere_vertex_counts,
     unit_sphere_area,
@@ -206,6 +208,32 @@ def test_uncertified_n2_gap_is_refused_everywhere():
     assert est.method == "conditional-mc"
     assert est.fallback_reason.startswith(
         "closed form unavailable: HypothesisError: gap arc")
+
+
+def test_n2_gap_faces_are_never_negative():
+    """The closed gap arc r_j (phi_j - psi_jk/2 - psi_jl/2) needs a
+    certified gap; otherwise the face is the kernel's exact arc, 0 where
+    the formula goes negative, and the refusal is named."""
+    gen = np.random.default_rng(12345)
+    c = Chamber.all_plus(2)
+    uncertified = 0
+    for i in range(100):
+        a = draw_wide_h1_prime(gen)
+        certified = min(chamber_arc_angles(a, c).values()) > 0.0
+        uncertified += not certified
+        for j in (1, 2, 3):
+            got = face_volume(a, c, (j,))
+            alpha, beta, R = face_constraints(a, c, (j,))
+            arc = R * sphere_region(alpha, beta, 1, Rng(0)).value
+            assert got.value >= 0.0, (i, j, got)
+            assert got.value == pytest.approx(arc, rel=1e-9, abs=1e-12)
+            if certified:
+                assert (got.method, got.fallback_reason) == ("closed", None)
+            else:
+                assert got.method == "arc"
+                assert got.fallback_reason.startswith(
+                    "closed form unavailable: HypothesisError: gap arc")
+    assert uncertified > 0
 
 
 def test_single_disk_chamber():
@@ -389,7 +417,7 @@ def octant_matrix():
 def test_octant_region_area():
     m = octant_matrix()
     est = sphere_region_area_mc(m, 400_000, Rng(12))
-    assert est.exact and est.method == "quadrature"
+    assert est.method == "closed" and est.std_error == 0.0
     assert est.value == pytest.approx(math.pi / 2, rel=1e-12, abs=0.0)
 
 
@@ -411,7 +439,7 @@ def test_notched_quarter_sphere_region():
     cap = 2 * math.pi * (1.0 - 3.0 / math.sqrt(10.0))
     want = math.pi - 0.25 * cap
     est = sphere_region_area_mc(m, 400_000, Rng(13))
-    assert est.exact and est.method == "quadrature"
+    assert est.method == "closed" and est.std_error == 0.0
     assert est.value == pytest.approx(want, rel=1e-12, abs=0.0)
     arcs = sphere_arc_lengths(m)
     alpha = math.acos(3.0 / math.sqrt(10.0))
@@ -435,7 +463,7 @@ def test_far_cap_misses_two_circles_and_never_binds():
     m = ConfigMatrix.from_entries(3, [0.0, 0.0, -math.sqrt(3.0)],
                                   {(1, 2): 0.0, (1, 3): 1.2, (2, 3): 1.2})
     est = sphere_region_area_mc(m, 400_000, Rng(14))
-    assert est.exact and est.method == "quadrature"
+    assert est.method == "closed" and est.std_error == 0.0
     assert est.value == pytest.approx(math.pi, rel=1e-12, abs=0.0)
     arcs = sphere_arc_lengths(m)
     assert arcs[1] == pytest.approx(math.pi, rel=1e-12)
