@@ -19,8 +19,8 @@ it counts the two points for m = 0, intersects arcs exactly for m = 1,
 sums a one-form over those exact boundary arcs for m = 2 (Stokes'
 theorem gives the area in closed form), and for m >= 3 averages the
 exact feasible arc length of circle fibres over random fibres
-(conditional Monte Carlo).  The restricted unit-sphere model's region, arcs and vertices
-are regions of the same kernel too (`config_face_constraints`).  The
+(conditional Monte Carlo).  The restricted unit-sphere model's region,
+arcs and vertices are regions of the same kernel too (`config_face_constraints`).  The
 indicator estimators `chamber_volume_mc` and `face_volume_mc` only
 draw points and test their signs with `evaluate_f`; they stay as the
 independent oracles that tests and benchmarks check the rest against.
@@ -111,12 +111,13 @@ class VolumeEstimate:
     `method` is one of `METHODS`, and `exact` says whether it is one of
     `EXACT_METHODS` ("closed", "count", "arc"), whose results carry
     std_error 0; "closed" covers the closed forms and the m = 2 areas
-    that `sphere_region` takes from their boundary arcs.  For "mc" `std_error` is the
-    binomial standard error propagated through the bounding-measure
-    factor and `samples` counts points; for "conditional-mc" it is the
-    sample standard error of the per-fibre arc lengths (of a face) or of
-    the per-line scores (of a chamber, `chamber_volume`), and `samples`
-    counts fibres or lines.  `fallback_reason` says why a closed form
+    that `sphere_region` takes from their boundary arcs.  For "mc"
+    `std_error` is the binomial standard error propagated through the
+    bounding-measure factor and `samples` counts points; for
+    "conditional-mc" it is the sample standard error of the per-fibre
+    arc lengths (of a face) or of the per-line scores (of a chamber,
+    `chamber_volume`), and `samples` counts fibres or lines.
+    `fallback_reason` says why a closed form
     was not taken (it raised, or its hypothesis failed); it is None when
     the first path applied.
     """
@@ -442,12 +443,13 @@ def _arcs(half, phase):
     half_k of phase_k (A + B cos(t - phase) >= 0 has `_half_width(A, B)`).
 
     `half` is (N, K): one row per circle, one column per constraint;
-    `phase` is (K,), or (N, K) for a phase per row, and broadcasts.
+    `phase` is (K,), or (N, K) for a phase per row; it broadcasts.
     Constraint k alone allows the arc [s_k, s_k + w_k) of t with
-    s_k = phase_k - half_k and w_k = 2 half_k.  The intersection lies in the narrowest arc r, so it is the window
-    [s_r, s_r + w_r) minus the gap of every arc.  Because w_k >= w_r,
-    each gap meets the window in one interval; their starts and ends,
-    sorted apart, bound the pieces as in `_line_measure`.  Returns
+    s_k = phase_k - half_k and w_k = 2 half_k.  The intersection lies
+    in the narrowest arc r, so it is the window [s_r, s_r + w_r) minus
+    the gap of every arc.  Because w_k >= w_r, each gap meets the window
+    in one interval; their starts and ends, sorted apart, bound the
+    pieces as in `_line_measure`.  Returns
     (start, length), both (N, K+1): the feasible pieces between the
     merged gaps, some of length 0 (with an arbitrary start).
     """
@@ -555,45 +557,38 @@ def _region_area(alpha, beta):
     atan(kappa tan x).  N is the axis, cube diagonal or +-b_k whose
     antipode keeps the largest angle to every circle.
 
-    The arcs are the other rows on each circle, in one `_arcs` call.
+    The arcs are the rows on each circle, in one `_arcs` call.
     Products b_j . b_k come from the difference w = b_j - s b_k (s the
     sign of the product), so nearly coinciding circles keep their
     crossings, and the two circles of a pair take their half-widths from
     one value D = rho_k^2 |w_perp|^2 - A_kj^2, the same for both circles
     up to rounding, so their arcs end at the same points where they
     nearly touch.  A circle given twice bounds the region once; given
-    with both sides it leaves a region of measure 0.
+    with both sides, its two whole arcs cancel and leave measure 0.
     """
     norm = np.linalg.norm(beta, axis=1)
     b, h = beta / norm[:, None], -alpha / norm
     rows = np.column_stack([h, b])
-    dist = np.abs(rows[:, None] - rows).max(axis=2)
-    if (np.abs(rows[:, None] + rows).max(axis=2) <= SAME_ROW_TOL).any():
-        return 0.0
-    keep = ~np.tril(dist <= SAME_ROW_TOL, -1).any(axis=1)
+    same = np.abs(rows[:, None] - rows).max(axis=2) <= SAME_ROW_TOL
+    keep = ~np.tril(same, -1).any(axis=1)
     b, h = b[keep], h[keep]
-    K = len(h)
     rho = np.sqrt(1.0 - h * h)
     u = np.cross(b, np.eye(3)[np.abs(b).argmin(axis=1)])
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v = np.cross(b, u)
-    if K == 1:
-        start, length = np.zeros((1, 1)), np.full((1, 1), TWO_PI)
-    else:
-        s = np.where(b @ b.T < 0.0, -1.0, 1.0)           # [k, j]
-        w = b - s[..., None] * b[:, None]                 # b_j - s b_k
-        # h_k (b_j . b_k) - h_j, with b_j . b_k = s (1 - |w|^2 / 2)
-        A = (s * h[:, None] - h) \
-            - 0.5 * s * h[:, None] * np.einsum("kjx,kjx->kj", w, w)
-        wu = np.einsum("kjx,kx->kj", w, u)
-        wv = np.einsum("kjx,kx->kj", w, v)
-        B = rho[:, None] * np.hypot(wu, wv)
-        D = (B - A) * (B + A)
-        D = 0.5 * (D + D.T)
-        half = np.arctan2(np.sqrt(np.maximum(D, 0.0)), -A)
-        off = ~np.eye(K, dtype=bool)
-        start, length = _arcs(half[off].reshape(K, K - 1),
-                              np.arctan2(wv, wu)[off].reshape(K, K - 1))
+    s = np.where(b @ b.T < 0.0, -1.0, 1.0)               # [k, j]
+    w = b - s[..., None] * b[:, None]                     # b_j - s b_k
+    # h_k (b_j . b_k) - h_j, with b_j . b_k = s (1 - |w|^2 / 2)
+    A = (s * h[:, None] - h) \
+        - 0.5 * s * h[:, None] * np.einsum("kjx,kjx->kj", w, w)
+    wu = np.einsum("kjx,kx->kj", w, u)
+    wv = np.einsum("kjx,kx->kj", w, v)
+    B = rho[:, None] * np.hypot(wu, wv)
+    D = (B - A) * (B + A)
+    D = 0.5 * (D + D.T)                      # one value per pair of circles
+    half = np.arctan2(np.sqrt(np.maximum(D, 0.0)), -A)
+    np.fill_diagonal(half, math.pi)          # a circle does not cut itself
+    start, length = _arcs(half, np.arctan2(wv, wu))
     cand = np.vstack([_POLES, b, -b])
     ang = np.arccos(np.clip(-cand @ b.T, -1.0, 1.0))
     N = cand[np.abs(ang - np.arccos(h)).min(axis=1).argmax()]
@@ -611,7 +606,7 @@ def _region_area(alpha, beta):
         np.sign(h + a0)[:, None] * (Phi(x0 + 0.5 * length) - Phi(x0))).sum())
     if np.all(-a0 >= h):
         total += 2.0 * TWO_PI
-    return max(total, 0.0)
+    return max(total, 0.0)             # a measure-0 region may round below 0
 
 
 def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:

@@ -514,7 +514,10 @@ def test_region_area_invariant_under_rotation():
     gen = np.random.default_rng(410)
     regions = [(alpha, beta) for _, alpha, beta in benchmark_faces()]
     regions += [random_region(gen, gen.integers(1, 7)) for _ in range(400)]
-    regions.append((np.zeros(3), np.eye(3)))                   # the octant
+    # the eight octants: their vertices and circles hold every axis, and
+    # a pole whose antipode is a vertex or on an arc gives no area
+    regions += [(np.zeros(3), np.diag(signs))
+                for signs in itertools.product((1.0, -1.0), repeat=3)]
     worst = 0.0
     for alpha, beta in regions:
         base = sphere_region(alpha, beta, 10, Rng(0)).value
@@ -552,14 +555,15 @@ def test_quadrature_duplicate_and_whole_circle_rows():
 
 
 def test_same_circle_with_opposite_sides_is_empty():
+    """The region is the circle itself: its two arcs cancel, and the
+    rounding left over never reads below 0."""
     b = np.array([0.36, -0.48, 0.8])
-    for scale in (1.0, 2.5):
-        est = sphere_region([0.3, -0.3 * scale], [b, -scale * b], 10, Rng(0))
-        assert (est.method, est.value) == ("closed", 0.0)
+    cases = [([0.3, -0.3 * scale], [b, -scale * b]) for scale in (1.0, 2.5)]
     # with a third row, and with the plain copy of the circle too
-    est = sphere_region([0.3, -0.3, 0.3, 0.1], [b, -b, b, np.eye(3)[0]],
-                        10, Rng(0))
-    assert (est.method, est.value) == ("closed", 0.0)
+    cases.append(([0.3, -0.3, 0.3, 0.1], [b, -b, b, np.eye(3)[0]]))
+    for alpha, beta in cases:
+        est = sphere_region(alpha, beta, 10, Rng(0))
+        assert est.method == "closed" and 0.0 <= est.value <= 1e-14, est
 
 
 def test_quadrature_gap_face_with_coinciding_rows():

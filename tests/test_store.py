@@ -17,7 +17,8 @@ from sphex.arrangement import Chamber, from_params, params_of
 from sphex.cayley_menger import CMTable
 from sphex.variation import param_basis
 from sphex.volume import Rng, _simplex_rows
-from conftest import equilateral, random_h1, random_h1_prime, tetrahedron
+from conftest import (equilateral, random_h1, random_h1_prime,
+                      regular_simplex4, tetrahedron)
 
 
 @pytest.fixture
@@ -125,3 +126,18 @@ def test_sampled_volumes_are_not_stored():
     assert one.method == two.method == "conditional-mc"
     assert one.value != two.value
     assert sx.chamber_volume(a, allm, 2000, Rng(1)) == one
+
+
+def test_exact_faces_are_stored_and_sampled_faces_are_not():
+    """Every face of dimension m <= 2 is exact, so it is stored; an
+    m = 3 face is sampled and is not."""
+    a = tetrahedron()
+    allm = Chamber.all_minus(3)
+    for p in (1, 2, 3):
+        for J in itertools.combinations(range(1, 5), p):
+            face = sx.face_volume(a, allm, J)
+            assert face.exact and sx.face_volume(a, allm, J) is face, J
+    b = sx.from_centers_radii(regular_simplex4(), [1.0] * 5)
+    face = sx.face_volume(b, Chamber.all_minus(4), (1,), 2000, Rng(1))
+    assert face.method == "conditional-mc"
+    assert sx.face_volume(b, Chamber.all_minus(4), (1,), 2000, Rng(2)) != face
