@@ -20,10 +20,11 @@ sums a one-form over those exact boundary arcs for m = 2 (Stokes'
 theorem gives the area in closed form), and for m >= 3 averages the
 exact feasible arc length of circle fibres over random fibres
 (conditional Monte Carlo).  The restricted unit-sphere model's region,
-arcs and vertices are regions of the same kernel too (`config_face_constraints`).  The
-indicator estimators `chamber_volume_mc` and `face_volume_mc` only
-draw points and test their signs with `evaluate_f`; they stay as the
-independent oracles that tests and benchmarks check the rest against.
+arcs and vertices are regions of the same kernel too
+(`config_face_constraints`).  The indicator estimators
+`chamber_volume_mc` and `face_volume_mc` only draw points and test their
+signs with `evaluate_f`; they stay as the independent oracles that tests
+and benchmarks check the rest against.
 
 Every estimate names its `method`; `exact` follows from it.
 
@@ -117,9 +118,8 @@ class VolumeEstimate:
     "conditional-mc" it is the sample standard error of the per-fibre
     arc lengths (of a face) or of the per-line scores (of a chamber,
     `chamber_volume`), and `samples` counts fibres or lines.
-    `fallback_reason` says why a closed form
-    was not taken (it raised, or its hypothesis failed); it is None when
-    the first path applied.
+    `fallback_reason` says why a closed form was not taken (it raised,
+    or its hypothesis failed); it is None when the first path applied.
     """
 
     value: float
@@ -425,8 +425,9 @@ COUNT_TOL = 1e-9
 #: dozen (fibres, K) arrays, so a sub-chunk keeps the working set of a
 #: block no larger than the indicator estimators'
 FIBRE_CHUNK = 4096
-#: absolute accuracy of an m = 2 area (`_region_area`): random rotations
-#: of the rows move the tests' areas by at most a tenth of it
+#: absolute accuracy of an m = 2 area (`_region_area`), which the
+#: unit-sphere finite difference's step guard assumes; the tests hold the
+#: areas of rotated regions to a tenth of it
 AREA_TOL = 1e-12
 #: normalized rows (h, b) of an m = 2 region that agree to this are one
 #: circle, given twice
@@ -449,9 +450,9 @@ def _arcs(half, phase):
     in the narrowest arc r, so it is the window [s_r, s_r + w_r) minus
     the gap of every arc.  Because w_k >= w_r, each gap meets the window
     in one interval; their starts and ends, sorted apart, bound the
-    pieces as in `_line_measure`.  Returns
-    (start, length), both (N, K+1): the feasible pieces between the
-    merged gaps, some of length 0 (with an arbitrary start).
+    pieces as in `_line_measure`.  Returns (start, length), both
+    (N, K+1): the feasible pieces between the merged gaps, some of
+    length 0 (with an arbitrary start).
     """
     width = 2.0 * half
     start = np.subtract(phase, half)
@@ -557,13 +558,14 @@ def _region_area(alpha, beta):
     atan(kappa tan x).  N is the axis, cube diagonal or +-b_k whose
     antipode keeps the largest angle to every circle.
 
-    The arcs are the rows on each circle, in one `_arcs` call.
-    Products b_j . b_k come from the difference w = b_j - s b_k (s the
-    sign of the product), so nearly coinciding circles keep their
-    crossings, and the two circles of a pair take their half-widths from
-    one value D = rho_k^2 |w_perp|^2 - A_kj^2, the same for both circles
-    up to rounding, so their arcs end at the same points where they
-    nearly touch.  A circle given twice bounds the region once; given
+    The arcs are the rows on each circle, in one `_arcs` call: on circle
+    k, row j reads A_kj + B_kj cos(t - phase_kj) >= 0 with
+    A_kj = h_k (b_j . b_k) - h_j and B_kj = rho_k |w_perp|, where w =
+    b_j - s b_k (s the sign of b_j . b_k) gives b_j . b_k = s (1 -
+    |w|^2 / 2), so nearly coinciding circles keep their crossings.  The
+    two circles of a pair take their half-widths from one value
+    D = B_kj^2 - A_kj^2 (the same for both up to rounding), so their
+    arcs end at the same points where they nearly touch.  A circle given twice bounds the region once; given
     with both sides, its two whole arcs cancel and leave measure 0.
     """
     norm = np.linalg.norm(beta, axis=1)
@@ -578,15 +580,14 @@ def _region_area(alpha, beta):
     v = np.cross(b, u)
     s = np.where(b @ b.T < 0.0, -1.0, 1.0)               # [k, j]
     w = b - s[..., None] * b[:, None]                     # b_j - s b_k
-    # h_k (b_j . b_k) - h_j, with b_j . b_k = s (1 - |w|^2 / 2)
-    A = (s * h[:, None] - h) \
+    A_kj = (s * h[:, None] - h) \
         - 0.5 * s * h[:, None] * np.einsum("kjx,kjx->kj", w, w)
     wu = np.einsum("kjx,kx->kj", w, u)
     wv = np.einsum("kjx,kx->kj", w, v)
-    B = rho[:, None] * np.hypot(wu, wv)
-    D = (B - A) * (B + A)
+    B_kj = rho[:, None] * np.hypot(wu, wv)
+    D = (B_kj - A_kj) * (B_kj + A_kj)
     D = 0.5 * (D + D.T)                      # one value per pair of circles
-    half = np.arctan2(np.sqrt(np.maximum(D, 0.0)), -A)
+    half = np.arctan2(np.sqrt(np.maximum(D, 0.0)), -A_kj)
     np.fill_diagonal(half, math.pi)          # a circle does not cut itself
     start, length = _arcs(half, np.arctan2(wv, wu))
     cand = np.vstack([_POLES, b, -b])

@@ -515,7 +515,7 @@ def test_region_area_invariant_under_rotation():
     regions = [(alpha, beta) for _, alpha, beta in benchmark_faces()]
     regions += [random_region(gen, gen.integers(1, 7)) for _ in range(400)]
     # the eight octants: their vertices and circles hold every axis, and
-    # a pole whose antipode is a vertex or on an arc gives no area
+    # a pole whose antipode is a vertex or on an arc breaks the sum
     regions += [(np.zeros(3), np.diag(signs))
                 for signs in itertools.product((1.0, -1.0), repeat=3)]
     worst = 0.0
