@@ -36,6 +36,7 @@ from .cayley_menger import CMTable, ConfigMatrix
 from .errors import DegenerateConfigError, HypothesisError
 from .intersect import intersection_sphere, sphere_angle, vertices
 from .volume import (
+    AREA_TOL,
     Rng,
     _require_gap,
     _sqrt_starred,
@@ -324,12 +325,11 @@ def check_gauss_bonnet_n3(m: ConfigMatrix, samples: int = 1_000_000,
     over the region's boundary arcs, so `samples` and `rng` are not
     used.  rhs combines the Euler term 2 pi, the offset-weighted
     boundary arc lengths, and the exterior angles at the vertices, all
-    computed exactly from circle geometry.  The tolerance is
-    max(3 std_error, 1e-12), which is 1e-12.
+    computed exactly from circle geometry.  The tolerance is the area's
+    accuracy `AREA_TOL`.
     """
     if m.n != 3:
         raise ValueError("this check is specific to n = 3")
-    rng = rng if rng is not None else Rng(0)
     est = sphere_region_area_mc(m, samples, rng)
     arcs = sphere_arc_lengths(m)
     counts = sphere_vertex_counts(m)
@@ -343,5 +343,4 @@ def check_gauss_bonnet_n3(m: ConfigMatrix, samples: int = 1_000_000,
             terms.append((f"vertex_{j}{k}", -cnt * (math.pi - ang)))
         else:
             terms.append((f"vertex_{j}{k}", 0.0))
-    tolerance = max(3.0 * est.std_error, 1e-12)
-    return _report("gauss_bonnet_n3", est.value, terms, tolerance)
+    return _report("gauss_bonnet_n3", est.value, terms, AREA_TOL)

@@ -565,8 +565,9 @@ def _region_area(alpha, beta):
     |w|^2 / 2), so nearly coinciding circles keep their crossings.  The
     two circles of a pair take their half-widths from one value
     D = B_kj^2 - A_kj^2 (the same for both up to rounding), so their
-    arcs end at the same points where they nearly touch.  A circle given twice bounds the region once; given
-    with both sides, its two whole arcs cancel and leave measure 0.
+    arcs end at the same points where they nearly touch.  A circle given
+    twice bounds the region once; given with both sides, its two whole
+    arcs cancel and leave measure 0.
     """
     norm = np.linalg.norm(beta, axis=1)
     b, h = beta / norm[:, None], -alpha / norm
