@@ -117,7 +117,7 @@ class ParamVector:
     n: int
     radii_sq: np.ndarray
     dist_sq: np.ndarray
-    #: its `CMTable` and `from_params` reconstruction, computed once
+    #: its `CMTable`, sign table, n = 2 closed forms, `from_params`: once
     _store: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -201,6 +201,16 @@ def params_of(a: Arrangement) -> ParamVector:
     return _stored(a, "params", build)
 
 
+def _as_params(x) -> ParamVector:
+    """The `ParamVector` of an Arrangement or ParamVector `x`."""
+    return x if isinstance(x, ParamVector) else params_of(x)
+
+
+def _as_arrangement(x) -> Arrangement:
+    """An Arrangement `x`, or `from_params` of a ParamVector `x`."""
+    return from_params(x, x.n) if isinstance(x, ParamVector) else x
+
+
 def from_params(p: ParamVector, n: int) -> Arrangement:
     """Reconstruct an embedding from squared parameters in a fixed gauge.
 
@@ -209,7 +219,8 @@ def from_params(p: ParamVector, n: int) -> Arrangement:
     relative to O_{n+1} must be positive semidefinite of full rank n.
     The gauge places O_{n+1} at the origin, O_n on the positive first
     axis, O_{n-1} in the span of the first two axes with positive second
-    coordinate, and so on.  Stored on `p`: one arrangement per vector.
+    coordinate, and so on.  Stored on `p`: one arrangement per vector,
+    whose `params_of` is `p`, so the two share everything stored on `p`.
     """
     if p.n != n:
         raise ValueError("parameter vector dimension mismatch")
@@ -237,7 +248,9 @@ def _reconstruct(p: ParamVector, n: int) -> Arrangement:
     X = V * np.sqrt(w)              # rows = O_1..O_n relative to O_{n+1}
     centers = np.vstack([X, np.zeros(n)])
     centers, _ = _gauge(centers, n, diag_sign=+1.0)
-    return from_centers_radii(centers, np.sqrt(p.radii_sq))
+    a = from_centers_radii(centers, np.sqrt(p.radii_sq))
+    _stored(a, "params", lambda: p)
+    return a
 
 
 def _gauge(centers, n, diag_sign):
@@ -392,11 +405,12 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
     Values whose magnitude is below 1e-9 times a Hadamard-type bound of
     the same degree in length are reported indeterminate rather than
     pass/fail, whatever the arrangement's scale.  The sign table and the
-    H1/H1' verdicts are stored on `a`; each call returns a new report,
-    which lists the sign table's determinants whose LU met a degraded
-    pivot.
+    H1/H1' verdicts are stored on `params_of(a)`; with h2="skip", `a` may
+    be a ParamVector.  Each call returns a new report, which lists the
+    sign table's determinants whose LU met a degraded pivot.
     """
-    rows, h1, h1_prime, flagged = _stored(a, "signs", lambda: _sign_table(a))
+    rows, h1, h1_prime, flagged = _stored(_as_params(a), "signs",
+                                          lambda: _sign_table(a))
     h2_val = None
     h2_details = []
     if h2 != "skip" and h1:
@@ -419,10 +433,11 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
                             list(flagged))
 
 
-def require_hypothesis(a: Arrangement, name: str, what: str):
+def require_hypothesis(a, name: str, what: str):
     """HypothesisError unless hypothesis `name` ("h1" or "h1_prime") holds
-    for `a`, IndeterminateSignError if it is unresolved; `what` ends the
-    message."""
+    for the Arrangement or ParamVector `a` (whose plain sign conditions
+    certify that `a` is realisable), IndeterminateSignError if it is
+    unresolved; `what` ends the message."""
     verdict = getattr(check_hypotheses(a, h2="skip"), name)
     label = {"h1": "H1", "h1_prime": "H1'"}[name]
     if verdict is None:
@@ -431,7 +446,7 @@ def require_hypothesis(a: Arrangement, name: str, what: str):
         raise HypothesisError(f"{label} fails; {what}")
 
 
-def _sign_table(a: Arrangement):
+def _sign_table(a):
     """(rows, h1, h1_prime, flagged pivots): the h2-free part of
     `check_hypotheses`."""
     table = CMTable.from_arrangement(a)

@@ -36,18 +36,18 @@ import numpy as np
 
 from .errors import DegenerateConfigError, NonRealizableError
 
-#: pivot magnitudes below this fraction of the entry scale set a warning flag
+#: pivot magnitudes below this set a warning flag (entries are at most 1)
 PIVOT_WARN = 1e-12
 
 
 def _det_lu(M):
     """Determinant via partially pivoted LU, plus a pivot-degradation flag.
 
-    `M` is a square list of row lists, overwritten.  The flag is set when
-    a pivot falls below PIVOT_WARN times the largest entry (at least 1).
+    `M` is a square list of row lists, overwritten, with entries of
+    magnitude at most 1 (`CMTable` measures lengths in units of its
+    largest).  The flag is set when a pivot falls below PIVOT_WARN.
     """
     m = len(M)
-    scale = max([1.0] + [abs(x) for row in M for x in row])
     det = 1.0
     degraded = False
     for k in range(m):
@@ -63,7 +63,7 @@ def _det_lu(M):
         if piv == 0.0:
             return 0.0, True
         det *= piv
-        degraded = degraded or abs(piv) < PIVOT_WARN * scale
+        degraded = degraded or abs(piv) < PIVOT_WARN
         for ri in M[k + 1:]:
             f = ri[k] / piv
             for j in range(k + 1, m):
@@ -92,7 +92,8 @@ class CMTable:
     concurrent callers inserting the same key are harmless.  Pairs whose
     LU met a degraded pivot are collected, as called, in
     `pivot_warnings`.  `scale` is the largest squared radius or distance
-    (see `hadamard_scale`).
+    (see `hadamard_scale`); the LU sees lengths in units of it, so its
+    pivot flags do not depend on the arrangement's scale.
     """
 
     n: int
@@ -103,23 +104,24 @@ class CMTable:
     pivot_warnings: set = field(default_factory=set, repr=False)
 
     def __post_init__(self):
-        # every matrix entry by its (row token, column token) pair
+        # every entry by its (row, column) token pair, squared lengths / _unit
         r2, d2 = self.radii_sq.tolist(), self.dist_sq.tolist()
+        self.scale = max(r2 + [max(row) for row in d2])
+        self._unit = s = math.ldexp(1.0, math.frexp(self.scale)[1])
         e = {("0", "0"): 0.0, ("0", "*"): 1.0, ("*", "0"): 1.0, ("*", "*"): 0.0}
         for j in range(1, self.n + 2):
             e["0", j] = e[j, "0"] = 1.0
-            e["*", j] = e[j, "*"] = r2[j]
+            e["*", j] = e[j, "*"] = r2[j] / s
             for k in range(1, self.n + 2):
-                e[j, k] = d2[j][k]
+                e[j, k] = d2[j][k] / s
         self._entries = e
-        self.scale = max(r2 + [max(row) for row in d2])
 
     @classmethod
     def from_arrangement(cls, a):
-        """The table of arrangement `a`: that of its `params_of` vector."""
-        from .arrangement import params_of  # arrangement imports this
+        """The table of a ParamVector or of an Arrangement's `params_of`."""
+        from .arrangement import _as_params  # arrangement imports this
 
-        return cls.from_params(params_of(a))
+        return cls.from_params(_as_params(a))
 
     @classmethod
     def from_params(cls, params):
@@ -155,7 +157,10 @@ class CMTable:
         except KeyError as err:
             raise ValueError(f"no entry for tokens {err.args[0]!r}: a token is "
                              f"'0', '*' or a sphere index 1..{self.n + 1}") from None
+        # M has every squared length divided by u = _unit; the true matrix
+        # is D M D with D = u^(-1/2) on "0" tokens and u^(1/2) on the rest
         value, degraded = _det_lu(M)
+        value *= self._unit ** (len(rows) - rows.count("0") - cols.count("0"))
         self._raw[key] = value
         if degraded:
             self.pivot_warnings.add(key)

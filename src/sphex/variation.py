@@ -24,6 +24,8 @@ from .arrangement import (
     Arrangement,
     Chamber,
     ParamVector,
+    _as_arrangement,
+    _as_params,
     from_params,
     params_of,
 )
@@ -138,12 +140,6 @@ def _theta_dict(table: CMTable, params: ParamVector, J) -> dict:
         key = _dkey(j, k)
         out[key] = (-1) ** p * total * 0.5 / params.get(key)
     return out
-
-
-def _as_params(a) -> ParamVector:
-    if isinstance(a, ParamVector):
-        return a
-    return params_of(a)
 
 
 def theta(a, J) -> OneForm:
@@ -264,10 +260,8 @@ def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
     Face volumes come from `face_volume`; face J (in order of size, then
     index) draws from `rng.substream(position of J)`.
     """
-    if isinstance(a, ParamVector):
-        a = from_params(a, a.n)
     rng = rng if rng is not None else Rng(0)
-    return _dB_form(a, c, param_basis(a.n), samples, rng)[0]
+    return _dB_form(_as_arrangement(a), c, param_basis(a.n), samples, rng)[0]
 
 
 def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
@@ -435,14 +429,17 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     Chamber, `param` a squared-parameter key.  The coefficient is that of
     `dB_volume_form` on `rng.substream(1)`, from the faces whose theta_J
     carries `param` alone (at n = 3 one face for r_j, one arc and two
-    vertex counts for d_jk).  For n = 2 the difference of the closed-form
-    areas is checked to 1e-6 ("closed").  Otherwise, and when an n = 2
-    closed form raises (named in `fallback_reason`), both perturbed
-    chambers are scored on the same `samples` random lines by their
-    exact chord lengths ("conditional-mc"), with tolerance max(3 hypot(
-    sigma, sigma_coef), 1e-4 |coefficient|), sigma_coef from the sampled
-    faces (0 up to n = 3); FdNoiseError if no line's chord changed or
-    sigma exceeds the difference.
+    vertex counts for d_jk), measured on `a` (on `from_params` of a
+    ParamVector).  For n = 2 the closed areas of the perturbed vectors
+    p +- eps are differenced with no reconstruction, each certified by
+    its hypothesis, and checked to 1e-6 ("closed").  Otherwise, and when
+    an n = 2 closed form raises (named in `fallback_reason`), both
+    perturbed vectors are reconstructed and their chambers scored on the
+    same `samples` random lines by their exact chord lengths
+    ("conditional-mc"), with tolerance max(3 hypot(sigma, sigma_coef),
+    1e-4 |coefficient|), sigma_coef from the sampled faces (0 up to
+    n = 3); FdNoiseError if no line's chord changed or sigma exceeds the
+    difference.
     model "unit-sphere": `a` is a ConfigMatrix (n = 3), `c` is ignored,
     `param` an entry key.  The two region areas are exact, from their
     boundary arcs ("closed", sigma 0; tolerance 1e-4 |coefficient|), so
@@ -460,16 +457,16 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
         n = params.n
         if eps <= 1e-10 * abs(params.get(param)):
             raise FdNoiseError("step too small relative to the parameter")
-        form, errs = _dB_form(from_params(params, n), c, (param,), samples,
+        form, errs = _dB_form(_as_arrangement(a), c, (param,), samples,
                               rng.substream(1))
         coef = form.get(param)
-        ap, am = (from_params(params.with_entry(param, x), n) for x in
+        pp, pm = (params.with_entry(param, x) for x in
                   (params.get(param) + eps, params.get(param) - eps))
         reason = None
         if n == 2:
             try:
-                fd = (chamber_area_closed_n2(ap, c)
-                      - chamber_area_closed_n2(am, c)) / (2.0 * eps)
+                fd = (chamber_area_closed_n2(pp, c)
+                      - chamber_area_closed_n2(pm, c)) / (2.0 * eps)
             except SphexError as e:
                 reason = _closed_form_failed(e)
             else:
@@ -477,8 +474,8 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
                 residual = abs(fd - coef)
                 return VariationReport(param, fd, coef, residual, tolerance,
                                        residual <= tolerance, "closed")
-        fd, sigma, changed = _chord_fd(ap, am, c, samples, rng.substream(2),
-                                       eps)
+        fd, sigma, changed = _chord_fd(from_params(pp, n), from_params(pm, n),
+                                       c, samples, rng.substream(2), eps)
         if changed == 0:
             raise FdNoiseError("step too small: no line's chord changed")
         return _fd_report(param, fd, sigma, coef, "conditional-mc", reason,

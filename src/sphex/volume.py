@@ -48,6 +48,8 @@ import numpy as np
 
 from .arrangement import (
     Chamber,
+    _as_arrangement,
+    _as_params,
     _check_chamber,
     evaluate_f,
     require_hypothesis,
@@ -772,7 +774,8 @@ def lens_volume_closed(n: int, r1: float, r2: float, rho: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed forms for n = 2 chambers
+# closed forms for n = 2 chambers, of an Arrangement or a ParamVector and
+# stored on the ParamVector; only the all-plus area reads coordinates
 # ---------------------------------------------------------------------------
 
 
@@ -786,7 +789,7 @@ def _pair_data(a):
             psih[(k, j)] = 0.5 * pkj
         return psih, dict(zip((1, 2, 3), triangle_angles(a)))
 
-    return _stored(a, "pair_data", build)
+    return _stored(_as_params(a), "pair_data", build)
 
 
 def chamber_arc_angles(a, c: Chamber) -> dict:
@@ -831,14 +834,15 @@ def pseudo_triangle_area_closed(a) -> float:
         raise ValueError("closed area path is for n = 2")
     require_hypothesis(a, "h1", "the three-arc region does not exist")
     psih, phi = _pair_data(a)
+    r2 = dict(zip((1, 2, 3), _as_params(a).radii_sq.tolist()))
     table = CMTable.from_arrangement(a)
     total = 0.25 * math.sqrt(-table.chain(("0", 1, 2, 3), ("0", 1, 2, 3)))
     for j in (1, 2, 3):
-        total -= 0.5 * a.radius(j) ** 2 * phi[j]
+        total -= 0.5 * r2[j] * phi[j]
     for j, k in ((1, 2), (1, 3), (2, 3)):
         pj, pk = 2.0 * psih[(j, k)], 2.0 * psih[(k, j)]
-        total += 0.25 * a.radius(j) ** 2 * (pj - math.sin(pj))
-        total += 0.25 * a.radius(k) ** 2 * (pk - math.sin(pk))
+        total += 0.25 * r2[j] * (pj - math.sin(pj))
+        total += 0.25 * r2[k] * (pk - math.sin(pk))
     return total
 
 
@@ -857,13 +861,14 @@ def chamber_area_closed_n2(a, c: Chamber) -> float:
 
     All-minus: the three-arc region.  All-plus (needs H1' and a positive
     gap arc on every circle, `_require_gap`): simplex minus the
-    decomposition cells, vertices counted by `face_volume`.
-    One or two minus signs (needs H1): inclusion-exclusion of disk, lens
-    and three-arc areas.  Stored on `a` per chamber.
+    decomposition cells, vertices counted by `face_volume` on `a` or on
+    its `from_params`.  One or two minus signs (needs H1):
+    inclusion-exclusion of disk, lens and three-arc areas.  Stored per
+    chamber.
     """
     if a.n != 2:
         raise ValueError("closed area path is for n = 2")
-    return _stored(a, ("area", c.signs), lambda: _area_n2(a, c))
+    return _stored(_as_params(a), ("area", c.signs), lambda: _area_n2(a, c))
 
 
 def _require_gap(a, what: str):
@@ -879,31 +884,34 @@ def _require_gap(a, what: str):
 
 def _area_n2(a, c: Chamber) -> float:
     minus = c.minus_set()
+    r2 = dict(zip((1, 2, 3), _as_params(a).radii_sq.tolist()))
     if not minus:
         _require_gap(a, "bounded gap chamber undefined")
         table = CMTable.from_arrangement(a)
         arcs = chamber_arc_angles(a, c)
-        total = simplex_volume(a)
+        coords = _as_arrangement(a)
+        total = simplex_volume(coords)
         for j in (1, 2, 3):
-            total -= 0.5 * a.radius(j) ** 2 * arcs[j]
+            total -= 0.5 * r2[j] * arcs[j]
         for j, k in ((1, 2), (1, 3), (2, 3)):
-            cnt = face_volume(a, c, (j, k))
+            cnt = face_volume(coords, c, (j, k))
             total -= 0.25 * math.sqrt(
                 -table.chain(("0", "*", j, k), ("0", "*", j, k))) * cnt.value
         return total
-    if len(minus) == 3:
-        return pseudo_triangle_area_closed(a)
     tri = pseudo_triangle_area_closed(a)  # also certifies H1
+    if len(minus) == 3:
+        return tri
 
     def lens(j, k):
-        return lens_volume_closed(2, a.radius(j), a.radius(k), a.distance(j, k))
+        return lens_volume_closed(2, math.sqrt(r2[j]), math.sqrt(r2[k]),
+                                  math.sqrt(_as_params(a).get(("d", j, k))))
 
     if len(minus) == 2:
         j, k = minus
         return lens(j, k) - tri
     (j,) = minus
     k, l = (m for m in (1, 2, 3) if m != j)
-    return math.pi * a.radius(j) ** 2 - lens(j, k) - lens(j, l) + tri
+    return math.pi * r2[j] - lens(j, k) - lens(j, l) + tri
 
 
 def chamber_volume(a, c: Chamber, samples: int = 1_000_000,

@@ -6,7 +6,7 @@ import pytest
 
 import sphex as sx
 from sphex.cayley_menger import CMTable, _det_lu, hadamard_scale
-from conftest import equilateral, random_h1, tetrahedron
+from conftest import equilateral, random_h1, regular_simplex4, tetrahedron
 
 
 def table_of(a):
@@ -262,6 +262,20 @@ def test_pivot_flag_on_near_singular_bordered_matrix():
     got = t.chain(("0", 1, 2), ("0", 1, 2))
     assert got == pytest.approx(2e-14, rel=1e-6)
     assert len(t.pivot_warnings) == 1
+
+
+def test_pivot_warnings_do_not_depend_on_scale():
+    """The regular simplices (edge 1.5, radius 1) for n = 2, 3, 4 flag the
+    same determinants, here none, at every length scale."""
+    simplices = [equilateral(), tetrahedron(),
+                 sx.from_centers_radii(regular_simplex4(), [1.0] * 5)]
+    for a in simplices:
+        want = sx.check_hypotheses(a, h2="skip").pivot_warnings
+        assert want == []
+        for s in (1e-12, 1e-7, 1e6, 1e12):
+            b = sx.from_centers_radii(a.centers * s, a.radii * s)
+            assert sx.check_hypotheses(b, h2="skip").pivot_warnings == want, \
+                (a.n, s)
 
 
 def test_one_table_per_object(tri):

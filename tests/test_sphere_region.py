@@ -440,7 +440,7 @@ def plane_matrix(offset3):
                                      {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0})
 
 
-def test_quadrature_matches_gauss_bonnet_closed_form():
+def test_region_area_matches_gauss_bonnet_closed_form():
     """The region's area against the rhs of the Gauss-Bonnet check."""
     mats = [sx.config_matrix(sx.restrict_to_unit_sphere(tetrahedron())),
             plane_matrix(0.0)]                      # the octant
@@ -484,7 +484,7 @@ def benchmark_faces():
     yield "restricted", -m.offsets, -m.normals
 
 
-def test_node_doubling_converges_on_benchmark_faces():
+def test_benchmark_faces_are_exact_and_draw_nothing():
     """Every m = 2 face of the benchmark's geometry is exact, drawing
     nothing, whatever samples and rng are passed."""
     count = 0
@@ -538,7 +538,7 @@ def test_regions_match_indicator():
         assert abs(got.value - want) <= Z * sigma, (i, got.value, want)
 
 
-def test_quadrature_duplicate_and_whole_circle_rows():
+def test_region_area_duplicate_and_whole_circle_rows():
     a = tetrahedron()
     alpha, beta, _ = face_constraints(a, Chamber.all_minus(3), (1,))
     base = sphere_region(alpha, beta, 10, Rng(0))
@@ -566,7 +566,7 @@ def test_same_circle_with_opposite_sides_is_empty():
         assert est.method == "closed" and 0.0 <= est.value <= 1e-14, est
 
 
-def test_quadrature_gap_face_with_coinciding_rows():
+def test_region_area_gap_face_with_coinciding_rows():
     """S_12 of the regular n = 4 gap, where lambda_1 and lambda_2 coincide."""
     a = sx.from_centers_radii(regular_simplex4(), [0.93] * 5)
     c = Chamber.all_plus(4)
@@ -586,7 +586,7 @@ def test_quadrature_gap_face_with_coinciding_rows():
         est.value * R ** 2, rel=1e-15)
 
 
-def test_quadrature_region_containing_fibre_pole():
+def test_region_area_octant_and_near_hemispheres():
     """The octant, whose circles pass through every axis, and
     near-hemispheres, whose rims pass close to every direction
     orthogonal to their centres."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sphex as sx
-from sphex import volume
+from sphex import arrangement, volume
 from sphex.arrangement import Chamber, from_params, params_of
 from sphex.cayley_menger import CMTable
 from sphex.variation import param_basis
@@ -50,6 +50,35 @@ def test_from_params_is_stored():
     assert from_params(p, 2) is from_params(p, 2)
     with pytest.raises(ValueError):
         from_params(p, 3)
+
+
+def test_from_params_records_its_vector():
+    """A reconstruction's `params_of` is the vector it came from, so the
+    two share one table and one store."""
+    p = params_of(equilateral())
+    b = from_params(p, 2)
+    assert params_of(b) is p
+    assert CMTable.from_arrangement(b) is CMTable.from_params(p)
+
+
+def test_n2_fd_reconstructs_nothing(monkeypatch):
+    """The n = 2 difference of closed areas reads squared parameters only:
+    in the all-minus and a mixed chamber no parameter vector is turned
+    back into coordinates."""
+    calls = []
+    original = arrangement._reconstruct
+
+    def counting(p, n):
+        calls.append(p)
+        return original(p, n)
+
+    monkeypatch.setattr(arrangement, "_reconstruct", counting)
+    a = random_h1(np.random.default_rng(16))
+    for c in (Chamber.from_string("---"), Chamber.from_string("-++")):
+        for key in param_basis(2):
+            rep = sx.verify_variation_fd("euclidean", a, c, key, 1e-5)
+            assert rep.method == "closed" and rep.passed, (c, key)
+    assert calls == []
 
 
 def test_gap_area_computed_once(monkeypatch):

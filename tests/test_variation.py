@@ -438,7 +438,7 @@ def test_verify_fd_unit_sphere_detects_a_shifted_coefficient(tetra,
                                        eps=3e-2).passed, key
 
 
-def test_verify_fd_unit_sphere_step_below_quadrature_accuracy(tetra):
+def test_verify_fd_unit_sphere_step_below_area_accuracy(tetra):
     m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
     with pytest.raises(FdNoiseError, match="areas' accuracy"):
         verify_variation_fd("unit-sphere", m, None, ("a", 1, 2), eps=1e-7)
@@ -474,12 +474,62 @@ def test_fd_coefficient_is_the_full_form_entry():
     for a, c, eps, samples in cases:
         n = a.n
         rng = Rng(3, 7)
-        full = dB_volume_form(from_params(params_of(a), n), c, samples,
-                              rng.substream(1))
+        full = dB_volume_form(a, c, samples, rng.substream(1))
         for key in param_basis(n):
             rep = verify_variation_fd("euclidean", a, c, key, eps, samples,
                                       rng)
             assert rep.formula_value == full.get(key), (n, c, key)
+
+
+MINUS_CHAMBERS = ("---", "--+", "-+-", "+--", "-++", "+-+", "++-")
+
+
+def reconstructed_fd(p, c, key, eps):
+    """The n = 2 central difference of areas measured on coordinates: each
+    perturbed vector reconstructed, then rebuilt from its centres and
+    radii so that nothing is shared with the vector."""
+    areas = []
+    for x in (p.get(key) + eps, p.get(key) - eps):
+        b = from_params(p.with_entry(key, x), 2)
+        areas.append(chamber_area_closed_n2(
+            sx.from_centers_radii(b.centers, b.radii), c))
+    return (areas[0] - areas[1]) / (2.0 * eps)
+
+
+def test_n2_fd_on_params_matches_arrangement_and_coordinates():
+    """The n = 2 difference of closed areas on p +- eps: the same bits
+    for an arrangement and for its parameter vector, and within 1e-9 of
+    the difference of areas measured on reconstructed coordinates, in
+    every minus chamber of H1 draws and in the gap of H1' draws."""
+    gen = np.random.default_rng(515)
+    cases = [(random_h1(gen), Chamber.from_string(s))
+             for _ in range(3) for s in MINUS_CHAMBERS]
+    cases += [(random_h1_prime(gen), Chamber.all_plus(2)) for _ in range(3)]
+    for a, c in cases:
+        p = params_of(a)
+        for key in param_basis(2):
+            rep = verify_variation_fd("euclidean", a, c, key, 1e-5)
+            assert rep.method == "closed" and rep.passed, (c, key)
+            assert verify_variation_fd("euclidean", p, c, key, 1e-5) == rep
+            assert abs(rep.fd_value - reconstructed_fd(p, c, key, 1e-5)) \
+                <= 1e-9, (c, key)
+
+
+def test_n2_fd_falls_back_when_a_perturbation_breaks_h1():
+    """Circles through nearly one point: H1 holds, but r_1^2 - eps drops
+    circle 1 off the common point of the other two, so the closed form
+    of that vector raises and the chords measure the difference."""
+    a = equilateral(radius=0.8661)
+    c = Chamber.from_string("--+")
+    assert sx.check_hypotheses(a, h2="skip").h1 is True
+    rep = verify_variation_fd("euclidean", a, c, ("r", 1), 1e-3, 200_000,
+                              Rng(5))
+    assert rep.method == "conditional-mc"
+    assert rep.fallback_reason.startswith(
+        "closed form unavailable: HypothesisError: H1 fails")
+    assert rep.passed
+    assert verify_variation_fd("euclidean", a, c, ("r", 1),
+                               2e-4).method == "closed"
 
 
 def test_fd_measures_only_the_faces_of_its_parameter(tetra, monkeypatch):
