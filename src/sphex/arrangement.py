@@ -120,6 +120,8 @@ class ParamVector:
     #: its `CMTable`, sign table, n = 2 closed forms, `from_params`: once
     _store: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    #: (parent vector, x, y) of a `with_entry` copy that changed entry (x, y)
+    _parent: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.n + 1
@@ -141,6 +143,8 @@ class ParamVector:
         raise KeyError(key)
 
     def with_entry(self, key, value: float) -> "ParamVector":
+        """A copy with entry `key` set to `value`; it keeps this vector
+        alive and shares its determinants that avoid the changed entry."""
         r2 = np.array(self.radii_sq)
         d2 = np.array(self.dist_sq)
         if key[0] == "r":
@@ -149,7 +153,10 @@ class ParamVector:
             d2[key[1] - 1, key[2] - 1] = d2[key[2] - 1, key[1] - 1] = value
         else:
             raise KeyError(key)
-        return ParamVector(self.n, _frozen(r2), _frozen(d2))
+        q = ParamVector(self.n, _frozen(r2), _frozen(d2))
+        pair = ("*", key[1]) if key[0] == "r" else (key[1], key[2])
+        object.__setattr__(q, "_parent", (self,) + pair)
+        return q
 
 
 @dataclass(frozen=True)
@@ -399,8 +406,7 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
     up to p = n+1.  H1' keeps the conditions through p = n and the
     full-set plain condition, but requires (-1)^n B(0*N) < 0 instead of
     > 0.  H2 looks at the designated coordinate x_{n+1-j} of the vertex
-    P_j in normalized coordinates, for j = 1..n; pass `h2="skip"` to
-    omit it (used internally to avoid recursion through normalize).
+    P_j in normalized coordinates, for j = 1..n; `h2="skip"` omits it.
 
     Values whose magnitude is below 1e-9 times a Hadamard-type bound of
     the same degree in length are reported indeterminate rather than
@@ -438,8 +444,9 @@ def require_hypothesis(a, name: str, what: str):
     for the Arrangement or ParamVector `a` (whose plain sign conditions
     certify that `a` is realisable), IndeterminateSignError if it is
     unresolved; `what` ends the message."""
-    verdict = getattr(check_hypotheses(a, h2="skip"), name)
-    label = {"h1": "H1", "h1_prime": "H1'"}[name]
+    _, h1, h1_prime, _ = _stored(_as_params(a), "signs",
+                                 lambda: _sign_table(a))
+    label, verdict = {"h1": ("H1", h1), "h1_prime": ("H1'", h1_prime)}[name]
     if verdict is None:
         raise IndeterminateSignError(f"{label} indeterminate; {what}")
     if not verdict:

@@ -19,6 +19,7 @@ mixed ones of the one-form coefficients and the vertex value formulas.
 It memoizes each (rows, cols) pair exactly as called, and a small
 pure-Python LU evaluates the matrix in that order, so a permuted or
 transposed chain agrees with the sign rule to rounding, not bit for bit.
+`with_entry` vectors share their parent's chains that avoid the changed entry.
 
 The module also builds the configuration matrix of an arrangement whose
 last sphere is the unit sphere at the origin: each other sphere is cut
@@ -93,7 +94,9 @@ class CMTable:
     LU met a degraded pivot are collected, as called, in
     `pivot_warnings`.  `scale` is the largest squared radius or distance
     (see `hadamard_scale`); the LU sees lengths in units of it, so its
-    pivot flags do not depend on the arrangement's scale.
+    pivot flags do not depend on the arrangement's scale.  A `with_entry`
+    vector's table takes from `_base` = (parent's table, x, y) each chain
+    that reads neither entry (x, y) nor (y, x), if the two share `_unit`.
     """
 
     n: int
@@ -102,6 +105,7 @@ class CMTable:
 
     _raw: dict = field(default_factory=dict, repr=False)
     pivot_warnings: set = field(default_factory=set, repr=False)
+    _base: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # every entry by its (row, column) token pair, squared lengths / _unit
@@ -126,13 +130,22 @@ class CMTable:
     @classmethod
     def from_params(cls, params):
         """The table of a parameter vector (no point coordinates needed)."""
+        return cls._of(params)
+
+    @classmethod
+    def _of(cls, params):
         def build():
             m = params.n + 1
             r2 = np.zeros(m + 1)
             r2[1:] = params.radii_sq
             d2 = np.zeros((m + 1, m + 1))
             d2[1:, 1:] = params.dist_sq
-            return cls(params.n, r2, d2)
+            table = cls(params.n, r2, d2)
+            if params._parent is not None:
+                base = cls._of(params._parent[0])
+                if base._unit == table._unit:   # else every entry differs
+                    table._base = (base,) + params._parent[1:]
+            return table
 
         return _stored(params, "cm_table", build)
 
@@ -142,28 +155,38 @@ class CMTable:
         """Determinant for an arbitrary square pair of chains."""
         key = (tuple(rows), tuple(cols))
         value = self._raw.get(key)
-        if value is not None:
-            return value
+        return value if value is not None else self._miss(key)
+
+    def _miss(self, key):
         rows, cols = key
-        if len(rows) != len(cols):
-            raise ValueError("row and column chains must have equal length")
-        for c in key:
-            idx = [t for t in c if not isinstance(t, str)]
-            if len(set(idx)) != len(idx):
-                raise ValueError(f"repeated index in chain {c!r}")
-        e = self._entries
-        try:
-            M = [[e[x, y] for y in cols] for x in rows]
-        except KeyError as err:
-            raise ValueError(f"no entry for tokens {err.args[0]!r}: a token is "
-                             f"'0', '*' or a sphere index 1..{self.n + 1}") from None
-        # M has every squared length divided by u = _unit; the true matrix
-        # is D M D with D = u^(-1/2) on "0" tokens and u^(1/2) on the rest
-        value, degraded = _det_lu(M)
-        value *= self._unit ** (len(rows) - rows.count("0") - cols.count("0"))
-        self._raw[key] = value
-        if degraded:
+        base, x, y = self._base or (None, None, None)
+        if base is not None and not (x in rows and y in cols
+                                     or y in rows and x in cols):
+            # the parent's matrix, entry for entry: same value and flag
+            value = base._raw[key] if key in base._raw else base._miss(key)
+            degraded = key in base.pivot_warnings
+        else:
+            if len(rows) != len(cols):
+                raise ValueError("row and column chains must have equal length")
+            for c in key:
+                idx = [t for t in c if not isinstance(t, str)]
+                if len(set(idx)) != len(idx):
+                    raise ValueError(f"repeated index in chain {c!r}")
+            e = self._entries
+            try:
+                M = [[e[s, t] for t in cols] for s in rows]
+            except KeyError as err:
+                raise ValueError(f"no entry for tokens {err.args[0]!r}: a token "
+                                 f"is '0', '*' or a sphere index 1..{self.n + 1}"
+                                 ) from None
+            # M has every squared length divided by u = _unit; the true matrix
+            # is D M D with D = u^(-1/2) on "0" tokens and u^(1/2) on the rest
+            value, degraded = _det_lu(M)
+            value *= self._unit ** (len(rows) - rows.count("0")
+                                    - cols.count("0"))
+        if degraded:    # first, so whoever finds the value finds its flag
             self.pivot_warnings.add(key)
+        self._raw[key] = value
         return value
 
     def flagged(self) -> list:

@@ -85,13 +85,13 @@ def _hull(a, J):
     if len(J) == 1:
         return np.array(a.center(J[0])), np.eye(n)
     A, b = _radical_system(a, J)
-    x0, *_ = np.linalg.lstsq(A, b, rcond=None)
-    _, s, Vt = np.linalg.svd(A)
+    U, s, Vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-12 * s[0]))
     if rank < len(J) - 1:
         raise DegenerateConfigError(
             f"radical hyperplanes of {J} are linearly dependent")
-    return x0, Vt[rank:]
+    # the minimum-norm solution V diag(1/s) U^T b (A has full row rank)
+    return (U.T @ b / s) @ Vt[:rank], Vt[rank:]
 
 
 def intersection_sphere(a, J) -> SubSphere:

@@ -20,12 +20,14 @@ from sphex.arrangement import (
     params_from_json,
     params_of,
     params_to_json,
+    require_hypothesis,
     restrict_to_unit_sphere,
 )
 from sphex.cayley_menger import CMTable
 from sphex.errors import (
     DegenerateConfigError,
     HypothesisError,
+    IndeterminateSignError,
     NonRealizableError,
 )
 from sphex.variation import param_basis
@@ -210,6 +212,22 @@ def test_check_hypotheses_skip_h2(tri):
     rep = check_hypotheses(tri, h2="skip")
     assert rep.h1 is True
     assert rep.h2 is None
+
+
+def test_require_hypothesis_messages(tri, gap):
+    """One message per verdict, on an arrangement or its vector."""
+    through = equilateral(radius=0.8660254037844386)  # B(0*N) = 0
+    for x in (tri, params_of(tri)):
+        require_hypothesis(x, "h1", "what")
+        with pytest.raises(HypothesisError, match=r"^H1' fails; what$"):
+            require_hypothesis(x, "h1_prime", "what")
+    with pytest.raises(HypothesisError, match=r"^H1 fails; gap$"):
+        require_hypothesis(params_of(gap), "h1", "gap")
+    require_hypothesis(gap, "h1_prime", "gap")
+    for name, label in (("h1", "H1"), ("h1_prime", "H1'")):
+        with pytest.raises(IndeterminateSignError,
+                           match=rf"^{label} indeterminate; x$"):
+            require_hypothesis(through, name, "x")
 
 
 def test_normalize_triangular_shape(tri):

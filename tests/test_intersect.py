@@ -7,6 +7,8 @@ import pytest
 import sphex as sx
 from sphex.errors import EmptyIntersectionError, TangencyError
 from sphex.intersect import (
+    _hull,
+    _radical_system,
     angles_pair,
     intersection_sphere,
     sphere_angle,
@@ -14,7 +16,7 @@ from sphex.intersect import (
     triangle_angles,
     vertices,
 )
-from conftest import random_h1, tetrahedron
+from conftest import jitter_arrangement, random_h1, tetrahedron
 
 
 def two_unit_circles():
@@ -241,3 +243,24 @@ def test_hull_rank_is_scale_free():
         for J, r in zip(Js, radii):
             assert intersection_sphere(a, J).radius / s == pytest.approx(
                 r, rel=1e-9), (s, J)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_hull_point_is_the_minimum_norm_solution(scale):
+    """The hull's point, taken from its one SVD, solves every radical
+    equation and is the least-squares minimum-norm point."""
+    gen = np.random.default_rng(41)
+    for n in (2, 3, 4):
+        for _ in range(5):
+            a0 = jitter_arrangement(gen, n)
+            a = sx.from_centers_radii(a0.centers * scale, a0.radii * scale)
+            for p in range(2, n + 1):
+                for J in itertools.combinations(range(1, n + 2), p):
+                    x0, frame = _hull(a, J)
+                    A, b = _radical_system(a, J)
+                    size = np.abs(A) @ np.abs(x0) + np.abs(b)
+                    assert np.all(np.abs(A @ x0 - b) <= 1e-12 * size), J
+                    ref = np.linalg.lstsq(A, b, rcond=None)[0]
+                    assert (np.linalg.norm(x0 - ref)
+                            <= 1e-13 * np.linalg.norm(ref)), (n, J)
+                    assert frame.shape == (n - p + 1, n)

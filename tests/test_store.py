@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import sphex as sx
-from sphex import arrangement, volume
-from sphex.arrangement import Chamber, from_params, params_of
+from sphex import arrangement, cayley_menger, volume
+from sphex.arrangement import Chamber, ParamVector, from_params, params_of
 from sphex.cayley_menger import CMTable
-from sphex.variation import param_basis
+from sphex.errors import SphexError
+from sphex.variation import _theta_dict, param_basis
 from sphex.volume import Rng, _simplex_rows
 from conftest import (equilateral, random_h1, random_h1_prime,
                       regular_simplex4, tetrahedron)
+from test_variation import jittered_gap3
 
 
 @pytest.fixture
@@ -41,7 +43,8 @@ def test_fd_calls_share_one_reconstruction(built):
     reps = [sx.verify_variation_fd("euclidean", a, allm, key, 1e-5)
             for key in param_basis(2)]
     assert all(r.method == "closed" and r.passed for r in reps)
-    # one table for the shared reconstruction, two per perturbed pair
+    # the arrangement's own table, plus one per perturbed vector (built
+    # on first use, even where it takes its chains from the parent's)
     assert len(built) == 1 + 2 * len(reps)
 
 
@@ -170,3 +173,155 @@ def test_exact_faces_are_stored_and_sampled_faces_are_not():
     face = sx.face_volume(b, Chamber.all_minus(4), (1,), 2000, Rng(1))
     assert face.method == "conditional-mc"
     assert sx.face_volume(b, Chamber.all_minus(4), (1,), 2000, Rng(2)) != face
+
+
+# -- vectors made by `with_entry` share their parent's determinants ---------
+
+
+def _table_reads(x):
+    """Everything computed on `x` from its determinant table, as a repr
+    (bit for bit; an error as its type): the sign table, and at n = 2 the
+    angles and every chamber's closed area, and each theta_J, |J| >= 3."""
+    out = [dataclasses.astuple(r)
+           for r in sx.check_hypotheses(x, h2="skip").table]
+    calls = [lambda J=J: _theta_dict(CMTable.from_params(x), x, J)
+             for p in range(3, x.n + 2)
+             for J in itertools.combinations(range(1, x.n + 2), p)]
+    if x.n == 2:
+        calls += [lambda: volume._pair_data(x)]
+        calls += [lambda c=c: volume.chamber_area_closed_n2(x, Chamber(c))
+                  for c in itertools.product((-1, 1), repeat=3)]
+    for call in calls:
+        try:
+            out.append(call())
+        except SphexError as e:
+            out.append(type(e).__name__)
+    return repr(out)
+
+
+def _bits(x):
+    table = CMTable.from_params(x)
+    return ({key: v.hex() for key, v in table._raw.items()},
+            set(table.pivot_warnings))
+
+
+def _assert_like_fresh(q):
+    fresh = ParamVector(q.n, q.radii_sq, q.dist_sq)
+    assert fresh._parent is None
+    assert _table_reads(q) == _table_reads(fresh)
+    assert _bits(q) == _bits(fresh)
+
+
+def _reads(key, pair):
+    rows, cols = key
+    x, y = pair
+    return x in rows and y in cols or y in rows and x in cols
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """(table, chain) of every `_det_lu` call while the test runs."""
+    seen, stack = [], []
+    miss, det_lu = CMTable._miss, cayley_menger._det_lu
+
+    def recording_miss(self, key):
+        stack.append((self, key))
+        try:
+            return miss(self, key)
+        finally:
+            stack.pop()
+
+    def recording_det_lu(M):
+        seen.append(stack[-1])
+        return det_lu(M)
+
+    monkeypatch.setattr(CMTable, "_miss", recording_miss)
+    monkeypatch.setattr(cayley_menger, "_det_lu", recording_det_lu)
+    return seen
+
+
+def _draws():
+    gen = np.random.default_rng(1616)
+    return ([random_h1(gen) for _ in range(2)]
+            + [random_h1_prime(gen) for _ in range(2)]
+            + [random_h1(gen, 3), jittered_gap3(gen)])
+
+
+def test_derived_tables_equal_fresh_ones(factored):
+    """For every basis key, a `with_entry` vector's determinants, pivot
+    flags and everything read from them equal a fresh vector's bit for
+    bit, and its own table factors only chains that read the changed
+    entry."""
+    forwarded = total = 0
+    for a in _draws():
+        p = params_of(a)
+        for key in param_basis(p.n):
+            for step in (1e-5, -1e-3):
+                q = p.with_entry(key, p.get(key) * (1.0 + step))
+                _assert_like_fresh(q)
+                table = CMTable.from_params(q)
+                total += 1
+                forwarded += table._base is not None
+                if table._base is not None:
+                    pair = table._base[1:]
+                    assert pair == q._parent[1:]
+                    mine = [k for t, k in factored if t is table]
+                    assert mine and all(_reads(k, pair) for k in mine)
+                    assert len(mine) < len(table._raw)
+    assert forwarded >= 0.9 * total
+
+
+def test_step_across_a_power_of_two_forwards_nothing(factored):
+    """Moving the largest squared length into the next binade changes
+    every scaled entry: the derived table factors all its chains."""
+    for a in _draws():
+        p = params_of(a)
+        unit = CMTable.from_params(p)._unit
+        key = max(param_basis(p.n), key=p.get)
+        q = p.with_entry(key, 1.5 * unit)
+        assert CMTable.from_params(q)._unit == 2 * unit
+        _assert_like_fresh(q)
+        table = CMTable.from_params(q)
+        assert table._base is None
+        assert sum(t is table for t, _ in factored) == len(table._raw)
+
+
+def test_derived_table_copies_pivot_flags(factored):
+    """A chain whose LU meets a degraded pivot is taken from the parent
+    with its flag."""
+    # centers 1e-7 apart: B(0 1 2) = 2 rho_12^2 ~ 2e-14, a degraded pivot
+    c = np.array([[0.0, 0.0], [1e-7, 0.0], [0.5, 1.0]])
+    p = params_of(sx.from_centers_radii(c, [1.0, 1.0, 1.0]))
+    q = p.with_entry(("r", 3), 1.01)
+    _assert_like_fresh(q)
+    table = CMTable.from_params(q)
+    chain = (("0", 1, 2), ("0", 1, 2))
+    assert table._base is not None and chain in table.pivot_warnings
+    assert not any(t is table and k == chain for t, k in factored)
+
+
+def test_vector_derived_from_a_derived_vector():
+    for a in _draws():
+        p = params_of(a)
+        keys = param_basis(p.n)
+        for k1, k2 in ((keys[0], keys[-1]), (keys[-1], keys[-1])):
+            q1 = p.with_entry(k1, p.get(k1) * (1 + 1e-4))
+            q2 = q1.with_entry(k2, q1.get(k2) * (1 - 1e-4))
+            assert q2._parent[0] is q1 and q1._parent[0] is p
+            _assert_like_fresh(q2)
+
+
+def test_n2_fd_reads_no_hypothesis_report(monkeypatch):
+    """`require_hypothesis` reads the stored verdicts: an n = 2 FD builds
+    no `HypothesisReport`."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_hypotheses called")
+
+    gen = np.random.default_rng(17)
+    a, g = random_h1(gen), random_h1_prime(gen)
+    monkeypatch.setattr(arrangement, "check_hypotheses", forbidden)
+    for x, c in ((a, "---"), (a, "-++"), (g, "+++")):
+        for key in param_basis(2):
+            rep = sx.verify_variation_fd("euclidean", x, Chamber.from_string(c),
+                                         key, 1e-5)
+            assert rep.method == "closed" and rep.passed, (c, key)
