@@ -127,6 +127,9 @@ class ParamVector:
         m = self.n + 1
         if self.radii_sq.shape != (m,) or self.dist_sq.shape != (m, m):
             raise ValueError("parameter arrays have wrong shape")
+        for name in ("radii_sq", "dist_sq"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.radii_sq <= 0):
             raise ValueError("all squared radii must be positive")
         off = self.dist_sq[~np.eye(m, dtype=bool)]
@@ -188,6 +191,9 @@ def from_centers_radii(centers, radii) -> Arrangement:
         raise ValueError("dimension must be at least 2")
     if r.shape != (m,):
         raise ValueError("need one radius per center")
+    for name, x in (("centers", C), ("radii", r)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
     if np.any(r <= 0):
         raise ValueError("radii must be positive")
     diff = C[:, None, :] - C[None, :, :]

@@ -161,7 +161,8 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
 def check_theorem_II_i(a, samples: int = 1_000_000,
                        rng: "Rng | None" = None) -> IdentityReport:
     """The all-plus (gap chamber) volume identity; needs H1' and, at
-    n = 2, positive gap arcs."""
+    n = 2, positive gap arcs.  At n = 2 the lhs area reads the pair
+    angles, the rhs the gap arcs, vertex counts and B(0*jk)."""
     _require_gap(a, "theorem II does not apply")
     rng = rng if rng is not None else Rng(0)
     return _check_volume_identity("theorem_II_i", a, Chamber.all_plus(a.n),
@@ -173,8 +174,9 @@ def check_decomposition(a, samples: int = 1_000_000,
     """Closure of the cone-cell decomposition of the center simplex.
 
     lhs is the simplex volume; the terms are the cone cells over every
-    face of the gap chamber plus the gap chamber itself.  Needs H1' and,
-    at n = 2, positive gap arcs.
+    face of the gap chamber plus the gap chamber itself (at n = 2 the
+    cells read the gap arcs and vertex counts, the gap the pair angles).
+    Needs H1' and, at n = 2, positive gap arcs.
     """
     _require_gap(a, "the decomposition does not apply")
     rng = rng if rng is not None else Rng(0)

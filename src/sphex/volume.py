@@ -48,7 +48,6 @@ import numpy as np
 
 from .arrangement import (
     Chamber,
-    _as_arrangement,
     _as_params,
     _check_chamber,
     evaluate_f,
@@ -775,7 +774,7 @@ def lens_volume_closed(n: int, r1: float, r2: float, rho: float) -> float:
 
 # ---------------------------------------------------------------------------
 # closed forms for n = 2 chambers, of an Arrangement or a ParamVector and
-# stored on the ParamVector; only the all-plus area reads coordinates
+# stored on the ParamVector; they read the squared parameters only
 # ---------------------------------------------------------------------------
 
 
@@ -825,25 +824,9 @@ def chamber_arc_angles(a, c: Chamber) -> dict:
 
 
 def pseudo_triangle_area_closed(a) -> float:
-    """Area of the all-minus chamber for n = 2, assembled exactly.
-
-    Triangle area minus the three circular sectors at the corners plus
-    the half-lens corrections over the edges.
-    """
-    if a.n != 2:
-        raise ValueError("closed area path is for n = 2")
-    require_hypothesis(a, "h1", "the three-arc region does not exist")
-    psih, phi = _pair_data(a)
-    r2 = dict(zip((1, 2, 3), _as_params(a).radii_sq.tolist()))
-    table = CMTable.from_arrangement(a)
-    total = 0.25 * math.sqrt(-table.chain(("0", 1, 2, 3), ("0", 1, 2, 3)))
-    for j in (1, 2, 3):
-        total -= 0.5 * r2[j] * phi[j]
-    for j, k in ((1, 2), (1, 3), (2, 3)):
-        pj, pk = 2.0 * psih[(j, k)], 2.0 * psih[(k, j)]
-        total += 0.25 * r2[j] * (pj - math.sin(pj))
-        total += 0.25 * r2[k] * (pk - math.sin(pk))
-    return total
+    """Area of the all-minus chamber for n = 2: the three-arc region of
+    `chamber_area_closed_n2` (needs H1)."""
+    return chamber_area_closed_n2(a, Chamber.all_minus(2))
 
 
 def simplex_volume(a) -> float:
@@ -857,14 +840,14 @@ def simplex_volume(a) -> float:
 
 
 def chamber_area_closed_n2(a, c: Chamber) -> float:
-    """Closed-form area of any n = 2 chamber.
+    """Closed-form area of any n = 2 chamber, from the pair angles alone.
 
-    All-minus: the three-arc region.  All-plus (needs H1' and a positive
-    gap arc on every circle, `_require_gap`): simplex minus the
-    decomposition cells, vertices counted by `face_volume` on `a` or on
-    its `from_params`.  One or two minus signs (needs H1):
-    inclusion-exclusion of disk, lens and three-arc areas.  Stored per
-    chamber.
+    The three-arc region (triangle minus corner sectors plus half
+    lenses) is the all-minus chamber (needs H1) and the gap (needs H1'
+    and a positive gap arc on every circle, `_require_gap`, which put
+    every sector and inner half lens in the centre triangle).  One or
+    two minus signs (needs H1): inclusion-exclusion of disk, lens and
+    three-arc areas.  Stored per chamber.
     """
     if a.n != 2:
         raise ValueError("closed area path is for n = 2")
@@ -884,31 +867,30 @@ def _require_gap(a, what: str):
 
 def _area_n2(a, c: Chamber) -> float:
     minus = c.minus_set()
-    r2 = dict(zip((1, 2, 3), _as_params(a).radii_sq.tolist()))
-    if not minus:
+    if minus:
+        require_hypothesis(a, "h1", "the three-arc region does not exist")
+    else:
         _require_gap(a, "bounded gap chamber undefined")
-        table = CMTable.from_arrangement(a)
-        arcs = chamber_arc_angles(a, c)
-        coords = _as_arrangement(a)
-        total = simplex_volume(coords)
-        for j in (1, 2, 3):
-            total -= 0.5 * r2[j] * arcs[j]
-        for j, k in ((1, 2), (1, 3), (2, 3)):
-            cnt = face_volume(coords, c, (j, k))
-            total -= 0.25 * math.sqrt(
-                -table.chain(("0", "*", j, k), ("0", "*", j, k))) * cnt.value
-        return total
-    tri = pseudo_triangle_area_closed(a)  # also certifies H1
-    if len(minus) == 3:
+    psih, phi = _pair_data(a)
+    r2 = dict(zip((1, 2, 3), _as_params(a).radii_sq.tolist()))
+    # seg[(j, k)]: the part of disk j on circle k's side of their common
+    # chord; seg[(j, k)] + seg[(k, j)] is the jk lens
+    seg = {jk: 0.5 * r2[jk[0]] * (2.0 * h - math.sin(2.0 * h))
+           for jk, h in psih.items()}
+    table = CMTable.from_arrangement(a)
+    tri = 0.25 * math.sqrt(-table.chain(("0", 1, 2, 3), ("0", 1, 2, 3)))
+    for j in (1, 2, 3):
+        tri -= 0.5 * r2[j] * phi[j]
+    for v in seg.values():
+        tri += 0.5 * v
+    if len(minus) in (0, 3):
         return tri
 
     def lens(j, k):
-        return lens_volume_closed(2, math.sqrt(r2[j]), math.sqrt(r2[k]),
-                                  math.sqrt(_as_params(a).get(("d", j, k))))
+        return seg[(j, k)] + seg[(k, j)]
 
     if len(minus) == 2:
-        j, k = minus
-        return lens(j, k) - tri
+        return lens(*minus) - tri
     (j,) = minus
     k, l = (m for m in (1, 2, 3) if m != j)
     return math.pi * r2[j] - lens(j, k) - lens(j, l) + tri

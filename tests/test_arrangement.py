@@ -48,6 +48,11 @@ def test_from_centers_radii_validation():
         from_centers_radii([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])  # 2 spheres, n=2
     with pytest.raises(ValueError):
         from_centers_radii([[0, 0], [1, 0], [0, 1]], [1.0, -1.0, 1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="radii must be finite"):
+            from_centers_radii([[0, 0], [1, 0], [0, 1]], [1.0, bad, 1.0])
+        with pytest.raises(ValueError, match="centers must be finite"):
+            from_centers_radii([[0, 0], [1, bad], [0, 1]], [1.0, 1.0, 1.0])
 
 
 def test_right_triangle_distances():
@@ -113,6 +118,13 @@ def test_param_vector_validation():
     bad[0, 1] = 2.0
     with pytest.raises(ValueError):
         ParamVector(2, np.ones(m), bad)
+    for v in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="radii_sq must be finite"):
+            ParamVector(2, np.array([1.0, v, 1.0]), good)
+        bad = np.array(good)
+        bad[0, 1] = bad[1, 0] = v
+        with pytest.raises(ValueError, match="dist_sq must be finite"):
+            ParamVector(2, np.ones(m), bad)
 
 
 def test_param_vector_basis_and_entry(tri):

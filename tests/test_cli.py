@@ -453,6 +453,24 @@ def test_usage_errors(tmp_path, tri_file, capsys):
     code, _, err = run(capsys, ["check", "--input", str(incomplete)])
     assert code == 1
     assert 'missing field "n"' in err
+    # non-finite numbers, which Python's json reads, in both input forms
+    forms = {
+        "centers": '{"n": 2, "centers": [[0, 0], [1.5, %s], [0.75, 1.3]], '
+                   '"radii": [1, 1, 1]}',
+        "radii": '{"n": 2, "centers": [[0, 0], [1.5, 0], [0.75, 1.3]], '
+                 '"radii": [1, %s, 1]}',
+        "radii_sq": '{"n": 2, "radii_sq": [1, %s, 1], "dist_sq": '
+                    '{"1,2": 2.25, "1,3": 2.25, "2,3": 2.25}}',
+        "dist_sq": '{"n": 2, "radii_sq": [1, 1, 1], "dist_sq": '
+                   '{"1,2": %s, "1,3": 2.25, "2,3": 2.25}}',
+    }
+    for field, text in forms.items():
+        for bad in ("NaN", "Infinity", "-Infinity"):
+            path = tmp_path / "nonfinite.json"
+            path.write_text(text % bad)
+            code, out, err = run(capsys, ["volume", "--input", str(path)])
+            assert code == 1 and out == "", (field, bad)
+            assert f"{field} must be finite" in err, (field, bad)
 
 
 def test_embedded_lens_values_through_cli(tmp_path, capsys):

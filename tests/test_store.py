@@ -18,7 +18,7 @@ from sphex.cayley_menger import CMTable
 from sphex.errors import SphexError
 from sphex.variation import _theta_dict, param_basis
 from sphex.volume import Rng, _simplex_rows
-from conftest import (equilateral, random_h1, random_h1_prime,
+from conftest import (equilateral, gap_fixture, random_h1, random_h1_prime,
                       regular_simplex4, tetrahedron)
 from test_variation import jittered_gap3
 
@@ -66,8 +66,9 @@ def test_from_params_records_its_vector():
 
 def test_n2_fd_reconstructs_nothing(monkeypatch):
     """The n = 2 difference of closed areas reads squared parameters only:
-    in the all-minus and a mixed chamber no parameter vector is turned
-    back into coordinates."""
+    in the all-minus and a mixed chamber of an H1 draw, and in the gap of
+    the regular gap triangle, no parameter vector is turned back into
+    coordinates."""
     calls = []
     original = arrangement._reconstruct
 
@@ -76,10 +77,11 @@ def test_n2_fd_reconstructs_nothing(monkeypatch):
         return original(p, n)
 
     monkeypatch.setattr(arrangement, "_reconstruct", counting)
-    a = random_h1(np.random.default_rng(16))
-    for c in (Chamber.from_string("---"), Chamber.from_string("-++")):
+    h1, gap = random_h1(np.random.default_rng(16)), gap_fixture()
+    for a, c in ((h1, "---"), (h1, "-++"), (gap, "+++")):
         for key in param_basis(2):
-            rep = sx.verify_variation_fd("euclidean", a, c, key, 1e-5)
+            rep = sx.verify_variation_fd("euclidean", a,
+                                         Chamber.from_string(c), key, 1e-5)
             assert rep.method == "closed" and rep.passed, (c, key)
     assert calls == []
 

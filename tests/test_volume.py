@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import sphex as sx
 from sphex.arrangement import Chamber
-from sphex.cayley_menger import ConfigMatrix
+from sphex.cayley_menger import CMTable, ConfigMatrix
 from sphex.errors import (
     DegenerateConfigError,
     EmptyIntersectionError,
@@ -44,6 +44,7 @@ from conftest import (
     gap_fixture,
     lens_trio,
     random_h1,
+    random_h1_prime,
     tetrahedron,
 )
 
@@ -284,11 +285,31 @@ def test_closed_chamber_areas_vs_mc(tri):
 
 
 def test_chamber_areas_tile_the_disk(tri):
-    """Fixing sphere 1 inside, the four sign patterns partition disk 1."""
+    """Fixing sphere 1 inside, the four sign patterns partition disk 1.
+
+    On the regular triangle and on random H1 draws, the four chambers
+    inside circle j tile disk j, and the two inside circles j and k tile
+    their lens, measured by `lens_volume_closed` from the radii and the
+    distance rather than from the pair angles the chamber areas use.
+    """
     total = math.fsum(
         chamber_area_closed_n2(tri, Chamber((-1, s2, s3)))
         for s2 in (-1, 1) for s3 in (-1, 1))
     assert total == pytest.approx(math.pi, rel=1e-12)
+    gen = np.random.default_rng(23)
+    minus = [s for s in itertools.product((-1, 1), repeat=3) if -1 in s]
+    for a in [tri] + [random_h1(gen) for _ in range(20)]:
+        area = {s: chamber_area_closed_n2(a, Chamber(s)) for s in minus}
+        for j in range(3):
+            inside = [s for s in minus if s[j] < 0]
+            total = math.fsum(area[s] for s in inside)
+            assert total == pytest.approx(math.pi * a.radii[j] ** 2,
+                                          rel=1e-12)
+            for k in range(j + 1, 3):
+                total = math.fsum(area[s] for s in inside if s[k] < 0)
+                lens = lens_volume_closed(2, a.radii[j], a.radii[k],
+                                          a.distance(j + 1, k + 1))
+                assert total == pytest.approx(lens, rel=1e-12), (j, k)
 
 
 def test_chamber_volume_exact_flag(tri):
@@ -381,13 +402,34 @@ def test_cone_cell_p1_direct_mc(gap):
 
 
 def test_decomposition_closes_to_simplex(gap):
-    cells = []
-    for p in (1, 2):
-        for J in itertools.combinations((1, 2, 3), p):
-            cells.append(decomposition_cell_volume(gap, J))
-    gap_area = chamber_area_closed_n2(gap, Chamber.all_plus(2))
-    assert math.fsum(cells) + gap_area == pytest.approx(
-        simplex_volume(gap), rel=1e-10)
+    """The cone cells and the gap tile the centre simplex, on the fixture
+    and on random certified gaps; there the gap's three-arc area also
+    equals the cone-cell expression, simplex minus the sectors over the
+    gap arcs minus a kite 1/4 sqrt(-B(0*jk)) per vertex, to 1e-12."""
+    allp = Chamber.all_plus(2)
+    gen = np.random.default_rng(24)
+    certified = 0
+    for a in [gap] + [random_h1_prime(gen) for _ in range(30)]:
+        try:
+            gap_area = chamber_area_closed_n2(a, allp)
+        except HypothesisError:
+            continue
+        certified += 1
+        cells = []
+        for p in (1, 2):
+            for J in itertools.combinations((1, 2, 3), p):
+                cells.append(decomposition_cell_volume(a, J))
+        assert math.fsum(cells) + gap_area == pytest.approx(
+            simplex_volume(a), rel=1e-10)
+        table = CMTable.from_arrangement(a)
+        arcs = chamber_arc_angles(a, allp)
+        oracle = simplex_volume(a) - math.fsum(
+            0.5 * a.radius(j) ** 2 * arcs[j] for j in (1, 2, 3))
+        for j, k in ((1, 2), (1, 3), (2, 3)):
+            b = table.chain(("0", "*", j, k), ("0", "*", j, k))
+            oracle -= 0.25 * math.sqrt(-b) * face_volume(a, allp, (j, k)).value
+        assert abs(gap_area - oracle) <= 1e-12
+    assert certified >= 20
 
 
 def test_cell_coefficient_validation(gap):
