@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,18 +148,28 @@ class ParamVector:
 
     def with_entry(self, key, value: float) -> "ParamVector":
         """A copy with entry `key` set to `value`; it keeps this vector
-        alive and shares its determinants that avoid the changed entry."""
+        alive and shares its determinants that avoid the changed entry.
+        Only the new value is checked: the rest was checked in this
+        vector, and the copy sets both (j, k) and (k, j)."""
         r2 = np.array(self.radii_sq)
         d2 = np.array(self.dist_sq)
         if key[0] == "r":
+            name, what = "radii_sq", "radii"
             r2[key[1] - 1] = value
         elif key[0] == "d":
+            name, what = "dist_sq", "distances"
             d2[key[1] - 1, key[2] - 1] = d2[key[2] - 1, key[1] - 1] = value
         else:
             raise KeyError(key)
-        q = ParamVector(self.n, _frozen(r2), _frozen(d2))
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if value <= 0:
+            raise ValueError(f"all squared {what} must be positive")
         pair = ("*", key[1]) if key[0] == "r" else (key[1], key[2])
-        object.__setattr__(q, "_parent", (self,) + pair)
+        r2.flags.writeable = d2.flags.writeable = False
+        q = object.__new__(ParamVector)          # skips __post_init__
+        q.__dict__.update(n=self.n, radii_sq=r2, dist_sq=d2, _store={},
+                          _parent=(self,) + pair)
         return q
 
 

@@ -31,7 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangement import Chamber, evaluate_f, require_hypothesis
+from .arrangement import (
+    Chamber,
+    _as_arrangement,
+    evaluate_f,
+    require_hypothesis,
+)
 from .cayley_menger import CMTable, ConfigMatrix
 from .errors import DegenerateConfigError, HypothesisError
 from .intersect import intersection_sphere, sphere_angle, vertices
@@ -149,7 +154,9 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
     `chamber` may be any sign vector with at least one minus entry; the
     all-plus case has its own sign pattern and check.  Needs H1, else
     HypothesisError (IndeterminateSignError if H1 is unresolved).
+    `a` may be an Arrangement or a ParamVector, as in the gap checks.
     """
+    a = _as_arrangement(a)
     c = chamber if chamber is not None else Chamber.all_minus(a.n)
     if not c.minus_set():
         raise ValueError("all-plus chamber: use check_theorem_II_i")
@@ -160,9 +167,11 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
 
 def check_theorem_II_i(a, samples: int = 1_000_000,
                        rng: "Rng | None" = None) -> IdentityReport:
-    """The all-plus (gap chamber) volume identity; needs H1' and, at
-    n = 2, positive gap arcs.  At n = 2 the lhs area reads the pair
+    """The all-plus (gap chamber) volume identity; needs H1' and a
+    certified gap: positive gap arcs at n = 2, gap faces (k,) of
+    positive area at n = 3.  At n = 2 the lhs area reads the pair
     angles, the rhs the gap arcs, vertex counts and B(0*jk)."""
+    a = _as_arrangement(a)
     _require_gap(a, "theorem II does not apply")
     rng = rng if rng is not None else Rng(0)
     return _check_volume_identity("theorem_II_i", a, Chamber.all_plus(a.n),
@@ -176,8 +185,9 @@ def check_decomposition(a, samples: int = 1_000_000,
     lhs is the simplex volume; the terms are the cone cells over every
     face of the gap chamber plus the gap chamber itself (at n = 2 the
     cells read the gap arcs and vertex counts, the gap the pair angles).
-    Needs H1' and, at n = 2, positive gap arcs.
+    Needs H1' and a certified gap, as `check_theorem_II_i` does.
     """
+    a = _as_arrangement(a)
     _require_gap(a, "the decomposition does not apply")
     rng = rng if rng is not None else Rng(0)
     lhs = simplex_volume(a)

@@ -2,7 +2,9 @@
 
 Chamber volumes without a closed form integrate exactly along random
 lines through an interior point, cut into the chamber's pieces by the
-interval core (`_line_measure`) that `chamber_chords` uses as well.
+interval core (`_line_measure`) that `chamber_chords` uses as well.  The
+lines come in frames: a random rotation of the (3^n - 1) / 2 axes of the
+cube, so one rotation serves many evenly spread lines.
 
 Monte Carlo sampling is organized in fixed blocks of a counter-based
 generator, so a result depends only on (seed, stream, sample count) and
@@ -117,8 +119,9 @@ class VolumeEstimate:
     `std_error` is the binomial standard error propagated through the
     bounding-measure factor and `samples` counts points; for
     "conditional-mc" it is the sample standard error of the per-fibre
-    arc lengths (of a face) or of the per-line scores (of a chamber,
-    `chamber_volume`), and `samples` counts fibres or lines.
+    arc lengths (of a face) or of the per-frame line scores (of a
+    chamber, `chamber_volume`, whose lines come in dependent frames),
+    and `samples` counts fibres or lines.
     `fallback_reason` says why a closed form was not taken (it raised,
     or its hypothesis failed); it is None when the first path applied.
     """
@@ -154,12 +157,25 @@ def _blocks(samples: int, rng: Rng):
 
 
 def _mean_error(scores, samples: int):
-    """Mean and standard error of `samples` scores arriving in chunks."""
-    total = total_sq = 0.0
+    """Mean and standard error of `samples` scores arriving in chunks.
+
+    A chunk is an array of independent scores, or a pair (S, k) of the
+    score sums S of groups of k dependent scores each (the frames of
+    `chamber_volume`); the error is then taken over the groups,
+    sqrt(sum (S - k mean)^2) / samples.
+    """
+    total = total_sq = cross = count_sq = 0.0
     for x in scores:
+        if isinstance(x, tuple):
+            x, k = x
+            cross += float(x @ k)
+            count_sq += float(k @ k)
         total += float(x.sum())
         total_sq += float(x @ x)
     mean = total / samples
+    if count_sq:                        # sum (S - k mean)^2, expanded
+        ss = total_sq - 2.0 * mean * cross + mean * mean * count_sq
+        return mean, math.sqrt(max(ss, 0.0)) / samples
     return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0)
                            / samples)
 
@@ -421,10 +437,11 @@ TWO_PI = 2.0 * math.pi
 #: tolerance of the two-point count (m = 0); constraint rows from
 #: `face_constraints` are scaled so that it matches `face_volume_mc`
 COUNT_TOL = 1e-9
-#: fibres (or lines, for `chamber_chords` and `chamber_volume`) per
-#: sub-chunk of an RNG block: the arc and line intersections hold about a
-#: dozen (fibres, K) arrays, so a sub-chunk keeps the working set of a
-#: block no larger than the indicator estimators'
+#: fibres (or lines, for `chamber_chords` and `chamber_volume`, whose
+#: sub-chunks hold whole frames) per sub-chunk of an RNG block: the arc
+#: and line intersections hold about a dozen (fibres, K) arrays, so a
+#: sub-chunk keeps the working set of a block no larger than the
+#: indicator estimators'
 FIBRE_CHUNK = 4096
 #: absolute accuracy of an m = 2 area (`_region_area`), which the
 #: unit-sphere finite difference's step guard assumes; the tests hold the
@@ -856,13 +873,19 @@ def chamber_area_closed_n2(a, c: Chamber) -> float:
 
 def _require_gap(a, what: str):
     """`require_hypothesis(a, "h1_prime", what)`; at n = 2 also
-    HypothesisError unless every gap arc is positive."""
+    HypothesisError unless every gap arc is positive, and at n = 3 unless
+    every gap face (k,) has positive area (exact, and stored)."""
     require_hypothesis(a, "h1_prime", what)
     if a.n == 2:
         for j, t in chamber_arc_angles(a, Chamber.all_plus(2)).items():
             if t <= 0.0:
                 raise HypothesisError(
                     f"gap arc of circle {j} is {t:.3g} <= 0; {what}")
+    elif a.n == 3:
+        for k in range(1, 5):
+            if face_volume(a, Chamber.all_plus(3), (k,)).value <= 0.0:
+                raise HypothesisError(
+                    f"gap face on sphere {k} has measure 0; {what}")
 
 
 def _area_n2(a, c: Chamber) -> float:
@@ -896,18 +919,52 @@ def _area_n2(a, c: Chamber) -> float:
     return math.pi * r2[j] - lens(j, k) - lens(j, l) + tri
 
 
+@functools.lru_cache(maxsize=None)
+def _cube_axes(n: int) -> np.ndarray:
+    """The K = (3^n - 1) / 2 axes of the cube [-1, 1]^n, (K, n), read-only.
+
+    One unit vector per line through the origin and a nonzero point of
+    {-1, 0, 1}^n, the one whose first nonzero coordinate is positive.
+    The set is invariant under coordinate permutations and sign flips.
+    """
+    pts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+    first = pts[np.arange(len(pts)), (pts != 0.0).argmax(axis=1)]
+    axes = pts[first > 0.0]
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    axes.flags.writeable = False
+    return axes
+
+
+def _frames(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """`count` Haar-random orthogonal matrices (count, n, n), rows
+    orthonormal: Gram-Schmidt of n standard-normal rows each, with each
+    projection taken twice so that rows stay orthogonal to rounding."""
+    Q = gen.standard_normal((n, n, count))      # Q[i]: row i of every frame
+    for i in range(n):
+        for j in list(range(i)) * 2:
+            Q[i] -= (Q[i] * Q[j]).sum(axis=0) * Q[j]
+        Q[i] /= np.sqrt((Q[i] * Q[i]).sum(axis=0))
+    return Q.transpose(2, 0, 1)
+
+
 def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
                    rng: "Rng | None" = None) -> VolumeEstimate:
     """Chamber volume: the closed form for n = 2, else rays through x0.
 
-    Otherwise ("conditional-mc") `samples` lines x0 + t w, w uniform on
-    S^(n-1), each score the exact integral of |t|^(n-1) over the
-    chamber's pieces (`_line_measure`); in polar coordinates about x0
-    the volume is |S^(n-1)| / 2 times the mean score, for any x0.  x0 is
-    the mean of the minus balls' centres (of all centres for the
-    all-plus chamber, the gap in the centre simplex).  `std_error` is the
-    per-line standard error.  `fallback_reason` names a raised n = 2
-    closed form; a chamber of the wrong length raises ValueError.
+    Otherwise ("conditional-mc") `samples` lines x0 + t w each score the
+    exact integral of |t|^(n-1) over the chamber's pieces
+    (`_line_measure`); in polar coordinates about x0 the volume is
+    |S^(n-1)| / 2 times the mean score, for any x0.  x0 is the mean of
+    the minus balls' centres (of all centres for the all-plus chamber,
+    the gap in the centre simplex).  The directions w come in frames:
+    one Haar-random rotation of the K = (3^n - 1) / 2 cube axes
+    (`_cube_axes`) gives K evenly spread lines.  Each RNG block of lines
+    draws its frames and takes its lines frame by frame, the last frame
+    cut short, so `samples` counts lines and a result depends only on
+    (seed, stream, samples).  The lines of a frame are dependent, so
+    `std_error` is the standard error over frames.  `fallback_reason`
+    names a raised n = 2 closed form; a chamber of the wrong length
+    raises ValueError.
     """
     _check_chamber(a, c)
     reason = None
@@ -926,20 +983,27 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
         # x0 + t w is in the simplex iff 1 + t (P w)_i >= 0 on every row
         P, q = _simplex_rows(a)
         P = P / (P @ x0 + q)[:, None]
+    axes = _cube_axes(a.n)
+    K = len(axes)
+    per_chunk = max(FIBRE_CHUNK // K, 1)        # whole frames per chunk
 
     def scores():
         for gen, cnt in _blocks(samples, rng):
-            w = gen.standard_normal((cnt, a.n))
-            w /= np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
-            for s in range(0, cnt, FIBRE_CHUNK):
-                W = w[s:s + FIBRE_CHUNK].T
+            frames = _frames(gen, -(-cnt // K), a.n)
+            for f in range(0, len(frames), per_chunk):
+                W = (axes @ frames[f:f + per_chunk]).reshape(-1, a.n)
+                W = W[:cnt - f * K].T
                 mid = D @ W
                 h = np.sqrt(np.maximum(mid * mid - e, 0.0))
                 window = None
                 if not minus:           # max u > 0 > min u: x0 is inside
                     u = P @ W
                     window = -1.0 / u.max(axis=0), -1.0 / u.min(axis=0)
-                yield _line_measure(mid - h, mid + h, c, window, a.n)
+                x = _line_measure(mid - h, mid + h, c, window, a.n)
+                starts = np.arange(0, len(x), K)
+                k = np.full(len(starts), float(K))
+                k[-1] = len(x) - starts[-1]
+                yield np.add.reduceat(x, starts), k
 
     mean, err = _mean_error(scores(), samples)
     half = unit_sphere_area(a.n - 1) / (2 * a.n)   # |S^(n-1)| / 2n

@@ -140,6 +140,30 @@ def test_param_vector_basis_and_entry(tri):
     assert p.get(("d", 1, 2)) == pytest.approx(SIDE ** 2)  # original untouched
 
 
+def test_with_entry_checks_the_new_value(tri):
+    """`with_entry` refuses what the constructor refuses, with the same
+    message, and a valid copy reads like a fresh vector of its arrays."""
+    p = params_of(tri)
+    for key, name, what in ((("r", 2), "radii_sq", "radii"),
+                            (("d", 1, 3), "dist_sq", "distances")):
+        for v in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                p.with_entry(key, v)
+        for v in (0.0, -1.0):
+            with pytest.raises(ValueError,
+                               match=f"all squared {what} must be positive"):
+                p.with_entry(key, v)
+        q = p.with_entry(key, 1.7)
+        fresh = ParamVector(q.n, q.radii_sq, q.dist_sq)
+        assert q.n == fresh.n and q.get(key) == 1.7
+        assert np.array_equal(q.dist_sq, q.dist_sq.T)
+        for x in (q.radii_sq, q.dist_sq):
+            assert not x.flags.writeable
+        assert q._store == {} and q._parent[0] is p
+        assert sx.chamber_volume(q, Chamber.all_minus(2)) == \
+            sx.chamber_volume(fresh, Chamber.all_minus(2))
+
+
 def test_evaluate_f_inside_boundary_outside():
     a = from_centers_radii([[0, 0], [5, 0], [0, 5]], [1.0, 1.0, 1.0])
     assert evaluate_f(a, 1, [0.0, 0.0]) == pytest.approx(-1.0)

@@ -2,8 +2,9 @@
 
 `chamber_volume` scores each line x0 + t w by the integral of |t|^(n-1)
 over the chamber's pieces on it (`_line_measure`, the interval core the
-Euclidean finite difference shares).  The indicator estimator
-`chamber_volume_mc` is the independent oracle.
+Euclidean finite difference shares).  The lines come in frames, random
+rotations of the cube's axes (`_cube_axes`, `_frames`).  The indicator
+estimator `chamber_volume_mc` is the independent oracle.
 """
 
 import itertools
@@ -13,9 +14,13 @@ import numpy as np
 import pytest
 
 import sphex as sx
+from sphex import volume
 from sphex.arrangement import Chamber
 from sphex.volume import (
+    BLOCK,
     Rng,
+    _cube_axes,
+    _frames,
     _line_measure,
     _sampling_box,
     chamber_volume,
@@ -73,15 +78,68 @@ def test_ray_volume_provenance(tetra):
     assert est.value > 0.0 and est.std_error > 0.0
 
 
-@pytest.mark.parametrize("signs", ["----", "-+++", "++++"])
-def test_reported_sigma_is_calibrated(signs):
-    """Over 40 seeds the spread of the values matches the reported sigma."""
-    a = tetrahedron(radius=0.89) if signs == "++++" else tetrahedron()
+@pytest.mark.parametrize("shape, signs, lines", [
+    pytest.param("tetrahedron", "----", 20_000, id="----"),
+    pytest.param("tetrahedron", "-+++", 20_000, id="-+++"),
+    pytest.param("gap", "++++", 20_000, id="++++"),
+    pytest.param("tetrahedron", "----", 1_000, id="----@1000"),
+    pytest.param("triangle", "-++", 20_002, id="-++"),
+    pytest.param("simplex4", "-----", 20_001, id="-----"),
+    pytest.param("simplex4", "-++++", 2_001, id="-++++@2001")])
+def test_reported_sigma_is_calibrated(shape, signs, lines):
+    """Over 40 seeds the spread of the values matches the reported sigma,
+    taken over frames.  Each count leaves a partial last frame; the
+    triangle's disks share no point, so n = 2 falls back to rays."""
+    a = {"triangle": lambda: equilateral(radius=0.8),
+         "tetrahedron": tetrahedron,
+         "gap": lambda: tetrahedron(radius=0.89),
+         "simplex4": simplex4}[shape]()
     c = Chamber.from_string(signs)
-    runs = [chamber_volume(a, c, 20_000, Rng(seed)) for seed in range(40)]
+    runs = [chamber_volume(a, c, lines, Rng(seed)) for seed in range(40)]
     spread = float(np.std([r.value for r in runs], ddof=1))
     reported = float(np.mean([r.std_error for r in runs]))
     assert 0.75 <= spread / reported <= 1.3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frames_rotate_the_cube_axes(n):
+    """K = (3^n - 1) / 2 unit axes, one per line, and orthonormal frames."""
+    axes = _cube_axes(n)
+    assert axes.shape == ((3 ** n - 1) // 2, n)
+    assert not axes.flags.writeable
+    np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, rtol=1e-15)
+    cos = np.abs(axes @ axes.T)
+    assert cos[~np.eye(len(axes), dtype=bool)].max() < 1.0 - 1e-9
+    Q = _frames(np.random.default_rng(n), 500, n)
+    np.testing.assert_allclose(Q @ Q.transpose(0, 2, 1),
+                               np.broadcast_to(np.eye(n), Q.shape), atol=1e-14)
+
+
+@pytest.mark.parametrize("samples", [13 * 500 + 5, BLOCK + 13 * 7 + 2])
+def test_rays_use_exactly_samples_lines(tetra, monkeypatch, samples):
+    """A count that leaves a partial frame in every block scores exactly
+    `samples` lines and reports `samples`."""
+    scored = []
+
+    def counting(lo, hi, *args):
+        scored.append(lo.shape[-1])
+        return _line_measure(lo, hi, *args)
+
+    monkeypatch.setattr(volume, "_line_measure", counting)
+    est = chamber_volume(tetra, Chamber.all_minus(3), samples, Rng(2))
+    assert sum(scored) == samples and est.samples == samples
+
+
+def test_ball_about_x0_is_exact():
+    """Chamber -+++ is ball 1 alone, centred at x0: every line scores
+    2 r^3, so every frame agrees and sigma is 0."""
+    a = sx.from_centers_radii([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0],
+                               [0.0, 9.0, 0.0], [0.0, 0.0, 9.0]],
+                              [1.3, 1.0, 1.0, 1.0])
+    est = chamber_volume(a, Chamber.from_string("-+++"), 10_001, Rng(4))
+    assert est.value == pytest.approx(4.0 / 3.0 * math.pi * 1.3 ** 3,
+                                      rel=1e-12)
+    assert est.std_error <= 1e-12 * est.value
 
 
 def test_every_chamber_of_n3_and_n4_h1_draws_matches_indicator():

@@ -95,6 +95,57 @@ def test_identity_checks_refuse_inputs_outside_their_hypothesis(tri):
             check(through)
 
 
+#: draws 4, 10 and 13 of 300 jittered tetrahedra (radius 0.89, centres
+#: by N(0, 0.15), radii by N(0, 0.10)) under default_rng(99): H1' holds,
+#: yet every gap face (k,) has area 0, and theorem II read lhs 0 against
+#: rhs 0.55-0.75 before these were refused
+NO_GAP_FACES = [
+    ([[0.18642859860662728, -0.0398876262201829, 0.011017221629221589],
+      [1.2717699376903835, 0.16909667740510761, -0.013112285136437389],
+      [0.7379436890942651, 1.051440250338096, -0.1878048339241634],
+      [1.0113120108976714, 0.6561087327668158, 1.1150800745250506]],
+     [0.9394988942210277, 1.0530851536013406, 0.8575455410831953,
+      0.7163005033412653]),
+    ([[0.07409942600885101, 0.18936020271716741, -0.09570492786849774],
+      [1.452763476188206, 0.00898449128932474, 0.1848542291244375],
+      [0.7089727634947981, 1.2404959222138243, 0.17469673838521083],
+      [0.6922327939999622, 0.5339496712532658, 1.0426227098343535]],
+     [0.8680404505407493, 0.8833856733934453, 0.6837846449681183,
+      1.122478023332671]),
+    ([[0.3092617406625542, 0.23376488015049826, 0.071223673229139],
+      [1.0980289104259366, 0.01976925824636805, -0.09900315057192259],
+      [0.47899607535944677, 1.3067540329026692, 0.08146498745872081],
+      [0.8111385693440072, 0.3660903292529517, 1.2228091820155478]],
+     [0.9084597001605252, 0.9796598453908296, 0.8423704384515467,
+      0.7810717432884109]),
+]
+
+
+@pytest.mark.parametrize("centers, radii", NO_GAP_FACES)
+def test_n3_gap_without_faces_is_refused(centers, radii):
+    a = sx.from_centers_radii(centers, radii)
+    assert sx.check_hypotheses(a, h2="skip").h1_prime is True
+    c = Chamber.all_plus(3)
+    assert all(sx.face_volume(a, c, (k,)).value == 0.0 for k in range(1, 5))
+    for check in (check_theorem_II_i, check_decomposition):
+        with pytest.raises(HypothesisError, match="gap face on sphere 1 has "
+                                                  "measure 0"):
+            check(a, 1000, Rng(0))
+
+
+def test_identity_checks_accept_a_param_vector(tri, gap):
+    """The same reports from an Arrangement and from its ParamVector; the
+    decomposition's lhs reads the reconstructed centres, so it agrees to
+    rounding."""
+    for check, a in ((check_theorem_I_i, tri), (check_theorem_II_i, gap),
+                     (check_decomposition, gap)):
+        ref, got = check(a), check(sx.params_of(a))
+        assert (got.name, got.rhs, got.terms, got.passed) == \
+            (ref.name, ref.rhs, ref.terms, ref.passed)
+        assert got.lhs == pytest.approx(ref.lhs, rel=1e-15)
+        assert got.tolerance == ref.tolerance
+
+
 def test_theorem_I_i_random_closed():
     gen = np.random.default_rng(52)
     for _ in range(15):

@@ -284,29 +284,60 @@ def test_closed_chamber_areas_vs_mc(tri):
         assert abs(est.value - closed) <= 3 * est.std_error, signs
 
 
-def test_chamber_areas_tile_the_disk(tri):
-    """Fixing sphere 1 inside, the four sign patterns partition disk 1.
+def vertical_chord(a, j, x):
+    """Length of {y : (x, y) inside circle j and outside the others}."""
+    def interval(i):
+        h2 = a.radii[i] ** 2 - (x - a.centers[i, 0]) ** 2
+        if h2 > 0.0:
+            return a.centers[i, 1] - math.sqrt(h2), a.centers[i, 1] + math.sqrt(h2)
+        return None
 
-    On the regular triangle and on random H1 draws, the four chambers
-    inside circle j tile disk j, and the two inside circles j and k tile
-    their lens, measured by `lens_volume_closed` from the radii and the
-    distance rather than from the pair angles the chamber areas use.
+    window = interval(j)
+    if window is None:
+        return 0.0
+    lo, hi = window
+    length, at = 0.0, lo
+    for s, e in sorted(filter(None, (interval(i) for i in range(3) if i != j))):
+        length += max(min(s, hi) - at, 0.0)
+        at = max(at, e)
+    return length + max(hi - at, 0.0)
+
+
+def breakpoints(a):
+    """The circles' x-extents and the abscissae where two circles cross."""
+    (x, y), r = a.centers.T, a.radii
+    out = list(x - r) + list(x + r)
+    for i, k in itertools.combinations(range(3), 2):
+        d = a.distance(i + 1, k + 1)
+        t = (d * d + r[i] ** 2 - r[k] ** 2) / (2.0 * d)   # along i -> k
+        h = math.sqrt(max(r[i] ** 2 - t * t, 0.0))
+        ux, uy = (x[k] - x[i]) / d, (y[k] - y[i]) / d
+        out += [x[i] + t * ux - h * uy, x[i] + t * ux + h * uy]
+    return out
+
+
+def test_chamber_areas_tile_the_disk(tri):
+    """Each one-minus chamber's area is the integral of its vertical
+    chord (scipy's quad, split where a chord's ends change circle), and
+    the two chambers inside circles j and k tile their lens, measured by
+    `lens_volume_closed` from the radii and the distance rather than
+    from the pair angles the chamber areas use.  The regular triangle
+    and random H1 draws.
     """
-    total = math.fsum(
-        chamber_area_closed_n2(tri, Chamber((-1, s2, s3)))
-        for s2 in (-1, 1) for s3 in (-1, 1))
-    assert total == pytest.approx(math.pi, rel=1e-12)
     gen = np.random.default_rng(23)
     minus = [s for s in itertools.product((-1, 1), repeat=3) if -1 in s]
     for a in [tri] + [random_h1(gen) for _ in range(20)]:
         area = {s: chamber_area_closed_n2(a, Chamber(s)) for s in minus}
         for j in range(3):
-            inside = [s for s in minus if s[j] < 0]
-            total = math.fsum(area[s] for s in inside)
-            assert total == pytest.approx(math.pi * a.radii[j] ** 2,
-                                          rel=1e-12)
+            lo, hi = a.centers[j, 0] - a.radii[j], a.centers[j, 0] + a.radii[j]
+            pts = [p for p in breakpoints(a) if lo < p < hi]
+            got, _ = quad(lambda x: vertical_chord(a, j, x), lo, hi,
+                          points=pts, epsabs=0.0, epsrel=1e-13, limit=500)
+            one_minus = tuple(-1 if i == j else 1 for i in range(3))
+            assert got == pytest.approx(area[one_minus], rel=1e-9), j
             for k in range(j + 1, 3):
-                total = math.fsum(area[s] for s in inside if s[k] < 0)
+                total = math.fsum(area[s] for s in minus
+                                  if s[j] < 0 and s[k] < 0)
                 lens = lens_volume_closed(2, a.radii[j], a.radii[k],
                                           a.distance(j + 1, k + 1))
                 assert total == pytest.approx(lens, rel=1e-12), (j, k)
