@@ -18,6 +18,7 @@ last nonzero center coordinate negative.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -150,13 +151,14 @@ class ParamVector:
         """A copy with entry `key` set to `value`; it keeps this vector
         alive and shares its determinants that avoid the changed entry.
         Only the new value is checked: the rest was checked in this
-        vector, and the copy sets both (j, k) and (k, j)."""
+        vector, and the copy sets both (j, k) and (k, j); a diagonal
+        (j, j) is no entry (KeyError)."""
         r2 = np.array(self.radii_sq)
         d2 = np.array(self.dist_sq)
         if key[0] == "r":
             name, what = "radii_sq", "radii"
             r2[key[1] - 1] = value
-        elif key[0] == "d":
+        elif key[0] == "d" and key[1] != key[2]:
             name, what = "dist_sq", "distances"
             d2[key[1] - 1, key[2] - 1] = d2[key[2] - 1, key[1] - 1] = value
         else:
@@ -167,9 +169,10 @@ class ParamVector:
             raise ValueError(f"all squared {what} must be positive")
         pair = ("*", key[1]) if key[0] == "r" else (key[1], key[2])
         r2.flags.writeable = d2.flags.writeable = False
-        q = object.__new__(ParamVector)          # skips __post_init__
-        q.__dict__.update(n=self.n, radii_sq=r2, dist_sq=d2, _store={},
-                          _parent=(self,) + pair)
+        q = copy.copy(self)                     # skips __post_init__
+        for attr, v in (("radii_sq", r2), ("dist_sq", d2), ("_store", {}),
+                        ("_parent", (self,) + pair)):
+            object.__setattr__(q, attr, v)
         return q
 
 

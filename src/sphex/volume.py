@@ -4,7 +4,8 @@ Chamber volumes without a closed form integrate exactly along random
 lines through an interior point, cut into the chamber's pieces by the
 interval core (`_line_measure`) that `chamber_chords` uses as well.  The
 lines come in frames: a random rotation of the (3^n - 1) / 2 axes of the
-cube, so one rotation serves many evenly spread lines.
+cube (of the n coordinate axes above n = 4), so one rotation serves
+several evenly spread lines.
 
 Monte Carlo sampling is organized in fixed blocks of a counter-based
 generator, so a result depends only on (seed, stream, sample count) and
@@ -161,20 +162,24 @@ def _mean_error(scores, samples: int):
 
     A chunk is an array of independent scores, or a pair (S, k) of the
     score sums S of groups of k dependent scores each (the frames of
-    `chamber_volume`); the error is then taken over the groups,
-    sqrt(sum (S - k mean)^2) / samples.
+    `chamber_volume`); the error is then taken over the F groups,
+    sqrt(F / (F - 1) * sum (S - k mean)^2) / samples, which needs
+    F >= 2.
     """
     total = total_sq = cross = count_sq = 0.0
+    groups = 0
     for x in scores:
         if isinstance(x, tuple):
             x, k = x
             cross += float(x @ k)
             count_sq += float(k @ k)
+            groups += len(k)
         total += float(x.sum())
         total_sq += float(x @ x)
     mean = total / samples
-    if count_sq:                        # sum (S - k mean)^2, expanded
+    if groups:                          # sum (S - k mean)^2, expanded
         ss = total_sq - 2.0 * mean * cross + mean * mean * count_sq
+        ss *= groups / (groups - 1)
         return mean, math.sqrt(max(ss, 0.0)) / samples
     return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0)
                            / samples)
@@ -919,18 +924,29 @@ def _area_n2(a, c: Chamber) -> float:
     return math.pi * r2[j] - lens(j, k) - lens(j, l) + tri
 
 
-@functools.lru_cache(maxsize=None)
-def _cube_axes(n: int) -> np.ndarray:
-    """The K = (3^n - 1) / 2 axes of the cube [-1, 1]^n, (K, n), read-only.
+#: the largest n whose frames rotate the cube's axes; above it a frame
+#: is n orthonormal lines, so its size stays n
+CUBE_AXES_MAX_N = 4
 
-    One unit vector per line through the origin and a nonzero point of
-    {-1, 0, 1}^n, the one whose first nonzero coordinate is positive.
-    The set is invariant under coordinate permutations and sign flips.
+
+@functools.lru_cache(maxsize=None)
+def _frame_axes(n: int) -> np.ndarray:
+    """The K lines of a frame before its rotation, (K, n), read-only.
+
+    For n <= `CUBE_AXES_MAX_N` the K = (3^n - 1) / 2 axes of the cube
+    [-1, 1]^n: one unit vector per line through the origin and a nonzero
+    point of {-1, 0, 1}^n, the one whose first nonzero coordinate is
+    positive.  Above it the n coordinate axes, K = n, since K grows as
+    3^n and the cube's gain was measured only up to n = 4.  Both sets
+    are invariant under coordinate permutations and sign flips.
     """
-    pts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
-    first = pts[np.arange(len(pts)), (pts != 0.0).argmax(axis=1)]
-    axes = pts[first > 0.0]
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    if n > CUBE_AXES_MAX_N:
+        axes = np.eye(n)
+    else:
+        pts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+        first = pts[np.arange(len(pts)), (pts != 0.0).argmax(axis=1)]
+        axes = pts[first > 0.0]
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     axes.flags.writeable = False
     return axes
 
@@ -957,14 +973,15 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
     |S^(n-1)| / 2 times the mean score, for any x0.  x0 is the mean of
     the minus balls' centres (of all centres for the all-plus chamber,
     the gap in the centre simplex).  The directions w come in frames:
-    one Haar-random rotation of the K = (3^n - 1) / 2 cube axes
-    (`_cube_axes`) gives K evenly spread lines.  Each RNG block of lines
-    draws its frames and takes its lines frame by frame, the last frame
-    cut short, so `samples` counts lines and a result depends only on
-    (seed, stream, samples).  The lines of a frame are dependent, so
-    `std_error` is the standard error over frames.  `fallback_reason`
-    names a raised n = 2 closed form; a chamber of the wrong length
-    raises ValueError.
+    one Haar-random rotation of K fixed axes (`_frame_axes`: the
+    (3^n - 1) / 2 cube axes up to n = 4, the n coordinate axes above)
+    gives K evenly spread lines.  Each RNG block of lines draws its
+    frames and takes its lines frame by frame, the last frame cut short,
+    so `samples` counts lines and a result depends only on (seed, stream,
+    samples).  The lines of a frame are dependent, so `std_error` is the
+    standard error over frames, and `samples` must exceed K (two frames).
+    `fallback_reason` names a raised n = 2 closed form; a chamber of the
+    wrong length or too few samples raises ValueError.
     """
     _check_chamber(a, c)
     reason = None
@@ -983,8 +1000,11 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
         # x0 + t w is in the simplex iff 1 + t (P w)_i >= 0 on every row
         P, q = _simplex_rows(a)
         P = P / (P @ x0 + q)[:, None]
-    axes = _cube_axes(a.n)
+    axes = _frame_axes(a.n)
     K = len(axes)
+    if samples <= K:
+        raise ValueError(f"samples must exceed the {K} lines of one frame "
+                         f"to estimate the error over frames")
     per_chunk = max(FIBRE_CHUNK // K, 1)        # whole frames per chunk
 
     def scores():

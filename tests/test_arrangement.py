@@ -156,12 +156,15 @@ def test_with_entry_checks_the_new_value(tri):
         q = p.with_entry(key, 1.7)
         fresh = ParamVector(q.n, q.radii_sq, q.dist_sq)
         assert q.n == fresh.n and q.get(key) == 1.7
+        assert vars(fresh).keys() <= vars(q).keys()
         assert np.array_equal(q.dist_sq, q.dist_sq.T)
         for x in (q.radii_sq, q.dist_sq):
             assert not x.flags.writeable
         assert q._store == {} and q._parent[0] is p
         assert sx.chamber_volume(q, Chamber.all_minus(2)) == \
             sx.chamber_volume(fresh, Chamber.all_minus(2))
+    with pytest.raises(KeyError):
+        p.with_entry(("d", 2, 2), 1.7)
 
 
 def test_evaluate_f_inside_boundary_outside():

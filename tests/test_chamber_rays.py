@@ -18,10 +18,12 @@ from sphex import volume
 from sphex.arrangement import Chamber
 from sphex.volume import (
     BLOCK,
+    CUBE_AXES_MAX_N,
     Rng,
-    _cube_axes,
+    _frame_axes,
     _frames,
     _line_measure,
+    _mean_error,
     _sampling_box,
     chamber_volume,
     chamber_volume_mc,
@@ -31,11 +33,20 @@ from conftest import equilateral, random_h1, tetrahedron
 SIDE = 1.5
 
 
-def simplex4(radius=1.0, side=SIDE):
+def simplex(n, radius=1.0, side=SIDE):
+    """Equal balls on the regular n-simplex with edge `side`."""
     a = side / math.sqrt(2.0)
-    t = a * (1.0 - math.sqrt(5.0)) / 4.0
-    return sx.from_centers_radii(np.vstack([np.eye(4) * a, np.full(4, t)]),
-                                 [radius] * 5)
+    t = a * (1.0 - math.sqrt(n + 1.0)) / n
+    return sx.from_centers_radii(np.vstack([np.eye(n) * a, np.full(n, t)]),
+                                 [radius] * (n + 1))
+
+
+def simplex4():
+    return simplex(4)
+
+
+def frame_size(n):
+    return (3 ** n - 1) // 2 if n <= CUBE_AXES_MAX_N else n
 
 
 def jittered(base, gen, want, center_scale, radius_scale, tries=300):
@@ -85,7 +96,9 @@ def test_ray_volume_provenance(tetra):
     pytest.param("tetrahedron", "----", 1_000, id="----@1000"),
     pytest.param("triangle", "-++", 20_002, id="-++"),
     pytest.param("simplex4", "-----", 20_001, id="-----"),
-    pytest.param("simplex4", "-++++", 2_001, id="-++++@2001")])
+    pytest.param("simplex4", "-++++", 2_001, id="-++++@2001"),
+    pytest.param("simplex5", "------", 20_003, id="------"),
+    pytest.param("simplex5", "-+++++", 2_003, id="-+++++@2003")])
 def test_reported_sigma_is_calibrated(shape, signs, lines):
     """Over 40 seeds the spread of the values matches the reported sigma,
     taken over frames.  Each count leaves a partial last frame; the
@@ -93,7 +106,8 @@ def test_reported_sigma_is_calibrated(shape, signs, lines):
     a = {"triangle": lambda: equilateral(radius=0.8),
          "tetrahedron": tetrahedron,
          "gap": lambda: tetrahedron(radius=0.89),
-         "simplex4": simplex4}[shape]()
+         "simplex4": simplex4,
+         "simplex5": lambda: simplex(5)}[shape]()
     c = Chamber.from_string(signs)
     runs = [chamber_volume(a, c, lines, Rng(seed)) for seed in range(40)]
     spread = float(np.std([r.value for r in runs], ddof=1))
@@ -101,11 +115,12 @@ def test_reported_sigma_is_calibrated(shape, signs, lines):
     assert 0.75 <= spread / reported <= 1.3
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_frames_rotate_the_cube_axes(n):
-    """K = (3^n - 1) / 2 unit axes, one per line, and orthonormal frames."""
-    axes = _cube_axes(n)
-    assert axes.shape == ((3 ** n - 1) // 2, n)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_frames_rotate_fixed_axes(n):
+    """K unit axes, one per line: the (3^n - 1) / 2 cube axes up to
+    n = 4, the n coordinate axes above; and orthonormal frames."""
+    axes = _frame_axes(n)
+    assert axes.shape == (frame_size(n), n)
     assert not axes.flags.writeable
     np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, rtol=1e-15)
     cos = np.abs(axes @ axes.T)
@@ -113,6 +128,49 @@ def test_frames_rotate_the_cube_axes(n):
     Q = _frames(np.random.default_rng(n), 500, n)
     np.testing.assert_allclose(Q @ Q.transpose(0, 2, 1),
                                np.broadcast_to(np.eye(n), Q.shape), atol=1e-14)
+
+
+def test_sigma_over_frames_by_hand():
+    """Frame sums S with k lines each: sigma is
+    sqrt(F / (F - 1) sum (S - k mean)^2) / samples, in one chunk or two."""
+    S = np.array([3.0, 5.5, 4.0, 0.5])
+    k = np.array([3.0, 3.0, 3.0, 1.0])
+    mean = S.sum() / 10
+    want = math.sqrt(4 / 3 * ((S - k * mean) ** 2).sum()) / 10
+    for chunks in ([(S, k)], [(S[:3], k[:3]), (S[3:], k[3:])]):
+        got = _mean_error(iter(chunks), 10)
+        assert got == pytest.approx((mean, want), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rays_need_two_frames(n):
+    """One frame has no spread to report: `samples` must exceed K, and
+    K + 1 lines (a full frame and one line) give a nonzero sigma."""
+    a = {2: lambda: equilateral(radius=0.8), 3: tetrahedron}.get(
+        n, lambda: simplex(n))()
+    c = Chamber.from_string("-" + "+" * n)
+    K = frame_size(n)
+    with pytest.raises(ValueError, match=f"exceed the {K} lines"):
+        chamber_volume(a, c, K, Rng(1))
+    est = chamber_volume(a, c, K + 1, Rng(1))
+    assert est.samples == K + 1 and est.std_error > 0.0
+
+
+def test_rays_in_high_dimension():
+    """At n = 10 a frame is 10 lines, so 20,000 lines make 2,000 frames
+    and a nonzero sigma; ball 1 alone is still measured exactly, its
+    sigma 0 up to the sqrt(eps) floor of the expanded sum of squares."""
+    a = simplex(10)
+    est = chamber_volume(a, Chamber.from_string("-" + "+" * 10), 20_000,
+                         Rng(6))
+    ball = math.pi ** 5 / math.factorial(5)
+    assert 0.0 < est.value < ball and est.std_error > 0.0
+    centers = np.vstack([np.zeros(10), 9.0 * np.eye(10)])
+    apart = sx.from_centers_radii(centers, [1.3] + [1.0] * 10)
+    est = chamber_volume(apart, Chamber.from_string("-" + "+" * 10), 1_001,
+                         Rng(6))
+    assert est.value == pytest.approx(ball * 1.3 ** 10, rel=1e-12)
+    assert est.std_error <= 1e-7 * est.value
 
 
 @pytest.mark.parametrize("samples", [13 * 500 + 5, BLOCK + 13 * 7 + 2])
