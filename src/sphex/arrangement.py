@@ -140,29 +140,35 @@ class ParamVector:
         if np.max(np.abs(self.dist_sq - self.dist_sq.T)) != 0:
             raise ValueError("squared-distance matrix must be symmetric")
 
-    def get(self, key) -> float:
-        if key[0] == "r":
-            return float(self.radii_sq[key[1] - 1])
-        if key[0] == "d":
-            return float(self.dist_sq[key[1] - 1, key[2] - 1])
+    def _index(self, key) -> tuple:
+        """The index of basis key ("r", j) in `radii_sq` or ("d", j, k) in
+        `dist_sq`; KeyError unless 1 <= j < k <= n + 1."""
+        m = self.n + 1
+        if len(key) == 2 and key[0] == "r" and 1 <= key[1] <= m:
+            return (key[1] - 1,)
+        if len(key) == 3 and key[0] == "d" and 1 <= key[1] < key[2] <= m:
+            return key[1] - 1, key[2] - 1
         raise KeyError(key)
+
+    def get(self, key) -> float:
+        i = self._index(key)
+        return float((self.dist_sq if len(i) == 2 else self.radii_sq)[i])
 
     def with_entry(self, key, value: float) -> "ParamVector":
         """A copy with entry `key` set to `value`; it keeps this vector
         alive and shares its determinants that avoid the changed entry.
         Only the new value is checked: the rest was checked in this
-        vector, and the copy sets both (j, k) and (k, j); a diagonal
-        (j, j) is no entry (KeyError)."""
+        vector, and the copy sets both (j, k) and (k, j).  A key outside
+        `param_basis(n)` raises KeyError."""
+        i = self._index(key)
         r2 = np.array(self.radii_sq)
         d2 = np.array(self.dist_sq)
-        if key[0] == "r":
+        if len(i) == 1:
             name, what = "radii_sq", "radii"
-            r2[key[1] - 1] = value
-        elif key[0] == "d" and key[1] != key[2]:
-            name, what = "dist_sq", "distances"
-            d2[key[1] - 1, key[2] - 1] = d2[key[2] - 1, key[1] - 1] = value
+            r2[i] = value
         else:
-            raise KeyError(key)
+            name, what = "dist_sq", "distances"
+            d2[i] = d2[i[::-1]] = value
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
         if value <= 0:

@@ -43,8 +43,8 @@ from .volume import (
     _closed_form_failed,
     _lens_half_angles,
     _mean_error,
+    _ray_scores,
     chamber_area_closed_n2,
-    chamber_chords,
     face_volume,
     sin_power_integral,
     sphere_arc_lengths,
@@ -349,7 +349,7 @@ class VariationReport:
 
     `method` says how the difference was obtained: "closed" (exact
     areas: n = 2 closed forms, or the unit-sphere areas from their
-    boundary arcs) or "conditional-mc" (paired chord lengths).
+    boundary arcs) or "conditional-mc" (paired ray scores).
     `fallback_reason` says why an n = 2 closed form was not used; None
     when it was.
     """
@@ -384,28 +384,28 @@ def _param_name(key) -> str:
     return f"a{key[1]}{key[2]}"
 
 
-def _chord_fd(ap: Arrangement, am: Arrangement, c: Chamber, samples: int,
-              rng: Rng, eps: float):
-    """Central difference of paired chord lengths.
+def _ray_fd(ap: Arrangement, am: Arrangement, c: Chamber, samples: int,
+            rng: Rng, eps: float):
+    """Central difference of paired ray scores, and its standard error.
 
-    Both perturbed chambers are scored on the same random lines
-    (`chamber_chords`); the difference is area times the mean paired
-    chord difference, and sigma the sample standard error of those
-    differences.  Returns (fd, sigma, number of lines whose chord
-    changed).
+    Both perturbed chambers are scored on the same `samples` lines
+    (`_ray_scores`, as in `chamber_volume`): fd is |S^(n-1)| / 2n times
+    the mean paired score difference over 2 eps, sigma its standard
+    error over frames.  FdNoiseError if no line's score changed.
     """
-    area, chunks = chamber_chords((ap, am), c, samples, rng)
-    changed = []
+    changed = 0
 
     def diffs():
-        for L in chunks:
-            d = L[0] - L[1]
-            changed.append(np.count_nonzero(d))
-            yield d
+        nonlocal changed
+        for S, k, x in _ray_scores((ap, am), c, samples, rng):
+            changed += np.count_nonzero(x[0] - x[1])
+            yield S[0] - S[1], k
 
     mean, err = _mean_error(diffs(), samples)
-    scale = area / (2.0 * eps)
-    return scale * mean, scale * err, int(sum(changed))
+    if changed == 0:
+        raise FdNoiseError("step too small: no line's score changed")
+    scale = unit_sphere_area(ap.n - 1) / (2 * ap.n) / (2.0 * eps)
+    return scale * mean, scale * err
 
 
 def _perturbed_config(m: ConfigMatrix, key, eps: float) -> ConfigMatrix:
@@ -435,10 +435,11 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     its hypothesis, and checked to 1e-6 ("closed").  Otherwise, and when
     an n = 2 closed form raises (named in `fallback_reason`), both
     perturbed vectors are reconstructed and their chambers scored on the
-    same `samples` random lines by their exact chord lengths
-    ("conditional-mc"), with tolerance max(3 hypot(sigma, sigma_coef),
+    same `samples` rays of `rng.substream(2)` ("conditional-mc";
+    `_ray_fd` draws `chamber_volume`'s rays, so `samples` must exceed
+    one frame), with tolerance max(3 hypot(sigma, sigma_coef),
     1e-4 |coefficient|), sigma_coef from the sampled faces (0 up to
-    n = 3); FdNoiseError if no line's chord changed or sigma exceeds the
+    n = 3); FdNoiseError if no line's score changed or sigma exceeds the
     difference.
     model "unit-sphere": `a` is a ConfigMatrix (n = 3), `c` is ignored,
     `param` an entry key.  The two region areas are exact, from their
@@ -446,7 +447,7 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     the check measures the central difference's O(eps^2) error, and
     FdNoiseError is raised when eps is so small that the areas' accuracy
     `AREA_TOL` / eps exceeds 1e-5 |coefficient|.  `samples` and `rng`
-    are not used.
+    are not used.  A `param` outside the model's basis raises KeyError.
     """
     rng = rng if rng is not None else Rng(0)
     param = tuple(param)
@@ -474,16 +475,16 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
                 residual = abs(fd - coef)
                 return VariationReport(param, fd, coef, residual, tolerance,
                                        residual <= tolerance, "closed")
-        fd, sigma, changed = _chord_fd(from_params(pp, n), from_params(pm, n),
-                                       c, samples, rng.substream(2), eps)
-        if changed == 0:
-            raise FdNoiseError("step too small: no line's chord changed")
+        fd, sigma = _ray_fd(from_params(pp, n), from_params(pm, n), c,
+                            samples, rng.substream(2), eps)
         return _fd_report(param, fd, sigma, coef, "conditional-mc", reason,
                           errs[param])
     if model == "unit-sphere":
         m = a
         if not isinstance(m, ConfigMatrix):
             raise ValueError("unit-sphere model expects a ConfigMatrix")
+        if param not in config_basis(m.n):
+            raise KeyError(param)
         base = m.offset(param[1]) if param[0] == "a0" else m.inner(param[1],
                                                                   param[2])
         if eps <= 1e-10 * max(1.0, abs(base)):

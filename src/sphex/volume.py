@@ -1,11 +1,12 @@
 """Chamber and face volumes: Monte Carlo estimators plus closed forms.
 
 Chamber volumes without a closed form integrate exactly along random
-lines through an interior point, cut into the chamber's pieces by the
-interval core (`_line_measure`) that `chamber_chords` uses as well.  The
-lines come in frames: a random rotation of the (3^n - 1) / 2 axes of the
-cube (of the n coordinate axes above n = 4), so one rotation serves
-several evenly spread lines.
+lines through an interior point (`_ray_scores`), cut into the chamber's
+pieces by the interval core `_line_measure`.  The lines come in
+frames: a random rotation of the (3^n - 1) / 2 axes of the cube (of the
+n coordinate axes above n = 4), so one rotation serves several evenly
+spread lines.  The Euclidean finite difference scores both perturbed
+chambers on the same lines.
 
 Monte Carlo sampling is organized in fixed blocks of a counter-based
 generator, so a result depends only on (seed, stream, sample count) and
@@ -162,7 +163,7 @@ def _mean_error(scores, samples: int):
 
     A chunk is an array of independent scores, or a pair (S, k) of the
     score sums S of groups of k dependent scores each (the frames of
-    `chamber_volume`); the error is then taken over the F groups,
+    `_ray_scores`); the error is then taken over the F groups,
     sqrt(F / (F - 1) * sum (S - k mean)^2) / samples, which needs
     F >= 2.
     """
@@ -235,30 +236,28 @@ def _sampling_box(a, c: Chamber):
             np.min([a.center(j) + a.radius(j) for j in minus], axis=0))
 
 
-def _line_measure(lo, hi, c: Chamber, simplex=None, n: int = 1):
+def _line_measure(lo, hi, c: Chamber, window, n: int):
     """Sum of F(end) - F(begin) over chamber c's pieces on N lines.
 
-    Ball j meets line i in [lo, hi][..., j, i] of its coordinate t (a
-    point if it misses).  The pieces are the window, the minus balls'
+    Ball j meets line i in [lo, hi][j, i] of its coordinate t (a point
+    if it misses).  The pieces are the window, the minus balls'
     intervals intersected (the all-plus chamber's is the simplex's,
-    `simplex` = (lo, hi)), minus the plus balls' intervals.  F(t) =
-    t |t|^(n-1) increases, so the ends are mapped first; n = 1 gives the
-    length.  The starts and the ends of the plus intervals are sorted
-    apart by min/max networks: t is uncovered when the k-th smallest end
-    is <= t, k the number of starts <= t, so the k-th piece runs from
-    the k-th end to the (k+1)-th start.
+    `window` = (lo, hi); None otherwise), minus the plus balls'
+    intervals.  F(t) = t |t|^(n-1), n >= 2, increases, so the ends are
+    mapped first.  The starts and the ends of the plus intervals are
+    sorted apart by min/max networks: t is uncovered when the k-th
+    smallest end is <= t, k the number of starts <= t, so the k-th piece
+    runs from the k-th end to the (k+1)-th start.
     """
     minus = [j - 1 for j in c.minus_set()]
     plus = [j - 1 for j in range(1, len(c.signs) + 1) if c.sign(j) > 0]
     if minus:
-        wlo = functools.reduce(np.maximum, [lo[..., j, :] for j in minus])
-        whi = functools.reduce(np.minimum, [hi[..., j, :] for j in minus])
+        wlo = functools.reduce(np.maximum, [lo[j] for j in minus])
+        whi = functools.reduce(np.minimum, [hi[j] for j in minus])
     else:
-        wlo, whi = simplex
+        wlo, whi = window
 
     def F(t):   # t |t|^(n-1) by repeated multiplication, t^n for odd n
-        if n == 1:
-            return t
         out = t * (t if n % 2 else np.abs(t))
         for _ in range(n - 2):
             out *= t
@@ -266,8 +265,8 @@ def _line_measure(lo, hi, c: Chamber, simplex=None, n: int = 1):
 
     whi = np.maximum(whi, wlo)
     wlo, whi = F(wlo), F(whi)
-    los = [np.minimum(F(lo[..., j, :]), whi) for j in plus]
-    his = [np.maximum(F(hi[..., j, :]), wlo) for j in plus]
+    los = [np.minimum(F(lo[j]), whi) for j in plus]
+    his = [np.maximum(F(hi[j]), wlo) for j in plus]
     for i in range(len(plus) - 1, 0, -1):
         for k in range(i):
             for r in (los, his):
@@ -275,73 +274,6 @@ def _line_measure(lo, hi, c: Chamber, simplex=None, n: int = 1):
                                   np.maximum(r[k], r[k + 1]))
     return functools.reduce(np.add, [np.maximum(s - e, 0.0) for s, e in
                                      zip(los + [whi], [wlo] + his)])
-
-
-def _chord_lengths(centers, r2, simplex, c: Chamber, y):
-    """Exact lengths of chamber c's chords along the last axis, (S, N).
-
-    `centers` (S, n+1, n) and `r2` (S, n+1) stack S arrangements; the
-    line through (y_i, t) is line i.  For the all-plus chamber `simplex`
-    holds the barycentric rows P (S, n+1, n), q (S, n+1) of each
-    arrangement.  `_line_measure` measures the chord.
-    """
-    h2 = np.repeat(r2[..., None], len(y), axis=2)
-    for i in range(y.shape[1]):
-        diff = centers[..., i, None] - y[:, i]
-        h2 -= diff * diff
-    h = np.sqrt(np.maximum(h2, 0.0, out=h2), out=h2)
-    mid = centers[..., -1, None]
-    if not c.minus_set():
-        P, q = simplex
-        a = P[..., :-1] @ y.T + q[..., None]
-        b = P[..., -1, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -a / b
-        wlo = np.where(b > 0, t, -np.inf).max(axis=1)
-        whi = np.where(b < 0, t, np.inf).min(axis=1)
-        # a facet parallel to the lines keeps a line whole or drops it
-        whi[((b == 0) & (a < 0)).any(axis=1)] = -np.inf
-        simplex = wlo, whi
-    return _line_measure(mid - h, mid + h, c, simplex)
-
-
-def chamber_chords(arrs, c: Chamber, samples: int, rng: Rng):
-    """Chord lengths of chamber c in each of `arrs` on shared random lines.
-
-    The lines run along the last axis through points y drawn uniformly
-    in the first n - 1 coordinates of the box that `chamber_volume_mc`
-    samples (the smallest box holding every arrangement's box).  The
-    chamber's volume in arrangement s is `area` times the mean of the
-    chords L[s]: the indicator estimate conditioned on the line, so its
-    variance is lower.  Parallel lines pair up between arrangements for
-    the Euclidean finite difference; `chamber_volume` draws lines through
-    one point instead.  Returns (area,
-    chunks): `chunks` yields (len(arrs), N) arrays of exact chord
-    lengths, `FIBRE_CHUNK` lines at a time from RNG blocks of `BLOCK`
-    lines, so they depend only on (seed, stream, samples).  An empty box
-    gives area 0 and no chunks.
-    """
-    blocks = _blocks(samples, rng)
-    boxes = [_sampling_box(a, c) for a in arrs]
-    lo = np.min([b[0] for b in boxes], axis=0)[:-1]
-    hi = np.max([b[1] for b in boxes], axis=0)[:-1]
-    if np.any(hi <= lo):
-        return 0.0, iter(())
-    centers = np.stack([a.centers for a in arrs])
-    r2 = np.stack([a.radii for a in arrs]) ** 2
-    simplex = None
-    if not c.minus_set():
-        rows = [_simplex_rows(a) for a in arrs]
-        simplex = tuple(np.stack(r) for r in zip(*rows))
-
-    def chunks():
-        for gen, cnt in blocks:
-            y = lo + (hi - lo) * gen.random((cnt, len(lo)))
-            for s in range(0, cnt, FIBRE_CHUNK):
-                yield _chord_lengths(centers, r2, simplex, c,
-                                     y[s:s + FIBRE_CHUNK])
-
-    return float(np.prod(hi - lo)), chunks()
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +374,10 @@ TWO_PI = 2.0 * math.pi
 #: tolerance of the two-point count (m = 0); constraint rows from
 #: `face_constraints` are scaled so that it matches `face_volume_mc`
 COUNT_TOL = 1e-9
-#: fibres (or lines, for `chamber_chords` and `chamber_volume`, whose
-#: sub-chunks hold whole frames) per sub-chunk of an RNG block: the arc
-#: and line intersections hold about a dozen (fibres, K) arrays, so a
-#: sub-chunk keeps the working set of a block no larger than the
-#: indicator estimators'
+#: fibres (or lines, for `_ray_scores`, whose sub-chunks hold whole
+#: frames) per sub-chunk of an RNG block: the arc and line intersections
+#: hold about a dozen (fibres, K) arrays, so a sub-chunk keeps the working
+#: set of a block no larger than the indicator estimators'
 FIBRE_CHUNK = 4096
 #: absolute accuracy of an m = 2 area (`_region_area`), which the
 #: unit-sphere finite difference's step guard assumes; the tests hold the
@@ -963,25 +894,69 @@ def _frames(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
     return Q.transpose(2, 0, 1)
 
 
+def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
+    """Scores of chamber c in each of `arrs` on the same `samples` lines.
+
+    The lines x0 + t w run through x0, the mean over `arrs` of the mean
+    of the minus balls' centres (of all centres for the all-plus chamber,
+    the gap in the centre simplex); each scores the exact integral of
+    |t|^(n-1) over the chamber's pieces, n times over (`_line_measure`).
+    The directions w come in frames: one Haar-random rotation of K fixed
+    axes (`_frame_axes`) gives K evenly spread lines.  Each RNG block
+    draws its frames and takes its lines frame by frame, the last frame
+    cut short, so the scores depend only on (seed, stream, samples).
+    Yields per chunk of whole frames the frame sums (len(arrs), F), the
+    frame sizes k (F,) and the line scores (len(arrs), N).  `samples`
+    must exceed K, as an error over frames needs two (ValueError).
+    """
+    n = arrs[0].n
+    minus = [j - 1 for j in c.minus_set()]
+    x0 = np.mean([(a.centers[minus] if minus else a.centers).mean(axis=0)
+                  for a in arrs], axis=0)
+    geometry = []
+    for a in arrs:
+        D = a.centers - x0
+        P = None
+        if not minus:
+            # x0 + t w is in the simplex iff 1 + t (P w)_i >= 0 on every row
+            P, q = _simplex_rows(a)
+            P = P / (P @ x0 + q)[:, None]
+        e = (np.einsum("ij,ij->i", D, D) - a.radii ** 2)[:, None]
+        geometry.append((D, e, P))
+    axes = _frame_axes(n)
+    K = len(axes)
+    if samples <= K:
+        raise ValueError(f"samples must exceed the {K} lines of one frame "
+                         f"to estimate the error over frames")
+    per_chunk = max(FIBRE_CHUNK // K, 1)        # whole frames per chunk
+    for gen, cnt in _blocks(samples, rng):
+        frames = _frames(gen, -(-cnt // K), n)
+        for f in range(0, len(frames), per_chunk):
+            W = (axes @ frames[f:f + per_chunk]).reshape(-1, n)
+            W = W[:cnt - f * K].T
+            x = np.empty((len(arrs), W.shape[1]))
+            for s, (D, e, P) in enumerate(geometry):
+                mid = D @ W
+                h = np.sqrt(np.maximum(mid * mid - e, 0.0))
+                window = None
+                if P is not None:       # max u > 0 > min u: x0 is inside
+                    u = P @ W
+                    window = -1.0 / u.max(axis=0), -1.0 / u.min(axis=0)
+                x[s] = _line_measure(mid - h, mid + h, c, window, n)
+            starts = np.arange(0, x.shape[1], K)
+            k = np.minimum(x.shape[1] - starts, float(K))   # frame sizes
+            yield np.add.reduceat(x, starts, axis=1), k, x
+
+
 def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
                    rng: "Rng | None" = None) -> VolumeEstimate:
     """Chamber volume: the closed form for n = 2, else rays through x0.
 
-    Otherwise ("conditional-mc") `samples` lines x0 + t w each score the
-    exact integral of |t|^(n-1) over the chamber's pieces
-    (`_line_measure`); in polar coordinates about x0 the volume is
-    |S^(n-1)| / 2 times the mean score, for any x0.  x0 is the mean of
-    the minus balls' centres (of all centres for the all-plus chamber,
-    the gap in the centre simplex).  The directions w come in frames:
-    one Haar-random rotation of K fixed axes (`_frame_axes`: the
-    (3^n - 1) / 2 cube axes up to n = 4, the n coordinate axes above)
-    gives K evenly spread lines.  Each RNG block of lines draws its
-    frames and takes its lines frame by frame, the last frame cut short,
-    so `samples` counts lines and a result depends only on (seed, stream,
-    samples).  The lines of a frame are dependent, so `std_error` is the
-    standard error over frames, and `samples` must exceed K (two frames).
+    Otherwise ("conditional-mc") the volume is |S^(n-1)| / 2n times the
+    mean score of `samples` lines (`_ray_scores`), by polar coordinates
+    about x0, and `std_error` is taken over their frames.
     `fallback_reason` names a raised n = 2 closed form; a chamber of the
-    wrong length or too few samples raises ValueError.
+    wrong length or `samples` within one frame raises ValueError.
     """
     _check_chamber(a, c)
     reason = None
@@ -992,40 +967,8 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
         except SphexError as e:
             reason = _closed_form_failed(e)
     rng = rng if rng is not None else Rng(0)
-    minus = [j - 1 for j in c.minus_set()]
-    x0 = (a.centers[minus] if minus else a.centers).mean(axis=0)
-    D = a.centers - x0
-    e = (np.einsum("ij,ij->i", D, D) - a.radii ** 2)[:, None]
-    if not minus:
-        # x0 + t w is in the simplex iff 1 + t (P w)_i >= 0 on every row
-        P, q = _simplex_rows(a)
-        P = P / (P @ x0 + q)[:, None]
-    axes = _frame_axes(a.n)
-    K = len(axes)
-    if samples <= K:
-        raise ValueError(f"samples must exceed the {K} lines of one frame "
-                         f"to estimate the error over frames")
-    per_chunk = max(FIBRE_CHUNK // K, 1)        # whole frames per chunk
-
-    def scores():
-        for gen, cnt in _blocks(samples, rng):
-            frames = _frames(gen, -(-cnt // K), a.n)
-            for f in range(0, len(frames), per_chunk):
-                W = (axes @ frames[f:f + per_chunk]).reshape(-1, a.n)
-                W = W[:cnt - f * K].T
-                mid = D @ W
-                h = np.sqrt(np.maximum(mid * mid - e, 0.0))
-                window = None
-                if not minus:           # max u > 0 > min u: x0 is inside
-                    u = P @ W
-                    window = -1.0 / u.max(axis=0), -1.0 / u.min(axis=0)
-                x = _line_measure(mid - h, mid + h, c, window, a.n)
-                starts = np.arange(0, len(x), K)
-                k = np.full(len(starts), float(K))
-                k[-1] = len(x) - starts[-1]
-                yield np.add.reduceat(x, starts), k
-
-    mean, err = _mean_error(scores(), samples)
+    mean, err = _mean_error(((S[0], k) for S, k, _ in
+                             _ray_scores((a,), c, samples, rng)), samples)
     half = unit_sphere_area(a.n - 1) / (2 * a.n)   # |S^(n-1)| / 2n
     return VolumeEstimate(half * mean, half * err, samples, "conditional-mc",
                           fallback_reason=reason)

@@ -136,8 +136,23 @@ def test_param_vector_basis_and_entry(tri):
     assert p.get(("d", 2, 3)) == pytest.approx(SIDE ** 2)
     q = p.with_entry(("d", 1, 2), 2.0)
     assert q.get(("d", 1, 2)) == 2.0
-    assert q.get(("d", 2, 1)) == 2.0
+    assert q.dist_sq[1, 0] == 2.0
     assert p.get(("d", 1, 2)) == pytest.approx(SIDE ** 2)  # original untouched
+
+
+def test_param_keys_outside_the_basis_are_refused(tri):
+    """Only ("r", j) and ("d", j, k) with 1 <= j < k <= n + 1 name an
+    entry: ("r", 0) used to read and overwrite r_{n+1}^2 through index
+    -1, and ("d", 0, 3) read the diagonal 0."""
+    p = params_of(tri)
+    for key in (("r", 0), ("r", 4), ("d", 0, 3), ("d", 2, 1), ("d", 1, 1),
+                ("d", 1, 4), ("r", 1, 2), ("d", 1), ("a0", 1)):
+        with pytest.raises(KeyError):
+            p.get(key)
+        with pytest.raises(KeyError):
+            p.with_entry(key, 1.7)
+    for key in param_basis(2):
+        assert p.with_entry(key, 1.7).get(key) == 1.7
 
 
 def test_with_entry_checks_the_new_value(tri):

@@ -1,10 +1,10 @@
 """Chamber volumes by exact integrals along random lines through x0.
 
 `chamber_volume` scores each line x0 + t w by the integral of |t|^(n-1)
-over the chamber's pieces on it (`_line_measure`, the interval core the
-Euclidean finite difference shares).  The lines come in frames, random
-rotations of the cube's axes (`_cube_axes`, `_frames`).  The indicator
-estimator `chamber_volume_mc` is the independent oracle.
+over the chamber's pieces on it (`_line_measure`, through `_ray_scores`,
+which the Euclidean finite difference shares).  The lines come in
+frames, random rotations of fixed axes (`_frame_axes`, `_frames`).  The
+indicator estimator `chamber_volume_mc` is the independent oracle.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import pytest
 import sphex as sx
 from sphex import volume
 from sphex.arrangement import Chamber
+from sphex.errors import HypothesisError
 from sphex.volume import (
     BLOCK,
     CUBE_AXES_MAX_N,
@@ -25,10 +26,17 @@ from sphex.volume import (
     _line_measure,
     _mean_error,
     _sampling_box,
+    chamber_area_closed_n2,
     chamber_volume,
     chamber_volume_mc,
 )
-from conftest import equilateral, random_h1, tetrahedron
+from conftest import (
+    equilateral,
+    gap_fixture,
+    lens_trio,
+    random_h1,
+    tetrahedron,
+)
 
 SIDE = 1.5
 
@@ -216,6 +224,52 @@ def test_gap_chambers_of_h1_prime_draws_match_indicator():
         assert est.value > 0.0
 
 
+RAY_CASES = [
+    ("tri", equilateral, "---"),
+    ("lens_trio", lens_trio, "--+"),
+    ("lens_trio", lens_trio, "-++"),
+    ("gap", gap_fixture, "+++"),
+    # a simplex edge along a coordinate axis (the y axis)
+    ("upright_gap", lambda: sx.from_centers_radii(
+        [[0.0, 0.0], [0.0, 1.5], [1.3, 0.75]], [0.8, 0.8, 0.8]), "+++"),
+    ("tetra", tetrahedron, "----"),
+    ("tetra", tetrahedron, "--++"),
+    ("tetra_gap", lambda: tetrahedron(radius=0.89), "++++"),
+    # small balls leave the simplex's faces exposed; the face through
+    # centers 2, 3, 4 lies in the vertical plane x = y
+    ("slanted_simplex", lambda: sx.from_centers_radii(
+        [[1.2, -0.3, 0.0], [1.0, 1.0, 0.0], [0.5, 0.5, 1.1],
+         [0.0, 0.0, 0.0]], [0.4] * 4), "++++"),
+]
+
+
+@pytest.mark.parametrize("name,make,signs", RAY_CASES,
+                         ids=[f"{n}[{s}]" for n, _, s in RAY_CASES])
+def test_ray_volume_matches_indicator(name, make, signs, monkeypatch):
+    """Rays against the indicator oracle at a quarter of its samples and
+    a smaller sigma; at n = 2 the closed forms are refused, so rays
+    measure the chamber, and checked against the closed area."""
+    a = make()
+    c = Chamber.from_string(signs)
+    exact = chamber_area_closed_n2(a, c) if a.n == 2 else None
+
+    def refuse(*args):
+        raise HypothesisError("refused")
+
+    monkeypatch.setattr(volume, "chamber_area_closed_n2", refuse)
+    est = chamber_volume(a, c, 100_000, Rng(21))
+    ind = chamber_volume_mc(a, c, 400_000, Rng(22), bounding="simplex")
+    assert est.method == "conditional-mc"
+    assert est.value > 0.0 and est.std_error > 0.0
+    assert abs(est.value - ind.value) <= 5.0 * math.hypot(est.std_error,
+                                                          ind.std_error)
+    if exact is not None:
+        assert "refused" in est.fallback_reason
+        assert abs(est.value - exact) <= 5.0 * est.std_error
+    assert est.std_error * math.sqrt(100_000) \
+        < ind.std_error * math.sqrt(400_000)
+
+
 def test_n2_fallback_uses_rays():
     """Disks that do not share a point: the closed forms refuse H1, the
     rays still measure every chamber."""
@@ -259,18 +313,19 @@ def test_line_scores_by_hand():
     c = Chamber.from_string("-+-+")
     # line 0: window [-1, 3] minus [0, 2]; line 1: [-2, 2] minus [1.5, 2]
     # (ball 4 misses line 1: a point)
-    assert _line_measure(lo, hi, c, n=3) == pytest.approx(
+    assert _line_measure(lo, hi, c, None, 3) == pytest.approx(
         [1.0 + (27.0 - 8.0), 8.0 + 1.5 ** 3], rel=1e-15)
-    assert _line_measure(lo, hi, c) == pytest.approx([2.0, 3.5], rel=1e-15)
+    assert _line_measure(lo, hi, c, None, 2) == pytest.approx(
+        [1.0 + (9.0 - 4.0), 4.0 + 1.5 ** 2], rel=1e-15)
     # the all-plus chamber's window comes from the simplex; the plus
     # intervals overlap, nest and reach past the window
     lo = np.array([[-3.0], [1.0], [0.0], [0.2]])
     hi = np.array([[-0.5], [3.0], [0.0], [0.4]])
     window = np.array([-1.0]), np.array([2.0])
-    got = _line_measure(lo, hi, Chamber.all_plus(3), window, n=3)
+    got = _line_measure(lo, hi, Chamber.all_plus(3), window, 3)
     assert got == pytest.approx([0.5 ** 3 + 0.2 ** 3 + (1.0 - 0.4 ** 3)],
                                 rel=1e-15)
-    got = _line_measure(lo, hi, Chamber.all_plus(3), window, n=2)
+    got = _line_measure(lo, hi, Chamber.all_plus(3), window, 2)
     assert got == pytest.approx([0.25 + 0.04 + (1.0 - 0.16)], rel=1e-15)
 
 
@@ -297,15 +352,16 @@ def test_line_measure_matches_sorted_merge(signs):
     hi[:, ::7] = lo[:, ::7]                 # a ball the line misses
     lo[1, ::5], hi[1, ::5] = lo[2, ::5], hi[2, ::5]     # a tied interval
     window = (gen.uniform(-3.0, 0.0, 500), gen.uniform(0.0, 3.0, 500))
-    got1 = _line_measure(lo, hi, c, window)
-    got3 = _line_measure(lo, hi, c, window, n=3)
+    got2 = _line_measure(lo, hi, c, window, 2)
+    got3 = _line_measure(lo, hi, c, window, 3)
     minus = [j - 1 for j in c.minus_set()]
     plus = [j - 1 for j in c.plus_set()]
     for i in range(lo.shape[1]):
         w0, w1 = (max(lo[minus, i]), min(hi[minus, i])) if minus else (
             window[0][i], window[1][i])
         pieces = merged_pieces(w0, w1, [(lo[j, i], hi[j, i]) for j in plus])
-        assert got1[i] == pytest.approx(sum(e - s for s, e in pieces),
-                                        rel=1e-12, abs=1e-15)
+        assert got2[i] == pytest.approx(
+            sum(e * abs(e) - s * abs(s) for s, e in pieces),
+            rel=1e-12, abs=1e-12)
         assert got3[i] == pytest.approx(sum(e ** 3 - s ** 3 for s, e in pieces),
                                         rel=1e-12, abs=1e-12)

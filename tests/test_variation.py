@@ -12,7 +12,7 @@ from sphex.errors import FdNoiseError
 from sphex.intersect import angles_pair, sphere_angle
 from sphex.variation import (
     OneForm,
-    _chord_fd,
+    _ray_fd,
     config_basis,
     dA_volume_form_n3,
     dA_volume_form_theorem_III,
@@ -343,9 +343,9 @@ def paired_indicator_fd(ap, am, c, samples, rng, eps):
 
 @pytest.mark.parametrize("signs,radius", [("----", 1.0), ("---+", 1.0),
                                           ("++++", 0.89)])
-def test_chord_fd_matches_paired_indicator(signs, radius):
-    """The chord difference against the indicator one, and its sigma at
-    least 5x smaller at equal samples."""
+def test_ray_fd_matches_paired_indicator(signs, radius):
+    """The paired-ray difference against the indicator one, and its sigma
+    at least 5x smaller at equal samples."""
     params = params_of(tetrahedron(radius=radius))
     c = Chamber.from_string(signs)
     eps = 1e-2
@@ -353,15 +353,16 @@ def test_chord_fd_matches_paired_indicator(signs, radius):
         ap, am = (from_params(p, 3) for p in
                   (params.with_entry(key, params.get(key) + eps),
                    params.with_entry(key, params.get(key) - eps)))
-        fd, sigma, changed = _chord_fd(ap, am, c, 200_000, Rng(31), eps)
+        fd, sigma = _ray_fd(ap, am, c, 200_000, Rng(31), eps)
         ind, ind_sigma = paired_indicator_fd(ap, am, c, 200_000, Rng(32), eps)
-        assert changed > 0 and sigma > 0.0
+        assert sigma > 0.0
         assert abs(fd - ind) <= 5.0 * math.hypot(sigma, ind_sigma), key
         assert 5.0 * sigma <= ind_sigma, key
 
 
-def test_chord_fd_sigma_matches_spread(tetra):
-    """The reported sigma is the spread of the difference over streams."""
+def test_ray_fd_sigma_matches_spread(tetra):
+    """The reported sigma, taken over frames, is the spread of the
+    difference over streams."""
     params = params_of(tetra)
     c = Chamber.all_minus(3)
     eps = 1e-2
@@ -369,14 +370,25 @@ def test_chord_fd_sigma_matches_spread(tetra):
         ap, am = (from_params(p, 3) for p in
                   (params.with_entry(key, params.get(key) + eps),
                    params.with_entry(key, params.get(key) - eps)))
-        runs = [_chord_fd(ap, am, c, 20_000, Rng(33, s), eps)
+        runs = [_ray_fd(ap, am, c, 20_000, Rng(33, s), eps)
                 for s in range(40)]
-        spread = np.std([fd for fd, _, _ in runs], ddof=1)
-        sigma = np.mean([s for _, s, _ in runs])
+        spread = np.std([fd for fd, _ in runs], ddof=1)
+        sigma = np.mean([s for _, s in runs])
         assert 0.6 < spread / sigma < 1.5, key
 
 
-def test_chord_fd_repeats_per_seed_stream_and_samples(tetra):
+def test_ray_fd_needs_a_changed_line():
+    """Ball 4 lies far from ball 1, so changing r_4 changes no line's
+    score of chamber -+++: a noise-floor error, not a difference of 0."""
+    centers = [[0.0, 0.0, 0.0], [9.0, 0.0, 0.0], [0.0, 9.0, 0.0],
+               [0.0, 0.0, 9.0]]
+    ap, am = (sx.from_centers_radii(centers, [1.3, 1.0, 1.0, r])
+              for r in (1.01, 0.99))
+    with pytest.raises(FdNoiseError, match="no line's score changed"):
+        _ray_fd(ap, am, Chamber.from_string("-+++"), 2000, Rng(34), 1e-2)
+
+
+def test_ray_fd_repeats_per_seed_stream_and_samples(tetra):
     c = Chamber.all_minus(3)
 
     def rep(rng, samples=100_000):
@@ -391,8 +403,8 @@ def test_chord_fd_repeats_per_seed_stream_and_samples(tetra):
 
 
 def test_verify_fd_n2_fallback_is_named():
-    """Without H1 the closed form raises; the chord difference still
-    measures the chamber, here the whole lens of disks 1 and 2."""
+    """Without H1 the closed form raises; the paired rays still measure
+    the chamber, here the whole lens of disks 1 and 2."""
     a = sx.from_centers_radii(equilateral(side=1.8).centers, [1.0] * 3)
     rep = verify_variation_fd("euclidean", a, Chamber.from_string("--+"),
                               ("r", 1), eps=1e-3, samples=200_000,
@@ -461,7 +473,7 @@ def test_fd_coefficient_is_the_full_form_entry():
     stream, for every key, chamber type and n = 2, 3, 4."""
     gen = np.random.default_rng(71)
     cases = []
-    # n = 3 faces are exact, so its samples only steady the chords
+    # n = 3 faces are exact, so its samples only steady the paired rays
     for n, eps, samples in ((2, 1e-5, 2000), (3, 5e-2, 20_000)):
         for _ in range(2):
             a = random_h1(gen, n)
@@ -518,7 +530,7 @@ def test_n2_fd_on_params_matches_arrangement_and_coordinates():
 def test_n2_fd_falls_back_when_a_perturbation_breaks_h1():
     """Circles through nearly one point: H1 holds, but r_1^2 - eps drops
     circle 1 off the common point of the other two, so the closed form
-    of that vector raises and the chords measure the difference."""
+    of that vector raises and the paired rays measure the difference."""
     a = equilateral(radius=0.8661)
     c = Chamber.from_string("--+")
     assert sx.check_hypotheses(a, h2="skip").h1 is True
@@ -558,12 +570,33 @@ def test_fd_measures_only_the_faces_of_its_parameter(tetra, monkeypatch):
 
 def test_fd_tolerance_counts_the_coefficient_error_n4():
     """At n = 4 the faces |J| = 1 are sampled, so the tolerance adds the
-    coefficient's standard error to the chords'; the r1 check on the
-    regular 4-simplex passes on every one of 20 seeds."""
+    coefficient's standard error to the paired rays'.  Every parameter's
+    check on the regular 4-simplex passes on the streams of the rows of
+    `sphex variation --seed 0..19`, and over those 300 checks the
+    residual in units of its sigma (a third of the tolerance) has mean
+    about 0 and spread about 1."""
     a = sx.from_centers_radii(regular_simplex4(), [1.0] * 5)
     c = Chamber.all_minus(4)
+    z = []
     for seed in range(20):
-        rep = verify_variation_fd("euclidean", a, c, ("r", 1), 1e-2, 20_000,
-                                  Rng(seed))
-        assert rep.method == "conditional-mc"
-        assert rep.passed, (seed, rep.residual, rep.tolerance)
+        for i, key in enumerate(param_basis(4)):
+            rep = verify_variation_fd("euclidean", a, c, key, 1e-2, 20_000,
+                                      Rng(seed).substream(100 + i))
+            assert rep.method == "conditional-mc"
+            assert rep.passed, (seed, key, rep.residual, rep.tolerance)
+            z.append((rep.fd_value - rep.formula_value) / rep.tolerance * 3)
+    assert abs(np.mean(z)) < 0.3 and 0.75 < np.std(z) < 1.25
+
+
+def test_fd_refuses_a_parameter_outside_its_basis(tri, tetra):
+    """A key outside the model's basis is refused before any work: the
+    Euclidean ("r", 0) used to read r_{n+1}^2 through index -1 and
+    report a failed check."""
+    for key in (("r", 0), ("r", 4), ("d", 0, 3), ("d", 2, 1), ("a0", 1)):
+        with pytest.raises(KeyError):
+            verify_variation_fd("euclidean", tri, Chamber.all_minus(2), key,
+                                1e-5)
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetra))
+    for key in (("a0", 0), ("a0", 4), ("a", 2, 1), ("a", 1, 1), ("r", 1)):
+        with pytest.raises(KeyError):
+            verify_variation_fd("unit-sphere", m, None, key, 3e-2)

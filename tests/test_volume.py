@@ -15,12 +15,10 @@ from sphex.errors import (
 )
 from sphex.volume import (
     Rng,
-    _chord_lengths,
     _simplex_rows,
     cap_integral,
     chamber_arc_angles,
     chamber_area_closed_n2,
-    chamber_chords,
     chamber_volume,
     chamber_volume_mc,
     decomposition_cell_coefficient,
@@ -41,11 +39,8 @@ from sphex.volume import (
 from conftest import (
     embedded_lens,
     equilateral,
-    gap_fixture,
-    lens_trio,
     random_h1,
     random_h1_prime,
-    tetrahedron,
 )
 
 LENS_11_1 = 2 * math.pi / 3 - math.sqrt(3) / 2  # two unit disks, distance 1
@@ -595,64 +590,6 @@ def test_sphere_region_n3_vs_chamber(tetra):
                                                           est2.std_error)
 
 
-def chord_volume(a, c, samples, rng):
-    """Chamber volume from `chamber_chords` alone: (value, std_error)."""
-    area, chunks = chamber_chords((a,), c, samples, rng)
-    L = np.concatenate([x[0] for x in chunks])
-    return area * L.mean(), area * L.std() / math.sqrt(samples)
-
-
-CHORD_CASES = [
-    ("tri", equilateral, "---"),
-    ("lens_trio", lens_trio, "--+"),
-    ("lens_trio", lens_trio, "-++"),
-    ("gap", gap_fixture, "+++"),
-    # a simplex edge parallel to the lines (the y axis)
-    ("upright_gap", lambda: sx.from_centers_radii(
-        [[0.0, 0.0], [0.0, 1.5], [1.3, 0.75]], [0.8, 0.8, 0.8]), "+++"),
-    ("tetra", tetrahedron, "----"),
-    ("tetra", tetrahedron, "--++"),
-    ("tetra_gap", lambda: tetrahedron(radius=0.89), "++++"),
-    # small balls leave the simplex's faces exposed; the face through
-    # centers 2, 3, 4 lies in the vertical plane x = y, so lines on the
-    # far side of it must be dropped although they are parallel to it
-    ("slanted_simplex", lambda: sx.from_centers_radii(
-        [[1.2, -0.3, 0.0], [1.0, 1.0, 0.0], [0.5, 0.5, 1.1],
-         [0.0, 0.0, 0.0]], [0.4] * 4), "++++"),
-]
-
-
-@pytest.mark.parametrize("name,make,signs", CHORD_CASES,
-                         ids=[f"{n}[{s}]" for n, _, s in CHORD_CASES])
-def test_chord_volume_matches_indicator(name, make, signs):
-    a = make()
-    c = Chamber.from_string(signs)
-    value, sigma = chord_volume(a, c, 100_000, Rng(21))
-    bounding = None if c.minus_set() else "simplex"
-    ind = chamber_volume_mc(a, c, 400_000, Rng(22), bounding=bounding)
-    assert value > 0.0 and sigma > 0.0
-    assert abs(value - ind.value) <= 5.0 * math.hypot(sigma, ind.std_error)
-    if a.n == 2:
-        exact = chamber_area_closed_n2(a, c)
-        assert abs(value - exact) <= 5.0 * sigma
-    # conditioning on the line removes most of the indicator's variance
-    assert sigma * math.sqrt(100_000) < ind.std_error * math.sqrt(400_000)
-
-
-def test_chord_lengths_of_one_line():
-    """A vertical line through a disk's centre meets it in its diameter;
-    the plus disks cut their own diameters out of the minus one."""
-    a = sx.from_centers_radii([[0.0, 0.0], [0.0, 1.5], [0.0, -1.8]],
-                              [1.0, 1.0, 1.0])
-    y = np.array([[0.0], [0.5], [3.0]])
-    data = (a.centers[None], a.radii[None] ** 2, None)
-    L = _chord_lengths(*data, Chamber.from_string("-++"), y)[0]
-    h = math.sqrt(0.75)  # at y = 0.5 the third disk misses the first
-    assert L == pytest.approx([2.0 - 0.5 - 0.2, 1.5, 0.0], abs=1e-15)
-    both = _chord_lengths(*data, Chamber.from_string("--+"), y)[0]
-    assert both == pytest.approx([0.5, 2.0 * h - 1.5, 0.0], abs=1e-15)
-
-
 def test_simplex_rows_are_barycentric_coordinates(tetra):
     """At the centers the rows P x + q are the unit vectors, at any
     offset and scale."""
@@ -661,19 +598,3 @@ def test_simplex_rows_are_barycentric_coordinates(tetra):
         P, q = _simplex_rows(a)
         lam = a.centers @ P.T + q
         np.testing.assert_allclose(lam, np.eye(a.n + 1), atol=1e-9)
-
-
-def test_chamber_chords_repeat_per_seed_and_samples(tetra):
-    c = Chamber.all_minus(3)
-
-    def draw(rng, samples):
-        area, chunks = chamber_chords((tetra,), c, samples, rng)
-        return area, np.concatenate(list(chunks), axis=1)
-
-    area, L = draw(Rng(5, 1), 70_000)
-    area2, L2 = draw(Rng(5, 1), 70_000)
-    assert area == area2 and np.array_equal(L, L2)
-    assert L.shape == (1, 70_000)
-    # blocks are drawn whole, so a shorter run is a prefix of a longer one
-    assert np.array_equal(draw(Rng(5, 1), 1000)[1], L[:, :1000])
-    assert not np.array_equal(draw(Rng(5, 2), 70_000)[1], L)
