@@ -43,6 +43,7 @@ from .intersect import intersection_sphere, sphere_angle, vertices
 from .volume import (
     AREA_TOL,
     Rng,
+    _exact_faces,
     _require_gap,
     _sqrt_starred,
     chamber_volume,
@@ -135,6 +136,7 @@ def _check_volume_identity(name, a, c, samples, rng):
         CMTable.from_arrangement(a), a.n, c)
     Js = sorted(coefs, key=lambda t: (len(t), t))
     weighted = [(a.n, chamber_volume(a, c, samples, rng.substream(0)))]
+    _exact_faces(a, c, Js)
     weighted += [(coefs[J], face_volume(a, c, J, samples, rng.substream(s)))
                  for s, J in enumerate(Js, 1)]
     terms = [(_label(J), w * v.value) for J, (w, v) in zip(Js, weighted[1:])]
@@ -194,6 +196,7 @@ def check_decomposition(a, samples: int = 1_000_000,
     c = Chamber.all_plus(a.n)
     Js = [J for p in range(1, a.n + 1)
           for J in itertools.combinations(range(1, a.n + 2), p)]
+    _exact_faces(a, c, Js)
     weighted = [(decomposition_cell_coefficient(a, J),
                  face_volume(a, c, J, samples, rng.substream(s)))
                 for s, J in enumerate(Js)]

@@ -41,6 +41,7 @@ from .volume import (
     AREA_TOL,
     Rng,
     _closed_form_failed,
+    _exact_faces,
     _lens_half_angles,
     _mean_error,
     _ray_scores,
@@ -278,9 +279,12 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
         return {key: v for key, v in _theta_dict(table, params, J).items()
                 if key in keys}
 
+    Js = sorted(vol_coefs, key=lambda t: (len(t), t))
+    thetas = {J: wanted(J) for J in Js}
+    _exact_faces(a, c, [J for J in Js if thetas[J]])
     out, var = {}, {}
-    for stream, J in enumerate(sorted(vol_coefs, key=lambda t: (len(t), t))):
-        th = wanted(J)
+    for stream, J in enumerate(Js):
+        th = thetas[J]
         if not th:
             continue
         est = face_volume(a, c, J, samples, rng.substream(stream))

@@ -23,7 +23,9 @@ it counts the two points for m = 0, intersects arcs exactly for m = 1,
 sums a one-form over those exact boundary arcs for m = 2 (Stokes'
 theorem gives the area in closed form), and for m >= 3 averages the
 exact feasible arc length of circle fibres over random fibres
-(conditional Monte Carlo).  The restricted unit-sphere model's region,
+(conditional Monte Carlo).  The exact kernels (m <= 2) take stacks of
+regions, so `_exact_faces` measures a chamber's exact faces in one call
+per dimension and row count.  The restricted unit-sphere model's region,
 arcs and vertices are regions of the same kernel too
 (`config_face_constraints`).  The indicator estimators
 `chamber_volume_mc` and `face_volume_mc` only draw points and test their
@@ -440,18 +442,40 @@ def _binding(alpha, beta):
     return alpha[keep], beta[keep]
 
 
-def _circle_arcs(alpha, beta):
-    """(start, length) of the arcs {t : alpha + beta.(cos t, sin t) >= 0}."""
+def _region_rows(m: int, alpha, beta):
+    """The rows of a region on S^m that its kernel measures, or the
+    region's measure when no kernel is needed.
+
+    m = 0 keeps every row, since the two-point count has a tolerance.
+    m >= 1 keeps the binding rows (`_binding`): a row that is never met
+    gives 0, no binding row gives |S^m|.  m = 2 also keeps the first of
+    rows whose normalized (h, b) agree to `SAME_ROW_TOL`, so a circle
+    given twice bounds the region once.  Returns a float or (alpha, beta).
+    """
+    if m == 0:
+        return alpha, beta
     rows = _binding(alpha, beta)
-    if rows is None:
-        return np.zeros(0), np.zeros(0)
+    if rows is None or not len(rows[0]):
+        return 0.0 if rows is None else unit_sphere_area(m)
+    if m != 2:
+        return rows
     alpha, beta = rows
-    if not len(alpha):
-        return np.zeros(1), np.full(1, TWO_PI)
-    amp = np.hypot(beta[:, 0], beta[:, 1])
-    start, length = _arcs(_half_width(alpha, amp)[None, :],
-                          np.arctan2(beta[:, 1], beta[:, 0]))
-    return start[0], length[0]
+    hb = np.column_stack([alpha, beta])
+    hb /= np.linalg.norm(beta, axis=1)[:, None]         # (-h, b)
+    same = np.abs(hb[:, None] - hb).max(axis=2) <= SAME_ROW_TOL
+    if np.count_nonzero(same) == len(same):            # the diagonal only
+        return alpha, beta
+    keep = ~np.tril(same, -1).any(axis=1)
+    return alpha[keep], beta[keep]
+
+
+def _circle_arcs(alpha, beta):
+    """(start, length), both (S, K+1), of the arcs
+    {t : alpha_k + beta_k . (cos t, sin t) >= 0 for all k} of S circles
+    with K binding rows each; alpha (S, K), beta (S, K, 2)."""
+    amp = np.hypot(beta[..., 0], beta[..., 1])
+    return _arcs(_half_width(alpha, amp),
+                 np.arctan2(beta[..., 1], beta[..., 0]))
 
 
 def _fibre_frame(beta):
@@ -494,8 +518,10 @@ _POLES = np.vstack([np.eye(3), -np.eye(3), np.array(list(
 
 
 def _region_area(alpha, beta):
-    """Exact measure of {g in S^2 : alpha_k + beta_k . g >= 0}, binding rows.
+    """Exact measures of S regions {g in S^2 : alpha_k + beta_k . g >= 0}.
 
+    alpha is (S, K) and beta (S, K, 3): K binding rows per region, all
+    different (`_region_rows` prepares them); returns the S areas.
     Row k is the cap b_k . g >= h_k (b = beta / |beta|, h = -alpha /
     |beta|) inside the circle g = h b + rho (cos t u + sin t v), rho =
     sqrt(1 - h^2), with (u, v, b) right-handed: the region lies on the
@@ -509,69 +535,112 @@ def _region_area(alpha, beta):
     -h L + 2 sgn(h + a0) (Phi(x1) - Phi(x0)), x = (t - tau) / 2, where
     Phi(x) = x + atan2((kappa - 1) sin x cos x, cos^2 x + kappa sin^2 x),
     kappa = |h + a0| / (A + B), is the continuous branch of
-    atan(kappa tan x).  N is the axis, cube diagonal or +-b_k whose
-    antipode keeps the largest angle to every circle.
+    atan(kappa tan x).  Each region's N is the axis, cube diagonal or
+    +-b_k whose antipode keeps the largest angle to every circle.
 
-    The arcs are the rows on each circle, in one `_arcs` call: on circle
-    k, row j reads A_kj + B_kj cos(t - phase_kj) >= 0 with
-    A_kj = h_k (b_j . b_k) - h_j and B_kj = rho_k |w_perp|, where w =
-    b_j - s b_k (s the sign of b_j . b_k) gives b_j . b_k = s (1 -
-    |w|^2 / 2), so nearly coinciding circles keep their crossings.  The
-    two circles of a pair take their half-widths from one value
-    D = B_kj^2 - A_kj^2 (the same for both up to rounding), so their
-    arcs end at the same points where they nearly touch.  A circle given
-    twice bounds the region once; given with both sides, its two whole
-    arcs cancel and leave measure 0.
+    The arcs are the rows on each circle, in one `_arcs` call for all
+    S K circles: on circle k, row j reads A_kj + B_kj cos(t - phase_kj)
+    >= 0 with A_kj = h_k (b_j . b_k) - h_j and B_kj = rho_k |w_perp|,
+    where w = b_j - s b_k (s the sign of b_j . b_k) gives b_j . b_k =
+    s (1 - |w|^2 / 2), so nearly coinciding circles keep their
+    crossings.  The two circles of a pair take their half-widths from
+    one value D = B_kj^2 - A_kj^2 (the same for both up to rounding), so
+    their arcs end at the same points where they nearly touch.  A circle
+    given with both sides has two whole arcs that cancel and leave
+    measure 0.
     """
-    norm = np.linalg.norm(beta, axis=1)
-    b, h = beta / norm[:, None], -alpha / norm
-    rows = np.column_stack([h, b])
-    same = np.abs(rows[:, None] - rows).max(axis=2) <= SAME_ROW_TOL
-    keep = ~np.tril(same, -1).any(axis=1)
-    b, h = b[keep], h[keep]
+    S, K = alpha.shape
+    norm = np.linalg.norm(beta, axis=2)
+    b, h = beta / norm[..., None], -alpha / norm
     rho = np.sqrt(1.0 - h * h)
-    u = np.cross(b, np.eye(3)[np.abs(b).argmin(axis=1)])
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u = np.cross(b, np.eye(3)[np.abs(b).argmin(axis=2)])
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
     v = np.cross(b, u)
-    s = np.where(b @ b.T < 0.0, -1.0, 1.0)               # [k, j]
-    w = b - s[..., None] * b[:, None]                     # b_j - s b_k
-    A_kj = (s * h[:, None] - h) \
-        - 0.5 * s * h[:, None] * np.einsum("kjx,kjx->kj", w, w)
-    wu = np.einsum("kjx,kx->kj", w, u)
-    wv = np.einsum("kjx,kx->kj", w, v)
-    B_kj = rho[:, None] * np.hypot(wu, wv)
+    bT = b.transpose(0, 2, 1)
+    s = np.where(b @ bT < 0.0, -1.0, 1.0)                 # [., k, j]
+    w = b[:, None] - s[..., None] * b[:, :, None]         # b_j - s b_k
+    hk = h[:, :, None]
+    A_kj = (s * hk - h[:, None]) \
+        - 0.5 * s * hk * np.einsum("skjx,skjx->skj", w, w)
+    wu = np.einsum("skjx,skx->skj", w, u)
+    wv = np.einsum("skjx,skx->skj", w, v)
+    B_kj = rho[..., None] * np.hypot(wu, wv)
     D = (B_kj - A_kj) * (B_kj + A_kj)
-    D = 0.5 * (D + D.T)                      # one value per pair of circles
+    D = 0.5 * (D + D.transpose(0, 2, 1))     # one value per pair of circles
     half = np.arctan2(np.sqrt(np.maximum(D, 0.0)), -A_kj)
-    np.fill_diagonal(half, math.pi)          # a circle does not cut itself
-    start, length = _arcs(half, np.arctan2(wv, wu))
-    cand = np.vstack([_POLES, b, -b])
-    ang = np.arccos(np.clip(-cand @ b.T, -1.0, 1.0))
-    N = cand[np.abs(ang - np.arccos(h)).min(axis=1).argmax()]
-    a0 = b @ N
-    A, B = 1.0 + h * a0, rho * np.hypot(u @ N, v @ N)
-    kappa = (np.abs(h + a0) / (A + B))[:, None]
-    x0 = 0.5 * (start - np.arctan2(v @ N, u @ N)[:, None])
+    half[:, range(K), range(K)] = math.pi    # a circle does not cut itself
+    start, length = (x.reshape(S, K, K + 1) for x in _arcs(
+        half.reshape(S * K, K), np.arctan2(wv, wu).reshape(S * K, K)))
+    cand = np.concatenate([np.broadcast_to(_POLES, (S,) + _POLES.shape),
+                           b, -b], axis=1)
+    ang = np.arccos(np.clip(-cand @ bT, -1.0, 1.0))
+    pick = np.abs(ang - np.arccos(h)[:, None]).min(axis=2).argmax(axis=1)
+    N = cand[np.arange(S), pick][..., None]                   # (S, 3, 1)
+    a0 = (b @ N)[..., 0]
+    uN, vN = (u @ N)[..., 0], (v @ N)[..., 0]
+    A, B = 1.0 + h * a0, rho * np.hypot(uN, vN)
+    kappa = (np.abs(h + a0) / (A + B))[..., None]
+    x0 = 0.5 * (start - np.arctan2(vN, uN)[..., None])
 
     def Phi(x):
         sin, cos = np.sin(x), np.cos(x)
         return x + np.arctan2((kappa - 1.0) * sin * cos,
                               cos * cos + kappa * sin * sin)
 
-    total = float((-h * length.sum(axis=1)).sum() + 2.0 * (
-        np.sign(h + a0)[:, None] * (Phi(x0 + 0.5 * length) - Phi(x0))).sum())
-    if np.all(-a0 >= h):
-        total += 2.0 * TWO_PI
-    return max(total, 0.0)             # a measure-0 region may round below 0
+    total = (-h * length.sum(axis=2)).sum(axis=1) + 2.0 * (
+        np.sign(h + a0)[..., None] * (Phi(x0 + 0.5 * length) - Phi(x0))
+    ).sum(axis=(1, 2))
+    total += np.where((-a0 >= h).all(axis=1), 2.0 * TWO_PI, 0.0)
+    return np.maximum(total, 0.0)      # a measure-0 region may round below 0
+
+
+#: the method of an exact region of each dimension m <= 2
+_EXACT_BY_DIM = ("count", "arc", "closed")
+
+
+def _exact_measures(m: int, regions) -> list:
+    """Measures of the regions [(alpha, beta), ...] on S^m, m <= 2.
+
+    Each region's rows go through `_region_rows` alone; the regions
+    left with the same row count K are stacked, (S, K) and (S, K, m+1),
+    and measured by one kernel call: the count of the points g = +-1
+    that meet every row (tolerance `COUNT_TOL`), the arc lengths of
+    `_circle_arcs` or the areas of `_region_area`.
+    """
+    out = [None] * len(regions)
+    groups = {}
+    for i, (alpha, beta) in enumerate(regions):
+        rows = _region_rows(m, alpha, beta)
+        if isinstance(rows, float):
+            out[i] = rows
+        else:
+            groups.setdefault(len(rows[0]), []).append((i, rows))
+    for group in groups.values():
+        alpha = np.array([rows[0] for _, rows in group])
+        beta = np.array([rows[1] for _, rows in group])
+        if m == 0:
+            b = beta[..., 0]
+            values = ((alpha + b >= -COUNT_TOL).all(axis=1).astype(float)
+                      + (alpha - b >= -COUNT_TOL).all(axis=1)).tolist()
+        elif m == 1:
+            values = [math.fsum(x) for x in
+                      _circle_arcs(alpha, beta)[1].tolist()]
+        else:
+            values = _region_area(alpha, beta).tolist()
+        for (i, _), value in zip(group, values):
+            out[i] = value
+    return out
 
 
 def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     """Measure of the region {g in S^m : alpha_k + beta_k . g >= 0 for all k}.
 
-    `alpha` has K entries and `beta` is (K, m+1).  m = 0: counts the two
-    points g = +-1, with tolerance `COUNT_TOL`.  m = 1: exact arc
-    intersection.  m = 2: the area from the boundary arcs by Stokes'
-    theorem (`_region_area`, "closed").  None of these draws samples.
+    `alpha` has K entries and `beta` is (K, m+1); with no rows (K = 0)
+    the region is the whole sphere, |S^m| ("closed").  m = 0: counts
+    the two points g = +-1, with tolerance `COUNT_TOL`.  m = 1: exact
+    arc intersection.  m = 2: the area from the boundary arcs by
+    Stokes' theorem (`_region_area`, "closed").  These three go through
+    `_exact_measures` as a batch of one, and none draws samples.
     m >= 3: circle fibres g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2),
     y in the unit (m-1)-ball orthogonal to e1, e2; the surface measure
     is exactly dy dt, so the region's measure is the integral over the
@@ -584,23 +653,19 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     stream, samples).
     """
     alpha = np.asarray(alpha, float).reshape(-1)
-    beta = np.asarray(beta, float).reshape(len(alpha), -1)
+    beta = np.asarray(beta, float)
+    beta = beta.reshape(len(alpha), beta.shape[1] if beta.ndim == 2 else -1)
     m = beta.shape[1] - 1
-    if m == 0:
-        b = beta[:, 0]
-        count = (int((alpha + b >= -COUNT_TOL).all())
-                 + int((alpha - b >= -COUNT_TOL).all()))
-        return VolumeEstimate(float(count), 0.0, 2, "count")
-    if m == 1:
-        _, length = _circle_arcs(alpha, beta)
-        return VolumeEstimate(math.fsum(length), 0.0, 0, "arc")
-    rows = _binding(alpha, beta)
-    if rows is None or not len(rows[0]):
-        value = 0.0 if rows is None else unit_sphere_area(m)
-        return VolumeEstimate(value, 0.0, 0, "closed")
+    if not len(alpha):
+        return VolumeEstimate(unit_sphere_area(m), 0.0, 0, "closed")
+    if m <= 2:
+        (value,) = _exact_measures(m, [(alpha, beta)])
+        return VolumeEstimate(value, 0.0, 2 if m == 0 else 0,
+                              _EXACT_BY_DIM[m])
+    rows = _region_rows(m, alpha, beta)
+    if isinstance(rows, float):
+        return VolumeEstimate(rows, 0.0, 0, "closed")
     alpha, beta = rows
-    if m == 2:
-        return VolumeEstimate(_region_area(alpha, beta), 0.0, 0, "closed")
     blocks = _blocks(samples, rng)
     proj = beta @ _fibre_frame(beta).T          # (K, m+1) in the fibre frame
     amp = np.hypot(proj[:, 0], proj[:, 1])
@@ -660,10 +725,14 @@ def config_face_constraints(m: ConfigMatrix, J):
     -(u_k . c + u_k0) - R (basis u_k) . g >= 0.  Returns (alpha, beta,
     R); planes that do not meet on the sphere (parallel, or meeting
     outside it) give an empty face: one row that is never met, and
-    R = 0.  J = () is the region itself, with R = 1.
+    R = 0.  J = () is the region itself, with R = 1; |J| >= n, a face
+    of negative dimension, raises ValueError.
     """
     idx = [j - 1 for j in J]
     p = len(idx)
+    if p >= m.n:
+        raise ValueError(f"the face on the planes {tuple(J)} has dimension "
+                         f"{m.n - 1 - p} < 0: |J| must be below n = {m.n}")
     empty = np.full(1, -1.0), np.zeros((1, m.n - p)), 0.0
     W, s, Vt = np.linalg.svd(m.normals[idx])
     if p and s[-1] <= 1e-12 * s[0]:
@@ -673,7 +742,8 @@ def config_face_constraints(m: ConfigMatrix, J):
     if R2 <= 0.0:
         return empty
     R = math.sqrt(R2)
-    U, off = np.delete(m.normals, idx, axis=0), np.delete(m.offsets, idx)
+    rest = [k for k in range(m.n) if k not in idx]
+    U, off = m.normals[rest], m.offsets[rest]
     return -(U @ c + off), -R * (U @ Vt[p:].T), R
 
 
@@ -818,8 +888,10 @@ def _require_gap(a, what: str):
                 raise HypothesisError(
                     f"gap arc of circle {j} is {t:.3g} <= 0; {what}")
     elif a.n == 3:
-        for k in range(1, 5):
-            if face_volume(a, Chamber.all_plus(3), (k,)).value <= 0.0:
+        faces = _exact_faces(a, Chamber.all_plus(3),
+                             [(k,) for k in range(1, 5)])
+        for (k,), face in faces.items():
+            if face.value <= 0.0:
                 raise HypothesisError(
                     f"gap face on sphere {k} has measure 0; {what}")
 
@@ -987,31 +1059,60 @@ def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
     (`_require_gap`); a closed form that raised is named in
     `fallback_reason`.  A chamber of the wrong length raises ValueError.
     A face of dimension n - |J| <= 2 ("closed", "count" or "arc") draws
-    no samples; its result is stored on `a` per (chamber, J)."""
+    no samples: it is measured by `_exact_faces`, as a batch of one
+    unless a check measured it with the rest of its faces, and stored
+    on `a` per (chamber, J)."""
     _check_chamber(a, c)
     J = tuple(sorted(J))
     if a.n - len(J) <= 2:
-        return _stored(a, ("face", c.signs, J),
-                       lambda: _face_volume(a, c, J, samples, rng))
-    return _face_volume(a, c, J, samples, rng)
-
-
-def _face_volume(a, c: Chamber, J, samples: int, rng: "Rng | None"):
-    rng = rng if rng is not None else Rng(0)
-    reason = None
-    if a.n == 2 and len(J) == 1:
-        try:
-            if not c.minus_set():
-                _require_gap(a, "closed gap arc undefined")
-            ang = chamber_arc_angles(a, c)[J[0]]
-            return VolumeEstimate(a.radius(J[0]) * ang, 0.0, 0, "closed")
-        except SphexError as e:
-            reason = _closed_form_failed(e)
+        return _exact_faces(a, c, (J,))[J]
     alpha, beta, R = face_constraints(a, c, J)
-    est = sphere_region(alpha, beta, samples, rng)
+    est = sphere_region(alpha, beta, samples,
+                        rng if rng is not None else Rng(0))
     f = R ** (a.n - len(J))
-    return replace(est, value=est.value * f, std_error=est.std_error * f,
-                   fallback_reason=reason)
+    return replace(est, value=est.value * f, std_error=est.std_error * f)
+
+
+def _exact_faces(a, c: Chamber, Js) -> dict:
+    """v_J of chamber c for each sorted tuple J in Js with n - |J| <= 2,
+    as dict J -> `VolumeEstimate`, each stored on `a` under
+    ("face", c.signs, J).
+
+    The faces not stored yet are measured together: the n = 2 closed
+    arcs one by one, the rest by `_exact_measures`, one kernel call per
+    dimension m and row count, on the rows of `face_constraints`, scaled
+    by R^m.  A face whose rows cannot be built raises before any
+    kernel call.
+    """
+    out, todo = {}, {}
+    for J in Js:
+        m = a.n - len(J)
+        if m > 2:
+            continue
+        key = ("face", c.signs, J)
+        out[J] = a._store.get(key)
+        if out[J] is not None:
+            continue
+        reason = None
+        if a.n == 2 and m == 1:
+            try:
+                if not c.minus_set():
+                    _require_gap(a, "closed gap arc undefined")
+                ang = chamber_arc_angles(a, c)[J[0]]
+                out[J] = _stored(a, key, lambda: VolumeEstimate(
+                    a.radius(J[0]) * ang, 0.0, 0, "closed"))
+                continue
+            except SphexError as e:
+                reason = _closed_form_failed(e)
+        alpha, beta, R = face_constraints(a, c, J)
+        todo.setdefault(m, []).append((J, key, reason, R ** m, alpha, beta))
+    for m, faces in todo.items():
+        values = _exact_measures(m, [face[4:] for face in faces])
+        for (J, key, reason, scale, _, _), value in zip(faces, values):
+            out[J] = _stored(a, key, lambda: VolumeEstimate(
+                value * scale, 0.0, 2 if m == 0 else 0, _EXACT_BY_DIM[m],
+                fallback_reason=reason))
+    return out
 
 
 def _sqrt_starred(table: CMTable, J) -> float:
@@ -1071,14 +1172,17 @@ def sphere_region_area_mc(m: ConfigMatrix, samples: int,
     return sphere_region(alpha, beta, samples, rng)
 
 
-def _config_face(m: ConfigMatrix, J) -> float:
-    """Measure of the region's face on the planes in J, |J| >= n - 2.
+def _config_faces(m: ConfigMatrix, Js) -> list:
+    """Measures of the region's faces on the planes in each J of Js, all
+    of one size |J| >= n - 2.
 
-    The face has dimension at most 1, which `sphere_region` measures
-    exactly without drawing samples.
+    The faces have dimension at most 1, which `_exact_measures` measures
+    exactly, in one kernel call per row count, without drawing samples.
     """
-    alpha, beta, R = config_face_constraints(m, J)
-    return R ** (beta.shape[1] - 1) * sphere_region(alpha, beta, 0, None).value
+    faces = [config_face_constraints(m, J) for J in Js]
+    dim = m.n - 1 - len(Js[0])
+    values = _exact_measures(dim, [face[:2] for face in faces])
+    return [R ** dim * value for (_, _, R), value in zip(faces, values)]
 
 
 def circle_feasible_arcs(m: ConfigMatrix, j: int):
@@ -1092,7 +1196,10 @@ def circle_feasible_arcs(m: ConfigMatrix, j: int):
     if m.n != 3:
         raise ValueError("circle arcs are implemented for n = 3")
     alpha, beta, radius = config_face_constraints(m, (j,))
-    start, length = _circle_arcs(alpha, beta)
+    rows = _region_rows(1, alpha, beta)
+    if isinstance(rows, float):
+        return ([(0.0, TWO_PI)] if rows else []), radius
+    start, length = (x[0] for x in _circle_arcs(rows[0][None], rows[1][None]))
     intervals = []
     for t0, w in zip(start.tolist(), length.tolist()):
         if w > 0.0:
@@ -1106,12 +1213,12 @@ def sphere_arc_lengths(m: ConfigMatrix) -> dict:
     """Closed-form boundary arc length of each circle on the unit sphere."""
     if m.n != 3:
         raise ValueError("circle arcs are implemented for n = 3")
-    return {j: _config_face(m, (j,)) for j in range(1, 4)}
+    return dict(zip((1, 2, 3), _config_faces(m, [(1,), (2,), (3,)])))
 
 
 def sphere_vertex_counts(m: ConfigMatrix) -> dict:
     """Number of region vertices on each circle pair (0, 1 or 2)."""
     if m.n != 3:
         raise ValueError("vertex counts are implemented for n = 3")
-    return {J: int(_config_face(m, J))
-            for J in ((1, 2), (1, 3), (2, 3))}
+    Js = ((1, 2), (1, 3), (2, 3))
+    return {J: int(v) for J, v in zip(Js, _config_faces(m, Js))}

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from sphex.errors import (
     HypothesisError,
     IndeterminateSignError,
 )
+from sphex import volume
 from sphex.identities import (
     check_decomposition,
     check_gauss_bonnet_n3,
@@ -28,6 +30,8 @@ from conftest import (
     jitter_arrangement,
     random_h1,
     random_h1_prime,
+    regular_simplex4,
+    tetrahedron,
 )
 
 
@@ -337,3 +341,103 @@ def test_report_to_dict(tri):
     assert d["pass"] is True
     assert {t["label"] for t in d["terms"]} >= {"S_1", "S_12", "simplex"}
     assert isinstance(d["residual"], float)
+
+
+# ---------------------------------------------------------------------------
+# a check measures its exact faces together, with one-face values
+# ---------------------------------------------------------------------------
+
+
+def assert_terms_match_single_faces(rep, a, c, Js, weights, samples, rng,
+                                    prefix="S_"):
+    """Each face term of `rep` is its weight times the face measured
+    alone on a fresh copy of `a`, on the stream the check gave it; an
+    exact face also keeps its method and fallback reason."""
+    fresh = sx.from_centers_radii(a.centers, a.radii)
+    terms = dict(rep.terms)
+    for s, J in Js:
+        alone = volume.face_volume(fresh, c, J, samples, rng.substream(s))
+        label = prefix + "".join(map(str, J))
+        assert abs(terms[label] - weights[J] * alone.value) <= 4e-15, \
+            (str(c), J, terms[label], weights[J] * alone.value)
+        if alone.exact:
+            got = volume.face_volume(a, c, J)      # stored by the check
+            assert (got.method, got.fallback_reason) == \
+                (alone.method, alone.fallback_reason), (str(c), J)
+
+
+def volume_identity_faces(a, c):
+    coefs, _ = sx.volume_identity_coefficients(
+        sx.CMTable.from_arrangement(a), a.n, c)
+    Js = sorted(coefs, key=lambda t: (len(t), t))
+    return list(enumerate(Js, 1)), coefs
+
+
+def test_checks_measure_faces_as_one_at_a_time():
+    """Theorem I on every chamber of five n = 3 H1 draws and on the
+    regular 4-simplex, theorem II and the decomposition on the r = 0.89
+    gap: the faces a check measures together equal the faces measured
+    one at a time, with the same method and fallback reason."""
+    gen = np.random.default_rng(2020)
+    samples, rng = 100, Rng(5)
+    cases = [(random_h1(gen, 3), c) for _ in range(5)
+             for c in map(Chamber, itertools.product((-1, 1), repeat=4))
+             if c.minus_set()]
+    cases.append((sx.from_centers_radii(regular_simplex4(), [1.0] * 5),
+                  Chamber.all_minus(4)))
+    for a, c in cases:
+        rep = check_theorem_I_i(a, samples, rng, chamber=c)
+        Js, coefs = volume_identity_faces(a, c)
+        assert_terms_match_single_faces(rep, a, c, Js, coefs, samples, rng)
+    gap = sx.from_centers_radii(tetrahedron().centers, [0.89] * 4)
+    c = Chamber.all_plus(3)
+    rep = check_theorem_II_i(gap, samples, rng)
+    Js, coefs = volume_identity_faces(gap, c)
+    assert_terms_match_single_faces(rep, gap, c, Js, coefs, samples, rng)
+    gap = sx.from_centers_radii(gap.centers, gap.radii)
+    rep = check_decomposition(gap, samples, rng)
+    Js = [J for p in range(1, 4)
+          for J in itertools.combinations(range(1, 5), p)]
+    cells = {J: sx.decomposition_cell_coefficient(gap, J) for J in Js}
+    assert_terms_match_single_faces(rep, gap, c, list(enumerate(Js)), cells,
+                                    samples, rng, prefix="cell_S_")
+
+
+def test_check_makes_one_kernel_call_per_row_count(monkeypatch):
+    """An n = 3 theorem I check measures its four areas (|J| = 1) in one
+    `_region_area` call per count of binding rows, and its six arcs in one
+    `_circle_arcs` call per count; a second check measures nothing."""
+    calls = {"_region_area": [], "_circle_arcs": []}
+    for name, shapes in calls.items():
+        kernel = getattr(volume, name)
+
+        def counted(alpha, beta, kernel=kernel, shapes=shapes):
+            shapes.append(alpha.shape)
+            return kernel(alpha, beta)
+
+        monkeypatch.setattr(volume, name, counted)
+    gen = np.random.default_rng(2021)
+    for _ in range(3):
+        a = random_h1(gen, 3)
+        c = Chamber.all_minus(3)
+        want = {}
+        for J in itertools.chain(itertools.combinations(range(1, 5), 1),
+                                 itertools.combinations(range(1, 5), 2)):
+            alpha, beta, _ = volume.face_constraints(a, c, J)
+            rows = volume._region_rows(3 - len(J), alpha, beta)
+            if not isinstance(rows, float):
+                K = len(rows[0])
+                want.setdefault(3 - len(J), {}).setdefault(K, 0)
+                want[3 - len(J)][K] += 1
+        for shapes in calls.values():
+            shapes.clear()
+        check_theorem_I_i(a, 100, Rng(1))
+        for m, name in ((2, "_region_area"), (1, "_circle_arcs")):
+            assert sorted(calls[name]) == sorted(
+                (S, K) for K, S in want.get(m, {}).items()), (m, calls[name])
+        assert sum(S for S, _ in calls["_region_area"]) == \
+            sum(want[2].values())
+        for shapes in calls.values():
+            shapes.clear()
+        check_theorem_I_i(a, 100, Rng(2))
+        assert calls == {"_region_area": [], "_circle_arcs": []}

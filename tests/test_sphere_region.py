@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from sphex.volume import (
     _binding,
     _fibre_frame,
     _half_width,
+    _region_area,
+    _region_rows,
     circle_feasible_arcs,
+    config_face_constraints,
     face_constraints,
     face_volume,
     face_volume_mc,
@@ -202,6 +206,21 @@ def test_caps_and_hemispheres_against_closed_forms(m):
     assert empty.exact and empty.value == 0.0
     whole = sphere_region([2.0, 1.0], [e0, -e0], 10, Rng(0))
     assert whole.exact and whole.value == pytest.approx(unit_sphere_area(m))
+
+
+def test_region_without_rows_is_the_whole_sphere():
+    """No constraint row leaves all of S^m, |S^m| in closed form; the
+    unit-sphere model refuses a face of negative dimension by name."""
+    for m in range(5):
+        est = sphere_region(np.zeros(0), np.zeros((0, m + 1)), 0, None)
+        assert (est.value, est.std_error, est.method) == \
+            (unit_sphere_area(m), 0.0, "closed"), m
+    assert sphere_region([], np.zeros((0, 3)), 0, None).value == \
+        pytest.approx(4.0 * math.pi, rel=1e-15)
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetrahedron()))
+    for J in ((1, 2, 3), (1, 2, 3, 1)):
+        with pytest.raises(ValueError, match=re.escape(str(J))):
+            config_face_constraints(m, J)
 
 
 def test_fibre_frame_contains_centre_direction():
@@ -434,6 +453,34 @@ def test_params_of_shares_one_table(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def assert_batched_areas_agree(regions, seed=0):
+    """Each m = 2 region, stacked with the others of the same row count
+    and two random regions, gets its own (S = 1) area to 4e-15.
+
+    The rows are prepared region by region (`_region_rows`), as
+    `sphere_region` prepares them; regions measured without the kernel
+    are skipped."""
+    gen = np.random.default_rng(seed)
+    groups = {}
+    for alpha, beta in regions:
+        rows = _region_rows(2, np.asarray(alpha, float),
+                            np.asarray(beta, float))
+        if not isinstance(rows, float):
+            groups.setdefault(len(rows[0]), []).append(rows)
+    assert groups
+    for K, group in groups.items():
+        fill = [random_region(gen, K) for _ in range(2)]
+        stack = fill[:1] + group + fill[1:]
+        alpha = np.stack([r[0] for r in stack])
+        beta = np.stack([r[1] for r in stack])
+        batched = _region_area(alpha, beta)
+        assert batched.shape == (len(stack),)
+        for (al, be), got in zip(stack, batched):
+            alone = _region_area(al[None], be[None])
+            assert alone.shape == (1,)
+            assert abs(got - alone[0]) <= 4e-15, (K, got, alone[0])
+
+
 def plane_matrix(offset3):
     """Two orthogonal walls through the pole and a plane at `offset3`."""
     return ConfigMatrix.from_entries(3, [0.0, 0.0, offset3],
@@ -519,13 +566,16 @@ def test_region_area_invariant_under_rotation():
     regions += [(np.zeros(3), np.diag(signs))
                 for signs in itertools.product((1.0, -1.0), repeat=3)]
     worst = 0.0
+    rotated = []
     for alpha, beta in regions:
         base = sphere_region(alpha, beta, 10, Rng(0)).value
         for _ in range(3):
             Q, _ = np.linalg.qr(gen.normal(size=(3, 3)))
-            moved = sphere_region(alpha, beta @ Q.T, 10, Rng(0)).value
+            rotated.append((alpha, beta @ Q.T))
+            moved = sphere_region(*rotated[-1], 10, Rng(0)).value
             worst = max(worst, abs(moved - base))
     assert worst <= 1e-13, worst
+    assert_batched_areas_agree(regions + rotated, 410)
 
 
 def test_regions_match_indicator():
@@ -552,6 +602,8 @@ def test_region_area_duplicate_and_whole_circle_rows():
     # sphere but contains the whole band
     band = sphere_region([-0.3, 0.5, 0.5], [e0, e0, -e0], 10, Rng(0))
     assert_closed_area(band, cap_area(2, 0.3) - cap_area(2, 0.5))
+    assert_batched_areas_agree([(alpha, beta), (alpha2, beta2),
+                                ([-0.3, 0.5, 0.5], [e0, e0, -e0])])
 
 
 def test_same_circle_with_opposite_sides_is_empty():
@@ -564,6 +616,7 @@ def test_same_circle_with_opposite_sides_is_empty():
     for alpha, beta in cases:
         est = sphere_region(alpha, beta, 10, Rng(0))
         assert est.method == "closed" and 0.0 <= est.value <= 1e-14, est
+    assert_batched_areas_agree(cases)
 
 
 def test_region_area_gap_face_with_coinciding_rows():
@@ -584,6 +637,10 @@ def test_region_area_gap_face_with_coinciding_rows():
     assert abs(est.value - want) <= Z * sigma
     assert face_volume(a, c, (1, 2)).value == pytest.approx(
         est.value * R ** 2, rel=1e-15)
+    assert_batched_areas_agree(
+        [(alpha, beta), (np.delete(alpha, dup), np.delete(beta, dup, axis=0))]
+        + [face_constraints(a, c, J)[:2]
+           for J in itertools.combinations(range(1, 6), 2)])
 
 
 def test_region_area_octant_and_near_hemispheres():
@@ -592,10 +649,13 @@ def test_region_area_octant_and_near_hemispheres():
     orthogonal to their centres."""
     assert_closed_area(sphere_region(np.zeros(3), np.eye(3), 10, Rng(0)),
                        math.pi / 2)
+    regions = [(np.zeros(3), np.eye(3))]
     for k in range(2, 11):
         c = 10.0 ** -k
-        est = sphere_region([c], [np.eye(3)[1]], 10, Rng(0))
+        regions.append(([c], [np.eye(3)[1]]))
+        est = sphere_region(*regions[-1], 10, Rng(0))
         assert_closed_area(est, 2.0 * math.pi * (1.0 + c))
+    assert_batched_areas_agree(regions)
 
 
 def test_region_containing_the_antipode_of_its_pole():
@@ -608,6 +668,7 @@ def test_region_containing_the_antipode_of_its_pole():
     # the sphere minus three small caps that do not meet
     est = sphere_region([0.95] * 3, -b, 10, Rng(0))
     assert_closed_area(est, 4.0 * math.pi - 3.0 * cap_area(2, 0.95))
+    assert_batched_areas_agree([([0.9], b[:1]), ([0.95] * 3, -b)])
 
 
 def rotate_towards(x, y, angle):
@@ -620,6 +681,7 @@ def test_nearly_coinciding_circles():
     directly from the rows lost these crossings (errors of 2e-8 at
     gamma = 1e-8, and above 1e-5 at 1e-11)."""
     gen = np.random.default_rng(412)
+    regions = []
     for gamma in (1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 1e-14):
         for _ in range(10):
             Q, _ = np.linalg.qr(gen.normal(size=(3, 3)))
@@ -631,6 +693,8 @@ def test_nearly_coinciding_circles():
             # the same with the sides of one cap swapped: a thin band
             band = sphere_region([-h, h], [beta[0], -beta[1]], 10, Rng(0))
             assert band.value <= 2.0 * math.pi * gamma + 1e-13, gamma
+            regions += [([-h, -h], beta), ([-h, h], [beta[0], -beta[1]])]
+    assert_batched_areas_agree(regions, 412)
 
 
 def test_touching_circles():
@@ -639,15 +703,17 @@ def test_touching_circles():
     ill-conditioned (sqrt(rounding) ~ 1e-8); both circles take them from
     one value, so they end at the same points (errors of 4e-8 without)."""
     gen = np.random.default_rng(413)
+    regions = []
     for _ in range(20):
         Q, _ = np.linalg.qr(gen.normal(size=(3, 3)))
         r1 = gen.uniform(0.4, 2.5)
         r2 = gen.uniform(0.2, 0.9) * min(r1, math.pi - r1)
         inner = rotate_towards(Q[0], Q[1], r1 - r2)
-        est = sphere_region([-math.cos(r1), -math.cos(r2)], [Q[0], inner],
-                            10, Rng(0))
+        regions.append(([-math.cos(r1), -math.cos(r2)], [Q[0], inner]))
+        est = sphere_region(*regions[-1], 10, Rng(0))
         assert abs(est.value - cap_area(2, math.cos(r2))) <= 1e-13
         outer = rotate_towards(Q[0], Q[1], r1 + r2)
-        est = sphere_region([-math.cos(r1), math.cos(r2)], [Q[0], -outer],
-                            10, Rng(0))
+        regions.append(([-math.cos(r1), math.cos(r2)], [Q[0], -outer]))
+        est = sphere_region(*regions[-1], 10, Rng(0))
         assert abs(est.value - cap_area(2, math.cos(r1))) <= 1e-13
+    assert_batched_areas_agree(regions, 413)
