@@ -4,10 +4,11 @@ Each check returns an IdentityReport whose terms always sum (fsum) to
 the reported rhs, so a failing identity can be diagnosed per summand.
 Tolerances are fixed absolute bounds when every ingredient is closed
 form, and 3x the propagated standard error when Monte Carlo estimates
-enter the sum.  The volume identities take each term from
-`chamber_volume` and `face_volume`, which use an exact path wherever
-one applies; the indicator estimators `chamber_volume_mc` and
-`face_volume_mc` are independent oracles for tests, not a mode here.
+enter the sum.  The volume identities take the chamber from
+`chamber_volume` and all faces from one `_faces` call (what
+`face_volume` returns face by face), exact wherever a path applies;
+the indicator estimators `chamber_volume_mc` and `face_volume_mc` are
+independent oracles for tests, not a mode here.
 
 The volume identity for a chamber with sign vector sigma reads
 
@@ -43,12 +44,11 @@ from .intersect import intersection_sphere, sphere_angle, vertices
 from .volume import (
     AREA_TOL,
     Rng,
-    _exact_faces,
+    _faces,
     _require_gap,
     _sqrt_starred,
     chamber_volume,
     decomposition_cell_coefficient,
-    face_volume,
     simplex_volume,
     sphere_arc_lengths,
     sphere_region_area_mc,
@@ -136,9 +136,9 @@ def _check_volume_identity(name, a, c, samples, rng):
         CMTable.from_arrangement(a), a.n, c)
     Js = sorted(coefs, key=lambda t: (len(t), t))
     weighted = [(a.n, chamber_volume(a, c, samples, rng.substream(0)))]
-    _exact_faces(a, c, Js)
-    weighted += [(coefs[J], face_volume(a, c, J, samples, rng.substream(s)))
-                 for s, J in enumerate(Js, 1)]
+    faces = _faces(a, c, {J: rng.substream(s) for s, J in enumerate(Js, 1)},
+                   samples)
+    weighted += [(coefs[J], faces[J]) for J in Js]
     terms = [(_label(J), w * v.value) for J, (w, v) in zip(Js, weighted[1:])]
     return _report(name, a.n * weighted[0][1].value,
                    terms + [("simplex", final)], _tolerance(weighted))
@@ -150,7 +150,7 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
 
     Closed-form volumes and arcs are used for n = 2 (tolerance 1e-9).
     Otherwise `chamber_volume` integrates exactly along `samples` random
-    lines through an interior point, faces come from `face_volume` (exact
+    lines through an interior point, faces come from `_faces` (exact
     up to dimension 2, conditional MC above), and the tolerance is 3x
     the propagated standard error.
     `chamber` may be any sign vector with at least one minus entry; the
@@ -196,10 +196,9 @@ def check_decomposition(a, samples: int = 1_000_000,
     c = Chamber.all_plus(a.n)
     Js = [J for p in range(1, a.n + 1)
           for J in itertools.combinations(range(1, a.n + 2), p)]
-    _exact_faces(a, c, Js)
-    weighted = [(decomposition_cell_coefficient(a, J),
-                 face_volume(a, c, J, samples, rng.substream(s)))
-                for s, J in enumerate(Js)]
+    faces = _faces(a, c, {J: rng.substream(s) for s, J in enumerate(Js)},
+                   samples)
+    weighted = [(decomposition_cell_coefficient(a, J), faces[J]) for J in Js]
     weighted.append((1.0, chamber_volume(a, c, samples,
                                          rng.substream(len(Js)))))
     terms = [("cell_" + _label(J), w * v.value)
@@ -301,12 +300,15 @@ def check_prop6_values(a, j: int) -> IdentityReport:
 
     Checks the two vertex values (negative at P, positive at P') and
     their product against the determinant expressions; residual is the
-    worst relative error of the three.
+    worst relative error of the three.  The signs assume H1: after the
+    vertices (TangencyError if they coincide), HypothesisError unless
+    H1 holds (IndeterminateSignError if it is unresolved).
     """
     n = a.n
     N = tuple(range(1, n + 2))
     dN = tuple(k for k in N if k != j)
     vp = vertices(a, j)
+    require_hypothesis(a, "h1", "the vertex signs of proposition 6 need it")
     fP = evaluate_f(a, j, vp.P)
     fPp = evaluate_f(a, j, vp.P_prime)
     table = CMTable.from_arrangement(a)

@@ -41,12 +41,11 @@ from .volume import (
     AREA_TOL,
     Rng,
     _closed_form_failed,
-    _exact_faces,
+    _faces,
     _lens_half_angles,
     _mean_error,
     _ray_scores,
     chamber_area_closed_n2,
-    face_volume,
     sin_power_integral,
     sphere_arc_lengths,
     sphere_region_area_mc,
@@ -258,8 +257,8 @@ def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
     where s_J = +1 for the all-minus chamber and (-1)^{|J cap plus|}
     otherwise, and the determinant term carries -1/(n-1)! (all-minus),
     -(-1)^{#plus}/(n-1)! (mixed), or +(-1)^(n+1)/(n-1)! (all-plus).
-    Face volumes come from `face_volume`; face J (in order of size, then
-    index) draws from `rng.substream(position of J)`.
+    Face volumes come from one `_faces` call; face J (in order of size,
+    then index) draws from `rng.substream(position of J)`.
     """
     rng = rng if rng is not None else Rng(0)
     return _dB_form(_as_arrangement(a), c, param_basis(a.n), samples, rng)[0]
@@ -281,13 +280,11 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
 
     Js = sorted(vol_coefs, key=lambda t: (len(t), t))
     thetas = {J: wanted(J) for J in Js}
-    _exact_faces(a, c, [J for J in Js if thetas[J]])
+    faces = _faces(a, c, {J: rng.substream(s) for s, J in enumerate(Js)
+                          if thetas[J]}, samples)
     out, var = {}, {}
-    for stream, J in enumerate(Js):
+    for J, est in faces.items():
         th = thetas[J]
-        if not th:
-            continue
-        est = face_volume(a, c, J, samples, rng.substream(stream))
         vJ, sJ = est.value, est.std_error
         # relative to the volume identity, every coefficient of the
         # differential differs by exactly (-1)^p, in all chamber cases,

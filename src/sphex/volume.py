@@ -18,16 +18,14 @@ and the cone-cell volumes of the simplex decomposition.
 Faces: on the sphere S_J every other sphere's sign constraint, and
 every barycentric constraint of the center simplex, is affine in the
 unit direction g, so a face is a region {g in S^m : alpha + beta.g >= 0}
-with m = n - |J|.  One kernel, `sphere_region`, measures such a region:
-it counts the two points for m = 0, intersects arcs exactly for m = 1,
-sums a one-form over those exact boundary arcs for m = 2 (Stokes'
-theorem gives the area in closed form), and for m >= 3 averages the
-exact feasible arc length of circle fibres over random fibres
-(conditional Monte Carlo).  The exact kernels (m <= 2) take stacks of
-regions, so `_exact_faces` measures a chamber's exact faces in one call
-per dimension and row count.  The restricted unit-sphere model's region,
-arcs and vertices are regions of the same kernel too
-(`config_face_constraints`).  The indicator estimators
+with m = n - |J|.  `_measure` alone decides how such regions are
+measured: exactly for m <= 2 (two points counted, arcs intersected, or
+by Stokes' theorem a one-form summed over the boundary arcs), one
+kernel call per row count, and for m >= 3 by the exact arc length of
+random circle fibres (conditional Monte Carlo).  `_faces` hands it a
+chamber's faces in one call; `sphere_region` and `face_volume` take one
+region or face, and the unit-sphere model's region, arcs and vertices
+are regions too (`config_face_constraints`).  The indicator estimators
 `chamber_volume_mc` and `face_volume_mc` only draw points and test their
 signs with `evaluate_f`; they stay as the independent oracles that tests
 and benchmarks check the rest against.
@@ -594,25 +592,30 @@ def _region_area(alpha, beta):
     return np.maximum(total, 0.0)      # a measure-0 region may round below 0
 
 
-#: the method of an exact region of each dimension m <= 2
+#: the method of an exact region of each dimension m <= 2; a region of
+#: any m whose measure needs no kernel is "closed"
 _EXACT_BY_DIM = ("count", "arc", "closed")
 
 
-def _exact_measures(m: int, regions) -> list:
-    """Measures of the regions [(alpha, beta), ...] on S^m, m <= 2.
+def _measure(m: int, regions, samples: int, rngs) -> list:
+    """`VolumeEstimate`s of the regions [(alpha, beta), ...] on S^m.
 
-    Each region's rows go through `_region_rows` alone; the regions
-    left with the same row count K are stacked, (S, K) and (S, K, m+1),
-    and measured by one kernel call: the count of the points g = +-1
-    that meet every row (tolerance `COUNT_TOL`), the arc lengths of
-    `_circle_arcs` or the areas of `_region_area`.
+    Each region's rows go through `_region_rows` alone.  m <= 2 is exact
+    and draws nothing: the regions left with the same row count K are
+    stacked, (S, K) and (S, K, m+1), and measured by one kernel call,
+    the count of the points g = +-1 that meet every row (tolerance
+    `COUNT_TOL`), the arc lengths of `_circle_arcs` or the areas of
+    `_region_area`.  m >= 3 measures region i by `samples` circle
+    fibres on `rngs[i]` (`_fibres`); `rngs` is read only there.
     """
     out = [None] * len(regions)
     groups = {}
     for i, (alpha, beta) in enumerate(regions):
         rows = _region_rows(m, alpha, beta)
         if isinstance(rows, float):
-            out[i] = rows
+            out[i] = VolumeEstimate(rows, 0.0, 0, _EXACT_BY_DIM[min(m, 2)])
+        elif m > 2:
+            out[i] = _fibres(m, *rows, samples, rngs[i])
         else:
             groups.setdefault(len(rows[0]), []).append((i, rows))
     for group in groups.values():
@@ -628,44 +631,20 @@ def _exact_measures(m: int, regions) -> list:
         else:
             values = _region_area(alpha, beta).tolist()
         for (i, _), value in zip(group, values):
-            out[i] = value
+            out[i] = VolumeEstimate(value, 0.0, 2 if m == 0 else 0,
+                                    _EXACT_BY_DIM[m])
     return out
 
 
-def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
-    """Measure of the region {g in S^m : alpha_k + beta_k . g >= 0 for all k}.
-
-    `alpha` has K entries and `beta` is (K, m+1); with no rows (K = 0)
-    the region is the whole sphere, |S^m| ("closed").  m = 0: counts
-    the two points g = +-1, with tolerance `COUNT_TOL`.  m = 1: exact
-    arc intersection.  m = 2: the area from the boundary arcs by
-    Stokes' theorem (`_region_area`, "closed").  These three go through
-    `_exact_measures` as a batch of one, and none draws samples.
-    m >= 3: circle fibres g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2),
-    y in the unit (m-1)-ball orthogonal to e1, e2; the surface measure
-    is exactly dy dt, so the region's measure is the integral over the
-    ball of the exact feasible arc length of a fibre, estimated by
-    conditional Monte Carlo with y uniform in the ball: vol(B^(m-1))
-    times the mean fibre length, `std_error` the per-fibre sample
-    standard error and `samples` the number of fibres.  Constraints that
-    never bind are dropped first, and a constraint that is never met
-    gives an exact 0.  A Monte Carlo result depends only on (seed,
-    stream, samples).
+def _fibres(m: int, alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
+    """Measure of a region on S^m, m >= 3, with binding rows only, by
+    circle fibres g = y + sqrt(1 - |y|^2) (cos t e1 + sin t e2), y in
+    the unit (m-1)-ball orthogonal to e1, e2.  The surface measure is
+    exactly dy dt, so the measure is vol(B^(m-1)) times the mean exact
+    feasible arc length of fibres with y uniform in the ball
+    ("conditional-mc"; `std_error` per fibre, `samples` fibres, drawn
+    on `rng`, so the result depends only on (seed, stream, samples)).
     """
-    alpha = np.asarray(alpha, float).reshape(-1)
-    beta = np.asarray(beta, float)
-    beta = beta.reshape(len(alpha), beta.shape[1] if beta.ndim == 2 else -1)
-    m = beta.shape[1] - 1
-    if not len(alpha):
-        return VolumeEstimate(unit_sphere_area(m), 0.0, 0, "closed")
-    if m <= 2:
-        (value,) = _exact_measures(m, [(alpha, beta)])
-        return VolumeEstimate(value, 0.0, 2 if m == 0 else 0,
-                              _EXACT_BY_DIM[m])
-    rows = _region_rows(m, alpha, beta)
-    if isinstance(rows, float):
-        return VolumeEstimate(rows, 0.0, 0, "closed")
-    alpha, beta = rows
     blocks = _blocks(samples, rng)
     proj = beta @ _fibre_frame(beta).T          # (K, m+1) in the fibre frame
     amp = np.hypot(proj[:, 0], proj[:, 1])
@@ -685,6 +664,26 @@ def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     mean, err = _mean_error(arcs(), samples)
     ball = unit_sphere_area(m) / TWO_PI          # vol(B^(m-1))
     return VolumeEstimate(ball * mean, ball * err, samples, "conditional-mc")
+
+
+def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
+    """Measure of the region {g in S^m : alpha_k + beta_k . g >= 0 for all k}.
+
+    `alpha` has K entries and `beta` is (K, m+1); with no rows (K = 0)
+    the region is the whole sphere, |S^m| ("closed").  Otherwise
+    `_measure` decides, as a batch of one: m = 0 counts the two points
+    g = +-1 ("count"), m = 1 intersects arcs ("arc"), m = 2 takes the
+    area from the boundary arcs ("closed"), none of them drawing; m >= 3
+    draws `samples` circle fibres on `rng` ("conditional-mc").  Rows
+    that never bind are dropped, and a row never met gives an exact 0.
+    """
+    alpha = np.asarray(alpha, float).reshape(-1)
+    beta = np.asarray(beta, float)
+    beta = beta.reshape(len(alpha), beta.shape[1] if beta.ndim == 2 else -1)
+    m = beta.shape[1] - 1
+    if not len(alpha):
+        return VolumeEstimate(unit_sphere_area(m), 0.0, 0, "closed")
+    return _measure(m, [(alpha, beta)], samples, [rng])[0]
 
 
 def face_constraints(a, c: Chamber, J):
@@ -888,8 +887,8 @@ def _require_gap(a, what: str):
                 raise HypothesisError(
                     f"gap arc of circle {j} is {t:.3g} <= 0; {what}")
     elif a.n == 3:
-        faces = _exact_faces(a, Chamber.all_plus(3),
-                             [(k,) for k in range(1, 5)])
+        faces = _faces(a, Chamber.all_plus(3),
+                       dict.fromkeys([(k,) for k in range(1, 5)]), 0)
         for (k,), face in faces.items():
             if face.value <= 0.0:
                 raise HypothesisError(
@@ -1052,43 +1051,29 @@ def _closed_form_failed(err: SphexError) -> str:
 
 def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
                 rng: "Rng | None" = None) -> VolumeEstimate:
-    """Face measure v_J: the n = 2 closed arc when it applies, else the
-    `sphere_region` kernel on the face's constraints (exact for
-    |J| >= n - 2, conditional MC with `samples` fibres below).  The
-    closed arc of the n = 2 gap chamber needs a certified gap
-    (`_require_gap`); a closed form that raised is named in
-    `fallback_reason`.  A chamber of the wrong length raises ValueError.
-    A face of dimension n - |J| <= 2 ("closed", "count" or "arc") draws
-    no samples: it is measured by `_exact_faces`, as a batch of one
-    unless a check measured it with the rest of its faces, and stored
-    on `a` per (chamber, J)."""
+    """Face measure v_J: `_faces` of the one face J, drawing on `rng`:
+    exact for |J| >= n - 2 (and stored on `a`), conditional MC with
+    `samples` fibres below.  A chamber of the wrong length raises
+    ValueError."""
     _check_chamber(a, c)
     J = tuple(sorted(J))
-    if a.n - len(J) <= 2:
-        return _exact_faces(a, c, (J,))[J]
-    alpha, beta, R = face_constraints(a, c, J)
-    est = sphere_region(alpha, beta, samples,
-                        rng if rng is not None else Rng(0))
-    f = R ** (a.n - len(J))
-    return replace(est, value=est.value * f, std_error=est.std_error * f)
+    return _faces(a, c, {J: rng if rng is not None else Rng(0)}, samples)[J]
 
 
-def _exact_faces(a, c: Chamber, Js) -> dict:
-    """v_J of chamber c for each sorted tuple J in Js with n - |J| <= 2,
-    as dict J -> `VolumeEstimate`, each stored on `a` under
-    ("face", c.signs, J).
+def _faces(a, c: Chamber, streams: dict, samples: int) -> dict:
+    """v_J of chamber c for each sorted J of `streams` (J -> the `Rng`
+    face J may draw on), as dict J -> `VolumeEstimate` in that order.
 
-    The faces not stored yet are measured together: the n = 2 closed
-    arcs one by one, the rest by `_exact_measures`, one kernel call per
-    dimension m and row count, on the rows of `face_constraints`, scaled
-    by R^m.  A face whose rows cannot be built raises before any
-    kernel call.
+    At n = 2 a face (k,) is the closed arc of `chamber_arc_angles` if
+    its hypothesis holds (H1 with a minus sign, else `_require_gap`),
+    or names why not in `fallback_reason`.  The other faces' rows
+    (`face_constraints`) are all built before `_measure` measures them
+    per dimension m; values scale by R^m.  A face that draws nothing is
+    stored on `a` under ("face", c.signs, J) and read from there.
     """
     out, todo = {}, {}
-    for J in Js:
+    for J, rng in streams.items():
         m = a.n - len(J)
-        if m > 2:
-            continue
         key = ("face", c.signs, J)
         out[J] = a._store.get(key)
         if out[J] is not None:
@@ -1099,19 +1084,23 @@ def _exact_faces(a, c: Chamber, Js) -> dict:
                 if not c.minus_set():
                     _require_gap(a, "closed gap arc undefined")
                 ang = chamber_arc_angles(a, c)[J[0]]
+                if c.minus_set():
+                    require_hypothesis(a, "h1", "closed arc undefined")
                 out[J] = _stored(a, key, lambda: VolumeEstimate(
                     a.radius(J[0]) * ang, 0.0, 0, "closed"))
                 continue
             except SphexError as e:
                 reason = _closed_form_failed(e)
         alpha, beta, R = face_constraints(a, c, J)
-        todo.setdefault(m, []).append((J, key, reason, R ** m, alpha, beta))
+        todo.setdefault(m, []).append((J, reason, R ** m, rng, (alpha, beta)))
     for m, faces in todo.items():
-        values = _exact_measures(m, [face[4:] for face in faces])
-        for (J, key, reason, scale, _, _), value in zip(faces, values):
-            out[J] = _stored(a, key, lambda: VolumeEstimate(
-                value * scale, 0.0, 2 if m == 0 else 0, _EXACT_BY_DIM[m],
-                fallback_reason=reason))
+        Js, reasons, scales, rngs, regions = zip(*faces)
+        ests = _measure(m, regions, samples, rngs)
+        for J, reason, f, est in zip(Js, reasons, scales, ests):
+            est = replace(est, value=est.value * f, fallback_reason=reason,
+                          std_error=est.std_error * f)
+            out[J] = (_stored(a, ("face", c.signs, J), lambda: est)
+                      if est.exact else est)
     return out
 
 
@@ -1176,13 +1165,13 @@ def _config_faces(m: ConfigMatrix, Js) -> list:
     """Measures of the region's faces on the planes in each J of Js, all
     of one size |J| >= n - 2.
 
-    The faces have dimension at most 1, which `_exact_measures` measures
+    The faces have dimension at most 1, which `_measure` measures
     exactly, in one kernel call per row count, without drawing samples.
     """
     faces = [config_face_constraints(m, J) for J in Js]
     dim = m.n - 1 - len(Js[0])
-    values = _exact_measures(dim, [face[:2] for face in faces])
-    return [R ** dim * value for (_, _, R), value in zip(faces, values)]
+    ests = _measure(dim, [face[:2] for face in faces], 0, None)
+    return [R ** dim * est.value for (_, _, R), est in zip(faces, ests)]
 
 
 def circle_feasible_arcs(m: ConfigMatrix, j: int):

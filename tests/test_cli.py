@@ -309,6 +309,15 @@ def test_identity_prop6(tri_file, capsys):
     assert json.loads(out)["count"] == 3
 
 
+def test_identity_prop6_refuses_without_h1(gap_file, capsys):
+    code, out, _ = run(capsys, ["identity", "--input", gap_file,
+                                "--which", "prop6"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "HypothesisError"
+    assert err["message"].startswith("H1 fails")
+
+
 def test_identity_prop6_tangent_exit4(tmp_path, capsys):
     import sphex as sx
 

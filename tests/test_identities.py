@@ -288,6 +288,17 @@ def test_prop6_values(tri):
         assert rep.name == f"prop6_values_{j}"
 
 
+def test_prop6_refuses_without_h1():
+    """The vertex signs assume H1: on the gap triangle (H1' holds, H1
+    fails) the check refuses instead of failing on signs alone."""
+    gap = equilateral(radius=0.8)
+    rep = sx.check_hypotheses(gap, h2="skip")
+    assert (rep.h1, rep.h1_prime) == (False, True)
+    for j in (1, 2, 3):
+        with pytest.raises(HypothesisError, match="H1 fails"):
+            check_prop6_values(gap, j)
+
+
 def test_prop6_random_n3():
     gen = np.random.default_rng(56)
     a = random_h1(gen, 3)

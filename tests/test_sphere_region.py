@@ -425,6 +425,65 @@ def test_closed_form_fallbacks_name_their_reason():
         "closed form unavailable: EmptyIntersectionError")
 
 
+def test_n2_closed_arcs_need_h1():
+    """On draws where H1 fails, the closed arc of a chamber with a minus
+    sign would be wrong (even negative), so every face (k,) is the
+    kernel's exact arc on its rows, never below 0, and names why the
+    closed arc was not taken."""
+    gen = np.random.default_rng(5)
+    chambers = [Chamber(s) for s in itertools.product((-1, 1), repeat=3)
+                if -1 in s]
+    draws = 0
+    while draws < 150:
+        a = sx.from_centers_radii(gen.normal(size=(3, 2)),
+                                  gen.uniform(0.3, 2.0, 3))
+        if sx.check_hypotheses(a, h2="skip").h1 is True:
+            continue
+        draws += 1
+        for c in chambers:
+            for k in (1, 2, 3):
+                face = face_volume(a, c, (k,))
+                alpha, beta, R = face_constraints(a, c, (k,))
+                arc = R * sphere_region(alpha, beta, 1, Rng(0)).value
+                assert face.value >= 0.0, (draws, str(c), k)
+                assert abs(face.value - arc) <= 1e-9, (draws, str(c), k)
+                assert face.fallback_reason.startswith(
+                    "closed form unavailable: "), (draws, str(c), k)
+
+
+class NoDraws(Rng):
+    """A stream that refuses to be drawn from."""
+
+    def generator(self, block):
+        raise AssertionError("an exact measure drew samples")
+
+
+def test_exact_measures_draw_nothing():
+    """`_measure` reads no stream for a region of dimension m <= 2: not
+    through `face_volume` (every such face of an n = 3 H1 draw and of
+    the regular 4-simplex), `sphere_region`, the Gauss-Bonnet check or
+    the unit-sphere finite difference."""
+    rng = NoDraws(0)
+    a = random_h1(np.random.default_rng(77), 3)
+    cases = [(a, c) for c in map(Chamber, itertools.product((-1, 1), repeat=4))
+             if c.minus_set()]
+    cases.append((sx.from_centers_radii(regular_simplex4(), [1.0] * 5),
+                  Chamber.all_minus(4)))
+    for a, c in cases:
+        for p in range(a.n - 2, a.n + 1):
+            for J in itertools.combinations(range(1, a.n + 2), p):
+                assert face_volume(a, c, J, 1000, rng).exact, (str(c), J)
+    e0 = np.eye(3)
+    for m in (0, 1, 2):
+        est = sphere_region([0.3, 0.2], -e0[:2, :m + 1], 1000, rng)
+        assert est.exact and est.value > 0.0, m
+    unit = sx.config_matrix(sx.restrict_to_unit_sphere(tetrahedron()))
+    assert sx.check_gauss_bonnet_n3(unit, 1000, rng).passed
+    rep = sx.verify_variation_fd("unit-sphere", unit, None, ("a0", 1), 3e-2,
+                                 1000, rng)
+    assert rep.method == "closed" and rep.passed
+
+
 def test_params_of_shares_one_table(monkeypatch):
     built = []
     original = CMTable.__post_init__

@@ -548,13 +548,13 @@ def test_fd_measures_only_the_faces_of_its_parameter(tetra, monkeypatch):
     """At n = 3 an r_j check measures one face (an exact area), a d_jk
     check one arc and two vertex counts."""
     calls = []
-    face_volume = variation.face_volume
+    faces = variation._faces
 
-    def counted(a, c, J, *args):
-        calls.append(tuple(J))
-        return face_volume(a, c, J, *args)
+    def counted(a, c, streams, *args):
+        calls.extend(streams)
+        return faces(a, c, streams, *args)
 
-    monkeypatch.setattr(variation, "face_volume", counted)
+    monkeypatch.setattr(variation, "_faces", counted)
     for key in param_basis(3):
         calls.clear()
         verify_variation_fd("euclidean", tetra, Chamber.all_minus(3), key,
