@@ -432,7 +432,8 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
     up to p = n+1.  H1' keeps the conditions through p = n and the
     full-set plain condition, but requires (-1)^n B(0*N) < 0 instead of
     > 0.  H2 looks at the designated coordinate x_{n+1-j} of the vertex
-    P_j in normalized coordinates, for j = 1..n; `h2="skip"` omits it.
+    P_j, for j = 1..n: P_j is taken on `a` and mapped into normalized
+    coordinates by the transform of `normalize`; `h2="skip"` omits it.
 
     Values whose magnitude is below 1e-9 times a Hadamard-type bound of
     the same degree in length are reported indeterminate rather than
@@ -449,18 +450,14 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
         from . import intersect  # local import: intersect builds on this module
 
         try:
-            na, _ = normalize(a)
-            statuses = []
-            cscale = float(np.max(np.abs(na.centers)))
+            na, move = normalize(a)
+            tol = SIGN_TOL * float(np.max(np.abs(na.centers)))
             for j in range(1, a.n + 1):
-                pair = intersect.vertices(na, j)
-                coord = float(pair.P[a.n - j])
-                st = _status(coord, -1, SIGN_TOL * cscale)
-                h2_details.append((j, coord, st))
-                statuses.append(st)
-            h2_val = _combine(statuses)
-        except (DegenerateConfigError, ValueError):
-            h2_val = None
+                coord = float(move.apply(intersect.vertices(a, j).P)[a.n - j])
+                h2_details.append((j, coord, _status(coord, -1, tol)))
+            h2_val = _combine([st for _, _, st in h2_details])
+        except ValueError:  # degenerate, tangent or not normalizable
+            pass
     return HypothesisReport(h1, h1_prime, h2_val, list(rows), h2_details,
                             list(flagged))
 

@@ -252,19 +252,9 @@ class ConfigMatrix:
         off = np.asarray(offsets, float)
         if off.shape != (n,):
             raise ValueError("expected one offset per cutting sphere")
-        A = np.zeros((n + 1, n + 1))
-        A[0, 0] = -1.0
-        G = np.empty((n, n))
-        for j in range(1, n + 1):
-            A[0, j] = A[j, 0] = off[j - 1]
-            A[j, j] = 1.0
-            G[j - 1, j - 1] = 1.0 + off[j - 1] ** 2
-        for (j, k), v in dict(inner).items():
-            j, k = int(j), int(k)
-            A[j, k] = A[k, j] = v
-            G[j - 1, k - 1] = G[k - 1, j - 1] = v + off[j - 1] * off[k - 1]
+        A = _config_gram(off, dict(inner))
         try:
-            L = np.linalg.cholesky(G)
+            L = np.linalg.cholesky(A[1:, 1:] + np.outer(off, off))
         except np.linalg.LinAlgError as e:
             raise NonRealizableError(
                 "matrix entries admit no plane configuration") from e
@@ -291,19 +281,25 @@ def config_matrix(a) -> ConfigMatrix:
             raise DegenerateConfigError(
                 f"sphere {j} does not cut the unit sphere transversally")
         norm[j - 1] = math.sqrt(c2)
-    off = np.empty(m - 1)
-    A = np.zeros((m, m))
-    A[0, 0] = -1.0
-    for j in range(1, m):
-        off[j - 1] = table.chain(("0", j, m), ("0", "*", m)) / norm[j - 1]
-        A[0, j] = A[j, 0] = off[j - 1]
-        A[j, j] = 1.0
-    for j in range(1, m):
-        for k in range(j + 1, m):
-            A[j, k] = A[k, j] = -table.chain(
-                ("0", "*", j, m), ("0", "*", k, m)) / (norm[j - 1] * norm[k - 1])
+    off = np.array([table.chain(("0", j, m), ("0", "*", m)) / norm[j - 1]
+                    for j in range(1, m)])
+    inner = {(j, k): -table.chain(("0", "*", j, m), ("0", "*", k, m))
+             / (norm[j - 1] * norm[k - 1])
+             for j in range(1, m) for k in range(j + 1, m)}
     normals = np.array([-2.0 * a.centers[j - 1] / norm[j - 1] for j in range(1, m)])
-    return ConfigMatrix(n, A, normals, off)
+    return ConfigMatrix(n, _config_gram(off, inner), normals, off)
+
+
+def _config_gram(off, inner) -> np.ndarray:
+    """The `matrix` of a `ConfigMatrix`: -1 at [0, 0], the offsets on
+    row and column 0, 1 on the rest of the diagonal, and the entry
+    inner[(j, k)] at [j, k] and [k, j]."""
+    A = np.eye(len(off) + 1)
+    A[0, 0] = -1.0
+    A[0, 1:] = A[1:, 0] = off
+    for (j, k), v in inner.items():
+        A[int(j), int(k)] = A[int(k), int(j)] = v
+    return A
 
 
 def config_minor(m: ConfigMatrix, J, with_zero: bool = False) -> float:

@@ -2,10 +2,11 @@
 
 Each check returns an IdentityReport whose terms always sum (fsum) to
 the reported rhs, so a failing identity can be diagnosed per summand.
-Tolerances are fixed absolute bounds when every ingredient is closed
-form, and 3x the propagated standard error when Monte Carlo estimates
-enter the sum.  The volume identities take the chamber from
-`chamber_volume` and all faces from one `_faces` call (what
+When every ingredient is closed form, a volume identity's tolerance is
+1e-12 of its largest rhs term, so its verdict does not change with the
+arrangement's scale; it is 3x the propagated standard error when Monte
+Carlo estimates enter the sum.  The volume identities take the chamber
+from `chamber_volume` and all faces from one `_faces` call (what
 `face_volume` returns face by face), exact wherever a path applies;
 the indicator estimators `chamber_volume_mc` and `face_volume_mc` are
 independent oracles for tests, not a mode here.
@@ -123,11 +124,12 @@ def _label(J) -> str:
     return "S_" + "".join(str(j) for j in J)
 
 
-def _tolerance(weighted) -> float:
-    """1e-9 if every (weight, VolumeEstimate) pair is exact, else 3x the
-    propagated standard error."""
+def _tolerance(weighted, terms=()) -> float:
+    """1e-12 x the largest |value| of the rhs `terms` (label, value), a
+    scale-free bound, if every (weight, VolumeEstimate) pair is exact;
+    else 3x the propagated standard error."""
     if all(v.exact for _, v in weighted):
-        return 1e-9
+        return 1e-12 * max((abs(v) for _, v in terms), default=0.0)
     return 3.0 * math.sqrt(sum((w * v.std_error) ** 2 for w, v in weighted))
 
 
@@ -140,15 +142,17 @@ def _check_volume_identity(name, a, c, samples, rng):
                    samples)
     weighted += [(coefs[J], faces[J]) for J in Js]
     terms = [(_label(J), w * v.value) for J, (w, v) in zip(Js, weighted[1:])]
-    return _report(name, a.n * weighted[0][1].value,
-                   terms + [("simplex", final)], _tolerance(weighted))
+    terms.append(("simplex", final))
+    return _report(name, a.n * weighted[0][1].value, terms,
+                   _tolerance(weighted, terms))
 
 
 def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
                       chamber: "Chamber | None" = None) -> IdentityReport:
     """n * v(chamber) against the face-volume expansion, default all-minus.
 
-    Closed-form volumes and arcs are used for n = 2 (tolerance 1e-9).
+    Closed-form volumes and arcs are used for n = 2 (tolerance
+    1e-12 of the largest term).
     Otherwise `chamber_volume` integrates exactly along `samples` random
     lines through an interior point, faces come from `_faces` (exact
     up to dimension 2, conditional MC above), and the tolerance is 3x
@@ -204,7 +208,7 @@ def check_decomposition(a, samples: int = 1_000_000,
     terms = [("cell_" + _label(J), w * v.value)
              for J, (w, v) in zip(Js, weighted)]
     terms.append(("gap", weighted[-1][1].value))
-    return _report("decomposition", lhs, terms, _tolerance(weighted))
+    return _report("decomposition", lhs, terms, _tolerance(weighted, terms))
 
 
 def check_lemma5_pointwise(a, x) -> IdentityReport:

@@ -6,7 +6,10 @@ f_j - f_k = 0 (affine since the quadratic terms cancel), which gives a
 numerically benign linear system; the radius then comes from the
 closed-form determinant quotient rather than from sampled geometry, so
 the formula is the source of truth and geometry serves as a test
-oracle.
+oracle.  r_J^2 below 1e-12 r_j^2 is a tangency (TangencyError).  The
+vertices are the 0-sphere S_{N minus j}, labeled by the sign of f_j.
+One SVD (`_plane_solve`) solves the radical hyperplanes of S_J and the
+planes of the unit-sphere model.
 
 Angles: psi_jk is the full opening angle of the arc of S_j inside
 sphere k (it can exceed pi when O_k lies deep inside ball j); phi_j are
@@ -23,11 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cayley_menger import CMTable, ConfigMatrix, _stored, hadamard_scale
-from .errors import (
-    DegenerateConfigError,
-    EmptyIntersectionError,
-    TangencyError,
-)
+from .errors import DegenerateConfigError, EmptyIntersectionError, TangencyError
 
 
 @dataclass(frozen=True)
@@ -65,33 +64,17 @@ class VertexPair:
     P_prime: np.ndarray
 
 
-def _radical_system(a, J):
-    """Rows of the linear system cutting out the affine hull of S_J."""
-    j0 = J[0]
-    A = np.empty((len(J) - 1, a.n))
-    b = np.empty(len(J) - 1)
-    c0 = a.center(j0)
-    n0 = c0 @ c0 - a.radius(j0) ** 2
-    for i, k in enumerate(J[1:]):
-        ck = a.center(k)
-        A[i] = 2.0 * (ck - c0)
-        b[i] = (ck @ ck - a.radius(k) ** 2) - n0
-    return A, b
-
-
-def _hull(a, J):
-    """Particular point and orthonormal nullspace frame of the hull."""
-    n = a.n
-    if len(J) == 1:
-        return np.array(a.center(J[0])), np.eye(n)
-    A, b = _radical_system(a, J)
+def _plane_solve(A, b):
+    """(x0, frame) of the solutions x0 + t @ frame of A x = b, from one
+    SVD: x0 = V diag(1/s) U^T b is the minimum-norm solution and the rows
+    of `frame` are an orthonormal basis of A's nullspace.  A has fewer
+    rows than columns; none gives x0 = 0 and the identity frame.  None
+    when the rows are dependent: the smallest singular value is at most
+    1e-12 of the largest, whatever the scale of A."""
     U, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    if rank < len(J) - 1:
-        raise DegenerateConfigError(
-            f"radical hyperplanes of {J} are linearly dependent")
-    # the minimum-norm solution V diag(1/s) U^T b (A has full row rank)
-    return (U.T @ b / s) @ Vt[:rank], Vt[rank:]
+    if s.size and s[-1] <= 1e-12 * s[0]:
+        return None
+    return (U.T @ b / s) @ Vt[:s.size], Vt[s.size:]
 
 
 def intersection_sphere(a, J) -> SubSphere:
@@ -119,12 +102,24 @@ def _sub_sphere(a, J) -> SubSphere:
         raise DegenerateConfigError(
             f"degenerate sphere centers for {J}: B(0 J) ~ 0")
     r_sq = -0.5 * starred / plain
+    if abs(r_sq) < 1e-12 * a.radius(J[0]) ** 2:
+        raise TangencyError(f"spheres {J} are tangent: S_J is one point")
     if (-1) ** p * plain < 0 or r_sq < 0:
         raise EmptyIntersectionError(
             f"spheres {J} have empty real intersection")
-    x0, frame = _hull(a, J)
-    d = a.center(J[0]) - x0
-    center = x0 + (d @ frame.T) @ frame
+    c0 = a.center(J[0])
+    if p == 1:
+        x0, frame = c0, np.eye(a.n)
+    else:
+        # the radical hyperplanes f_k - f_J[0] = 0, k in J[1:]
+        q = [a.center(k) @ a.center(k) - a.radius(k) ** 2 for k in J]
+        solved = _plane_solve(2.0 * (a.centers[[k - 1 for k in J[1:]]] - c0),
+                              np.array(q[1:]) - q[0])
+        if solved is None:
+            raise DegenerateConfigError(
+                f"radical hyperplanes of {J} are linearly dependent")
+        x0, frame = solved
+    center = x0 + ((c0 - x0) @ frame.T) @ frame
     center.setflags(write=False)
     frame.setflags(write=False)
     return SubSphere(J, center, math.sqrt(r_sq), frame)
@@ -133,44 +128,20 @@ def _sub_sphere(a, J) -> SubSphere:
 def vertices(a, j: int) -> VertexPair:
     """The two points of the intersection of all spheres except S_j.
 
-    Computed by intersecting the 1-dimensional radical line with one of
-    the spheres (a scalar quadratic), then labeled so that f_j(P) < 0.
+    They are the 0-sphere S_{N minus j} of `intersection_sphere`,
+    center -+ radius * basis[0], labeled so that f_j(P) <= f_j(P').
+    TangencyError if they coincide or one lies on sphere j.
     """
-    n = a.n
-    K = tuple(k for k in range(1, n + 2) if k != j)
-    x0, frame = _hull(a, K)
-    if frame.shape[0] != 1:
-        raise DegenerateConfigError("radical line is not one-dimensional")
-    d = frame[0]
-    k0 = K[0]
-    w = x0 - a.center(k0)
-    # |w + t d|^2 = r^2 with |d| = 1
-    half_b = w @ d
-    c = w @ w - a.radius(k0) ** 2
-    disc = half_b * half_b - c
-    tol_d = 1e-12 * a.radius(k0) ** 2
-    if abs(disc) < tol_d:
-        raise TangencyError(
-            f"spheres {K} are tangent: the two vertices coincide")
-    if disc < 0:
-        raise EmptyIntersectionError(
-            f"spheres {K} have no real common point")
-    root = math.sqrt(disc)
-    pts = [x0 + (-half_b - root) * d, x0 + (-half_b + root) * d]
     from .arrangement import evaluate_f
 
-    vals = [evaluate_f(a, j, x) for x in pts]
-    tol = 1e-12 * a.radius(j) ** 2
-    if min(abs(v) for v in vals) < tol:
+    s = intersection_sphere(a, [k for k in range(1, a.n + 2) if k != j])
+    pts = s.center + np.array([[-s.radius], [s.radius]]) * s.basis[0]
+    vals = evaluate_f(a, j, pts)
+    if np.abs(vals).min() < 1e-12 * a.radius(j) ** 2:
         raise TangencyError(
             f"vertex lies on sphere {j}; labeling ambiguous")
-    if vals[0] < 0 <= vals[1]:
-        return VertexPair(j, pts[0], pts[1])
-    if vals[1] < 0 <= vals[0]:
-        return VertexPair(j, pts[1], pts[0])
-    # both on the same side: keep a deterministic order, smaller f first
-    order = np.argsort(vals)
-    return VertexPair(j, pts[order[0]], pts[order[1]])
+    lo = int(vals[1] < vals[0])
+    return VertexPair(j, pts[lo], pts[1 - lo])
 
 
 def angles_pair(a, j: int, k: int):
@@ -216,19 +187,28 @@ def sphere_angle(m: ConfigMatrix, j: int, k: int) -> float:
     return math.acos(-v)
 
 
+def _plane_sphere(m: ConfigMatrix, J):
+    """(center, R, frame) of the sphere in which the planes
+    u_j . x + u_j0 = 0, j in J, of `m` meet the unit sphere: center is
+    the point of their intersection nearest the origin, R =
+    sqrt(1 - |center|^2), and the rows of `frame` are an orthonormal
+    basis of the directions the planes share (`_plane_solve`).  None if
+    the planes are dependent or meet outside the unit ball."""
+    idx = [j - 1 for j in J]
+    solved = _plane_solve(m.normals[idx], -m.offsets[idx])
+    if solved is None:
+        return None
+    center, frame = solved
+    R2 = 1.0 - center @ center
+    return None if R2 <= 0.0 else (center, math.sqrt(R2), frame)
+
+
 def sphere_circle(m: ConfigMatrix, j: int):
     """Center, radius and plane frame of circle j on the unit sphere.
 
     The circle is the slice of the plane u_j . x + u_{j0} = 0 with
-    |u_j|^2 = 1 + u_{j0}^2; its Euclidean radius is 1/sqrt(1+u_{j0}^2).
-    Returns (center, radius, basis) with basis the two orthonormal
-    in-plane directions (n = 3).
+    |u_j|^2 = 1 + u_{j0}^2, so its radius is 1/sqrt(1+u_{j0}^2): the
+    `_plane_sphere` of (j,), in whose frame (two in-plane directions at
+    n = 3) `config_face_constraints` measures the face (j,).
     """
-    u = np.array(m.normals[j - 1])
-    u0 = m.offset(j)
-    nsq = u @ u
-    center = -u0 * u / nsq
-    radius = 1.0 / math.sqrt(1.0 + u0 * u0)
-    # frame orthogonal to u via SVD of the 1 x n row
-    _, _, Vt = np.linalg.svd(u[None, :])
-    return center, radius, Vt[1:]
+    return _plane_sphere(m, (j,))

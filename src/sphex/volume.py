@@ -64,7 +64,8 @@ from .errors import (
     HypothesisError,
     SphexError,
 )
-from .intersect import angles_pair, intersection_sphere, triangle_angles
+from .intersect import (_plane_sphere, angles_pair, intersection_sphere,
+                        triangle_angles)
 
 #: samples per RNG block; results are invariant under block scheduling
 BLOCK = 65536
@@ -592,8 +593,9 @@ def _region_area(alpha, beta):
     return np.maximum(total, 0.0)      # a measure-0 region may round below 0
 
 
-#: the method of an exact region of each dimension m <= 2; a region of
-#: any m whose measure needs no kernel is "closed"
+#: the method of an exact region by its dimension m: "count" at m = 0,
+#: "arc" at m = 1, "closed" at m >= 2, also when no kernel is needed
+#: (no binding row, or a row never met)
 _EXACT_BY_DIM = ("count", "arc", "closed")
 
 
@@ -669,21 +671,19 @@ def _fibres(m: int, alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
 def sphere_region(alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     """Measure of the region {g in S^m : alpha_k + beta_k . g >= 0 for all k}.
 
-    `alpha` has K entries and `beta` is (K, m+1); with no rows (K = 0)
-    the region is the whole sphere, |S^m| ("closed").  Otherwise
-    `_measure` decides, as a batch of one: m = 0 counts the two points
-    g = +-1 ("count"), m = 1 intersects arcs ("arc"), m = 2 takes the
-    area from the boundary arcs ("closed"), none of them drawing; m >= 3
-    draws `samples` circle fibres on `rng` ("conditional-mc").  Rows
-    that never bind are dropped, and a row never met gives an exact 0.
+    `alpha` has K entries and `beta` is (K, m+1).  `_measure` decides,
+    as a batch of one: m = 0 counts the two points g = +-1 ("count"),
+    m = 1 intersects arcs ("arc"), m = 2 takes the area from the
+    boundary arcs ("closed"), none of them drawing; m >= 3 draws
+    `samples` circle fibres on `rng` ("conditional-mc").  Rows that
+    never bind are dropped: with none left (K = 0 included) the region
+    is the whole sphere, |S^m| with the method of its dimension, and a
+    row never met gives an exact 0.
     """
     alpha = np.asarray(alpha, float).reshape(-1)
     beta = np.asarray(beta, float)
     beta = beta.reshape(len(alpha), beta.shape[1] if beta.ndim == 2 else -1)
-    m = beta.shape[1] - 1
-    if not len(alpha):
-        return VolumeEstimate(unit_sphere_area(m), 0.0, 0, "closed")
-    return _measure(m, [(alpha, beta)], samples, [rng])[0]
+    return _measure(beta.shape[1] - 1, [(alpha, beta)], samples, [rng])[0]
 
 
 def face_constraints(a, c: Chamber, J):
@@ -717,33 +717,25 @@ def config_face_constraints(m: ConfigMatrix, J):
 
     The twin of `face_constraints` for the region
     {x in S^(n-1) : u_j . x + u_j0 <= 0 for all j} of `m`.  The planes
-    in J cut the unit sphere in a sphere of dimension n - 1 - |J| with
-    centre c, the point of their intersection nearest the origin, and
-    radius R = sqrt(1 - |c|^2).  A point of it is x = c + R (g @ basis),
-    on which plane k outside J reads
-    -(u_k . c + u_k0) - R (basis u_k) . g >= 0.  Returns (alpha, beta,
-    R); planes that do not meet on the sphere (parallel, or meeting
-    outside it) give an empty face: one row that is never met, and
-    R = 0.  J = () is the region itself, with R = 1; |J| >= n, a face
-    of negative dimension, raises ValueError.
+    in J cut the unit sphere in the sphere (c, R, basis) of
+    `_plane_sphere`; on its point x = c + R (g @ basis) plane k outside
+    J reads -(u_k . c + u_k0) - R (basis u_k) . g >= 0.  Returns (alpha,
+    beta, R); planes that do not meet on the sphere give an empty face:
+    one row that is never met, and R = 0.  J = () is the region itself,
+    with R = 1; |J| >= n, a face of negative dimension, raises
+    ValueError.
     """
-    idx = [j - 1 for j in J]
-    p = len(idx)
+    p = len(J)
     if p >= m.n:
         raise ValueError(f"the face on the planes {tuple(J)} has dimension "
                          f"{m.n - 1 - p} < 0: |J| must be below n = {m.n}")
-    empty = np.full(1, -1.0), np.zeros((1, m.n - p)), 0.0
-    W, s, Vt = np.linalg.svd(m.normals[idx])
-    if p and s[-1] <= 1e-12 * s[0]:
-        return empty
-    c = Vt[:p].T @ ((W.T @ -m.offsets[idx]) / s)
-    R2 = 1.0 - c @ c
-    if R2 <= 0.0:
-        return empty
-    R = math.sqrt(R2)
-    rest = [k for k in range(m.n) if k not in idx]
+    sub = _plane_sphere(m, J)
+    if sub is None:
+        return np.full(1, -1.0), np.zeros((1, m.n - p)), 0.0
+    c, R, frame = sub
+    rest = [k for k in range(m.n) if k + 1 not in J]
     U, off = m.normals[rest], m.offsets[rest]
-    return -(U @ c + off), -R * (U @ Vt[p:].T), R
+    return -(U @ c + off), -R * (U @ frame.T), R
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from sphex.errors import (
 )
 from sphex import volume
 from sphex.identities import (
+    _report,
     check_decomposition,
     check_gauss_bonnet_n3,
     check_lemma5_pointwise,
@@ -148,6 +149,27 @@ def test_identity_checks_accept_a_param_vector(tri, gap):
             (ref.name, ref.rhs, ref.terms, ref.passed)
         assert got.lhs == pytest.approx(ref.lhs, rel=1e-15)
         assert got.tolerance == ref.tolerance
+
+
+def test_exact_tolerance_is_scale_free():
+    """The regular triangle (edge 1.5, r = 1) and its gap (r = 0.8),
+    scaled by 1e-12 to 1e12: each exact volume identity passes, and with
+    its largest term perturbed by 1e-9 relative it fails, at every
+    scale.  An absolute tolerance fails the first at 1e5 and cannot fail
+    the second below 1."""
+    for k in range(-12, 13):
+        s = 10.0 ** k
+        for check, r in ((check_theorem_I_i, 1.0), (check_theorem_II_i, 0.8),
+                         (check_decomposition, 0.8)):
+            base = equilateral(radius=r)
+            rep = check(sx.from_centers_radii(base.centers * s,
+                                              base.radii * s))
+            assert rep.passed, (rep.name, s, rep.residual, rep.tolerance)
+            terms = list(rep.terms)
+            i = max(range(len(terms)), key=lambda i: abs(terms[i][1]))
+            terms[i] = (terms[i][0], terms[i][1] * (1.0 + 1e-9))
+            assert not _report(rep.name, rep.lhs, terms,
+                               rep.tolerance).passed, (rep.name, s)
 
 
 def test_theorem_I_i_random_closed():

@@ -6,9 +6,9 @@ import pytest
 
 import sphex as sx
 from sphex.errors import EmptyIntersectionError, TangencyError
+from sphex.volume import config_face_constraints
 from sphex.intersect import (
-    _hull,
-    _radical_system,
+    _plane_solve,
     angles_pair,
     intersection_sphere,
     sphere_angle,
@@ -97,12 +97,16 @@ def test_vertices_labeling(tri):
 
 
 def test_vertices_match_pair_sphere(tri):
-    v = vertices(tri, 3)
-    s = intersection_sphere(tri, (1, 2))
-    pts = {tuple(np.round(s.center + sgn * s.radius * s.basis[0], 9))
-           for sgn in (-1.0, 1.0)}
-    assert tuple(np.round(v.P, 9)) in pts
-    assert tuple(np.round(v.P_prime, 9)) in pts
+    """The vertices are the 0-sphere S_{N minus j}: its center -+ radius
+    * basis[0], exactly, in some order."""
+    gen = np.random.default_rng(43)
+    for a in (tri, tetrahedron(), random_h1(gen, 3), random_h1(gen, 4)):
+        for j in range(1, a.n + 2):
+            v = vertices(a, j)
+            s = intersection_sphere(a, [k for k in a.indices if k != j])
+            pts = {tuple(s.center - s.radius * s.basis[0]),
+                   tuple(s.center + s.radius * s.basis[0])}
+            assert {tuple(v.P), tuple(v.P_prime)} == pts, (a.n, j)
 
 
 def test_vertices_n3(tetra):
@@ -118,6 +122,16 @@ def test_vertices_tangent_raises():
                               [1.0, 1.0, 1.0])
     with pytest.raises(TangencyError):
         vertices(a, 1)
+
+
+def test_tangent_pair_sphere_raises():
+    """Spheres 2 and 3 touch at one point: S_23 is refused as tangent,
+    not returned with radius 0."""
+    a = sx.from_centers_radii([[1.0, 1.5], [0.0, 0.0], [2.0, 0.0]],
+                              [1.0, 1.0, 1.0])
+    for _ in range(2):  # failures are not stored
+        with pytest.raises(TangencyError):
+            intersection_sphere(a, (2, 3))
 
 
 def test_angles_of_unit_circles_at_distance_one():
@@ -224,6 +238,24 @@ def test_sphere_circle_lies_on_sphere_and_plane():
             assert u @ x + m.offset(j) == pytest.approx(0.0, abs=1e-10)
 
 
+def test_sphere_circle_is_the_face_frame():
+    """`sphere_circle` returns the centre, radius and frame in which
+    `config_face_constraints` measures the face (j,)."""
+    gen = np.random.default_rng(38)
+    for a in (tetrahedron(), random_h1(gen, 3)):
+        m = sx.config_matrix(sx.restrict_to_unit_sphere(a))
+        for j in (1, 2, 3):
+            center, radius, basis = sphere_circle(m, j)
+            alpha, beta, R = config_face_constraints(m, (j,))
+            assert radius == R
+            assert radius == pytest.approx(
+                1.0 / math.sqrt(1.0 + m.offset(j) ** 2), rel=1e-12)
+            rest = [k for k in range(3) if k != j - 1]
+            U, off = m.normals[rest], m.offsets[rest]
+            assert np.array_equal(alpha, -(U @ center + off))
+            assert np.array_equal(beta, -R * (U @ basis.T))
+
+
 def test_hull_rank_is_scale_free():
     """Scaled copies of the tetrahedron (edge 1.5, r = 1), 1e-15 to 1e15,
     get the same H1/H1'/H2 verdicts and the same radius / s of every S_J:
@@ -247,8 +279,9 @@ def test_hull_rank_is_scale_free():
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_hull_point_is_the_minimum_norm_solution(scale):
-    """The hull's point, taken from its one SVD, solves every radical
-    equation and is the least-squares minimum-norm point."""
+    """`_plane_solve` on the radical rows of S_J, from its one SVD: the
+    point solves every radical equation and is the least-squares
+    minimum-norm point."""
     gen = np.random.default_rng(41)
     for n in (2, 3, 4):
         for _ in range(5):
@@ -256,8 +289,12 @@ def test_hull_point_is_the_minimum_norm_solution(scale):
             a = sx.from_centers_radii(a0.centers * scale, a0.radii * scale)
             for p in range(2, n + 1):
                 for J in itertools.combinations(range(1, n + 2), p):
-                    x0, frame = _hull(a, J)
-                    A, b = _radical_system(a, J)
+                    q = [a.center(k) @ a.center(k) - a.radius(k) ** 2
+                         for k in J]
+                    A = 2.0 * (a.centers[[k - 1 for k in J[1:]]]
+                               - a.center(J[0]))
+                    b = np.array(q[1:]) - q[0]
+                    x0, frame = _plane_solve(A, b)
                     size = np.abs(A) @ np.abs(x0) + np.abs(b)
                     assert np.all(np.abs(A @ x0 - b) <= 1e-12 * size), J
                     ref = np.linalg.lstsq(A, b, rcond=None)[0]

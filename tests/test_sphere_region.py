@@ -209,12 +209,18 @@ def test_caps_and_hemispheres_against_closed_forms(m):
 
 
 def test_region_without_rows_is_the_whole_sphere():
-    """No constraint row leaves all of S^m, |S^m| in closed form; the
-    unit-sphere model refuses a face of negative dimension by name."""
-    for m in range(5):
+    """No constraint row leaves all of S^m, |S^m| exactly, with the
+    method of its dimension, as rows that never bind do; the unit-sphere
+    model refuses a face of negative dimension by name."""
+    for m, method in enumerate(("count", "arc", "closed", "closed",
+                                "closed")):
         est = sphere_region(np.zeros(0), np.zeros((0, m + 1)), 0, None)
         assert (est.value, est.std_error, est.method) == \
-            (unit_sphere_area(m), 0.0, "closed"), m
+            (unit_sphere_area(m), 0.0, method), m
+        loose = sphere_region([2.0], np.eye(1, m + 1), 0, None)
+        assert loose == est, m
+    assert sphere_region([2.0], [[1.0, 0.0]], 0, None).method == \
+        sphere_region([], np.zeros((0, 2)), 0, None).method
     assert sphere_region([], np.zeros((0, 3)), 0, None).value == \
         pytest.approx(4.0 * math.pi, rel=1e-15)
     m = sx.config_matrix(sx.restrict_to_unit_sphere(tetrahedron()))

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import sphex as sx
 from sphex.arrangement import Chamber
@@ -59,6 +58,7 @@ def test_sin_power_integral_small_orders():
     assert sin_power_integral(1, th) == pytest.approx(1 - math.cos(th))
     assert sin_power_integral(2, th) == pytest.approx(
         0.5 * (th - math.sin(th) * math.cos(th)), rel=1e-12)
+    quad = pytest.importorskip("scipy.integrate").quad
     for m in (3, 4, 7):
         want, _ = quad(lambda t: math.sin(t) ** m, 0.0, th)
         assert sin_power_integral(m, th) == pytest.approx(want, rel=1e-10)
@@ -75,6 +75,7 @@ def test_cap_integral_known_values():
 
 def test_cap_integral_methods_agree():
     """The sine-power expansion against adaptive quadrature (scipy)."""
+    quad = pytest.importorskip("scipy.integrate").quad
     for n in (2, 3, 4, 5):
         for t0 in (-0.8, -0.2, 0.0, 0.3, 0.9):
             want, _ = quad(lambda t: (1.0 - t * t) ** ((n - 1) / 2.0), t0,
@@ -319,6 +320,7 @@ def test_chamber_areas_tile_the_disk(tri):
     from the pair angles the chamber areas use.  The regular triangle
     and random H1 draws.
     """
+    quad = pytest.importorskip("scipy.integrate").quad
     gen = np.random.default_rng(23)
     minus = [s for s in itertools.product((-1, 1), repeat=3) if -1 in s]
     for a in [tri] + [random_h1(gen) for _ in range(20)]:
