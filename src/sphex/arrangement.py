@@ -157,6 +157,9 @@ class ParamVector:
     def with_entry(self, key, value: float) -> "ParamVector":
         """A copy with entry `key` set to `value`; it keeps this vector
         alive and shares its determinants that avoid the changed entry.
+        Once this vector stores its sign table, `require_hypothesis` on
+        the copy certifies H1/H1' from this vector's margins (`_certify`),
+        and at n = 2 the copy takes the angles its step cannot move.
         Only the new value is checked: the rest was checked in this
         vector, and the copy sets both (j, k) and (k, j).  A key outside
         `param_basis(n)` raises KeyError."""
@@ -438,9 +441,11 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
     Values whose magnitude is below 1e-9 times a Hadamard-type bound of
     the same degree in length are reported indeterminate rather than
     pass/fail, whatever the arrangement's scale.  The sign table and the
-    H1/H1' verdicts are stored on `params_of(a)`; with h2="skip", `a` may
-    be a ParamVector.  Each call returns a new report, which lists the
-    sign table's determinants whose LU met a degraded pivot.
+    H1/H1' verdicts are stored on `params_of(a)`, and the table is always
+    built, also where `require_hypothesis` certified the verdicts; with
+    h2="skip", `a` may be a ParamVector.  Each call returns a new report,
+    which lists the sign table's determinants whose LU met a degraded
+    pivot.
     """
     rows, h1, h1_prime, flagged = _stored(_as_params(a), "signs",
                                           lambda: _sign_table(a))
@@ -466,14 +471,93 @@ def require_hypothesis(a, name: str, what: str):
     """HypothesisError unless hypothesis `name` ("h1" or "h1_prime") holds
     for the Arrangement or ParamVector `a` (whose plain sign conditions
     certify that `a` is realisable), IndeterminateSignError if it is
-    unresolved; `what` ends the message."""
-    _, h1, h1_prime, _ = _stored(_as_params(a), "signs",
-                                 lambda: _sign_table(a))
+    unresolved; `what` ends the message.
+
+    The verdicts are stored on the vector.  For a `with_entry` vector
+    whose parent stores its sign table they come from the parent's
+    values when `_certify` bounds every row's move; then no determinant
+    is factored.  Otherwise the vector's own sign table is built.
+    """
+    p = _as_params(a)
+
+    def verdicts():
+        if "signs" not in p._store:
+            certified = _certify(p)
+            if certified is not None:
+                return certified
+        return _stored(p, "signs", lambda: _sign_table(p))[1:3]
+
+    h1, h1_prime = _stored(p, "verdicts", verdicts)
     label, verdict = {"h1": ("H1", h1), "h1_prime": ("H1'", h1_prime)}[name]
     if verdict is None:
         raise IndeterminateSignError(f"{label} indeterminate; {what}")
     if not verdict:
         raise HypothesisError(f"{label} fails; {what}")
+
+
+def _lu_error(s: int) -> float:
+    """A bound on the rounding error of `_det_lu` on an s x s matrix with
+    entries at most 1: to first order gamma_s s^3 2^(s-1) (s-1)^((s-1)/2)
+    from the backward error of LU with growth factor 2^(s-1) (Higham,
+    Thm 9.3), plus gamma_s s^(s/2) from the product of the pivots,
+    with gamma_s <= 2 s u; doubled for the higher-order terms."""
+    return s ** 4 * 2.0 ** (s + 1) * 2.0 ** -52 * s ** (s / 2.0)
+
+
+def _certify(p: ParamVector):
+    """(h1, h1_prime) of a `with_entry` vector `p` from its parent's
+    stored sign table, or None unless every row certifies.
+
+    The two tables must share `_unit`.  A determinant B of size s that
+    avoids the changed entry is the parent's value bit for bit, so it
+    keeps its sign and certifies when |B| exceeds p's own `_status`
+    tolerance.  One that reads the pair (x, y), (y, x) moves exactly to
+    B + 2 d C + d^2 D, with d the step in units of `_unit`, C a cofactor
+    and D a minor of size s - 2 of the parent's matrix, whose entries are
+    at most 1 (Hadamard: |C| <= (s-1)^((s-1)/2), |D| <= (s-2)^((s-2)/2)).
+    It certifies when |B| exceeds that tolerance plus this move and the
+    rounding of both LUs (`_lu_error`), all times `_unit`^(s-2).  A row
+    that certifies has the status its sign gives; the verdicts are
+    combined from these as in `_sign_table`.
+    """
+    if p._parent is None:
+        return None
+    parent, x, y = p._parent
+    signs = parent._store.get("signs")
+    if signs is None:
+        return None
+    table, base = CMTable.from_params(p), CMTable.from_params(parent)
+    if table._unit != base._unit:
+        return None
+    d = abs(table._entries[x, y] - base._entries[x, y])
+    # by size s: (tolerance, tolerance + move bound) of a bordered chain
+    margins = {}
+    for s in range(2, p.n + 4):
+        tol = SIGN_TOL * hadamard_scale(table, s)
+        move = (2.0 * d * (s - 1) ** ((s - 1) / 2.0)
+                + d * d * (s - 2) ** ((s - 2) / 2.0) + 2.0 * _lu_error(s))
+        margins[s] = tol, tol + move * table._unit ** (s - 2)
+    statuses = []
+    for row in signs[0]:
+        q = (-1) ** len(row.subset)     # the plain sign; starred needs -q
+        for head, value, sign in ((("0",), row.plain, q),
+                                  (("0", "*"), row.starred, -q)):
+            chain = head + row.subset
+            margin = margins[len(chain)][x in chain and y in chain]
+            if not abs(value) > margin:
+                return None
+            statuses.append(_status(value, sign, margin))
+    return _h1_verdicts(statuses)
+
+
+def _h1_verdicts(statuses):
+    """(h1, h1_prime) from the sign table's statuses in row order, plain
+    before starred.  H1' keeps every condition but the last, the starred
+    full set: (-1)^n B(0*N) < 0, its sign flipped."""
+    flip = {"pass": "fail", "fail": "pass"}
+    last = statuses[-1]
+    return (_combine(statuses),
+            _combine(statuses[:-1] + [flip.get(last, last)]))
 
 
 def _sign_table(a):
@@ -493,19 +577,9 @@ def _sign_table(a):
                 J, plain, starred,
                 _status(plain, (-1) ** p, tol_plain),
                 _status(starred, (-1) ** (p + 1), tol_starred)))
-    h1 = _combine([s for r in rows for s in (r.plain_status, r.starred_status)])
-    # H1': same through p <= n, plain full-set condition unchanged,
-    # starred full-set sign flipped.
-    primed = []
-    for r in rows:
-        if len(r.subset) <= n:
-            primed += [r.plain_status, r.starred_status]
-        else:
-            tol = SIGN_TOL * hadamard_scale(table, m + 2)
-            primed.append(r.plain_status)
-            # (-1)^n B(0*N) < 0, i.e. the starred full-set sign flips
-            primed.append(_status(r.starred, (-1) ** m, tol))
-    return tuple(rows), h1, _combine(primed), tuple(table.flagged())
+    h1, h1_prime = _h1_verdicts(
+        [s for r in rows for s in (r.plain_status, r.starred_status)])
+    return tuple(rows), h1, h1_prime, tuple(table.flagged())
 
 
 # ---------------------------------------------------------------------------

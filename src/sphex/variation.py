@@ -268,8 +268,13 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
     """`dB_volume_form` on the basis `keys`, and each coefficient's
     standard error sqrt(sum_J (w_J theta_J[key] sigma_J)^2).  Face J is
     measured (on its usual stream) only if theta_J has an entry on `keys`.
+    On the full basis the pair is stored on `a`, next to its faces, under
+    ("dB_form", c.signs) when every face is exact (drew nothing).
     """
     n = a.n
+    full = ("dB_form", c.signs) if keys == param_basis(n) else None
+    if full is not None and full in a._store:
+        return a._store[full]
     table = CMTable.from_arrangement(a)
     params = params_of(a)
     vol_coefs, vol_full = volume_identity_coefficients(table, n, c)
@@ -293,8 +298,11 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
         _add(out, th, w * vJ)
         _add(var, {key: v * v for key, v in th.items()}, (w * sJ) ** 2)
     _add(out, wanted(tuple(range(1, n + 2))), vol_full * (-1) ** (n + 1))
-    return (OneForm.from_dict(keys, out),
+    form = (OneForm.from_dict(keys, out),
             {key: math.sqrt(var.get(key, 0.0)) for key in keys})
+    if full is not None and all(est.exact for est in faces.values()):
+        a._store.setdefault(full, form)
+    return form
 
 
 def dA_volume_form_theorem_III(m: ConfigMatrix) -> OneForm:
@@ -431,12 +439,16 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     `dB_volume_form` on `rng.substream(1)`, from the faces whose theta_J
     carries `param` alone (at n = 3 one face for r_j, one arc and two
     vertex counts for d_jk), measured on `a` (on `from_params` of a
-    ParamVector).  For n = 2 the closed areas of the perturbed vectors
-    p +- eps are differenced with no reconstruction, each certified by
-    its hypothesis, and checked to 1e-6 ("closed").  Otherwise, and when
-    an n = 2 closed form raises (named in `fallback_reason`), both
-    perturbed vectors are reconstructed and their chambers scored on the
-    same `samples` rays of `rng.substream(2)` ("conditional-mc";
+    ParamVector); at n = 2 it is read from the full form, assembled once
+    per arrangement and chamber and stored.  A step that takes the
+    parameter to <= 0 raises ValueError.  For n = 2 the closed areas of
+    the perturbed vectors p +- eps are differenced with no
+    reconstruction, each certified by its hypothesis (from p's sign
+    table, `require_hypothesis`), and checked to 1e-6 ("closed").
+    Otherwise, and when an n = 2 closed form raises (named in
+    `fallback_reason`), both perturbed vectors are reconstructed and
+    their chambers scored on the same `samples` rays of
+    `rng.substream(2)` ("conditional-mc";
     `_ray_fd` draws `chamber_volume`'s rays, so `samples` must exceed
     one frame), with tolerance max(3 hypot(sigma, sigma_coef),
     1e-4 |coefficient|), sigma_coef from the sampled faces (0 up to
@@ -457,13 +469,20 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     if model == "euclidean":
         params = _as_params(a)
         n = params.n
-        if eps <= 1e-10 * abs(params.get(param)):
+        value = params.get(param)
+        if eps <= 1e-10 * abs(value):
             raise FdNoiseError("step too small relative to the parameter")
-        form, errs = _dB_form(_as_arrangement(a), c, (param,), samples,
-                              rng.substream(1))
+        if value - eps <= 0:
+            raise ValueError(
+                f"eps {eps:.6g} takes the squared parameter "
+                f"{_param_name(param)} = {value:.6g} to {value - eps:.6g}; "
+                "it must stay positive")
+        form, errs = _dB_form(_as_arrangement(a), c,
+                              param_basis(n) if n == 2 else (param,),
+                              samples, rng.substream(1))
         coef = form.get(param)
-        pp, pm = (params.with_entry(param, x) for x in
-                  (params.get(param) + eps, params.get(param) - eps))
+        pp, pm = (params.with_entry(param, x) for x in (value + eps,
+                                                         value - eps))
         reason = None
         if n == 2:
             try:

@@ -793,16 +793,36 @@ def lens_volume_closed(n: int, r1: float, r2: float, rho: float) -> float:
 
 
 def _pair_data(a):
-    """Half-angles psih[(j,k)] and triangle angles phi for n = 2 (stored)."""
+    """Half-angles psih[(j,k)] and triangle angles phi for n = 2 (stored).
+
+    A `with_entry` vector whose `scale` equals its parent's (so every
+    tangency test reads the same tolerance) and whose parent stores its
+    angles takes from it each angle whose determinants avoid the changed
+    entry (x, y): the pair j, k unless {x, y} lies within {*, j, k}, and
+    phi after a radius step.
+    """
+    p = _as_params(a)
+
     def build():
+        x = y = old = None
+        if p._parent is not None:
+            parent, x, y = p._parent
+            if (CMTable.from_params(p).scale
+                    == CMTable.from_params(parent).scale):
+                old = parent._store.get("pair_data")
         psih = {}
         for j, k in ((1, 2), (1, 3), (2, 3)):
-            pjk, pkj = angles_pair(a, j, k)
+            if old is not None and not {x, y} <= {"*", j, k}:
+                psih[(j, k)], psih[(k, j)] = old[0][(j, k)], old[0][(k, j)]
+                continue
+            pjk, pkj = angles_pair(p, j, k)
             psih[(j, k)] = 0.5 * pjk
             psih[(k, j)] = 0.5 * pkj
-        return psih, dict(zip((1, 2, 3), triangle_angles(a)))
+        if old is not None and x == "*":
+            return psih, old[1]
+        return psih, dict(zip((1, 2, 3), triangle_angles(p)))
 
-    return _stored(_as_params(a), "pair_data", build)
+    return _stored(p, "pair_data", build)
 
 
 def chamber_arc_angles(a, c: Chamber) -> dict:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sphex as sx
+from sphex import arrangement
 from sphex.arrangement import (
     Chamber,
     ParamVector,
@@ -31,7 +32,8 @@ from sphex.errors import (
     NonRealizableError,
 )
 from sphex.variation import param_basis
-from conftest import SIDE, equilateral, gap_fixture, random_h1, tetrahedron
+from conftest import (SIDE, equilateral, gap_fixture, random_h1,
+                      regular_simplex4, tetrahedron)
 
 
 def test_from_centers_radii_basic(tri):
@@ -391,3 +393,70 @@ def test_verdicts_invariant_under_scaling(base):
         assert got == want, f"scale 1e{k}"
         assert np.allclose(np.array(got_areas) / s ** 2, areas,
                            rtol=1e-9, atol=0), f"scale 1e{k}"
+
+
+def _certificate_draws():
+    """H1 draws at n = 2, 3, 4, H1' draws at n = 2, 3, 4 (the regular
+    4-simplex of radius 0.93 jittered has a gap), and the triangle whose
+    circles meet in one point, where B(0*N) = 0 leaves H1 unresolved."""
+    from test_variation import jittered_gap3
+
+    gen = np.random.default_rng(2323)
+    draws = [random_h1(gen, n) for n in (2, 3, 4)]
+    draws += [sx.from_centers_radii(gap_fixture().centers
+                                    + gen.normal(scale=0.05, size=(3, 2)),
+                                    [0.8, 0.81, 0.79]),
+              jittered_gap3(gen)]
+    base = regular_simplex4()
+    while True:
+        a = sx.from_centers_radii(base + gen.normal(scale=0.005, size=(5, 4)),
+                                  0.93 + gen.normal(scale=0.002, size=5))
+        if check_hypotheses(a, h2="skip").h1_prime is True:
+            break
+    return draws + [a, equilateral(radius=0.8660254037844386)]
+
+
+def test_certificate_agrees_with_the_sign_table():
+    """Whenever `_certify` answers for a `with_entry` vector, its H1/H1'
+    verdicts equal those of the vector's own sign table: every key,
+    relative steps +-1e-5 and +-1e-2, a step of the largest entry that
+    changes `scale` and one across a power of two, at scales 1e-6 to
+    1e6.  Every +-1e-5 step of a resolved draw is certified, some 1e-2
+    steps are, and a step across a power of two (another `_unit`) never
+    is."""
+    large = 0
+    for a in _certificate_draws():
+        for s in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            p = params_of(sx.from_centers_radii(a.centers * s, a.radii * s))
+            h = check_hypotheses(p, h2="skip")
+            unit = CMTable.from_params(p)._unit
+            top = max(param_basis(p.n), key=p.get)
+            steps = [(key, p.get(key) * (1.0 + t)) for key in param_basis(p.n)
+                     for t in (1e-5, -1e-5, 1e-2, -1e-2)]
+            steps += [(top, p.get(top) * (1.0 + 1e-9)), (top, 1.5 * unit)]
+            for key, value in steps:
+                q = p.with_entry(key, value)
+                got = arrangement._certify(q)
+                want = arrangement._sign_table(q)[1:3]
+                if CMTable.from_params(q)._unit != unit:
+                    assert got is None, (key, value)
+                elif abs(value / p.get(key) - 1.0) < 2e-5 and None not in (
+                        h.h1, h.h1_prime):
+                    assert got is not None, (a.n, s, key, value)
+                if got is not None:
+                    assert got == want, (a.n, s, key, value)
+                    large += abs(value / p.get(key) - 1.0) > 5e-3
+    assert large > 0
+
+
+def test_certificate_declines_a_step_that_breaks_h1():
+    """Circles through nearly one point: r_1^2 - 1e-3 turns H1 into a
+    failure, so the certificate must not answer, and `require_hypothesis`
+    builds the vector's table and raises."""
+    p = params_of(equilateral(radius=0.8661))
+    assert check_hypotheses(p, h2="skip").h1 is True
+    q = p.with_entry(("r", 1), p.get(("r", 1)) - 1e-3)
+    assert arrangement._certify(q) is None
+    with pytest.raises(HypothesisError, match="H1 fails"):
+        require_hypothesis(q, "h1", "x")
+    assert "signs" in q._store

@@ -399,6 +399,15 @@ def test_variation_noise_exit4(tri_file, capsys):
     assert "error" in row
 
 
+def test_variation_step_past_zero_exits_1(tri_file, capsys):
+    """eps larger than r_1^2 is refused with the key, its value and eps
+    named, not with the perturbed vector's bare positivity check."""
+    code, out, err = run(capsys, ["variation", "--input", tri_file,
+                                  "--eps", "1.5", "--params", "r1"])
+    assert code == 1 and out == ""
+    assert "eps 1.5" in err and "r1 = 1 to -0.5" in err
+
+
 def test_variation_unit_sphere(tetra_file, capsys):
     code, out, _ = run(capsys, ["variation", "--input", tetra_file,
                                 "--model", "unit-sphere",

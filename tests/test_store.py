@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sphex as sx
-from sphex import arrangement, cayley_menger, volume
+from sphex import arrangement, cayley_menger, variation, volume
 from sphex.arrangement import Chamber, ParamVector, from_params, params_of
 from sphex.cayley_menger import CMTable
 from sphex.errors import SphexError
@@ -327,3 +327,98 @@ def test_n2_fd_reads_no_hypothesis_report(monkeypatch):
             rep = sx.verify_variation_fd("euclidean", x, Chamber.from_string(c),
                                          key, 1e-5)
             assert rep.method == "closed" and rep.passed, (c, key)
+
+
+def test_certified_fd_sweep_factors_no_sign_table_chain(factored):
+    """An n = 2 FD sweep certifies each perturbed vector's hypothesis from
+    its parent's sign table, so the perturbed vectors' tables factor no
+    chain that only the sign table reads: B(0 j), B(0*j), B(0 jk) and
+    B(0*123).  (B(0*jk) and B(0 123) feed the angles and the area.)"""
+    sign_only = [("0", j) for j in (1, 2, 3)]
+    sign_only += [("0", "*", j) for j in (1, 2, 3)]
+    sign_only += [("0", j, k) for j, k in ((1, 2), (1, 3), (2, 3))]
+    sign_only = {(c, c) for c in sign_only + [("0", "*", 1, 2, 3)]}
+    gen = np.random.default_rng(2324)
+    cases = [(random_h1(gen), "---"), (random_h1(gen), "-++"),
+             (random_h1_prime(gen), "+++")]
+    for a, c in cases:
+        parent = CMTable.from_arrangement(a)
+        factored.clear()
+        for key in param_basis(2):
+            rep = sx.verify_variation_fd("euclidean", a,
+                                         Chamber.from_string(c), key, 1e-5)
+            assert rep.method == "closed" and rep.passed, (c, key)
+        derived = [k for t, k in factored if t is not parent]
+        assert derived and not sign_only & set(derived), c
+
+
+def test_n2_fd_sweep_assembles_one_stored_form(monkeypatch):
+    """At n = 2 every key's FD reads one full-basis one-form, stored on the
+    arrangement: a six-key sweep assembles it once, and each coefficient
+    equals `dB_volume_form`'s and the per-key assembly's bit for bit, in
+    every chamber, the gap included."""
+    assemblies = []
+    original = variation.volume_identity_coefficients
+
+    def counting(*args):
+        assemblies.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(variation, "volume_identity_coefficients", counting)
+    gen = np.random.default_rng(2325)
+    h1 = random_h1(gen)
+    cases = [(h1, Chamber(s)) for s in itertools.product((-1, 1), repeat=3)
+             if -1 in s]
+    cases.append((random_h1_prime(gen), Chamber.all_plus(2)))
+    for a, c in cases:
+        assemblies.clear()
+        reps = [sx.verify_variation_fd("euclidean", a, c, key, 1e-5)
+                for key in param_basis(2)]
+        assert len(assemblies) == 1, c
+        full = sx.dB_volume_form(a, c)
+        assert len(assemblies) == 1, c
+        for key, rep in zip(param_basis(2), reps):
+            single = variation._dB_form(a, c, (key,), 1000, Rng(0))[0]
+            assert (rep.formula_value.hex() == full.get(key).hex()
+                    == single.get(key).hex()), (c, key)
+
+
+def test_derived_pair_data_equals_fresh(monkeypatch):
+    """A `with_entry` vector whose parent stores its n = 2 angles takes
+    from it those its step cannot move: a radius step recomputes the two
+    pairs of that circle, a distance step its pair and the triangle
+    angles, and a step that changes `scale` everything.  Either way its
+    `_pair_data` equals a fresh vector's bit for bit."""
+    pairs = []
+    angles, triangle = volume.angles_pair, volume.triangle_angles
+
+    def counting(a, j, k):
+        pairs.append((j, k))
+        return angles(a, j, k)
+
+    def counting_triangle(a):
+        pairs.append("phi")
+        return triangle(a)
+
+    monkeypatch.setattr(volume, "angles_pair", counting)
+    monkeypatch.setattr(volume, "triangle_angles", counting_triangle)
+    gen = np.random.default_rng(2326)
+    for a in (random_h1(gen), random_h1_prime(gen)):
+        p = params_of(a)
+        volume._pair_data(p)
+        scale = CMTable.from_params(p).scale
+        for key in param_basis(2):
+            for step in (1e-5, -1e-5, 1e-2, -1e-2):
+                q = p.with_entry(key, p.get(key) * (1.0 + step))
+                pairs.clear()
+                got = volume._pair_data(q)
+                if CMTable.from_params(q).scale != scale:
+                    want = [(1, 2), (1, 3), (2, 3), "phi"]
+                elif key[0] == "r":
+                    want = [jk for jk in ((1, 2), (1, 3), (2, 3))
+                            if key[1] in jk]
+                else:
+                    want = [key[1:], "phi"]
+                assert pairs == want, (key, step)
+                fresh = ParamVector(2, q.radii_sq, q.dist_sq)
+                assert repr(got) == repr(volume._pair_data(fresh)), (key, step)

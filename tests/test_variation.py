@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -586,6 +587,21 @@ def test_fd_tolerance_counts_the_coefficient_error_n4():
             assert rep.passed, (seed, key, rep.residual, rep.tolerance)
             z.append((rep.fd_value - rep.formula_value) / rep.tolerance * 3)
     assert abs(np.mean(z)) < 0.3 and 0.75 < np.std(z) < 1.25
+
+
+def test_fd_refuses_a_step_past_zero(tri, tetra):
+    """A step that takes a squared parameter to zero or below raises a
+    ValueError naming the key, its value and eps, at n = 2 and n = 3."""
+    for a, key, eps, text in (
+            (tri, ("r", 1), 1.5, "eps 1.5 takes the squared parameter "
+                                 "r1 = 1 to -0.5"),
+            (tri, ("d", 1, 2), 2.25, "d12 = 2.25 to 0"),
+            (tetra, ("r", 4), 1.0, "r4 = 1 to 0")):
+        c = Chamber.all_minus(a.n)
+        with pytest.raises(ValueError, match=re.escape(text)):
+            verify_variation_fd("euclidean", a, c, key, eps)
+        with pytest.raises(ValueError, match=re.escape(text)):
+            verify_variation_fd("euclidean", params_of(a), c, key, eps)
 
 
 def test_fd_refuses_a_parameter_outside_its_basis(tri, tetra):
