@@ -272,9 +272,9 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
     ("dB_form", c.signs) when every face is exact (drew nothing).
     """
     n = a.n
-    full = ("dB_form", c.signs) if keys == param_basis(n) else None
-    if full is not None and full in a._store:
-        return a._store[full]
+    stored = ("dB_form", c.signs) if keys == param_basis(n) else None
+    if stored is not None and stored in a._store:
+        return a._store[stored]
     table = CMTable.from_arrangement(a)
     params = params_of(a)
     vol_coefs, vol_full = volume_identity_coefficients(table, n, c)
@@ -300,8 +300,8 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
     _add(out, wanted(tuple(range(1, n + 2))), vol_full * (-1) ** (n + 1))
     form = (OneForm.from_dict(keys, out),
             {key: math.sqrt(var.get(key, 0.0)) for key in keys})
-    if full is not None and all(est.exact for est in faces.values()):
-        a._store.setdefault(full, form)
+    if stored is not None and all(est.exact for est in faces.values()):
+        a._store.setdefault(stored, form)
     return form
 
 

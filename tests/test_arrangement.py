@@ -33,7 +33,7 @@ from sphex.errors import (
 )
 from sphex.variation import param_basis
 from conftest import (SIDE, equilateral, gap_fixture, random_h1,
-                      regular_simplex4, tetrahedron)
+                      random_h1_prime, regular_simplex4, tetrahedron)
 
 
 def test_from_centers_radii_basic(tri):
@@ -403,10 +403,7 @@ def _certificate_draws():
 
     gen = np.random.default_rng(2323)
     draws = [random_h1(gen, n) for n in (2, 3, 4)]
-    draws += [sx.from_centers_radii(gap_fixture().centers
-                                    + gen.normal(scale=0.05, size=(3, 2)),
-                                    [0.8, 0.81, 0.79]),
-              jittered_gap3(gen)]
+    draws += [random_h1_prime(gen), jittered_gap3(gen)]
     base = regular_simplex4()
     while True:
         a = sx.from_centers_radii(base + gen.normal(scale=0.005, size=(5, 4)),
