@@ -156,10 +156,9 @@ class ParamVector:
 
     def with_entry(self, key, value: float) -> "ParamVector":
         """A copy with entry `key` set to `value`; it keeps this vector
-        alive and shares its determinants that avoid the changed entry.
-        Once this vector stores its sign table, `require_hypothesis` on
-        the copy certifies H1/H1' from this vector's margins (`_certify`),
-        and at n = 2 the copy takes the angles its step cannot move.
+        alive, and its `CMTable` takes from this vector's every chain the
+        step has not `moved`.  Once this vector stores its sign table,
+        `require_hypothesis` on the copy certifies H1/H1' from it (`_certify`).
         Only the new value is checked: the rest was checked in this
         vector, and the copy sets both (j, k) and (k, j).  A key outside
         `param_basis(n)` raises KeyError."""
@@ -435,15 +434,15 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
     up to p = n+1.  H1' keeps the conditions through p = n and the
     full-set plain condition, but requires (-1)^n B(0*N) < 0 instead of
     > 0.  H2 looks at the designated coordinate x_{n+1-j} of the vertex
-    P_j, for j = 1..n: P_j is taken on `a` and mapped into normalized
-    coordinates by the transform of `normalize`; `h2="skip"` omits it.
+    P_j, for j = 1..n: P_j is taken on `_as_arrangement(a)`, mapped into
+    normalized coordinates by `normalize`'s transform; `h2="skip"` omits it.
 
     Values whose magnitude is below 1e-9 times a Hadamard-type bound of
     the same degree in length are reported indeterminate rather than
     pass/fail, whatever the arrangement's scale.  The sign table and the
     H1/H1' verdicts are stored on `params_of(a)`, and the table is always
-    built, also where `require_hypothesis` certified the verdicts; with
-    h2="skip", `a` may be a ParamVector.  Each call returns a new report,
+    built, also where `require_hypothesis` certified the verdicts.  `a`
+    may be an Arrangement or a ParamVector.  Each call returns a new report,
     which lists the sign table's determinants whose LU met a degraded
     pivot.
     """
@@ -455,10 +454,11 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
         from . import intersect  # local import: intersect builds on this module
 
         try:
-            na, move = normalize(a)
+            b = _as_arrangement(a)
+            na, move = normalize(b)
             tol = SIGN_TOL * float(np.max(np.abs(na.centers)))
             for j in range(1, a.n + 1):
-                coord = float(move.apply(intersect.vertices(a, j).P)[a.n - j])
+                coord = float(move.apply(intersect.vertices(b, j).P)[a.n - j])
                 h2_details.append((j, coord, _status(coord, -1, tol)))
             h2_val = _combine([st for _, _, st in h2_details])
         except ValueError:  # degenerate, tangent or not normalizable
@@ -475,8 +475,9 @@ def require_hypothesis(a, name: str, what: str):
 
     The verdicts are stored on the vector.  For a `with_entry` vector
     whose parent stores its sign table they come from the parent's
-    values when `_certify` bounds every row's move; then no determinant
-    is factored.  Otherwise the vector's own sign table is built.
+    values when `_certify` finds every row beyond its table's
+    `move_bound`; then no determinant is factored.  Otherwise the
+    vector's own sign table is built.
     """
     p = _as_params(a)
 
@@ -495,55 +496,38 @@ def require_hypothesis(a, name: str, what: str):
         raise HypothesisError(f"{label} fails; {what}")
 
 
-def _lu_error(s: int) -> float:
-    """A bound on the rounding error of `_det_lu` on an s x s matrix with
-    entries at most 1: to first order gamma_s s^3 2^(s-1) (s-1)^((s-1)/2)
-    from the backward error of LU with growth factor 2^(s-1) (Higham,
-    Thm 9.3), plus gamma_s s^(s/2) from the product of the pivots,
-    with gamma_s <= 2 s u; doubled for the higher-order terms."""
-    return s ** 4 * 2.0 ** (s + 1) * 2.0 ** -52 * s ** (s / 2.0)
-
-
 def _certify(p: ParamVector):
     """(h1, h1_prime) of a `with_entry` vector `p` from its parent's
     stored sign table, or None unless every row certifies.
 
-    The two tables must share `_unit`.  A determinant B of size s that
-    avoids the changed entry is the parent's value bit for bit, so it
-    keeps its sign and certifies when |B| exceeds p's own `_status`
-    tolerance.  One that reads the pair (x, y), (y, x) moves exactly to
-    B + 2 d C + d^2 D, with d the step in units of `_unit`, C a cofactor
-    and D a minor of size s - 2 of the parent's matrix, whose entries are
-    at most 1 (Hadamard: |C| <= (s-1)^((s-1)/2), |D| <= (s-2)^((s-2)/2)).
-    It certifies when |B| exceeds that tolerance plus this move and the
-    rounding of both LUs (`_lu_error`), all times `_unit`^(s-2).  A row
-    that certifies has the status its sign gives; the verdicts are
-    combined from these as in `_sign_table`.
+    The vector's table must have a `_base` (the two share a unit).  A
+    determinant B of size s that the step has not `moved` is the parent's
+    value bit for bit, so it keeps its sign and certifies when |B|
+    exceeds p's own `_status` tolerance; a moved one certifies when |B|
+    exceeds that tolerance plus the table's `move_bound(s)`.  A row that
+    certifies has the status its sign gives; the verdicts are combined
+    from these as in `_sign_table`.
     """
     if p._parent is None:
         return None
-    parent, x, y = p._parent
-    signs = parent._store.get("signs")
+    signs = p._parent[0]._store.get("signs")
     if signs is None:
         return None
-    table, base = CMTable.from_params(p), CMTable.from_params(parent)
-    if table._unit != base._unit:
+    table = CMTable.from_params(p)
+    if table._base is None:
         return None
-    d = abs(table._entries[x, y] - base._entries[x, y])
     # by size s: (tolerance, tolerance + move bound) of a bordered chain
     margins = {}
     for s in range(2, p.n + 4):
         tol = SIGN_TOL * hadamard_scale(table, s)
-        move = (2.0 * d * (s - 1) ** ((s - 1) / 2.0)
-                + d * d * (s - 2) ** ((s - 2) / 2.0) + 2.0 * _lu_error(s))
-        margins[s] = tol, tol + move * table._unit ** (s - 2)
+        margins[s] = tol, tol + table.move_bound(s)
     statuses = []
     for row in signs[0]:
         q = (-1) ** len(row.subset)     # the plain sign; starred needs -q
         for head, value, sign in ((("0",), row.plain, q),
                                   (("0", "*"), row.starred, -q)):
             chain = head + row.subset
-            margin = margins[len(chain)][x in chain and y in chain]
+            margin = margins[len(chain)][table.moved(chain, chain)]
             if not abs(value) > margin:
                 return None
             statuses.append(_status(value, sign, margin))

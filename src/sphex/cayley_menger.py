@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import arrangement  # imports this module; read at call time
 from .errors import DegenerateConfigError, NonRealizableError
 
 #: pivot magnitudes below this set a warning flag (entries are at most 1)
@@ -72,6 +73,15 @@ def _det_lu(M):
     return det, degraded
 
 
+def _lu_error(s: int) -> float:
+    """A bound on the rounding error of `_det_lu` on an s x s matrix with
+    entries at most 1: to first order gamma_s s^3 2^(s-1) (s-1)^((s-1)/2)
+    from the backward error of LU with growth factor 2^(s-1) (Higham,
+    Thm 9.3), plus gamma_s s^(s/2) from the product of the pivots,
+    with gamma_s <= 2 s u; doubled for the higher-order terms."""
+    return s ** 4 * 2.0 ** (s + 1) * 2.0 ** -52 * s ** (s / 2.0)
+
+
 def _stored(obj, key, compute):
     """`compute()`, once per object: kept in `obj._store` under `key` once
     it returns (an exception stores nothing; of two racing first calls,
@@ -95,8 +105,8 @@ class CMTable:
     `pivot_warnings`.  `scale` is the largest squared radius or distance
     (see `hadamard_scale`); the LU sees lengths in units of it, so its
     pivot flags do not depend on the arrangement's scale.  A `with_entry`
-    vector's table takes from `_base` = (parent's table, x, y) each chain
-    that reads neither entry (x, y) nor (y, x), if the two share `_unit`.
+    vector's table has `_base` = (parent's table, x, y) if the two share
+    `_unit`; `chain` takes from it each chain the step has not `moved`.
     """
 
     n: int
@@ -123,9 +133,7 @@ class CMTable:
     @classmethod
     def from_arrangement(cls, a):
         """The table of a ParamVector or of an Arrangement's `params_of`."""
-        from .arrangement import _as_params  # arrangement imports this
-
-        return cls.from_params(_as_params(a))
+        return cls.from_params(arrangement._as_params(a))
 
     @classmethod
     def from_params(cls, params):
@@ -157,12 +165,30 @@ class CMTable:
         value = self._raw.get(key)
         return value if value is not None else self._miss(key)
 
+    def moved(self, rows, cols) -> bool:
+        """Whether the chain may differ from the parent's: it reads the
+        changed entry (x, y) or (y, x), or the table has no `_base`."""
+        if self._base is None:
+            return True
+        _, x, y = self._base
+        return x in rows and y in cols or y in rows and x in cols
+
+    def move_bound(self, s: int) -> float:
+        """A bound on |B' - B| for a `moved` bordered chain of size s (with
+        a `_base`): B' = B + 2 d C + d^2 D, d the step over `_unit`, C a
+        cofactor and D a size s - 2 minor, entries <= 1 (Hadamard), plus
+        both LUs' rounding (`_lu_error`); all times `_unit`^(s-2)."""
+        base, x, y = self._base
+        d = abs(self._entries[x, y] - base._entries[x, y])
+        move = (2.0 * d * (s - 1) ** ((s - 1) / 2.0)
+                + d * d * (s - 2) ** ((s - 2) / 2.0) + 2.0 * _lu_error(s))
+        return move * self._unit ** (s - 2)
+
     def _miss(self, key):
         rows, cols = key
-        base, x, y = self._base or (None, None, None)
-        if base is not None and not (x in rows and y in cols
-                                     or y in rows and x in cols):
+        if not self.moved(rows, cols):
             # the parent's matrix, entry for entry: same value and flag
+            base = self._base[0]
             value = base._raw[key] if key in base._raw else base._miss(key)
             degraded = key in base.pivot_warnings
         else:

@@ -116,9 +116,6 @@ def _theta_dict(table: CMTable, params: ParamVector, J) -> dict:
     if p == 1:
         j = J[0]
         return {("r", j): -0.5 / params.get(("r", j))}
-    if p == 2:
-        key = _dkey(*J)
-        return {key: 0.5 / params.get(key)}
     out = {}
     for j, k in itertools.combinations(J, 2):
         rest = tuple(m for m in J if m not in (j, k))

@@ -795,31 +795,18 @@ def lens_volume_closed(n: int, r1: float, r2: float, rho: float) -> float:
 def _pair_data(a):
     """Half-angles psih[(j,k)] and triangle angles phi for n = 2 (stored).
 
-    A `with_entry` vector whose `scale` equals its parent's (so every
-    tangency test reads the same tolerance) and whose parent stores its
-    angles takes from it each angle whose determinants avoid the changed
-    entry (x, y): the pair j, k unless {x, y} lies within {*, j, k}, and
-    phi after a radius step.
+    A `with_entry` vector's table takes every chain its step has not
+    moved from its parent's (`CMTable.moved`): an angle that reads no
+    moved chain factors nothing and equals the parent's bit for bit.
     """
     p = _as_params(a)
 
     def build():
-        x = y = old = None
-        if p._parent is not None:
-            parent, x, y = p._parent
-            if (CMTable.from_params(p).scale
-                    == CMTable.from_params(parent).scale):
-                old = parent._store.get("pair_data")
         psih = {}
         for j, k in ((1, 2), (1, 3), (2, 3)):
-            if old is not None and not {x, y} <= {"*", j, k}:
-                psih[(j, k)], psih[(k, j)] = old[0][(j, k)], old[0][(k, j)]
-                continue
             pjk, pkj = angles_pair(p, j, k)
             psih[(j, k)] = 0.5 * pjk
             psih[(k, j)] = 0.5 * pkj
-        if old is not None and x == "*":
-            return psih, old[1]
         return psih, dict(zip((1, 2, 3), triangle_angles(p)))
 
     return _stored(p, "pair_data", build)
@@ -837,11 +824,12 @@ def chamber_arc_angles(a, c: Chamber) -> dict:
     if a.n != 2:
         raise ValueError("arc angles are defined for n = 2")
     psih, phi = _pair_data(a)
+    gap = not c.minus_set()
     out = {}
     for j in (1, 2, 3):
         k, l = (m for m in (1, 2, 3) if m != j)
         tri = psih[(j, k)] + psih[(j, l)] - phi[j]
-        if not c.minus_set():
+        if gap:
             out[j] = phi[j] - psih[(j, k)] - psih[(j, l)]
         else:
             sk, sl = c.sign(k), c.sign(l)
@@ -1084,6 +1072,7 @@ def _faces(a, c: Chamber, streams: dict, samples: int) -> dict:
     stored on `a` under ("face", c.signs, J) and read from there.
     """
     out, todo = {}, {}
+    gap = not c.minus_set()
     for J, rng in streams.items():
         m = a.n - len(J)
         key = ("face", c.signs, J)
@@ -1093,10 +1082,10 @@ def _faces(a, c: Chamber, streams: dict, samples: int) -> dict:
         reason = None
         if a.n == 2 and m == 1:
             try:
-                if not c.minus_set():
+                if gap:
                     _require_gap(a, "closed gap arc undefined")
                 ang = chamber_arc_angles(a, c)[J[0]]
-                if c.minus_set():
+                if not gap:
                     require_hypothesis(a, "h1", "closed arc undefined")
                 out[J] = _stored(a, key, lambda: VolumeEstimate(
                     a.radius(J[0]) * ang, 0.0, 0, "closed"))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -264,6 +265,21 @@ def test_check_hypotheses_gap(gap):
     assert rep.h1_prime is True
 
 
+def test_check_hypotheses_of_a_vector(tri, gap):
+    """A ParamVector's report takes H2 on its `from_params` reconstruction
+    and equals its arrangement's in h1, h1', h2 and the sign table."""
+    gen = np.random.default_rng(24)
+    for a in (tri, gap, tetrahedron(), random_h1(gen), random_h1(gen, 3)):
+        got = check_hypotheses(params_of(a))
+        want = check_hypotheses(a)
+        assert (got.h1, got.h1_prime, got.h2) == (want.h1, want.h1_prime,
+                                                  want.h2)
+        assert got.table == want.table
+        assert [(j, st) for j, _, st in got.h2_details] == \
+            [(j, st) for j, _, st in want.h2_details]
+    assert check_hypotheses(params_of(tri)).h2 is True
+
+
 def test_check_hypotheses_skip_h2(tri):
     rep = check_hypotheses(tri, h2="skip")
     assert rep.h1 is True
@@ -457,3 +473,31 @@ def test_certificate_declines_a_step_that_breaks_h1():
     with pytest.raises(HypothesisError, match="H1 fails"):
         require_hypothesis(q, "h1", "x")
     assert "signs" in q._store
+
+
+def test_move_bound_bounds_every_moved_chain():
+    """Every sign-table chain B(0 J), B(0*J) that a `with_entry` step has
+    `moved` lies within `move_bound` of the parent's value, for every key
+    and steps +-1e-5, +-1e-2 and +0.3 (relative) of H1 and H1' draws at
+    n = 2, 3, 4; a chain the step has not moved is the parent's."""
+    moved = 0
+    for a in _certificate_draws():
+        p = params_of(a)
+        parent = CMTable.from_params(p)
+        for key in param_basis(p.n):
+            for t in (1e-5, -1e-5, 1e-2, -1e-2, 0.3):
+                table = CMTable.from_params(
+                    p.with_entry(key, p.get(key) * (1.0 + t)))
+                if table._base is None:     # another `_unit`
+                    continue
+                for size in range(1, p.n + 2):
+                    for J in itertools.combinations(range(1, p.n + 2), size):
+                        for c in (("0",) + J, ("0", "*") + J):
+                            child, old = table.chain(c, c), parent.chain(c, c)
+                            if not table.moved(c, c):
+                                assert child.hex() == old.hex(), (key, t, c)
+                                continue
+                            moved += 1
+                            bound = table.move_bound(len(c))
+                            assert abs(child - old) <= bound, (key, t, c)
+    assert moved > 1000

@@ -381,44 +381,3 @@ def test_n2_fd_sweep_assembles_one_stored_form(monkeypatch):
             single = variation._dB_form(a, c, (key,), 1000, Rng(0))[0]
             assert (rep.formula_value.hex() == full.get(key).hex()
                     == single.get(key).hex()), (c, key)
-
-
-def test_derived_pair_data_equals_fresh(monkeypatch):
-    """A `with_entry` vector whose parent stores its n = 2 angles takes
-    from it those its step cannot move: a radius step recomputes the two
-    pairs of that circle, a distance step its pair and the triangle
-    angles, and a step that changes `scale` everything.  Either way its
-    `_pair_data` equals a fresh vector's bit for bit."""
-    pairs = []
-    angles, triangle = volume.angles_pair, volume.triangle_angles
-
-    def counting(a, j, k):
-        pairs.append((j, k))
-        return angles(a, j, k)
-
-    def counting_triangle(a):
-        pairs.append("phi")
-        return triangle(a)
-
-    monkeypatch.setattr(volume, "angles_pair", counting)
-    monkeypatch.setattr(volume, "triangle_angles", counting_triangle)
-    gen = np.random.default_rng(2326)
-    for a in (random_h1(gen), random_h1_prime(gen)):
-        p = params_of(a)
-        volume._pair_data(p)
-        scale = CMTable.from_params(p).scale
-        for key in param_basis(2):
-            for step in (1e-5, -1e-5, 1e-2, -1e-2):
-                q = p.with_entry(key, p.get(key) * (1.0 + step))
-                pairs.clear()
-                got = volume._pair_data(q)
-                if CMTable.from_params(q).scale != scale:
-                    want = [(1, 2), (1, 3), (2, 3), "phi"]
-                elif key[0] == "r":
-                    want = [jk for jk in ((1, 2), (1, 3), (2, 3))
-                            if key[1] in jk]
-                else:
-                    want = [key[1:], "phi"]
-                assert pairs == want, (key, step)
-                fresh = ParamVector(2, q.radii_sq, q.dist_sq)
-                assert repr(got) == repr(volume._pair_data(fresh)), (key, step)
