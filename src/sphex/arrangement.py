@@ -26,15 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cayley_menger import CMTable, _stored, hadamard_scale
+from .cayley_menger import SIGN_TOL, CMTable, _stored
 from .errors import (
     DegenerateConfigError,
     HypothesisError,
     IndeterminateSignError,
     NonRealizableError,
 )
-
-SIGN_TOL = 1e-9
 
 
 def _frozen(arr):
@@ -437,12 +435,13 @@ def check_hypotheses(a: Arrangement, h2: str = "auto") -> HypothesisReport:
     P_j, for j = 1..n: P_j is taken on `_as_arrangement(a)`, mapped into
     normalized coordinates by `normalize`'s transform; `h2="skip"` omits it.
 
-    Values whose magnitude is below 1e-9 times a Hadamard-type bound of
-    the same degree in length are reported indeterminate rather than
-    pass/fail, whatever the arrangement's scale.  The sign table and the
-    H1/H1' verdicts are stored on `params_of(a)`, and the table is always
-    built, also where `require_hypothesis` certified the verdicts.  `a`
-    may be an Arrangement or a ParamVector.  Each call returns a new report,
+    Values inside the table's sign band (SIGN_TOL times a Hadamard-type
+    bound of the same degree in length, the rule of `CMTable.signed`)
+    are reported indeterminate rather than pass/fail, whatever the
+    arrangement's scale.  The sign table and the H1/H1' verdicts are
+    stored on `params_of(a)`, and the table is always built, also where
+    `require_hypothesis` certified the verdicts.  `a` may be an
+    Arrangement or a ParamVector.  Each call returns a new report,
     which lists the sign table's determinants whose LU met a degraded
     pivot.
     """
@@ -516,11 +515,9 @@ def _certify(p: ParamVector):
     table = CMTable.from_params(p)
     if table._base is None:
         return None
-    # by size s: (tolerance, tolerance + move bound) of a bordered chain
-    margins = {}
-    for s in range(2, p.n + 4):
-        tol = SIGN_TOL * hadamard_scale(table, s)
-        margins[s] = tol, tol + table.move_bound(s)
+    band = table._band      # by chain size s: (band, band + move bound)
+    margins = {s: (band[s], band[s] + table.move_bound(s))
+               for s in range(2, p.n + 4)}
     statuses = []
     for row in signs[0]:
         q = (-1) ** len(row.subset)     # the plain sign; starred needs -q
@@ -552,15 +549,13 @@ def _sign_table(a):
     m = n + 1
     rows = []
     for p in range(1, m + 1):
-        tol_plain = SIGN_TOL * hadamard_scale(table, p + 1)
-        tol_starred = SIGN_TOL * hadamard_scale(table, p + 2)
         for J in itertools.combinations(range(1, m + 1), p):
             plain = table.chain(("0",) + J, ("0",) + J)
             starred = table.chain(("0", "*") + J, ("0", "*") + J)
             rows.append(SubsetSigns(
                 J, plain, starred,
-                _status(plain, (-1) ** p, tol_plain),
-                _status(starred, (-1) ** (p + 1), tol_starred)))
+                _status(plain, (-1) ** p, table._band[p + 1]),
+                _status(starred, (-1) ** (p + 1), table._band[p + 2])))
     h1, h1_prime = _h1_verdicts(
         [s for r in rows for s in (r.plain_status, r.starred_status)])
     return tuple(rows), h1, h1_prime, tuple(table.flagged())

@@ -20,6 +20,7 @@ It memoizes each (rows, cols) pair exactly as called, and a small
 pure-Python LU evaluates the matrix in that order, so a permuted or
 transposed chain agrees with the sign rule to rounding, not bit for bit.
 `with_entry` vectors share their parent's chains that avoid the changed entry.
+`CMTable.signed` is the one sign rule for every sign test and square root.
 
 The module also builds the configuration matrix of an arrangement whose
 last sphere is the unit sphere at the origin: each other sphere is cut
@@ -40,6 +41,8 @@ from .errors import DegenerateConfigError, NonRealizableError
 
 #: pivot magnitudes below this set a warning flag (entries are at most 1)
 PIVOT_WARN = 1e-12
+#: a size-s chain has no sign if |B| < SIGN_TOL * hadamard_scale(table, s)
+SIGN_TOL = 1e-9
 
 
 def _det_lu(M):
@@ -129,6 +132,8 @@ class CMTable:
             for k in range(1, self.n + 2):
                 e[j, k] = d2[j][k] / s
         self._entries = e
+        self._band = [SIGN_TOL * hadamard_scale(self, s)  # by chain size s
+                      for s in range(self.n + 4)]
 
     @classmethod
     def from_arrangement(cls, a):
@@ -164,6 +169,24 @@ class CMTable:
         key = (tuple(rows), tuple(cols))
         value = self._raw.get(key)
         return value if value is not None else self._miss(key)
+
+    def signed(self, chain, error, reason) -> float:
+        """(-1)^(s-1) B(chain; chain), s = len(chain), which must reach the
+        band `_band[s]`: under H1 every bordered chain has the sign
+        (-1)^(s-1), (-1)^p for B(0 J) and (-1)^(p+1) for B(0*J).  Else
+        raises error(reason, with B); either may be a pair (no sign:
+        inside the band; the wrong sign: beyond it)."""
+        sign = (-1) ** (len(chain) - 1)
+        value = sign * self.chain(chain, chain)
+        band = self._band[len(chain)]
+        if value < band:
+            side = int(-value >= band)
+            error, reason = (x[side] if isinstance(x, tuple) else x
+                             for x in (error, reason))
+            raise error(f"{reason}: B({' '.join(map(str, chain))}) = "
+                        f"{sign * value:.3g} has "
+                        f"{('no', 'the wrong')[side]} sign")
+        return value
 
     def moved(self, rows, cols) -> bool:
         """Whether the chain may differ from the parent's: it reads the
@@ -302,11 +325,9 @@ def config_matrix(a) -> ConfigMatrix:
     table = CMTable.from_arrangement(a)
     norm = np.empty(m - 1)
     for j in range(1, m):
-        c2 = -table.chain(("0", "*", j, m), ("0", "*", j, m))
-        if c2 <= 0:
-            raise DegenerateConfigError(
-                f"sphere {j} does not cut the unit sphere transversally")
-        norm[j - 1] = math.sqrt(c2)
+        norm[j - 1] = math.sqrt(table.signed(
+            ("0", "*", j, m), DegenerateConfigError,
+            "a sphere does not cut the unit sphere transversally"))
     off = np.array([table.chain(("0", j, m), ("0", "*", m)) / norm[j - 1]
                     for j in range(1, m)])
     inner = {(j, k): -table.chain(("0", "*", j, m), ("0", "*", k, m))

@@ -88,21 +88,12 @@ def _report(name, lhs, terms, tolerance) -> IdentityReport:
                           bool(residual <= tolerance), tuple(terms))
 
 
-def _sqrt_plain_full(table: CMTable, n: int) -> float:
-    N = tuple(range(1, n + 2))
-    plain = table.chain(("0",) + N, ("0",) + N)
-    arg = (-1) ** (n + 1) * plain
-    if arg <= 0:
-        raise HypothesisError("B(0N) has the wrong sign; centers degenerate")
-    return math.sqrt(arg / 2 ** n)
-
-
 def volume_identity_coefficients(table: CMTable, n: int, c: Chamber):
     """Face coefficients and determinant term of the volume identity.
 
     Returns (dict J -> coefficient on v_J, value of the determinant
     term), with the sign pattern selected by the chamber as described
-    in the module docstring.
+    in the module docstring; HypothesisError if a root has no H1 sign.
     """
     plus = set(c.plus_set())
     all_plus = len(plus) == n + 1
@@ -114,7 +105,9 @@ def volume_identity_coefficients(table: CMTable, n: int, c: Chamber):
             if not all_plus:
                 w *= (-1) ** p * (-1) ** len(plus & set(J))
             coefs[J] = w
-    final = _sqrt_plain_full(table, n) / math.factorial(n - 1)
+    final = math.sqrt(table.signed(("0",) + tuple(range(1, n + 2)),
+                                   HypothesisError, "centers degenerate")
+                      / 2 ** n) / math.factorial(n - 1)
     if not all_plus:
         final *= (-1) ** n * (-1) ** len(plus)
     return coefs, final
@@ -221,6 +214,7 @@ def check_lemma5_pointwise(a, x) -> IdentityReport:
     across random arrangements and points in n = 2 and 3.  The check is
     scale-free: a point with |f_j| < 1e-9 max r^2 counts as on a sphere,
     and the tolerance is 1e-10 times the sum of the |lhs| summands.
+    DegenerateConfigError if B(0N) has no sign (dependent centers).
     """
     x = np.asarray(x, dtype=float)
     n = a.n
@@ -238,9 +232,9 @@ def check_lemma5_pointwise(a, x) -> IdentityReport:
         lhs_parts.append((-1) ** (nu - 1) * float(np.linalg.det(rows)) / prod)
     lhs = math.fsum(lhs_parts)
     table = CMTable.from_arrangement(a)
-    plain = table.chain(("0",) + N, ("0",) + N)
-    pref = (2 ** n * (-1) ** (n * (n - 1) // 2)
-            / math.sqrt((-1) ** (n + 1) * 2 ** n * plain))
+    plain = table.signed(("0",) + N, DegenerateConfigError,
+                         "centers affinely dependent")
+    pref = 2 ** n * (-1) ** (n * (n - 1) // 2) / math.sqrt(2 ** n * plain)
     terms = []
     for nu in N:
         dN = tuple(j for j in N if j != nu)
@@ -263,7 +257,8 @@ def check_prop4_residue(a, J, trials: int = 20,
     its reciprocal up to an orientation sign.  Passing requires both
     the match to the constant (1e-9 relative) and constancy across the
     samples (std below 1e-10 of the constant), so any rescaled copy of
-    the arrangement gets the same verdict.
+    the arrangement gets the same verdict.  S_J must exist
+    (`intersection_sphere`).
     """
     J = tuple(sorted(J))
     p = len(J)
@@ -271,8 +266,7 @@ def check_prop4_residue(a, J, trials: int = 20,
     rng = rng if rng is not None else Rng(0)
     sub = intersection_sphere(a, J)
     table = CMTable.from_arrangement(a)
-    starred = table.chain(("0", "*") + J, ("0", "*") + J)
-    const = math.sqrt((-1) ** (p - 1) * 2 ** p * starred)
+    const = 2 ** p * _sqrt_starred(table, J)     # sqrt(2^p |B(0*J)|)
     V = sub.basis.T  # (n, n-p+1)
     gen = rng.generator(0)
     vals = []
@@ -316,12 +310,12 @@ def check_prop6_values(a, j: int) -> IdentityReport:
     fP = evaluate_f(a, j, vp.P)
     fPp = evaluate_f(a, j, vp.P_prime)
     table = CMTable.from_arrangement(a)
-    Bss = table.chain(("0", "*") + dN, ("0", "*") + dN)
-    BN = table.chain(("0",) + N, ("0",) + N)
+    # B(0*dN) B(0N): both have size n + 2, so one sign under H1
+    root = math.sqrt(math.prod(table.signed(c, HypothesisError, "H1 fails")
+                               for c in (("0", "*") + dN, ("0",) + N)))
     Bmix = table.chain(("0", "*") + dN, ("0", j) + dN)
     BsN = table.chain(("0", "*") + N, ("0", "*") + N)
     BdN = table.chain(("0",) + dN, ("0",) + dN)
-    root = math.sqrt(Bss * BN)
     closP = ((-1) ** (n + 1) * root + Bmix) / BsN
     closPp = ((-1) ** n * root + Bmix) / BsN
     closProd = -BdN / BsN

@@ -6,10 +6,10 @@ f_j - f_k = 0 (affine since the quadratic terms cancel), which gives a
 numerically benign linear system; the radius then comes from the
 closed-form determinant quotient rather than from sampled geometry, so
 the formula is the source of truth and geometry serves as a test
-oracle.  r_J^2 below 1e-12 r_j^2 is a tangency (TangencyError).  The
-vertices are the 0-sphere S_{N minus j}, labeled by the sign of f_j.
-One SVD (`_plane_solve`) solves the radical hyperplanes of S_J and the
-planes of the unit-sphere model.
+oracle.  B(0*J) with no sign (`CMTable.signed`) is a tangency, with the
+wrong sign an empty S_J.  The vertices are the 0-sphere S_{N minus j},
+labeled by the sign of f_j.  One SVD (`_plane_solve`) solves the radical
+hyperplanes of S_J and the planes of the unit-sphere model.
 
 Angles: psi_jk is the full opening angle of the arc of S_j inside
 sphere k (it can exceed pi when O_k lies deep inside ball j); phi_j are
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_menger import CMTable, ConfigMatrix, _stored, hadamard_scale
+from .cayley_menger import CMTable, ConfigMatrix, _stored
 from .errors import DegenerateConfigError, EmptyIntersectionError, TangencyError
 
 
@@ -95,34 +95,25 @@ def _sub_sphere(a, J) -> SubSphere:
     if not 1 <= p <= a.n:
         raise ValueError(f"|J| must be between 1 and n, got {p}")
     table = CMTable.from_arrangement(a)
-    plain = table.chain(("0",) + J, ("0",) + J)
-    starred = table.chain(("0", "*") + J, ("0", "*") + J)
-    tol_p = 1e-12 * hadamard_scale(table, p + 1)
-    if abs(plain) < tol_p:
-        raise DegenerateConfigError(
-            f"degenerate sphere centers for {J}: B(0 J) ~ 0")
-    r_sq = -0.5 * starred / plain
-    if abs(r_sq) < 1e-12 * a.radius(J[0]) ** 2:
-        raise TangencyError(f"spheres {J} are tangent: S_J is one point")
-    if (-1) ** p * plain < 0 or r_sq < 0:
-        raise EmptyIntersectionError(
-            f"spheres {J} have empty real intersection")
+    plain = table.signed(("0",) + J,
+                         (DegenerateConfigError, EmptyIntersectionError),
+                         "degenerate sphere centers")
+    starred = table.signed(("0", "*") + J,
+                           (TangencyError, EmptyIntersectionError),
+                           ("tangent spheres: S_J is a point", "empty S_J"))
+    # the radical hyperplanes f_k - f_J[0] = 0, k in J[1:]; none if p = 1
     c0 = a.center(J[0])
-    if p == 1:
-        x0, frame = c0, np.eye(a.n)
-    else:
-        # the radical hyperplanes f_k - f_J[0] = 0, k in J[1:]
-        q = [a.center(k) @ a.center(k) - a.radius(k) ** 2 for k in J]
-        solved = _plane_solve(2.0 * (a.centers[[k - 1 for k in J[1:]]] - c0),
-                              np.array(q[1:]) - q[0])
-        if solved is None:
-            raise DegenerateConfigError(
-                f"radical hyperplanes of {J} are linearly dependent")
-        x0, frame = solved
+    q = [a.center(k) @ a.center(k) - a.radius(k) ** 2 for k in J]
+    solved = _plane_solve(2.0 * (a.centers[[k - 1 for k in J[1:]]] - c0),
+                          np.array(q[1:]) - q[0])
+    if solved is None:
+        raise DegenerateConfigError(
+            f"radical hyperplanes of {J} are linearly dependent")
+    x0, frame = solved
     center = x0 + ((c0 - x0) @ frame.T) @ frame
     center.setflags(write=False)
     frame.setflags(write=False)
-    return SubSphere(J, center, math.sqrt(r_sq), frame)
+    return SubSphere(J, center, math.sqrt(0.5 * starred / plain), frame)
 
 
 def vertices(a, j: int) -> VertexPair:
@@ -148,34 +139,28 @@ def angles_pair(a, j: int, k: int):
     """The opening angles (psi_jk, psi_kj) of the lens of spheres j, k.
 
     Defined through the sine/cosine determinant quotients; satisfies
-    rho_jk = r_j cos(psi_jk/2) + r_k cos(psi_kj/2).
+    rho_jk = r_j cos(psi_jk/2) + r_k cos(psi_kj/2).  TangencyError or
+    EmptyIntersectionError if B(0*jk) has no sign or the wrong one.
     """
     table = CMTable.from_arrangement(a)
-    b = table.chain(("0", "*", j, k), ("0", "*", j, k))
-    tol = 1e-9 * hadamard_scale(table, 4)
-    if abs(b) < tol:
-        raise TangencyError(f"spheres {j},{k} are tangent")
-    if b > 0:
-        raise EmptyIntersectionError(f"spheres {j},{k} do not intersect")
-    s = math.sqrt(-b)
+    s = math.sqrt(table.signed(("0", "*", j, k),
+                               (TangencyError, EmptyIntersectionError),
+                               ("tangent spheres", "disjoint spheres")))
     psi_jk = 2.0 * math.atan2(s, table.chain(("0", "*", j), ("0", k, j)))
     psi_kj = 2.0 * math.atan2(s, table.chain(("0", "*", k), ("0", j, k)))
     return psi_jk, psi_kj
 
 
 def triangle_angles(a):
-    """Angles (phi_1, phi_2, phi_3) of the center triangle, n = 2 only."""
+    """Angles (phi_1, phi_2, phi_3) of the center triangle, n = 2 only;
+    DegenerateConfigError unless B(0 1 2 3) has its H1 sign."""
     if a.n != 2:
         raise ValueError("triangle angles are defined for n = 2")
     table = CMTable.from_arrangement(a)
-    B = table.chain(("0", 1, 2, 3), ("0", 1, 2, 3))
-    if B >= -1e-12 * hadamard_scale(table, 4):
-        raise DegenerateConfigError("collinear centers")
-    s = math.sqrt(-B)
-    out = []
-    for j, k, l in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        out.append(math.atan2(s, table.chain(("0", k, j), ("0", l, j))))
-    return tuple(out)
+    s = math.sqrt(table.signed(("0", 1, 2, 3), DegenerateConfigError,
+                               "collinear centers"))
+    return tuple(math.atan2(s, table.chain(("0", k, j), ("0", l, j)))
+                 for j, k, l in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
 
 
 def sphere_angle(m: ConfigMatrix, j: int, k: int) -> float:

@@ -33,6 +33,7 @@ from .cayley_menger import CMTable, ConfigMatrix, config_minor, config_minor_pai
 from .errors import (
     DegenerateConfigError,
     FdNoiseError,
+    HypothesisError,
     SphexError,
     TangencyError,
 )
@@ -124,14 +125,12 @@ def _theta_dict(table: CMTable, params: ParamVector, J) -> dict:
             prod = 1.0
             prefix = ()
             for mu in seq:
-                num = table.chain(("0", "*") + prefix + (j, k),
-                                  ("0", mu) + prefix + (j, k))
-                den = table.chain(("0", mu) + prefix + (j, k),
-                                  ("0", mu) + prefix + (j, k))
-                if den == 0.0:
-                    raise DegenerateConfigError(
-                        "vanishing determinant in the one-form expansion")
-                prod *= num / den
+                rows = ("0", mu) + prefix + (j, k)
+                num = table.chain(("0", "*") + prefix + (j, k), rows)
+                # num / B(rows; rows), both times the sign of the latter
+                prod *= (-1) ** (len(rows) - 1) * num / table.signed(
+                    rows, DegenerateConfigError,
+                    "vanishing determinant in the one-form expansion")
                 prefix = (mu,) + prefix
             total += prod
         key = _dkey(j, k)
@@ -198,14 +197,13 @@ def dpsi_form(a, j: int, k: int) -> OneForm:
     """Differential of the half intersection angle psi_jk / 2.
 
     Expressed in the squared-parameter basis; the printed dr and drho
-    components are divided by 2r and 2 rho respectively.
+    components are divided by 2r and 2 rho respectively.  TangencyError
+    unless B(0*jk) has its H1 sign.
     """
     params = _as_params(a)
     table = CMTable.from_params(params)
-    s_sq = -table.chain(("0", "*", j, k), ("0", "*", j, k))
-    if s_sq <= 0:
-        raise TangencyError("spheres are tangent or disjoint")
-    s = math.sqrt(s_sq)
+    s = math.sqrt(table.signed(("0", "*", j, k), TangencyError,
+                               "spheres are tangent or disjoint"))
     mixed_r = table.chain(("0", "*", j), ("0", "*", k))
     mixed_d = table.chain(("0", j, k), ("0", "*", k))
     coeffs = {
@@ -222,23 +220,23 @@ def lens_variation_form(n: int, r1: float, r2: float, rho: float) -> OneForm:
     Coefficients on dr_1^2 and dr_2^2 are the boundary cap areas over
     2r; the distance coefficient couples the waist sphere measure to
     the distance one-form.  Checked against finite differences of the
-    closed lens volume for n = 2..5.
+    closed lens volume for n = 2..5.  TangencyError unless the balls'
+    B(0*12) has its H1 sign.
     """
     h1, h2 = _lens_half_angles(r1, r2, rho)
     area = unit_sphere_area(n - 2)
     face1 = area * r1 ** (n - 1) * sin_power_integral(n - 2, h1)
     face2 = area * r2 ** (n - 1) * sin_power_integral(n - 2, h2)
-    b_st = (rho ** 4 + r1 ** 4 + r2 ** 4
-            - 2.0 * (rho * r1) ** 2 - 2.0 * (rho * r2) ** 2
-            - 2.0 * (r1 * r2) ** 2)
-    if b_st >= 0:
-        raise TangencyError("not a proper lens")
-    waist = math.sqrt(-b_st) / (2.0 * rho)
+    d2 = np.zeros((3, 3))
+    d2[1, 2] = d2[2, 1] = rho * rho     # the two balls' table, n = 1
+    b_st = CMTable(1, np.array([0.0, r1 * r1, r2 * r2]), d2).signed(
+        ("0", "*", 1, 2), TangencyError, "not a proper lens")  # -B(0*12)
+    waist = math.sqrt(b_st) / (2.0 * rho)
     v_waist = area * waist ** (n - 2)
     coeffs = {
         ("r", 1): face1 / (2.0 * r1),
         ("r", 2): face2 / (2.0 * r2),
-        ("d", 1, 2): -(1.0 / (n - 1)) * v_waist * math.sqrt(-b_st / 4.0)
+        ("d", 1, 2): -(1.0 / (n - 1)) * v_waist * math.sqrt(b_st / 4.0)
         / (2.0 * rho * rho),
     }
     basis = (("r", 1), ("r", 2), ("d", 1, 2))
@@ -302,11 +300,23 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
     return form
 
 
+def _form_minor(m: ConfigMatrix, J, zero=False, root=0) -> float:
+    """A'(J) (A'(0 J) with `zero`), that a unit-sphere one-form divides by,
+    or with root = +-1 the sqrt(root * minor) it takes; HypothesisError if
+    the divisor is 0 or the root's argument <= 0 (circles that miss)."""
+    v = config_minor(m, J, with_zero=zero)
+    if (root * v <= 0.0) if root else v == 0.0:
+        raise HypothesisError(f"A'{((0,) if zero else ()) + tuple(J)} = "
+                              f"{v:.6g} rules out the unit-sphere one-form")
+    return math.sqrt(root * v) if root else v
+
+
 def dA_volume_form_theorem_III(m: ConfigMatrix) -> OneForm:
     """Differential of the spherical region area over the entry basis.
 
     Implemented for n = 3, where the face measures are the boundary arc
     lengths (p = 1) and region vertex counts (p = 2), both exact.
+    HypothesisError where a minor rules the form out (`_form_minor`).
     """
     n = m.n
     if n != 3:
@@ -316,14 +326,12 @@ def dA_volume_form_theorem_III(m: ConfigMatrix) -> OneForm:
     out = {}
     for p in range(1, n):
         for J in itertools.combinations(range(1, n + 1), p):
-            minor = config_minor(m, J)
-            den = config_minor(m, J, with_zero=True)
             w = (-(-1) ** p * math.factorial(n - p - 1) / math.factorial(n - 2)
-                 * math.sqrt(minor) / den * float(faces[J]))
+                 * _form_minor(m, J, root=1) / _form_minor(m, J, zero=True)
+                 * float(faces[J]))
             _add(out, theta_prime(m, J).as_dict(), w)
     full = tuple(range(1, n + 1))
-    den = config_minor(m, full, with_zero=True)
-    w = (-1) ** n / math.factorial(n - 2) / math.sqrt(-den)
+    w = (-1) ** n / math.factorial(n - 2) / _form_minor(m, full, True, -1)
     _add(out, theta_prime(m, full).as_dict(), w)
     return OneForm.from_dict(config_basis(n), out)
 
@@ -331,7 +339,8 @@ def dA_volume_form_theorem_III(m: ConfigMatrix) -> OneForm:
 def dA_volume_form_n3(m: ConfigMatrix) -> OneForm:
     """The explicit three-circle shape of the restricted variational form.
 
-    Independent of the general assembly; used to cross-check it.
+    Independent of the general assembly, which it cross-checks; it
+    refuses where that does.
     """
     if m.n != 3:
         raise ValueError("explicit shape exists for n = 3 only")
@@ -339,13 +348,13 @@ def dA_volume_form_n3(m: ConfigMatrix) -> OneForm:
     out = {}
     for j in (1, 2, 3):
         _add(out, theta_prime(m, (j,)).as_dict(),
-             arcs[j] / config_minor(m, (j,), with_zero=True))
+             arcs[j] / _form_minor(m, (j,), zero=True))
     for j, k in itertools.combinations((1, 2, 3), 2):
         _add(out, theta_prime(m, (j, k)).as_dict(),
-             -math.sqrt(config_minor(m, (j, k)))
-             / config_minor(m, (j, k), with_zero=True))
+             -_form_minor(m, (j, k), root=1)
+             / _form_minor(m, (j, k), zero=True))
     _add(out, theta_prime(m, (1, 2, 3)).as_dict(),
-         -1.0 / math.sqrt(-config_minor(m, (1, 2, 3), with_zero=True)))
+         -1.0 / _form_minor(m, (1, 2, 3), True, -1))
     return OneForm.from_dict(config_basis(3), out)
 
 

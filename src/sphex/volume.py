@@ -907,8 +907,8 @@ def _area_n2(a, c: Chamber) -> float:
     # chord; seg[(j, k)] + seg[(k, j)] is the jk lens
     seg = {jk: 0.5 * r2[jk[0]] * (2.0 * h - math.sin(2.0 * h))
            for jk, h in psih.items()}
-    table = CMTable.from_arrangement(a)
-    tri = 0.25 * math.sqrt(-table.chain(("0", 1, 2, 3), ("0", 1, 2, 3)))
+    tri = 0.25 * math.sqrt(CMTable.from_arrangement(a).signed(
+        ("0", 1, 2, 3), DegenerateConfigError, "collinear centers"))
     for j in (1, 2, 3):
         tri -= 0.5 * r2[j] * phi[j]
     for v in seg.values():
@@ -1106,14 +1106,10 @@ def _faces(a, c: Chamber, streams: dict, samples: int) -> dict:
 
 
 def _sqrt_starred(table: CMTable, J) -> float:
-    """sqrt((-1)^(p+1) B(0*J) / 2^p), the face factor of S_J."""
-    p = len(J)
-    starred = table.chain(("0", "*") + tuple(J), ("0", "*") + tuple(J))
-    arg = (-1) ** (p + 1) * starred
-    if arg <= 0:
-        raise HypothesisError(
-            f"B(0*J) has the wrong sign for J={tuple(J)}; face sphere missing")
-    return math.sqrt(arg / 2 ** p)
+    """sqrt((-1)^(p+1) B(0*J) / 2^p) > 0, the face factor of S_J."""
+    arg = table.signed(("0", "*") + tuple(J), HypothesisError,
+                       "face sphere missing")
+    return math.sqrt(arg / 2 ** len(J))
 
 
 def decomposition_cell_coefficient(a, J) -> float:

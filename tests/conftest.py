@@ -66,6 +66,15 @@ def embedded_lens(n: int = 2):
     return sx.from_centers_radii(c, [1.0, 1.0, 4.0, 4.0])
 
 
+def sphere_lens():
+    """n = 3: on the unit sphere (sphere 4) the region is a lens of
+    circles 1 and 2 inside the larger cap of circle 3, which meets
+    neither; A'(13) = A'(23) = -1.44."""
+    c = np.array([[1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 0.3],
+                  [0.0, 0.0, 0.0]])
+    return sx.from_centers_radii(c, [1.2, 1.2, math.sqrt(1.63), 1.0])
+
+
 def gap_fixture(radius: float = 0.8):
     """Equilateral centers whose disks leave a curved triangle uncovered
     in the middle; satisfies H1' so the all-plus chamber is a bounded

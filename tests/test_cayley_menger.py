@@ -374,3 +374,73 @@ def test_bad_chain_raises_on_every_call(tri, rows, cols):
 def test_border_token_may_follow_an_index(tri):
     t = table_of(tri)
     assert t.chain((1, "0"), (1, "0")) == t.chain(("0", 1), ("0", 1))
+
+
+def gap_draw(gen, n: int):
+    """A jittered regular simplex (edge 1.5) whose equal radii sit between
+    the circumradius of a facet and of the simplex, so that H1' holds."""
+    base = {2: equilateral().centers, 3: tetrahedron().centers,
+            4: regular_simplex4()}[n]
+    r = {2: 0.8, 3: 0.89, 4: 0.935}[n]
+    return sx.from_centers_radii(
+        base + gen.normal(scale=0.01, size=base.shape),
+        r * (1.0 + gen.normal(scale=0.002, size=n + 1)))
+
+
+class NoSign(Exception):
+    pass
+
+
+class WrongSign(Exception):
+    pass
+
+
+def test_signed_agrees_with_the_sign_table_at_every_scale():
+    """On H1 and H1' draws at n = 2, 3, 4 and on a near-collinear
+    triangle, scaled by 1e-6, 1 and 1e6: `signed` returns (-1)^(s-1) B
+    exactly where the sign table's row reads "pass", refuses with the
+    first error inside the band ("indeterminate") and with the second
+    beyond it on the wrong side ("fail"), and every verdict is the same at
+    the three scales."""
+    gen = np.random.default_rng(25)
+    arrs = [random_h1(gen, n) for n in (2, 3, 4)]
+    arrs += [gap_draw(gen, n) for n in (2, 3, 4)]
+    arrs.append(sx.from_centers_radii([[0, 0], [1, 0], [2, 8e-5]], [1.0] * 3))
+    seen = set()
+    for a in arrs[:-1]:
+        rep = sx.check_hypotheses(a, h2="skip")
+        assert rep.h1 or rep.h1_prime
+    for a in arrs:
+        verdicts = []
+        for s in (1e-6, 1.0, 1e6):
+            b = sx.from_centers_radii(a.centers * s, a.radii * s)
+            table = table_of(b)
+            got = []
+            for row in sx.check_hypotheses(b, h2="skip").table:
+                for head, value, status in (
+                        (("0",), row.plain, row.plain_status),
+                        (("0", "*"), row.starred, row.starred_status)):
+                    chain = head + row.subset
+                    try:
+                        v = table.signed(chain, (NoSign, WrongSign), "x")
+                        assert v == (-1) ** (len(chain) - 1) * value
+                        verdict = "pass"
+                    except NoSign:
+                        verdict = "indeterminate"
+                    except WrongSign:
+                        verdict = "fail"
+                    assert verdict == status, (a.n, s, chain)
+                    got.append(verdict)
+            verdicts.append(got)
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        seen.update(verdicts[0])
+    assert seen == {"pass", "indeterminate", "fail"}
+
+
+def test_signed_message_names_the_chain():
+    """The gap triangle's B(0*123) has the H1' sign, the wrong one."""
+    gap = equilateral(radius=0.8)
+    with pytest.raises(WrongSign, match=r"^why: B\(0 \* 1 2 3\) = .* has "
+                                        r"the wrong sign$"):
+        table_of(gap).signed(("0", "*", 1, 2, 3), (NoSign, WrongSign),
+                             ("near", "why"))

@@ -15,6 +15,7 @@ from conftest import (
     equilateral,
     gap_fixture,
     lens_trio,
+    sphere_lens,
     tetrahedron,
 )
 
@@ -280,6 +281,18 @@ def test_identity_lemma5_is_scale_free(tmp_path, capsys):
         assert json.loads(out)["pass_count"] == 20, k
 
 
+@pytest.mark.parametrize("third", [[2.0, 0.0], [2.0, 1e-9]])
+def test_identity_lemma5_collinear_exits_4(tmp_path, capsys, third):
+    """Collinear centers: B(0 1 2 3) has no sign, so the prefactor's
+    square root is refused (exit 4), not divided by (a traceback)."""
+    path = write(tmp_path, "line.json", {"n": 2, "radii": [1, 1, 1],
+                                         "centers": [[0, 0], [1, 0], third]})
+    code, out, err = run(capsys, ["identity", "--input", path,
+                                  "--which", "lemma5", "--points", "3"])
+    assert code == 4 and "Traceback" not in err
+    assert json.loads(out)["error"]["type"] == "DegenerateConfigError"
+
+
 def test_identity_wrong_chamber_length(tri_file, capsys):
     """A chamber of the wrong length is a usage error, not a traceback."""
     for chamber in ("-", "----"):
@@ -417,6 +430,21 @@ def test_variation_unit_sphere(tetra_file, capsys):
     assert payload["model"] == "unit-sphere"
     assert payload["rows"][0]["parameter"] == "a12"
     assert payload["rows"][0]["pass"] is True
+
+
+def test_variation_unit_sphere_refuses_lens(tmp_path, capsys):
+    """A lens inside a larger cap: circles 1, 3 and 2, 3 do not meet, so
+    the one-form's sqrt A'(jk) is refused (exit 2, a HypothesisError
+    payload), while the region's Gauss-Bonnet check still passes."""
+    path = write(tmp_path, "lens.json", arrangement_to_json(sphere_lens()))
+    code, out, _ = run(capsys, ["variation", "--input", path,
+                                "--model", "unit-sphere", "--eps", "3e-2"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "HypothesisError" and "A'(1, 3)" in err["message"]
+    code, out, _ = run(capsys, ["identity", "--input", path,
+                                "--which", "gaussbonnet"])
+    assert code == 0 and json.loads(out)["pass_count"] == 1
 
 
 def test_variation_reports_method(tri_file, tetra_file, capsys):

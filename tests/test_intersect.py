@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 import sphex as sx
-from sphex.errors import EmptyIntersectionError, TangencyError
+from sphex.errors import (
+    DegenerateConfigError,
+    EmptyIntersectionError,
+    TangencyError,
+)
 from sphex.volume import config_face_constraints
 from sphex.intersect import (
     _plane_solve,
@@ -153,12 +157,37 @@ def test_angles_distance_identity():
 
 
 def test_angles_pair_failure_modes():
-    tangent = sx.from_centers_radii([[0, 0], [2, 0], [1, 9]], [1.0, 1.0, 1.0])
-    with pytest.raises(TangencyError):
-        angles_pair(tangent, 1, 2)
-    apart = sx.from_centers_radii([[0, 0], [9, 0], [0, 9]], [1.0, 1.0, 1.0])
-    with pytest.raises(EmptyIntersectionError):
-        angles_pair(apart, 1, 2)
+    """Tangent spheres are refused as tangent and disjoint ones as empty,
+    at every scale."""
+    for s in (1e-6, 1.0, 1e6):
+        tangent = sx.from_centers_radii(
+            [[0, 0], [2 * s, 0], [s, 9 * s]], [s, s, s])
+        with pytest.raises(TangencyError):
+            angles_pair(tangent, 1, 2)
+        apart = sx.from_centers_radii(
+            [[0, 0], [9 * s, 0], [0, 9 * s]], [s, s, s])
+        with pytest.raises(EmptyIntersectionError):
+            angles_pair(apart, 1, 2)
+
+
+def test_triangle_angles_refuse_where_the_sign_table_has_no_sign():
+    """Centers (0,0), (1,0), (2, 8e-5): B(0 1 2 3) is indeterminate in
+    the sign table at every scale, and the angles are refused there;
+    on H1 draws both pass."""
+    gen = np.random.default_rng(35)
+    flat = sx.from_centers_radii([[0, 0], [1, 0], [2, 8e-5]], [1.0] * 3)
+    for a, status in [(flat, "indeterminate")] + [
+            (random_h1(gen, 2), "pass") for _ in range(3)]:
+        for s in (1e-6, 1.0, 1e6):
+            b = sx.from_centers_radii(a.centers * s, a.radii * s)
+            row = sx.check_hypotheses(b, h2="skip").table[-1]
+            assert row.subset == (1, 2, 3) and row.plain_status == status
+            if status == "pass":
+                triangle_angles(b)
+            else:
+                with pytest.raises(DegenerateConfigError,
+                                   match="collinear centers"):
+                    triangle_angles(b)
 
 
 def test_triangle_angles_equilateral(tri):

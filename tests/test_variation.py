@@ -9,7 +9,7 @@ import sphex as sx
 from sphex.arrangement import Chamber, from_params, params_of
 from sphex.cayley_menger import CMTable, ConfigMatrix
 from sphex import variation
-from sphex.errors import FdNoiseError
+from sphex.errors import FdNoiseError, HypothesisError
 from sphex.intersect import angles_pair, sphere_angle
 from sphex.variation import (
     OneForm,
@@ -42,6 +42,7 @@ from conftest import (
     random_h1,
     random_h1_prime,
     regular_simplex4,
+    sphere_lens,
     tetrahedron,
 )
 
@@ -277,6 +278,18 @@ def test_dA_general_matches_explicit_n3(tetra):
     for key in config_basis(3):
         assert general.get(key) == pytest.approx(explicit.get(key),
                                                  rel=1e-10, abs=1e-12), key
+
+
+def test_dA_forms_refuse_circles_that_miss():
+    """On the lens inside a cap the face counts are 2, 0, 0, but the form
+    takes sqrt A'(jk) of circles that do not meet: HypothesisError naming
+    the minor, not a math domain error."""
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(sphere_lens()))
+    assert sphere_vertex_counts(m) == {(1, 2): 2, (1, 3): 0, (2, 3): 0}
+    assert sx.config_minor(m, (1, 3)) == sx.config_minor(m, (2, 3)) < -1.4
+    for form in (dA_volume_form_theorem_III, dA_volume_form_n3):
+        with pytest.raises(HypothesisError, match=re.escape("A'(1, 3) = ")):
+            form(m)
 
 
 def test_dA_needs_n3():
