@@ -20,13 +20,15 @@ It memoizes each (rows, cols) pair exactly as called, and a small
 pure-Python LU evaluates the matrix in that order, so a permuted or
 transposed chain agrees with the sign rule to rounding, not bit for bit.
 `with_entry` vectors share their parent's chains that avoid the changed entry.
-`CMTable.signed` is the one sign rule for every sign test and square root.
+`CMTable.signed` is the one sign rule for every sign test and square root;
+inside the sign band the chain, not the caller, decides what is raised.
 
 The module also builds the configuration matrix of an arrangement whose
 last sphere is the unit sphere at the origin: each other sphere is cut
 by a hyperplane, normalized so that the Lorentzian square of its
 coefficient vector is one, and the matrix collects the pairwise
-Lorentzian products.
+Lorentzian products.  `ConfigMatrix.signed` is the same rule for its
+minors.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arrangement  # imports this module; read at call time
-from .errors import DegenerateConfigError, NonRealizableError
+from .errors import (
+    DegenerateConfigError,
+    IndeterminateSignError,
+    NonRealizableError,
+    TangencyError,
+)
 
 #: pivot magnitudes below this set a warning flag (entries are at most 1)
 PIVOT_WARN = 1e-12
@@ -173,19 +180,25 @@ class CMTable:
     def signed(self, chain, error, reason) -> float:
         """(-1)^(s-1) B(chain; chain), s = len(chain), which must reach the
         band `_band[s]`: under H1 every bordered chain has the sign
-        (-1)^(s-1), (-1)^p for B(0 J) and (-1)^(p+1) for B(0*J).  Else
-        raises error(reason, with B); either may be a pair (no sign:
-        inside the band; the wrong sign: beyond it)."""
+        (-1)^(s-1), (-1)^p for B(0 J) and (-1)^(p+1) for B(0*J).  Inside
+        the band raises `_no_sign(chain)`; beyond it, on the wrong side,
+        error(reason, with B)."""
         sign = (-1) ** (len(chain) - 1)
         value = sign * self.chain(chain, chain)
         band = self._band[len(chain)]
         if value < band:
-            side = int(-value >= band)
-            error, reason = (x[side] if isinstance(x, tuple) else x
-                             for x in (error, reason))
-            raise error(f"{reason}: B({' '.join(map(str, chain))}) = "
-                        f"{sign * value:.3g} has "
-                        f"{('no', 'the wrong')[side]} sign")
+            _refuse(_chain_name(chain), sign * value, value, band, error,
+                    reason, _no_sign(chain))
+        return value
+
+    def nonzero(self, chain, reason) -> float:
+        """B(chain; chain), of either sign, outside the band `_band[s]`;
+        else raises `_no_sign(chain)` (reason, with B)."""
+        value = self.chain(chain, chain)
+        band = self._band[len(chain)]
+        if abs(value) < band:
+            _refuse(_chain_name(chain), value, abs(value), band, None,
+                    reason, _no_sign(chain))
         return value
 
     def moved(self, rows, cols) -> bool:
@@ -244,6 +257,26 @@ class CMTable:
                       for key in self.pivot_warnings)
 
 
+def _chain_name(chain) -> str:
+    return f"B({' '.join(map(str, chain))})"
+
+
+def _no_sign(chain):
+    """What a chain inside the band raises: `TangencyError` for a starred
+    chain B(0*J), whose S_J shrinks to a point, else
+    `IndeterminateSignError`."""
+    return TangencyError if "*" in chain else IndeterminateSignError
+
+
+def _refuse(name, raw, value, band, error, reason, no_sign):
+    """Raise for the determinant `name` = `raw`, whose `value` (`raw`
+    times the sign it must have) is below `band`: `no_sign` inside the
+    band, `error` beyond it on the wrong side."""
+    wrong = -value >= band
+    raise (error if wrong else no_sign)(
+        f"{reason}: {name} = {raw:.3g} has {('no', 'the wrong')[wrong]} sign")
+
+
 def hadamard_scale(table: CMTable, size: int) -> float:
     """Magnitude bound for a size x size determinant bordered by one row
     and one column of ones: B(0 J) (size p+1) or B(0*J) (size p+2).
@@ -283,6 +316,27 @@ class ConfigMatrix:
 
     def inner(self, j: int, k: int) -> float:
         return float(self.matrix[j, k])
+
+    def signed(self, J, zero, error, reason) -> float:
+        """-A'(0 J) with `zero`, else A'(J) (`config_minor`): the minor
+        times the sign it must have.  A'(0 J) < 0 always, since the
+        Lorentzian span of e0 and the normals of J is timelike; A'(J) > 0
+        where the planes of J meet inside the ball.  The band is SIGN_TOL
+        times the Hadamard bound of the principal submatrix (the product
+        of its row norms).  Inside it raises `IndeterminateSignError` for
+        A'(0 J) and `TangencyError` for A'(J), whose planes then meet on
+        the sphere; beyond it, on the wrong side, error(reason, with the
+        minor)."""
+        rows = ((0,) if zero else ()) + tuple(J)
+        raw = config_minor(self, J, with_zero=zero)
+        value = -raw if zero else raw
+        band = SIGN_TOL * float(np.prod(np.linalg.norm(
+            self.matrix[np.ix_(rows, rows)], axis=1)))
+        if value < band:
+            _refuse(f"A'({', '.join(map(str, rows))})", raw, value, band,
+                    error, reason,
+                    IndeterminateSignError if zero else TangencyError)
+        return value
 
     @classmethod
     def from_entries(cls, n: int, offsets, inner) -> "ConfigMatrix":

@@ -7,7 +7,8 @@ All randomness flows from --seed through counter-based streams, so
 repeating a command reproduces its output byte for byte.
 
 Exit codes: 0 pass, 1 usage or parse error, 2 identity or hypothesis
-failure, 3 indeterminate sign, 4 numerical degeneracy.
+failure, 3 a needed sign inside the sign band (a tangency included),
+4 any other degeneracy.
 """
 
 from __future__ import annotations

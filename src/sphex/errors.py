@@ -1,10 +1,13 @@
 """Exception types shared across the package.
 
 The hierarchy mirrors how the command line tool maps failures to exit
-codes: geometric impossibilities and bad input data are ValueError-like,
-while numerical degeneracies (tangency, vanishing pivots, hopeless
-finite-difference steps) get their own branch so callers can tell a
-wrong answer apart from an ill-posed question.
+codes: a hypothesis the computation needs fails (`HypothesisError`,
+exit 2); a determinant whose sign it needs lies inside the sign band
+(`IndeterminateSignError`, exit 3), which for a starred chain B(0*J)
+means that S_J shrinks to a point (`TangencyError`); any other
+geometric impossibility or numerical degeneracy exits 4.  Which class
+a chain with no sign raises is decided by the sign band alone
+(`CMTable.signed`, `ConfigMatrix.signed`), never by the caller.
 """
 
 
@@ -17,11 +20,8 @@ class NonRealizableError(SphexError, ValueError):
 
 
 class DegenerateConfigError(SphexError, ValueError):
-    """Configuration is numerically degenerate (flat simplex, tangency, ...)."""
-
-
-class TangencyError(DegenerateConfigError):
-    """Two spheres touch; derived angles or labels are ambiguous."""
+    """Configuration is numerically degenerate (flat simplex, dependent
+    planes, ...)."""
 
 
 class EmptyIntersectionError(SphexError, ValueError):
@@ -33,7 +33,12 @@ class HypothesisError(SphexError, ValueError):
 
 
 class IndeterminateSignError(SphexError, ValueError):
-    """A required determinant sign is below the resolution threshold."""
+    """A required determinant sign is inside the sign band."""
+
+
+class TangencyError(IndeterminateSignError):
+    """Spheres touch: a starred determinant B(0*J), or a configuration
+    minor A'(J), has no sign, so S_J is a single point."""
 
 
 class FdNoiseError(SphexError, ArithmeticError):

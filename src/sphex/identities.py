@@ -93,7 +93,8 @@ def volume_identity_coefficients(table: CMTable, n: int, c: Chamber):
 
     Returns (dict J -> coefficient on v_J, value of the determinant
     term), with the sign pattern selected by the chamber as described
-    in the module docstring; HypothesisError if a root has no H1 sign.
+    in the module docstring; HypothesisError if a root has the wrong
+    sign (`CMTable.signed`).
     """
     plus = set(c.plus_set())
     all_plus = len(plus) == n + 1
@@ -106,7 +107,7 @@ def volume_identity_coefficients(table: CMTable, n: int, c: Chamber):
                 w *= (-1) ** p * (-1) ** len(plus & set(J))
             coefs[J] = w
     final = math.sqrt(table.signed(("0",) + tuple(range(1, n + 2)),
-                                   HypothesisError, "centers degenerate")
+                                   HypothesisError, "simplex term")
                       / 2 ** n) / math.factorial(n - 1)
     if not all_plus:
         final *= (-1) ** n * (-1) ** len(plus)
@@ -209,12 +210,14 @@ def check_lemma5_pointwise(a, x) -> IdentityReport:
 
     lhs alternates minors of the gradient rows divided by products of
     the f values; rhs is the weighted combination of mixed determinants
-    divided by the same products.  The prefactor sign (-1)^(n(n-1)/2)
-    is fixed by requiring lhs = rhs, which holds to machine precision
-    across random arrangements and points in n = 2 and 3.  The check is
-    scale-free: a point with |f_j| < 1e-9 max r^2 counts as on a sphere,
-    and the tolerance is 1e-10 times the sum of the |lhs| summands.
-    DegenerateConfigError if B(0N) has no sign (dependent centers).
+    divided by the same products, with prefactor
+    2^n (-1)^(n+1) sign(det(O_j - O_{n+1})) / sqrt(2^n B(0N)).  The lhs
+    changes sign with the orientation of the center simplex (relabel two
+    spheres) and the determinants do not, hence the orientation sign.
+    The check is scale-free: a point with |f_j| < 1e-9 max r^2 counts as
+    on a sphere, and the tolerance is 1e-10 times the sum of the |lhs|
+    summands.  IndeterminateSignError if B(0N) has no sign (dependent
+    centers).
     """
     x = np.asarray(x, dtype=float)
     n = a.n
@@ -233,8 +236,10 @@ def check_lemma5_pointwise(a, x) -> IdentityReport:
     lhs = math.fsum(lhs_parts)
     table = CMTable.from_arrangement(a)
     plain = table.signed(("0",) + N, DegenerateConfigError,
-                         "centers affinely dependent")
-    pref = 2 ** n * (-1) ** (n * (n - 1) // 2) / math.sqrt(2 ** n * plain)
+                         "center simplex")
+    # plain is beyond the band, so the simplex's orientation is resolved
+    turn = 1 if np.linalg.det(a.centers[:-1] - a.centers[-1]) > 0 else -1
+    pref = 2 ** n * ((-1) ** (n + 1) * turn) / math.sqrt(2 ** n * plain)
     terms = []
     for nu in N:
         dN = tuple(j for j in N if j != nu)
@@ -298,21 +303,22 @@ def check_prop6_values(a, j: int) -> IdentityReport:
 
     Checks the two vertex values (negative at P, positive at P') and
     their product against the determinant expressions; residual is the
-    worst relative error of the three.  The signs assume H1: after the
-    vertices (TangencyError if they coincide), HypothesisError unless
-    H1 holds (IndeterminateSignError if it is unresolved).
+    worst relative error of the three.  The signs assume H1:
+    HypothesisError unless H1 holds (IndeterminateSignError if it is
+    unresolved), before the vertices are sought.
     """
     n = a.n
     N = tuple(range(1, n + 2))
     dN = tuple(k for k in N if k != j)
-    vp = vertices(a, j)
     require_hypothesis(a, "h1", "the vertex signs of proposition 6 need it")
+    vp = vertices(a, j)
     fP = evaluate_f(a, j, vp.P)
     fPp = evaluate_f(a, j, vp.P_prime)
     table = CMTable.from_arrangement(a)
     # B(0*dN) B(0N): both have size n + 2, so one sign under H1
-    root = math.sqrt(math.prod(table.signed(c, HypothesisError, "H1 fails")
-                               for c in (("0", "*") + dN, ("0",) + N)))
+    root = math.sqrt(math.prod(
+        table.signed(c, HypothesisError, "vertex values")
+        for c in (("0", "*") + dN, ("0",) + N)))
     Bmix = table.chain(("0", "*") + dN, ("0", j) + dN)
     BsN = table.chain(("0", "*") + N, ("0", "*") + N)
     BdN = table.chain(("0",) + dN, ("0",) + dN)

@@ -8,8 +8,9 @@ closed-form determinant quotient rather than from sampled geometry, so
 the formula is the source of truth and geometry serves as a test
 oracle.  B(0*J) with no sign (`CMTable.signed`) is a tangency, with the
 wrong sign an empty S_J.  The vertices are the 0-sphere S_{N minus j},
-labeled by the sign of f_j.  One SVD (`_plane_solve`) solves the radical
-hyperplanes of S_J and the planes of the unit-sphere model.
+labeled by the sign of f_j; B(0*N) with no sign puts one on sphere j.
+One SVD (`_plane_solve`) solves the radical hyperplanes of S_J and the
+planes of the unit-sphere model.
 
 Angles: psi_jk is the full opening angle of the arc of S_j inside
 sphere k (it can exceed pi when O_k lies deep inside ball j); phi_j are
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cayley_menger import CMTable, ConfigMatrix, _stored
-from .errors import DegenerateConfigError, EmptyIntersectionError, TangencyError
+from .errors import DegenerateConfigError, EmptyIntersectionError
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,10 @@ def _sub_sphere(a, J) -> SubSphere:
     if not 1 <= p <= a.n:
         raise ValueError(f"|J| must be between 1 and n, got {p}")
     table = CMTable.from_arrangement(a)
-    plain = table.signed(("0",) + J,
-                         (DegenerateConfigError, EmptyIntersectionError),
-                         "degenerate sphere centers")
-    starred = table.signed(("0", "*") + J,
-                           (TangencyError, EmptyIntersectionError),
-                           ("tangent spheres: S_J is a point", "empty S_J"))
+    plain = table.signed(("0",) + J, EmptyIntersectionError,
+                         "centers of S_J")
+    starred = table.signed(("0", "*") + J, EmptyIntersectionError,
+                           "radius of S_J")
     # the radical hyperplanes f_k - f_J[0] = 0, k in J[1:]; none if p = 1
     c0 = a.center(J[0])
     q = [a.center(k) @ a.center(k) - a.radius(k) ** 2 for k in J]
@@ -121,16 +120,17 @@ def vertices(a, j: int) -> VertexPair:
 
     They are the 0-sphere S_{N minus j} of `intersection_sphere`,
     center -+ radius * basis[0], labeled so that f_j(P) <= f_j(P').
-    TangencyError if they coincide or one lies on sphere j.
+    TangencyError if they coincide, or if one lies on sphere j: then all
+    spheres share a point, and B(0*N) has no sign (`CMTable.nonzero`).
     """
     from .arrangement import evaluate_f
 
-    s = intersection_sphere(a, [k for k in range(1, a.n + 2) if k != j])
+    N = tuple(range(1, a.n + 2))
+    s = intersection_sphere(a, [k for k in N if k != j])
+    CMTable.from_arrangement(a).nonzero(("0", "*") + N,
+                                        "vertices off sphere j")
     pts = s.center + np.array([[-s.radius], [s.radius]]) * s.basis[0]
     vals = evaluate_f(a, j, pts)
-    if np.abs(vals).min() < 1e-12 * a.radius(j) ** 2:
-        raise TangencyError(
-            f"vertex lies on sphere {j}; labeling ambiguous")
     lo = int(vals[1] < vals[0])
     return VertexPair(j, pts[lo], pts[1 - lo])
 
@@ -139,13 +139,12 @@ def angles_pair(a, j: int, k: int):
     """The opening angles (psi_jk, psi_kj) of the lens of spheres j, k.
 
     Defined through the sine/cosine determinant quotients; satisfies
-    rho_jk = r_j cos(psi_jk/2) + r_k cos(psi_kj/2).  TangencyError or
-    EmptyIntersectionError if B(0*jk) has no sign or the wrong one.
+    rho_jk = r_j cos(psi_jk/2) + r_k cos(psi_kj/2).  TangencyError if
+    B(0*jk) has no sign, EmptyIntersectionError if it has the wrong one.
     """
     table = CMTable.from_arrangement(a)
-    s = math.sqrt(table.signed(("0", "*", j, k),
-                               (TangencyError, EmptyIntersectionError),
-                               ("tangent spheres", "disjoint spheres")))
+    s = math.sqrt(table.signed(("0", "*", j, k), EmptyIntersectionError,
+                               "angles of spheres j, k"))
     psi_jk = 2.0 * math.atan2(s, table.chain(("0", "*", j), ("0", k, j)))
     psi_kj = 2.0 * math.atan2(s, table.chain(("0", "*", k), ("0", j, k)))
     return psi_jk, psi_kj
@@ -153,12 +152,13 @@ def angles_pair(a, j: int, k: int):
 
 def triangle_angles(a):
     """Angles (phi_1, phi_2, phi_3) of the center triangle, n = 2 only;
-    DegenerateConfigError unless B(0 1 2 3) has its H1 sign."""
+    IndeterminateSignError if B(0 1 2 3) has no sign (collinear centers),
+    DegenerateConfigError if it has the wrong one."""
     if a.n != 2:
         raise ValueError("triangle angles are defined for n = 2")
     table = CMTable.from_arrangement(a)
     s = math.sqrt(table.signed(("0", 1, 2, 3), DegenerateConfigError,
-                               "collinear centers"))
+                               "center triangle"))
     return tuple(math.atan2(s, table.chain(("0", k, j), ("0", l, j)))
                  for j, k, l in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
 

@@ -28,14 +28,15 @@ from .arrangement import (
     _as_params,
     from_params,
     params_of,
+    require_hypothesis,
 )
-from .cayley_menger import CMTable, ConfigMatrix, config_minor, config_minor_pair
+from .cayley_menger import CMTable, ConfigMatrix, config_minor_pair
 from .errors import (
     DegenerateConfigError,
+    EmptyIntersectionError,
     FdNoiseError,
     HypothesisError,
     SphexError,
-    TangencyError,
 )
 from .identities import volume_identity_coefficients
 from .volume import (
@@ -46,6 +47,7 @@ from .volume import (
     _lens_half_angles,
     _mean_error,
     _ray_scores,
+    _require_gap,
     chamber_area_closed_n2,
     sin_power_integral,
     sphere_arc_lengths,
@@ -129,8 +131,7 @@ def _theta_dict(table: CMTable, params: ParamVector, J) -> dict:
                 num = table.chain(("0", "*") + prefix + (j, k), rows)
                 # num / B(rows; rows), both times the sign of the latter
                 prod *= (-1) ** (len(rows) - 1) * num / table.signed(
-                    rows, DegenerateConfigError,
-                    "vanishing determinant in the one-form expansion")
+                    rows, DegenerateConfigError, "theta expansion")
                 prefix = (mu,) + prefix
             total += prod
         key = _dkey(j, k)
@@ -160,11 +161,15 @@ def theta_prime(m: ConfigMatrix, J) -> OneForm:
 
     theta'_j is the bare offset differential; theta'_jk corrects the
     entry differential by the two offset forms; larger J recurse
-    through ratios of configuration minors.
+    through ratios of configuration minors, divided by A'(0 J) < 0
+    (`ConfigMatrix.signed`).
     """
     J = tuple(sorted(set(J)))
     if not J:
         raise ValueError("J must be non-empty")
+
+    def den(dJ) -> float:   # A'(0 dJ)
+        return -m.signed(dJ, True, DegenerateConfigError, "theta' recursion")
 
     def build(Jx) -> dict:
         p = len(Jx)
@@ -174,20 +179,14 @@ def theta_prime(m: ConfigMatrix, J) -> OneForm:
             j, k = Jx
             out = {("a", j, k): 1.0}
             for lead, other in ((k, j), (j, k)):
-                den = config_minor_pair(m, (0, lead), (0, lead))
-                if den == 0.0:
-                    raise DegenerateConfigError("vanishing minor in recursion")
-                out[("a0", lead)] = \
-                    -config_minor_pair(m, (0, lead), (other, lead)) / den
+                out[("a0", lead)] = -config_minor_pair(
+                    m, (0, lead), (other, lead)) / den((lead,))
             return out
         out = {}
         for nu in Jx:
             dJ = tuple(i for i in Jx if i != nu)
-            den = config_minor_pair(m, (0,) + dJ, (0,) + dJ)
-            if den == 0.0:
-                raise DegenerateConfigError("vanishing minor in recursion")
             _add(out, build(dJ),
-                 -config_minor_pair(m, (0,) + dJ, (nu,) + dJ) / den)
+                 -config_minor_pair(m, (0,) + dJ, (nu,) + dJ) / den(dJ))
         return out
 
     return OneForm.from_dict(config_basis(m.n), build(J))
@@ -198,12 +197,13 @@ def dpsi_form(a, j: int, k: int) -> OneForm:
 
     Expressed in the squared-parameter basis; the printed dr and drho
     components are divided by 2r and 2 rho respectively.  TangencyError
-    unless B(0*jk) has its H1 sign.
+    if B(0*jk) has no sign, EmptyIntersectionError if it has the wrong
+    one, as in `angles_pair`.
     """
     params = _as_params(a)
     table = CMTable.from_params(params)
-    s = math.sqrt(table.signed(("0", "*", j, k), TangencyError,
-                               "spheres are tangent or disjoint"))
+    s = math.sqrt(table.signed(("0", "*", j, k), EmptyIntersectionError,
+                               "angles of spheres j, k"))
     mixed_r = table.chain(("0", "*", j), ("0", "*", k))
     mixed_d = table.chain(("0", j, k), ("0", "*", k))
     coeffs = {
@@ -220,8 +220,8 @@ def lens_variation_form(n: int, r1: float, r2: float, rho: float) -> OneForm:
     Coefficients on dr_1^2 and dr_2^2 are the boundary cap areas over
     2r; the distance coefficient couples the waist sphere measure to
     the distance one-form.  Checked against finite differences of the
-    closed lens volume for n = 2..5.  TangencyError unless the balls'
-    B(0*12) has its H1 sign.
+    closed lens volume for n = 2..5.  TangencyError if the balls'
+    B(0*12) has no sign, EmptyIntersectionError if it has the wrong one.
     """
     h1, h2 = _lens_half_angles(r1, r2, rho)
     area = unit_sphere_area(n - 2)
@@ -230,7 +230,7 @@ def lens_variation_form(n: int, r1: float, r2: float, rho: float) -> OneForm:
     d2 = np.zeros((3, 3))
     d2[1, 2] = d2[2, 1] = rho * rho     # the two balls' table, n = 1
     b_st = CMTable(1, np.array([0.0, r1 * r1, r2 * r2]), d2).signed(
-        ("0", "*", 1, 2), TangencyError, "not a proper lens")  # -B(0*12)
+        ("0", "*", 1, 2), EmptyIntersectionError, "lens")  # -B(0*12)
     waist = math.sqrt(b_st) / (2.0 * rho)
     v_waist = area * waist ** (n - 2)
     coeffs = {
@@ -300,23 +300,27 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
     return form
 
 
-def _form_minor(m: ConfigMatrix, J, zero=False, root=0) -> float:
-    """A'(J) (A'(0 J) with `zero`), that a unit-sphere one-form divides by,
-    or with root = +-1 the sqrt(root * minor) it takes; HypothesisError if
-    the divisor is 0 or the root's argument <= 0 (circles that miss)."""
-    v = config_minor(m, J, with_zero=zero)
-    if (root * v <= 0.0) if root else v == 0.0:
-        raise HypothesisError(f"A'{((0,) if zero else ()) + tuple(J)} = "
-                              f"{v:.6g} rules out the unit-sphere one-form")
-    return math.sqrt(root * v) if root else v
+_FORM = "the unit-sphere one-form"
+
+
+def _root(m: ConfigMatrix, J, zero=False) -> float:
+    """sqrt A'(J), or sqrt(-A'(0 J)) with `zero`, for a unit-sphere form."""
+    return math.sqrt(m.signed(J, zero, HypothesisError, _FORM))
+
+
+def _minor0(m: ConfigMatrix, J) -> float:
+    """A'(0 J) < 0, that a unit-sphere form divides by."""
+    return -m.signed(J, True, HypothesisError, _FORM)
 
 
 def dA_volume_form_theorem_III(m: ConfigMatrix) -> OneForm:
     """Differential of the spherical region area over the entry basis.
 
     Implemented for n = 3, where the face measures are the boundary arc
-    lengths (p = 1) and region vertex counts (p = 2), both exact.
-    HypothesisError where a minor rules the form out (`_form_minor`).
+    lengths (p = 1) and region vertex counts (p = 2), both exact.  It
+    takes sqrt A'(J) and sqrt(-A'(0 N)) and divides by A'(0 J)
+    (`ConfigMatrix.signed`): HypothesisError where the circles of J miss
+    each other, A'(J) < 0.
     """
     n = m.n
     if n != 3:
@@ -327,11 +331,10 @@ def dA_volume_form_theorem_III(m: ConfigMatrix) -> OneForm:
     for p in range(1, n):
         for J in itertools.combinations(range(1, n + 1), p):
             w = (-(-1) ** p * math.factorial(n - p - 1) / math.factorial(n - 2)
-                 * _form_minor(m, J, root=1) / _form_minor(m, J, zero=True)
-                 * float(faces[J]))
+                 * _root(m, J) / _minor0(m, J) * float(faces[J]))
             _add(out, theta_prime(m, J).as_dict(), w)
     full = tuple(range(1, n + 1))
-    w = (-1) ** n / math.factorial(n - 2) / _form_minor(m, full, True, -1)
+    w = (-1) ** n / math.factorial(n - 2) / _root(m, full, True)
     _add(out, theta_prime(m, full).as_dict(), w)
     return OneForm.from_dict(config_basis(n), out)
 
@@ -348,13 +351,12 @@ def dA_volume_form_n3(m: ConfigMatrix) -> OneForm:
     out = {}
     for j in (1, 2, 3):
         _add(out, theta_prime(m, (j,)).as_dict(),
-             arcs[j] / _form_minor(m, (j,), zero=True))
+             arcs[j] / _minor0(m, (j,)))
     for j, k in itertools.combinations((1, 2, 3), 2):
         _add(out, theta_prime(m, (j, k)).as_dict(),
-             -_form_minor(m, (j, k), root=1)
-             / _form_minor(m, (j, k), zero=True))
+             -_root(m, (j, k)) / _minor0(m, (j, k)))
     _add(out, theta_prime(m, (1, 2, 3)).as_dict(),
-         -1.0 / _form_minor(m, (1, 2, 3), True, -1))
+         -1.0 / _root(m, (1, 2, 3), True))
     return OneForm.from_dict(config_basis(3), out)
 
 
@@ -441,7 +443,10 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     """Central finite difference of a volume against the one-form.
 
     model "euclidean": `a` is an Arrangement (or ParamVector), `c` a
-    Chamber, `param` a squared-parameter key.  The coefficient is that of
+    Chamber, `param` a squared-parameter key.  The form needs H1 for a
+    chamber with a minus sign and a certified gap (`_require_gap`) for
+    the all-plus chamber, else HypothesisError (IndeterminateSignError if
+    unresolved), as in theorems I and II.  The coefficient is that of
     `dB_volume_form` on `rng.substream(1)`, from the faces whose theta_J
     carries `param` alone (at n = 3 one face for r_j, one arc and two
     vertex counts for d_jk), measured on `a` (on `from_params` of a
@@ -483,8 +488,12 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
                 f"eps {eps:.6g} takes the squared parameter "
                 f"{_param_name(param)} = {value:.6g} to {value - eps:.6g}; "
                 "it must stay positive")
-        form, errs = _dB_form(_as_arrangement(a), c,
-                              param_basis(n) if n == 2 else (param,),
+        arr = _as_arrangement(a)
+        if c.minus_set():
+            require_hypothesis(arr, "h1", "the one-form does not apply")
+        else:
+            _require_gap(arr, "the one-form does not apply")
+        form, errs = _dB_form(arr, c, param_basis(n) if n == 2 else (param,),
                               samples, rng.substream(1))
         coef = form.get(param)
         pp, pm = (params.with_entry(param, x) for x in (value + eps,

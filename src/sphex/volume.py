@@ -908,7 +908,7 @@ def _area_n2(a, c: Chamber) -> float:
     seg = {jk: 0.5 * r2[jk[0]] * (2.0 * h - math.sin(2.0 * h))
            for jk, h in psih.items()}
     tri = 0.25 * math.sqrt(CMTable.from_arrangement(a).signed(
-        ("0", 1, 2, 3), DegenerateConfigError, "collinear centers"))
+        ("0", 1, 2, 3), DegenerateConfigError, "center triangle"))
     for j in (1, 2, 3):
         tri -= 0.5 * r2[j] * phi[j]
     for v in seg.values():
@@ -1107,8 +1107,7 @@ def _faces(a, c: Chamber, streams: dict, samples: int) -> dict:
 
 def _sqrt_starred(table: CMTable, J) -> float:
     """sqrt((-1)^(p+1) B(0*J) / 2^p) > 0, the face factor of S_J."""
-    arg = table.signed(("0", "*") + tuple(J), HypothesisError,
-                       "face sphere missing")
+    arg = table.signed(("0", "*") + tuple(J), HypothesisError, "face factor")
     return math.sqrt(arg / 2 ** len(J))
 
 

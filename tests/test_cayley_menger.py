@@ -6,7 +6,13 @@ import pytest
 
 import sphex as sx
 from sphex.cayley_menger import CMTable, _det_lu, hadamard_scale
-from conftest import equilateral, random_h1, regular_simplex4, tetrahedron
+from conftest import (
+    equilateral,
+    random_h1,
+    regular_simplex4,
+    sphere_lens,
+    tetrahedron,
+)
 
 
 def table_of(a):
@@ -387,10 +393,6 @@ def gap_draw(gen, n: int):
         r * (1.0 + gen.normal(scale=0.002, size=n + 1)))
 
 
-class NoSign(Exception):
-    pass
-
-
 class WrongSign(Exception):
     pass
 
@@ -398,10 +400,11 @@ class WrongSign(Exception):
 def test_signed_agrees_with_the_sign_table_at_every_scale():
     """On H1 and H1' draws at n = 2, 3, 4 and on a near-collinear
     triangle, scaled by 1e-6, 1 and 1e6: `signed` returns (-1)^(s-1) B
-    exactly where the sign table's row reads "pass", refuses with the
-    first error inside the band ("indeterminate") and with the second
-    beyond it on the wrong side ("fail"), and every verdict is the same at
-    the three scales."""
+    exactly where the sign table's row reads "pass", refuses inside the
+    band ("indeterminate") with IndeterminateSignError for B(0 J) and
+    TangencyError for B(0*J), and with the caller's one class beyond it
+    on the wrong side ("fail"); every verdict is the same at the three
+    scales."""
     gen = np.random.default_rng(25)
     arrs = [random_h1(gen, n) for n in (2, 3, 4)]
     arrs += [gap_draw(gen, n) for n in (2, 3, 4)]
@@ -417,15 +420,18 @@ def test_signed_agrees_with_the_sign_table_at_every_scale():
             table = table_of(b)
             got = []
             for row in sx.check_hypotheses(b, h2="skip").table:
-                for head, value, status in (
-                        (("0",), row.plain, row.plain_status),
-                        (("0", "*"), row.starred, row.starred_status)):
+                for head, value, status, no_sign in (
+                        (("0",), row.plain, row.plain_status,
+                         sx.IndeterminateSignError),
+                        (("0", "*"), row.starred, row.starred_status,
+                         sx.TangencyError)):
                     chain = head + row.subset
                     try:
-                        v = table.signed(chain, (NoSign, WrongSign), "x")
+                        v = table.signed(chain, WrongSign, "x")
                         assert v == (-1) ** (len(chain) - 1) * value
                         verdict = "pass"
-                    except NoSign:
+                    except sx.IndeterminateSignError as e:
+                        assert type(e) is no_sign, chain
                         verdict = "indeterminate"
                     except WrongSign:
                         verdict = "fail"
@@ -438,9 +444,54 @@ def test_signed_agrees_with_the_sign_table_at_every_scale():
 
 
 def test_signed_message_names_the_chain():
-    """The gap triangle's B(0*123) has the H1' sign, the wrong one."""
+    """The gap triangle's B(0*123) has the H1' sign, the wrong one; the
+    near-collinear triangle's B(0 1 2 3) has none."""
     gap = equilateral(radius=0.8)
     with pytest.raises(WrongSign, match=r"^why: B\(0 \* 1 2 3\) = .* has "
                                         r"the wrong sign$"):
-        table_of(gap).signed(("0", "*", 1, 2, 3), (NoSign, WrongSign),
-                             ("near", "why"))
+        table_of(gap).signed(("0", "*", 1, 2, 3), WrongSign, "why")
+    flat = sx.from_centers_radii([[0, 0], [1, 0], [2, 8e-5]], [1.0] * 3)
+    with pytest.raises(sx.IndeterminateSignError,
+                       match=r"^why: B\(0 1 2 3\) = .* has no sign$"):
+        table_of(flat).signed(("0", 1, 2, 3), WrongSign, "why")
+
+
+def test_nonzero_takes_either_sign_and_refuses_the_band():
+    """B(0*123) of the H1 triangle and of the H1' gap triangle have
+    opposite signs, and `nonzero` returns each as it is; where the three
+    unit circles share a point (side sqrt 3) it has none: TangencyError."""
+    h1, gap = equilateral(), equilateral(radius=0.8)
+    chain = ("0", "*", 1, 2, 3)
+    for a in (h1, gap):
+        assert table_of(a).nonzero(chain, "x") == table_of(a).chain(chain,
+                                                                   chain)
+    assert table_of(h1).nonzero(chain, "x") * table_of(gap).nonzero(
+        chain, "x") < 0
+    meet = equilateral(side=math.sqrt(3.0))
+    with pytest.raises(sx.TangencyError, match=r"B\(0 \* 1 2 3\) = .* has "
+                                               r"no sign"):
+        table_of(meet).nonzero(chain, "x")
+
+
+def test_config_signed_rule():
+    """A'(0 J) < 0 and A'(J) > 0 on the tetrahedron's configuration; a
+    lens inside a larger cap has A'(13) < 0 (the caller's class); circles
+    that touch have A'(12) inside the band (TangencyError), and a
+    dependent A'(0 J) (IndeterminateSignError)."""
+    m = sx.config_matrix(sx.restrict_to_unit_sphere(tetrahedron()))
+    for J in ((1,), (1, 2), (1, 2, 3)):
+        assert m.signed(J, True, WrongSign, "x") == -sx.config_minor(
+            m, J, with_zero=True) > 0
+    assert m.signed((1, 2), False, WrongSign, "x") == sx.config_minor(
+        m, (1, 2)) > 0
+    lens = sx.config_matrix(sx.restrict_to_unit_sphere(sphere_lens()))
+    with pytest.raises(WrongSign, match=r"^why: A'\(1, 3\) = -1.44 has the "
+                                        r"wrong sign$"):
+        lens.signed((1, 3), False, WrongSign, "why")
+    off = [0.0, 0.0, 0.0]
+    touch = sx.ConfigMatrix.from_entries(3, off, {(1, 2): 1.0 - 1e-13,
+                                                  (1, 3): 0.0, (2, 3): 0.0})
+    with pytest.raises(sx.TangencyError, match=r"A'\(1, 2\) = "):
+        touch.signed((1, 2), False, WrongSign, "x")
+    with pytest.raises(sx.IndeterminateSignError, match=r"A'\(0, 1, 2\) = "):
+        touch.signed((1, 2), True, WrongSign, "x")

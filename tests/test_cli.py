@@ -282,15 +282,16 @@ def test_identity_lemma5_is_scale_free(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("third", [[2.0, 0.0], [2.0, 1e-9]])
-def test_identity_lemma5_collinear_exits_4(tmp_path, capsys, third):
+def test_identity_lemma5_collinear_exits_3(tmp_path, capsys, third):
     """Collinear centers: B(0 1 2 3) has no sign, so the prefactor's
-    square root is refused (exit 4), not divided by (a traceback)."""
+    square root is refused (exit 3, as `check` exits), not divided by (a
+    traceback)."""
     path = write(tmp_path, "line.json", {"n": 2, "radii": [1, 1, 1],
                                          "centers": [[0, 0], [1, 0], third]})
     code, out, err = run(capsys, ["identity", "--input", path,
                                   "--which", "lemma5", "--points", "3"])
-    assert code == 4 and "Traceback" not in err
-    assert json.loads(out)["error"]["type"] == "DegenerateConfigError"
+    assert code == 3 and "Traceback" not in err
+    assert json.loads(out)["error"]["type"] == "IndeterminateSignError"
 
 
 def test_identity_wrong_chamber_length(tri_file, capsys):
@@ -331,7 +332,9 @@ def test_identity_prop6_refuses_without_h1(gap_file, capsys):
     assert err["message"].startswith("H1 fails")
 
 
-def test_identity_prop6_tangent_exit4(tmp_path, capsys):
+def test_identity_prop6_tangent_exit2(tmp_path, capsys):
+    """Spheres 2 and 3 touch, and sphere 1 misses their point: H1 fails,
+    which the check tests before it seeks the vertices (exit 2)."""
     import sphex as sx
 
     a = sx.from_centers_radii([[1.0, 1.5], [0.0, 0.0], [2.0, 0.0]],
@@ -339,9 +342,78 @@ def test_identity_prop6_tangent_exit4(tmp_path, capsys):
     path = write(tmp_path, "tangent.json", arrangement_to_json(a))
     code, out, err = run(capsys, ["identity", "--input", path,
                                   "--which", "prop6"])
-    assert code == 4
+    assert code == 2
     # structured error payloads travel on the selected output channel
-    assert json.loads(out)["error"]["type"] == "TangencyError"
+    err = json.loads(out)["error"]
+    assert err["type"] == "HypothesisError"
+    assert err["message"].startswith("H1 fails")
+
+
+#: exit code and error type of each command (columns; gaussb is
+#: gaussbonnet, var-us the unit-sphere variation) on each input (rows):
+#: I IndeterminateSignError, T TangencyError, H HypothesisError,
+#: E EmptyIntersectionError, D DegenerateConfigError
+EXIT_MATRIX = """
+cmd:    check volume lemma5 thmI thmII decomp prop4 prop6 gaussb var var-us
+near    3     0      3I     2H   3I    3I     0     2H    1      2H  1
+tangent 3     0      0      2H   3I    3I     3T    2H    1      2H  1
+line    3     0      3I     2H   3I    3I     3T    2H    3T     2H  3T
+far     2     0      0      2H   2H    2H     4E    2H    4D     2H  4D
+lens    2     0      0      2H   2H    2H     4E    2H    0      2H  2H
+gap     0     0      0      2H   0     0      0     2H    1      2H  1
+"""
+EXIT_ARGS = {
+    "check": ["check"],
+    "volume": ["volume"],
+    "lemma5": ["identity", "--which", "lemma5", "--points", "3"],
+    "thmI": ["identity", "--which", "thmI"],
+    "thmII": ["identity", "--which", "thmII"],
+    "decomp": ["identity", "--which", "decomposition"],
+    "prop4": ["identity", "--which", "prop4"],
+    "prop6": ["identity", "--which", "prop6"],
+    "gaussb": ["identity", "--which", "gaussbonnet"],
+    "var": ["variation"],
+    "var-us": ["variation", "--model", "unit-sphere", "--eps", "3e-2"],
+}
+EXIT_TYPES = {"I": "IndeterminateSignError", "T": "TangencyError",
+              "H": "HypothesisError", "E": "EmptyIntersectionError",
+              "D": "DegenerateConfigError"}
+
+
+def exit_input(name):
+    two = {"near": ([[0, 0], [1, 0], [2, 8e-5]], 1.5),
+           "tangent": ([[0, 0], [2, 0], [1, 1.5]], 1.0),
+           "line": ([[0, 0], [1, 0], [2, 0]], 1.0),
+           "far": ([[0, 0], [9, 0], [0, 9]], 1.0)}
+    if name in two:
+        centers, r = two[name]
+        return sphex.from_centers_radii(centers, [r] * 3)
+    return {"lens": sphere_lens, "gap": gap_fixture}[name]()
+
+
+@pytest.mark.parametrize("name", ["near", "tangent", "line", "far", "lens",
+                                  "gap"])
+def test_exit_codes_depend_on_the_input_only(tmp_path, capsys, name):
+    """One cause, one exit code: a chain with no sign exits 3 (a starred
+    one as TangencyError), a failing hypothesis 2, whichever command
+    meets it.  Near: B(0 1 2 3) has no sign and H1 fails; tangent:
+    spheres 1 and 2 touch; line: collinear centers; far: no two disks
+    meet; lens: the unit-sphere lens inside a cap; gap: the H1' triangle.
+    thmI, prop6 and variation all need H1, so they agree on every input."""
+    header, *rows = EXIT_MATRIX.strip().split("\n")
+    cmds = header.split()[1:]
+    want = dict(zip(cmds, {r.split()[0]: r.split()[1:] for r in rows}[name]))
+    path = write(tmp_path, "in.json", arrangement_to_json(exit_input(name)))
+    got = {}
+    for cmd in cmds:
+        code, out, err = run(capsys, EXIT_ARGS[cmd] + ["--input", path,
+                                                       "--samples", "2000"])
+        assert "Traceback" not in err
+        error = json.loads(out).get("error") if code > 1 else None
+        got[cmd] = f"{code}" + ("" if error is None else next(
+            k for k, v in EXIT_TYPES.items() if v == error["type"]))
+    assert got == want
+    assert got["thmI"] == got["prop6"] == got["var"]
 
 
 def test_identity_gaussbonnet(tetra_file, capsys):

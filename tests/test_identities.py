@@ -247,6 +247,36 @@ def test_lemma5_random_points():
             assert rep.residual <= rep.tolerance
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lemma5_holds_in_both_orientations(n):
+    """The lhs changes sign with the orientation of the center simplex
+    and the determinants do not.  On random draws (normal centers, radii
+    U(0.5, 2)), randomly relabeled, the identity holds in both
+    orientations, and swapping two labels negates the lhs.  A draw whose
+    B(0N) the sign table cannot sign is refused in both labelings."""
+    gen = np.random.default_rng(8 + n)
+    turns = []
+    for _ in range(10):
+        perm = gen.permutation(n + 1)
+        c = gen.normal(size=(n + 1, n))[perm]
+        r = gen.uniform(0.5, 2.0, n + 1)[perm]
+        x = gen.normal(size=n)
+        reps = []
+        for order in (list(range(n + 1)), [1, 0] + list(range(2, n + 1))):
+            a = sx.from_centers_radii(c[order], r[order])
+            status = sx.check_hypotheses(a, h2="skip").table[-1].plain_status
+            if status == "indeterminate":
+                with pytest.raises(IndeterminateSignError):
+                    check_lemma5_pointwise(a, x)
+                continue
+            turns.append(np.linalg.det(a.centers[:-1] - a.centers[-1]) > 0)
+            reps.append(check_lemma5_pointwise(a, x))
+            assert reps[-1].passed, (n, reps[-1])
+        if len(reps) == 2:
+            assert reps[1].lhs == pytest.approx(-reps[0].lhs, rel=1e-9)
+    assert len(turns) >= 16 and 0 < sum(turns) < len(turns)
+
+
 def test_lemma5_scale_sweep_passes_and_has_power(tri):
     """At every scale from 1e-6 to 1e6 the identity holds, and the same
     check with the `full` term dropped fails."""

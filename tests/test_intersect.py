@@ -6,8 +6,8 @@ import pytest
 
 import sphex as sx
 from sphex.errors import (
-    DegenerateConfigError,
     EmptyIntersectionError,
+    IndeterminateSignError,
     TangencyError,
 )
 from sphex.volume import config_face_constraints
@@ -20,7 +20,7 @@ from sphex.intersect import (
     triangle_angles,
     vertices,
 )
-from conftest import jitter_arrangement, random_h1, tetrahedron
+from conftest import equilateral, jitter_arrangement, random_h1, tetrahedron
 
 
 def two_unit_circles():
@@ -128,6 +128,24 @@ def test_vertices_tangent_raises():
         vertices(a, 1)
 
 
+def test_vertices_refuse_a_shared_point_and_take_either_sign():
+    """Unit circles on the triangle of side sqrt 3 all pass through its
+    circumcenter: B(0*123) has no sign and the labels are refused
+    (TangencyError, the chain named), whatever the scale.  Both sides of
+    that point, H1 (side 1.5) and H1' (side 1.8), label their vertices."""
+    for s in (1e-6, 1.0, 1e6):
+        meet = equilateral(side=math.sqrt(3.0) * s, radius=s)
+        for j in (1, 2, 3):
+            with pytest.raises(TangencyError,
+                               match=r"B\(0 \* 1 2 3\) = .* has no sign"):
+                vertices(meet, j)
+    for side in (1.5, 1.8):
+        a = equilateral(side=side)
+        for j in (1, 2, 3):
+            v = vertices(a, j)
+            assert sx.evaluate_f(a, j, v.P) < sx.evaluate_f(a, j, v.P_prime)
+
+
 def test_tangent_pair_sphere_raises():
     """Spheres 2 and 3 touch at one point: S_23 is refused as tangent,
     not returned with radius 0."""
@@ -185,8 +203,8 @@ def test_triangle_angles_refuse_where_the_sign_table_has_no_sign():
             if status == "pass":
                 triangle_angles(b)
             else:
-                with pytest.raises(DegenerateConfigError,
-                                   match="collinear centers"):
+                with pytest.raises(IndeterminateSignError,
+                                   match=r"center triangle: B\(0 1 2 3\)"):
                     triangle_angles(b)
 
 

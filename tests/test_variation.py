@@ -292,6 +292,20 @@ def test_dA_forms_refuse_circles_that_miss():
             form(m)
 
 
+def test_pair_sites_refuse_alike():
+    """`angles_pair`, `dpsi_form` and `lens_variation_form` read the same
+    B(0*jk): each raises TangencyError for touching balls (no sign) and
+    EmptyIntersectionError for disjoint ones (the wrong sign)."""
+    for rho, error in ((1.8, sx.TangencyError),
+                       (2.5, sx.EmptyIntersectionError)):
+        a = sx.from_centers_radii([[0, 0], [rho, 0], [0.5, 9.0]],
+                                  [1.0, 0.8, 1.0])
+        for call in (lambda: angles_pair(a, 1, 2), lambda: dpsi_form(a, 1, 2),
+                     lambda: lens_variation_form(3, 1.0, 0.8, rho)):
+            with pytest.raises(error, match=r"B\(0 \* 1 2\) = "):
+                call()
+
+
 def test_dA_needs_n3():
     m2 = ConfigMatrix.from_entries(2, [0.0, 0.0], {(1, 2): 0.0})
     with pytest.raises(ValueError):
@@ -417,17 +431,39 @@ def test_ray_fd_repeats_per_seed_stream_and_samples(tetra):
 
 
 def test_verify_fd_n2_fallback_is_named():
-    """Without H1 the closed form raises; the paired rays still measure
-    the chamber, here the whole lens of disks 1 and 2."""
-    a = sx.from_centers_radii(equilateral(side=1.8).centers, [1.0] * 3)
-    rep = verify_variation_fd("euclidean", a, Chamber.from_string("--+"),
-                              ("r", 1), eps=1e-3, samples=200_000,
-                              rng=Rng(43))
+    """Where the step leaves H1 the closed form raises, and the paired
+    rays measure the difference: on the edge-1.5 triangle with r^2 =
+    0.7505, just above its circumradius^2 0.75, p + eps keeps H1 and
+    p - eps is an H1' gap whose all-minus chamber is empty, so the
+    difference is A(p+) / (2 eps)."""
+    a = sx.from_centers_radii(equilateral().centers, [math.sqrt(0.7505)] * 3)
+    c = Chamber.all_minus(2)
+    rep = verify_variation_fd("euclidean", a, c, ("r", 1), eps=0.01,
+                              samples=200_000, rng=Rng(43))
     assert rep.method == "conditional-mc"
     assert rep.fallback_reason.startswith(
         "closed form unavailable: HypothesisError")
-    lens = lens_variation_form(2, 1.0, 1.0, 1.8).get(("r", 1))
-    assert abs(rep.fd_value - lens) <= 5.0 * rep.tolerance / 3.0
+    p = params_of(a)
+    up = p.with_entry(("r", 1), p.get(("r", 1)) + 0.01)
+    want = chamber_area_closed_n2(up, c) / 0.02
+    assert abs(rep.fd_value - want) <= 5.0 * rep.tolerance / 3.0
+
+
+def test_verify_fd_refuses_outside_the_form_hypothesis():
+    """The Euclidean form needs H1 for a chamber with a minus sign and a
+    certified gap for the all-plus one, as theorems I and II do: the
+    edge-1.8 unit triangle (no common point) and the gap triangle's -++
+    (which read fd 0.185 against 0.330 for d12) are refused before any
+    ray is drawn, and so is the H1 triangle's +++."""
+    wide = sx.from_centers_radii(equilateral(side=1.8).centers, [1.0] * 3)
+    for a, chamber in ((wide, "--+"), (equilateral(radius=0.8), "-++"),
+                       (equilateral(), "+++")):
+        for key in (("r", 1), ("d", 1, 2)):
+            with pytest.raises(HypothesisError, match="fails; the one-form "
+                                                      "does not apply"):
+                verify_variation_fd("euclidean", a,
+                                    Chamber.from_string(chamber), key,
+                                    eps=1e-3, samples=2000, rng=Rng(43))
 
 
 def test_verify_fd_unit_sphere_is_exact(tetra):
