@@ -4,8 +4,8 @@ An arrangement is a set of n+1 spheres S_1..S_{n+1} in R^n, stored as
 centers O_j and radii r_j with 1-based indices.  Every determinant and
 volume downstream depends on the configuration only through the squared
 radii r_j^2 and squared center distances rho_jk^2, so this module also
-provides that coordinate system (`ParamVector`), the classical
-multidimensional-scaling reconstruction of centers from it
+provides that coordinate system (`ParamVector`), the reconstruction
+of centers from it by a Cholesky factorisation of their Gram matrix
 (`from_params`), and the normalized coordinates in which sphere n+1
 sits at the origin and the center matrix is triangular (`normalize`).
 
@@ -247,13 +247,14 @@ def _as_arrangement(x) -> Arrangement:
 def from_params(p: ParamVector, n: int) -> Arrangement:
     """Reconstruct an embedding from squared parameters in a fixed gauge.
 
-    Classical multidimensional scaling with base point n+1: the Gram
-    matrix G_jk = (d_{j,n+1}^2 + d_{k,n+1}^2 - d_jk^2)/2 of the centers
-    relative to O_{n+1} must be positive semidefinite of full rank n.
     The gauge places O_{n+1} at the origin, O_n on the positive first
     axis, O_{n-1} in the span of the first two axes with positive second
-    coordinate, and so on.  Stored on `p`: one arrangement per vector,
-    whose `params_of` is `p`, so the two share everything stored on `p`.
+    coordinate, and so on (`_reconstruct`).  Since O_{n+1-i} reads only
+    the distances among O_n, ..., O_{n+1-i} and O_{n+1}, a step
+    `p.with_entry(key, v)` keeps every center bit for bit for an r_j
+    key, and O_{j+1}, ..., O_{n+1} for d_jk with j < k.  Stored on `p`:
+    one arrangement per vector, whose `params_of` is `p`, so the two
+    share everything stored on `p`.
     """
     if p.n != n:
         raise ValueError("parameter vector dimension mismatch")
@@ -261,14 +262,19 @@ def from_params(p: ParamVector, n: int) -> Arrangement:
 
 
 def _reconstruct(p: ParamVector, n: int) -> Arrangement:
-    m = n + 1
+    """Centers from the Cholesky factor L L^T = G of the Gram matrix
+    G_ab = (d_{a,n+1}^2 + d_{b,n+1}^2 - d_ab^2)/2 of O_n, ..., O_1
+    relative to O_{n+1}: row i of L is O_{n-i}, supported on the first
+    i + 1 coordinates with the last one positive, and reads only the
+    first i + 1 rows of G.  G must be positive definite: an eigenvalue
+    below -`SIGN_TOL` of its largest entry raises NonRealizableError,
+    one below +`SIGN_TOL` of it DegenerateConfigError."""
     d2 = p.dist_sq
-    G = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            G[j, k] = 0.5 * (d2[j, m - 1] + d2[k, m - 1] - d2[j, k])
+    rev = slice(n - 1, None, -1)            # O_n, ..., O_1
+    g = d2[rev, n]
+    G = 0.5 * (g[:, None] + g[None, :] - d2[rev, rev])
     scale = float(np.max(np.abs(G)))
-    w, V = np.linalg.eigh(G)
+    w = np.linalg.eigvalsh(G)
     if w[0] < -SIGN_TOL * scale:
         raise NonRealizableError(
             f"distance set is not realizable in R^{n} "
@@ -278,27 +284,18 @@ def _reconstruct(p: ParamVector, n: int) -> Arrangement:
         raise DegenerateConfigError(
             "degenerate configuration: center Gram matrix has rank "
             f"{int(np.sum(~small))} < {n}")
-    X = V * np.sqrt(w)              # rows = O_1..O_n relative to O_{n+1}
-    centers = np.vstack([X, np.zeros(n)])
-    centers, _ = _gauge(centers, n, diag_sign=+1.0)
+    centers = np.vstack([np.linalg.cholesky(G)[::-1], np.zeros(n)])
     a = from_centers_radii(centers, np.sqrt(p.radii_sq))
     _stored(a, "params", lambda: p)
     return a
 
 
-def _gauge(centers, n, diag_sign):
-    """Rotate so O_{n+1-i} has support in the first i coordinates.
-
-    The diagonal entry (coordinate i of O_{n+1-i}) gets sign
-    `diag_sign`.  O_{n+1} must already be at the origin.
-    """
+def _gauge(centers, n):
+    """Rotate so O_{n+1-i} has support in the first i coordinates, with
+    coordinate i negative.  O_{n+1} must already be at the origin."""
     X = np.array([centers[n - i] for i in range(1, n + 1)])  # O_n, O_{n-1}, ..
     Q, R = np.linalg.qr(X.T)
-    d = np.ones(n)
-    for i in range(n):
-        if R[i, i] * diag_sign < 0:
-            d[i] = -1.0
-    W = Q * d
+    W = Q * np.where(np.diag(R) > 0, -1.0, 1.0)
     return centers @ W, W
 
 
@@ -314,7 +311,7 @@ def normalize(a: Arrangement):
     require_hypothesis(a, "h1", "normalization undefined")
     n = a.n
     shifted = a.centers - a.centers[n]
-    new, W = _gauge(shifted, n, diag_sign=-1.0)
+    new, W = _gauge(shifted, n)
     scale = float(np.max(np.abs(shifted)))
     # pivot i is coordinate i of O_{n+1-i}, the QR diagonal
     for i in range(1, n + 1):

@@ -114,13 +114,18 @@ def _add(out: dict, form: dict, w: float):
         out[key] = out.get(key, 0.0) + w * cval
 
 
-def _theta_dict(table: CMTable, params: ParamVector, J) -> dict:
+def _theta_dict(table: CMTable, params: ParamVector, J, keys) -> dict:
+    """theta_J's entries on `keys`, and only those are computed: theta_J
+    carries ("r", j) for J = (j,), else ("d", j, k) for the pairs of J."""
     p = len(J)
     if p == 1:
-        j = J[0]
-        return {("r", j): -0.5 / params.get(("r", j))}
+        key = ("r", J[0])
+        return {key: -0.5 / params.get(key)} if key in keys else {}
     out = {}
     for j, k in itertools.combinations(J, 2):
+        key = _dkey(j, k)
+        if key not in keys:
+            continue
         rest = tuple(m for m in J if m not in (j, k))
         total = 0.0
         for seq in itertools.permutations(rest):
@@ -134,7 +139,6 @@ def _theta_dict(table: CMTable, params: ParamVector, J) -> dict:
                     rows, DegenerateConfigError, "theta expansion")
                 prefix = (mu,) + prefix
             total += prod
-        key = _dkey(j, k)
         out[key] = (-1) ** p * total * 0.5 / params.get(key)
     return out
 
@@ -152,8 +156,8 @@ def theta(a, J) -> OneForm:
     if not J:
         raise ValueError("J must be non-empty")
     table = CMTable.from_params(params)
-    return OneForm.from_dict(param_basis(params.n),
-                             _theta_dict(table, params, J))
+    basis = param_basis(params.n)
+    return OneForm.from_dict(basis, _theta_dict(table, params, J, basis))
 
 
 def theta_prime(m: ConfigMatrix, J) -> OneForm:
@@ -274,12 +278,8 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
     params = params_of(a)
     vol_coefs, vol_full = volume_identity_coefficients(table, n, c)
 
-    def wanted(J) -> dict:
-        return {key: v for key, v in _theta_dict(table, params, J).items()
-                if key in keys}
-
     Js = sorted(vol_coefs, key=lambda t: (len(t), t))
-    thetas = {J: wanted(J) for J in Js}
+    thetas = {J: _theta_dict(table, params, J, keys) for J in Js}
     faces = _faces(a, c, {J: rng.substream(s) for s, J in enumerate(Js)
                           if thetas[J]}, samples)
     out, var = {}, {}
@@ -292,7 +292,8 @@ def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
         w = vol_coefs[J] * (-1) ** len(J)
         _add(out, th, w * vJ)
         _add(var, {key: v * v for key, v in th.items()}, (w * sJ) ** 2)
-    _add(out, wanted(tuple(range(1, n + 2))), vol_full * (-1) ** (n + 1))
+    _add(out, _theta_dict(table, params, tuple(range(1, n + 2)), keys),
+         vol_full * (-1) ** (n + 1))
     form = (OneForm.from_dict(keys, out),
             {key: math.sqrt(var.get(key, 0.0)) for key in keys})
     if stored is not None and all(est.exact for est in faces.values()):
@@ -368,7 +369,9 @@ class VariationReport:
     areas: n = 2 closed forms, or the unit-sphere areas from their
     boundary arcs) or "conditional-mc" (paired ray scores).
     `fallback_reason` says why an n = 2 closed form was not used; None
-    when it was.
+    when it was.  `z` is the signed residual in standard errors,
+    (fd - formula) / hypot(sigma, sigma_coef), for "conditional-mc";
+    None for "closed", whose tolerance is not a multiple of an error.
     """
 
     parameter: tuple
@@ -379,6 +382,7 @@ class VariationReport:
     passed: bool
     method: str
     fallback_reason: "str | None" = None
+    z: "float | None" = None
 
     def to_dict(self) -> dict:
         return {
@@ -388,6 +392,7 @@ class VariationReport:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "z": self.z,
         }
 
 
@@ -406,7 +411,8 @@ def _ray_fd(ap: Arrangement, am: Arrangement, c: Chamber, samples: int,
     """Central difference of paired ray scores, and its standard error.
 
     Both perturbed chambers are scored on the same `samples` lines
-    (`_ray_scores`, as in `chamber_volume`): fd is |S^(n-1)| / 2n times
+    (`_ray_scores`, as in `chamber_volume`), and each sphere they share
+    (a `from_params` step keeps most) once: fd is |S^(n-1)| / 2n times
     the mean paired score difference over 2 eps, sigma its standard
     error over frames.  FdNoiseError if no line's score changed.
     """
@@ -537,12 +543,16 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
 
 
 def _fd_report(param, fd, sigma, coef, method, reason, coef_sigma=0.0):
-    """Report with tolerance max(3 hypot(sigma, coef_sigma), 1e-4 |coef|),
-    after the noise guard on the difference's own sigma."""
+    """Report with tolerance max(3 hypot(sigma, coef_sigma), 1e-4 |coef|)
+    and, for "conditional-mc", z = (fd - coef) / hypot(sigma, coef_sigma)
+    (None if that is 0), after the noise guard on the difference's own
+    sigma."""
     if sigma > abs(fd):
         raise FdNoiseError(
             f"fd noise dominates: sigma {sigma:.3e} vs fd {fd:.3e}")
-    tolerance = max(3.0 * math.hypot(sigma, coef_sigma), 1e-4 * abs(coef))
+    error = math.hypot(sigma, coef_sigma)
+    tolerance = max(3.0 * error, 1e-4 * abs(coef))
     residual = abs(fd - coef)
+    z = (fd - coef) / error if method == "conditional-mc" and error else None
     return VariationReport(param, fd, coef, residual, tolerance,
-                           residual <= tolerance, method, reason)
+                           residual <= tolerance, method, reason, z)

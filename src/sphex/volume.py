@@ -976,6 +976,9 @@ def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
     axes (`_frame_axes`) gives K evenly spread lines.  Each RNG block
     draws its frames and takes its lines frame by frame, the last frame
     cut short, so the scores depend only on (seed, stream, samples).
+    Each distinct sphere row (offset from x0, power at x0) is scored
+    once per chunk for all of `arrs`, in one product: the spheres a
+    `from_params` step keeps count once for the pair.
     Yields per chunk of whole frames the frame sums (len(arrs), F), the
     frame sizes k (F,) and the line scores (len(arrs), N).  `samples`
     must exceed K, as an error over frames needs two (ValueError).
@@ -984,16 +987,22 @@ def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
     minus = [j - 1 for j in c.minus_set()]
     x0 = np.mean([(a.centers[minus] if minus else a.centers).mean(axis=0)
                   for a in arrs], axis=0)
+    rows = {}                   # a distinct row's bytes -> its index
     geometry = []
     for a in arrs:
         D = a.centers - x0
+        De = np.column_stack([D, np.einsum("ij,ij->i", D, D) - a.radii ** 2])
+        take = [rows.setdefault(r.tobytes(), len(rows)) for r in De]
         P = None
         if not minus:
             # x0 + t w is in the simplex iff 1 + t (P w)_i >= 0 on every row
             P, q = _simplex_rows(a)
             P = P / (P @ x0 + q)[:, None]
-        e = (np.einsum("ij,ij->i", D, D) - a.radii ** 2)[:, None]
-        geometry.append((D, e, P))
+        # the first arrangement's rows come first: a view, not a copy
+        geometry.append((slice(n + 1) if take == [*range(n + 1)] else take,
+                         P))
+    De = np.frombuffer(b"".join(rows), dtype=float).reshape(-1, n + 1)
+    D, e = np.ascontiguousarray(De[:, :n]), De[:, n:]
     axes = _frame_axes(n)
     K = len(axes)
     if samples <= K:
@@ -1005,15 +1014,18 @@ def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
         for f in range(0, len(frames), per_chunk):
             W = (axes @ frames[f:f + per_chunk]).reshape(-1, n)
             W = W[:cnt - f * K].T
+            mid = D @ W
+            h = np.square(mid)
+            h -= e
+            np.sqrt(np.maximum(h, 0.0, out=h), out=h)
+            lo, hi = mid - h, mid + h
             x = np.empty((len(arrs), W.shape[1]))
-            for s, (D, e, P) in enumerate(geometry):
-                mid = D @ W
-                h = np.sqrt(np.maximum(mid * mid - e, 0.0))
+            for s, (take, P) in enumerate(geometry):
                 window = None
                 if P is not None:       # max u > 0 > min u: x0 is inside
                     u = P @ W
                     window = -1.0 / u.max(axis=0), -1.0 / u.min(axis=0)
-                x[s] = _line_measure(mid - h, mid + h, c, window, n)
+                x[s] = _line_measure(lo[take], hi[take], c, window, n)
             starts = np.arange(0, x.shape[1], K)
             k = np.minimum(x.shape[1] - starts, float(K))   # frame sizes
             yield np.add.reduceat(x, starts, axis=1), k, x

@@ -109,6 +109,73 @@ def test_from_params_rejects_collinear_centers():
         from_params(p, 2)
 
 
+def _normal_draws(seed, count):
+    """`count` arrangements per n = 2..5: normal centers, radii U(0.5, 2)."""
+    gen = np.random.default_rng(seed)
+    return [from_centers_radii(gen.standard_normal((n + 1, n)),
+                               gen.uniform(0.5, 2.0, n + 1))
+            for n in (2, 3, 4, 5) for _ in range(count)]
+
+
+def _eigh_reference(p):
+    """Centers from an eigendecomposition of the Gram matrix of O_1..O_n
+    relative to O_{n+1}, rotated by QR into the gauge of `from_params`:
+    O_{n+1-i} on the first i axes, coordinate i positive."""
+    n = p.n
+    g = p.dist_sq[:n, n]
+    G = 0.5 * (g[:, None] + g[None, :] - p.dist_sq[:n, :n])
+    w, V = np.linalg.eigh(G)
+    X = V * np.sqrt(w)
+    Q, R = np.linalg.qr(X[::-1].T)
+    return np.vstack([X @ (Q * np.where(np.diag(R) < 0, -1.0, 1.0)),
+                      np.zeros(n)])
+
+
+def test_from_params_matches_an_eigh_reference():
+    for a in _normal_draws(3, 50):
+        p = params_of(a)
+        ref = _eigh_reference(p)
+        got = from_params(p, a.n).centers
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+        for j in range(a.n):                # the gauge, exactly
+            assert np.all(got[j, a.n - j:] == 0.0) and got[j, a.n - j - 1] > 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_from_params_refuses_flat_and_impossible_simplices(n):
+    """A flat simplex (the last center in the span of the others) is
+    degenerate; a distance past the triangle inequality is not realizable."""
+    base = params_of(from_centers_radii(
+        {3: tetrahedron().centers, 4: regular_simplex4()}[n], np.ones(n + 1)))
+    centers = from_params(base, n).centers.copy()
+    centers[0, -1] = 0.0                    # O_1 into the others' hyperplane
+    diff = centers[:, None, :] - centers[None, :, :]
+    flat = (diff * diff).sum(axis=2)
+    with pytest.raises(DegenerateConfigError):
+        from_params(ParamVector(n, np.ones(n + 1), flat), n)
+    far = base.with_entry(("d", 1, 2), 4.5 * base.get(("d", 1, 3)))
+    with pytest.raises(NonRealizableError):
+        from_params(far, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_from_params_step_keeps_the_centers_it_cannot_move(n):
+    """O_{n+1-i} reads only the distances among O_n, ..., O_{n+1-i} and
+    O_{n+1}: an r_j step keeps every center, a d_jk step (j < k) keeps
+    O_{j+1}, ..., O_{n+1}, bit for bit."""
+    gen = np.random.default_rng(40 + n)
+    for _ in range(5):
+        p = params_of(random_h1(gen, n))
+        a = from_params(p, n)
+        for key in param_basis(n):
+            kept = range(n + 1) if key[0] == "r" else range(key[1], n + 1)
+            for step in (1e-2, -1e-2, 1e-7):
+                b = from_params(p.with_entry(key, p.get(key) + step), n)
+                for i in kept:
+                    assert a.centers[i].tobytes() == b.centers[i].tobytes(), \
+                        (key, step, i + 1)
+
+
 def test_param_vector_validation():
     m = 3
     good = np.zeros((m, m))

@@ -196,6 +196,27 @@ def test_rays_use_exactly_samples_lines(tetra, monkeypatch, samples):
     assert sum(scored) == samples and est.samples == samples
 
 
+@pytest.mark.parametrize("chamber, radius", [("----", 1.0), ("++++", 0.89)])
+def test_paired_rays_keep_each_arrangements_bits(chamber, radius):
+    """Scored as a pair, each arrangement gets the bits it gets alone on
+    the same Rng, whether the two share three spheres (one radius
+    differs) or none (every radius differs).  The centres, and so x0,
+    are the same, so only the sharing of sphere rows could move a bit."""
+    a = tetrahedron(radius)
+    c = Chamber.from_string(chamber)
+    for radii in ([1.01 * radius] + [radius] * 3, [1.01 * radius] * 4):
+        b = sx.from_centers_radii(a.centers, radii)
+        pair = list(volume._ray_scores((a, b), c, 20_000, Rng(8)))
+        for s, alone in enumerate((a, b)):
+            one = list(volume._ray_scores((alone,), c, 20_000, Rng(8)))
+            assert len(one) == len(pair)
+            for (S2, k2, x2), (S1, k1, x1) in zip(pair, one):
+                assert x1.any()
+                assert x2[s].tobytes() == x1[0].tobytes()
+                assert S2[s].tobytes() == S1[0].tobytes()
+                assert k2.tobytes() == k1.tobytes()
+
+
 def test_ball_about_x0_is_exact():
     """Chamber -+++ is ball 1 alone, centred at x0: every line scores
     2 r^3, so every frame agrees and sigma is 0."""

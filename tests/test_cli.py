@@ -531,10 +531,14 @@ def test_variation_reports_method(tri_file, tetra_file, capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["method"] == "closed" and row["fallback_reason"] is None
+    assert row["z"] is None
     code, out, _ = run(capsys, ["variation", "--input", tetra_file,
                                 "--params", "d12", "--eps", "1e-2",
                                 "--samples", "50000"])
-    assert json.loads(out)["rows"][0]["method"] == "conditional-mc"
+    row = json.loads(out)["rows"][0]
+    assert row["method"] == "conditional-mc"
+    assert row["z"] == pytest.approx(
+        3.0 * (row["fd_value"] - row["formula_value"]) / row["tolerance"])
 
 
 def test_params_form_input(tmp_path, capsys):

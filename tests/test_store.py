@@ -186,7 +186,8 @@ def _table_reads(x):
     angles and every chamber's closed area, and each theta_J, |J| >= 3."""
     out = [dataclasses.astuple(r)
            for r in sx.check_hypotheses(x, h2="skip").table]
-    calls = [lambda J=J: _theta_dict(CMTable.from_params(x), x, J)
+    calls = [lambda J=J: _theta_dict(CMTable.from_params(x), x, J,
+                                     param_basis(x.n))
              for p in range(3, x.n + 2)
              for J in itertools.combinations(range(1, x.n + 2), p)]
     if x.n == 2:

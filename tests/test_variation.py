@@ -320,7 +320,8 @@ def test_variation_report_to_dict(tri):
     assert d["parameter"] == "d12"
     assert d["pass"] is True
     assert set(d) == {"parameter", "fd_value", "formula_value", "residual",
-                      "tolerance", "pass"}
+                      "tolerance", "pass", "z"}
+    assert d["z"] is None           # a closed difference has no error
 
 
 def test_verify_fd_closed_at_every_scale():
@@ -636,6 +637,25 @@ def test_fd_tolerance_counts_the_coefficient_error_n4():
             assert rep.passed, (seed, key, rep.residual, rep.tolerance)
             z.append((rep.fd_value - rep.formula_value) / rep.tolerance * 3)
     assert abs(np.mean(z)) < 0.3 and 0.75 < np.std(z) < 1.25
+
+
+def test_sampled_reports_carry_z(tri, tetra):
+    """A "conditional-mc" report carries its residual in standard errors,
+    z = (fd - formula) / hypot(sigma, sigma_coef), whose 3 |z| errors
+    make up the tolerance; a "closed" one carries None."""
+    simplex = sx.from_centers_radii(regular_simplex4(), [1.0] * 5)
+    for a, key, samples in ((tetra, ("d", 1, 2), 50_000),
+                            (simplex, ("r", 1), 20_000)):
+        rep = verify_variation_fd("euclidean", a, Chamber.all_minus(a.n), key,
+                                  1e-2, samples, Rng(4))
+        assert rep.method == "conditional-mc"
+        assert rep.tolerance > 1e-4 * abs(rep.formula_value)
+        assert rep.z == pytest.approx(
+            3.0 * (rep.fd_value - rep.formula_value) / rep.tolerance,
+            rel=1e-12)
+        assert rep.to_dict()["z"] == rep.z
+    assert verify_variation_fd("euclidean", tri, Chamber.all_minus(2),
+                               ("r", 1), 1e-5).z is None
 
 
 def test_fd_refuses_a_step_past_zero(tri, tetra):
