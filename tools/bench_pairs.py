@@ -63,7 +63,7 @@ def summary(parent, change, better, bound):
     }
 
 
-def batch(args, workload, metrics, log):
+def batch(args, workload, metrics):
     """Run the pairs of one workload and summarise them."""
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
@@ -80,9 +80,9 @@ def batch(args, workload, metrics, log):
             for m in metrics:
                 values[side][m["name"]].append(
                     result["metrics"][m["name"]]["value"])
-        log(f"{workload} seed {seed}: " + ", ".join(
+        print(f"{workload} seed {seed}: " + ", ".join(
             f"{side} {values[side]['items_per_s'][-1]:.4g}"
-            for side in sides) + " items/s")
+            for side in sides) + " items/s", file=sys.stderr, flush=True)
     return {
         "workload": workload, "seeds": args.seeds, "correct": correct,
         "first": first, "failed_parent": failed["parent"],
@@ -137,9 +137,8 @@ def main(argv=None) -> int:
             doc = json.load(fh)
     batches = doc.setdefault("batches", {})
     for workload in args.workloads:
-        batches[workload + args.label], machine = batch(
-            args, workload, metrics,
-            lambda line: print(line, file=sys.stderr, flush=True))
+        batches[workload + args.label], machine = batch(args, workload,
+                                                        metrics)
         doc["machine"] = machine
     doc["pr"] = args.pr
     doc["protocol"] = (
