@@ -22,7 +22,7 @@ import copy
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -306,20 +306,13 @@ def normalize(a: Arrangement):
     at the origin; sphere j's center is supported on the first n+1-j
     coordinates with its last nonzero coordinate negative (so the
     corresponding defining-function coefficient alpha_{j,n+1-j} is
-    positive).  Radii and distances are preserved exactly.
+    positive).  Radii and distances are preserved exactly.  It needs
+    H1, whose certified B(0 J) keep every pivot of the triangle far from 0.
     """
     require_hypothesis(a, "h1", "normalization undefined")
-    n = a.n
-    shifted = a.centers - a.centers[n]
-    new, W = _gauge(shifted, n)
-    scale = float(np.max(np.abs(shifted)))
-    # pivot i is coordinate i of O_{n+1-i}, the QR diagonal
-    for i in range(1, n + 1):
-        if abs(new[n - i, i - 1]) < 1e-10 * scale:
-            raise DegenerateConfigError(
-                f"near-degenerate triangularization at sphere {n + 1 - i}")
+    new, W = _gauge(a.centers - a.centers[a.n], a.n)
     b = from_centers_radii(new, a.radii)
-    return b, RigidTransform(_frozen(W), _frozen(a.centers[n]))
+    return b, RigidTransform(_frozen(W), _frozen(a.centers[a.n]))
 
 
 def restrict_to_unit_sphere(a: Arrangement) -> Arrangement:
@@ -386,6 +379,9 @@ class SubsetSigns:
     starred: float
     plain_status: str
     starred_status: str
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "subset": list(self.subset)}
 
 
 @dataclass

@@ -6,6 +6,10 @@ volume), `identity` (the identity checks, selected with --which), and
 All randomness flows from --seed through counter-based streams, so
 repeating a command reproduces its output byte for byte.
 
+--format json writes a command's payload.  csv and text write its rows
+(`_rows`): csv one line per row under the rows' keys, text the other
+fields as `key: value` lines, then one `key=value ...` line per row.
+
 Exit codes: 0 pass, 1 usage or parse error, 2 identity or hypothesis
 failure, 3 a needed sign inside the sign band (a tangency included),
 4 any other degeneracy.
@@ -155,16 +159,7 @@ def cmd_check(args):
         "h1": rep.h1,
         "h1_prime": rep.h1_prime,
         "h2": rep.h2,
-        "subsets": [
-            {
-                "subset": list(r.subset),
-                "plain": r.plain,
-                "starred": r.starred,
-                "plain_status": r.plain_status,
-                "starred_status": r.starred_status,
-            }
-            for r in rep.table
-        ],
+        "subsets": [r.to_dict() for r in rep.table],
         "indeterminate": [list(s) for s in rep.indeterminate_subsets()],
         "pivot_warnings": rep.pivot_warnings,
     }
@@ -185,12 +180,7 @@ def cmd_volume(args):
         "schema": SCHEMA,
         "command": "volume",
         "chamber": str(c),
-        "value": est.value,
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "exact": est.exact,
-        "method": est.method,
-        "fallback_reason": est.fallback_reason,
+        **est.to_dict(),
     }
     return payload, 0
 
@@ -275,14 +265,10 @@ def cmd_variation(args):
         try:
             rep = verify_variation_fd(args.model, target, c, key, args.eps,
                                       args.samples, rng.substream(100 + i))
-            rows.append({**rep.to_dict(), "method": rep.method,
-                         "fallback_reason": rep.fallback_reason})
+            rows.append(rep.to_dict())
         except FdNoiseError as e:
             saw_noise = True
-            rows.append({
-                "parameter": _param_name(key),
-                "error": str(e),
-            })
+            rows.append({"parameter": _param_name(key), "error": str(e)})
     payload = {
         "schema": SCHEMA,
         "command": "variation",
@@ -305,84 +291,55 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _rows(payload: dict):
+    """A payload's rows and its other fields.
+
+    The rows are its `subsets`, `reports` or `rows`, or its `error`;
+    a payload with none of these (one `volume` estimate) is one row
+    beside its `schema` and `command`.
+    """
+    key = next((k for k in ("subsets", "reports", "rows", "error")
+                if k in payload), None)
+    if key is None:
+        head = {k: payload[k] for k in ("schema", "command")}
+        return [{k: v for k, v in payload.items() if k not in head}], head
+    rows = payload[key]
+    rest = {k: v for k, v in payload.items() if k != key}
+    return (rows if isinstance(rows, list) else [rows]), rest
+
+
+def _cell(value) -> str:
+    """One field as csv and text write it: None empty, a list of scalars
+    joined by '|', any other nested value as compact JSON."""
+    if value is None:
+        return ""
+    if isinstance(value, list) and not any(
+            isinstance(v, (list, dict)) for v in value):
+        return "|".join(str(v) for v in value)
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, separators=(",", ":"))
+    return str(value)
+
+
 def _render_csv(payload: dict) -> str:
+    """One line per row; the columns are the rows' keys, first seen first."""
+    rows, _ = _rows(payload)
+    columns = list(dict.fromkeys(k for row in rows for k in row))
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    cmd = payload.get("command")
-    if cmd == "check":
-        w.writerow(["subset", "plain", "starred", "plain_status",
-                    "starred_status"])
-        for row in payload["subsets"]:
-            w.writerow(["|".join(str(j) for j in row["subset"]), row["plain"],
-                        row["starred"], row["plain_status"],
-                        row["starred_status"]])
-    elif cmd == "volume":
-        w.writerow(["chamber", "value", "std_error", "samples", "exact"])
-        w.writerow([payload["chamber"], payload["value"],
-                    payload["std_error"], payload["samples"],
-                    payload["exact"]])
-    elif cmd == "identity":
-        w.writerow(["name", "lhs", "rhs", "residual", "tolerance", "pass"])
-        for r in payload["reports"]:
-            w.writerow([r["name"], r["lhs"], r["rhs"], r["residual"],
-                        r["tolerance"], r["pass"]])
-    elif cmd == "variation":
-        w.writerow(["parameter", "fd_value", "formula_value", "residual",
-                    "tolerance", "pass", "error"])
-        for r in payload["rows"]:
-            w.writerow([r.get("parameter"), r.get("fd_value", ""),
-                        r.get("formula_value", ""), r.get("residual", ""),
-                        r.get("tolerance", ""), r.get("pass", ""),
-                        r.get("error", "")])
-    else:
-        w.writerow(["error_type", "message"])
-        err = payload.get("error", {})
-        w.writerow([err.get("type", ""), err.get("message", "")])
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([_cell(row.get(k)) for k in columns])
     return buf.getvalue()
 
 
 def _render_text(payload: dict) -> str:
-    lines = []
-    cmd = payload.get("command")
-    if "error" in payload:
-        err = payload["error"]
-        lines.append(f"error ({err['type']}): {err['message']}")
-    elif cmd == "check":
-        for key in ("h1", "h1_prime", "h2"):
-            val = payload[key]
-            word = {True: "pass", False: "fail", None: "indeterminate"}[val]
-            lines.append(f"{key}: {word}")
-        for row in payload["subsets"]:
-            subset = ",".join(str(j) for j in row["subset"])
-            lines.append(
-                f"  J={{{subset}}} plain={row['plain']:+.6e} "
-                f"[{row['plain_status']}] starred={row['starred']:+.6e} "
-                f"[{row['starred_status']}]")
-    elif cmd == "volume":
-        lines.append(
-            f"chamber {payload['chamber']}: value={payload['value']:.9g} "
-            f"std_error={payload['std_error']:.3g} "
-            f"samples={payload['samples']} exact={payload['exact']}")
-    elif cmd == "identity":
-        for r in payload["reports"]:
-            word = "PASS" if r["pass"] else "FAIL"
-            lines.append(
-                f"{r['name']}: {word} lhs={r['lhs']:.12g} rhs={r['rhs']:.12g} "
-                f"residual={r['residual']:.3e} tolerance={r['tolerance']:.3e}")
-            for t in r["terms"]:
-                lines.append(f"    {t['label']}: {t['value']:+.12g}")
-        lines.append(f"passed {payload['pass_count']} of {payload['count']}")
-    elif cmd == "variation":
-        for r in payload["rows"]:
-            if "error" in r:
-                lines.append(f"{r['parameter']}: ERROR {r['error']}")
-            else:
-                word = "PASS" if r["pass"] else "FAIL"
-                lines.append(
-                    f"{r['parameter']}: {word} fd={r['fd_value']:.9g} "
-                    f"formula={r['formula_value']:.9g} "
-                    f"residual={r['residual']:.3e} "
-                    f"tolerance={r['tolerance']:.3e}")
+    """The other fields as `key: value` lines, then one `key=value ...`
+    line per row."""
+    rows, rest = _rows(payload)
+    lines = [f"{k}: {_cell(v)}" for k, v in rest.items()]
+    lines += [" ".join(f"{k}={_cell(v)}" for k, v in row.items())
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -267,25 +267,22 @@ def check_prop4_residue(a, J, trials: int = 20,
     """
     J = tuple(sorted(J))
     p = len(J)
-    n = a.n
     rng = rng if rng is not None else Rng(0)
     sub = intersection_sphere(a, J)
     table = CMTable.from_arrangement(a)
     const = 2 ** p * _sqrt_starred(table, J)     # sqrt(2^p |B(0*J)|)
     V = sub.basis.T  # (n, n-p+1)
+    k = V.shape[1]
     gen = rng.generator(0)
     vals = []
     for _ in range(max(1, trials)):
-        g = gen.normal(size=V.shape[1])
-        u = V @ g / np.linalg.norm(g)
-        x = sub.center + sub.radius * u
+        g = gen.normal(size=k)
+        # complete g to an orthonormal basis of R^k, as `_fibre_frame`
+        # does; the other columns, mapped into S_J's span, are tangent
+        q, _ = np.linalg.qr(np.column_stack([g, np.eye(k)]))
+        x = sub.center + sub.radius * (V @ (g / np.linalg.norm(g)))
         rows = [2.0 * (x - a.center(j)) for j in J]
-        M = V - np.outer(u, u @ V)
-        q, rr = np.linalg.qr(M)
-        keep = [i for i in range(q.shape[1]) if abs(rr[i, i]) > 1e-8]
-        if len(keep) != n - p:
-            raise DegenerateConfigError("tangent frame extraction failed")
-        rows += [q[:, i] for i in keep]
+        rows += list((V @ q[:, 1:]).T)
         vals.append(abs(float(np.linalg.det(np.array(rows)))))
     vals = np.array(vals)
     worst = float(vals[np.argmax(np.abs(vals - const))])

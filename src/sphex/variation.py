@@ -44,7 +44,7 @@ from .volume import (
     Rng,
     _closed_form_failed,
     _faces,
-    _lens_half_angles,
+    _lens,
     _mean_error,
     _ray_scores,
     _require_gap,
@@ -227,14 +227,12 @@ def lens_variation_form(n: int, r1: float, r2: float, rho: float) -> OneForm:
     closed lens volume for n = 2..5.  TangencyError if the balls'
     B(0*12) has no sign, EmptyIntersectionError if it has the wrong one.
     """
-    h1, h2 = _lens_half_angles(r1, r2, rho)
+    table, h1, h2 = _lens(r1, r2, rho)
     area = unit_sphere_area(n - 2)
     face1 = area * r1 ** (n - 1) * sin_power_integral(n - 2, h1)
     face2 = area * r2 ** (n - 1) * sin_power_integral(n - 2, h2)
-    d2 = np.zeros((3, 3))
-    d2[1, 2] = d2[2, 1] = rho * rho     # the two balls' table, n = 1
-    b_st = CMTable(1, np.array([0.0, r1 * r1, r2 * r2]), d2).signed(
-        ("0", "*", 1, 2), EmptyIntersectionError, "lens")  # -B(0*12)
+    b_st = table.signed(("0", "*", 1, 2), EmptyIntersectionError,
+                        "lens")  # -B(0*12)
     waist = math.sqrt(b_st) / (2.0 * rho)
     v_waist = area * waist ** (n - 2)
     coeffs = {
@@ -392,6 +390,8 @@ class VariationReport:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "method": self.method,
+            "fallback_reason": self.fallback_reason,
             "z": self.z,
         }
 

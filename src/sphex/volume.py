@@ -52,6 +52,7 @@ import numpy as np
 
 from .arrangement import (
     Chamber,
+    ParamVector,
     _as_params,
     _check_chamber,
     evaluate_f,
@@ -60,7 +61,6 @@ from .arrangement import (
 from .cayley_menger import CMTable, ConfigMatrix, _stored
 from .errors import (
     DegenerateConfigError,
-    EmptyIntersectionError,
     HypothesisError,
     SphexError,
 )
@@ -138,6 +138,12 @@ class VolumeEstimate:
     @property
     def exact(self) -> bool:
         return self.method in EXACT_METHODS
+
+    def to_dict(self) -> dict:
+        return {"value": self.value, "std_error": self.std_error,
+                "samples": self.samples, "exact": self.exact,
+                "method": self.method,
+                "fallback_reason": self.fallback_reason}
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -765,20 +771,20 @@ def cap_integral(n: int, t0: float) -> float:
     return sin_power_integral(n, math.acos(t0))
 
 
-def _lens_half_angles(r1, r2, rho):
-    c1 = (rho * rho + r1 * r1 - r2 * r2) / (2.0 * rho * r1)
-    c2 = (rho * rho + r2 * r2 - r1 * r1) / (2.0 * rho * r2)
-    return math.acos(max(-1.0, min(1.0, c1))), math.acos(max(-1.0, min(1.0, c2)))
+def _lens(r1, r2, rho):
+    """The two balls' `CMTable` and half-angles, from `angles_pair` on
+    their `ParamVector`: TangencyError if the balls touch,
+    EmptyIntersectionError if they are disjoint or nested."""
+    p = ParamVector(1, np.array([r1 * r1, r2 * r2]),
+                    np.array([[0.0, rho * rho], [rho * rho, 0.0]]))
+    psi12, psi21 = angles_pair(p, 1, 2)
+    return CMTable.from_params(p), 0.5 * psi12, 0.5 * psi21
 
 
 def lens_volume_closed(n: int, r1: float, r2: float, rho: float) -> float:
     """Volume of the intersection of two n-balls with center distance rho:
-    the sum of two hyperspherical caps."""
-    if rho >= r1 + r2:
-        raise EmptyIntersectionError("balls do not overlap")
-    if rho <= abs(r1 - r2):
-        raise EmptyIntersectionError("one ball is nested inside the other")
-    h1, h2 = _lens_half_angles(r1, r2, rho)
+    the sum of two hyperspherical caps, refused as `_lens` refuses."""
+    _, h1, h2 = _lens(r1, r2, rho)
     out = 0.0
     for r, h in ((r1, h1), (r2, h2)):
         out += unit_sphere_area(n - 2) / (n - 1) * r ** n \

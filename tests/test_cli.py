@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -184,7 +186,11 @@ def test_volume_formats(lens3_file, tmp_path, capsys):
     code, out, _ = run(capsys, ["volume", "--input", lens3_file,
                                 "--chamber", "--+", "--format", "text"])
     assert code == 0
-    assert "chamber --+" in out
+    value = lines[1].split(",")[1]     # the csv's, written alike
+    assert out.splitlines() == [
+        "schema: sphex/1", "command: volume",
+        f"chamber=--+ value={value} std_error=0.0 samples=0 exact=True "
+        "method=closed fallback_reason="]
 
     dest = tmp_path / "result.json"
     code, out, _ = run(capsys, ["volume", "--input", lens3_file,
@@ -433,6 +439,50 @@ def test_identity_csv_format(tri_file, capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",")[0] == "name"
     assert len(lines) == 4
+
+
+def json_rows(payload):
+    """The rows of a JSON payload: a volume estimate is one row, beside
+    its schema and command."""
+    for key in ("subsets", "reports", "rows"):
+        if key in payload:
+            return payload[key]
+    return [{k: v for k, v in payload.items()
+             if k not in ("schema", "command")}]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("shape", ["tri", "tetra"])
+@pytest.mark.parametrize("argv", [
+    ["check"], ["volume"], ["identity", "--which", "prop6"],
+    ["variation", "--eps", "1e-2"]],
+    ids=["check", "volume", "prop6", "variation"])
+def test_rows_carry_every_json_field(tmp_path, capsys, argv, shape, fmt):
+    """csv and text write one line per JSON row, and every key of a row
+    names a csv column and a `key=` of that row's text line; a float
+    cell of the csv reads back as the float itself."""
+    a = {"tri": equilateral, "tetra": tetrahedron}[shape]()
+    path = write(tmp_path, "in.json", arrangement_to_json(a))
+    argv = argv + ["--input", path, "--samples", "2000"]
+    _, out, _ = run(capsys, argv)
+    rows = json_rows(json.loads(out))
+    _, out, _ = run(capsys, argv + ["--format", fmt])
+    assert rows
+    if fmt == "csv":
+        header, *lines = list(csv.reader(io.StringIO(out)))
+        assert len(lines) == len(rows)
+        for row, line in zip(rows, lines):
+            cells = dict(zip(header, line))
+            assert set(row) <= set(cells)
+            for key, value in row.items():
+                if isinstance(value, float):
+                    assert float(cells[key]) == value, key
+    else:
+        lines = out.splitlines()[-len(rows):]
+        for row, line in zip(rows, lines):
+            keys = {tok.split("=", 1)[0] for tok in line.split(" ")
+                    if "=" in tok}
+            assert set(row) <= keys, line
 
 
 def test_variation_selected_params(tri_file, capsys):

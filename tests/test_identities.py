@@ -331,6 +331,36 @@ def test_prop4_is_scale_free(tri, tetra):
                 assert rep.tolerance <= 1e-9 * rep.rhs, (s, J)
 
 
+class FixedDirection:
+    """An rng whose every normal draw is one direction g."""
+
+    def __init__(self, g):
+        self.g = np.array(g, float)
+
+    def generator(self, i):
+        return self
+
+    def normal(self, size):
+        assert size == len(self.g)
+        return self.g.copy()
+
+
+@pytest.mark.parametrize("shape, J, g", [
+    ("tetra", (1,), (1.0, 1e-9, 0.0)),
+    ("tetra", (1,), (1.0, 1e-7, 0.0)),
+    ("simplex4", (1,), (1.0, 1e-9, 0.0, 0.0)),
+    ("simplex4", (1, 2), (0.0, 1.0, 1e-10)),
+])
+def test_prop4_tangent_frame_of_any_direction(shape, J, g):
+    """A sampled direction g almost along a basis vector of S_J still
+    gets a tangent frame: g completed to an orthonormal basis leaves no
+    column to drop by a rank threshold."""
+    a = (tetrahedron() if shape == "tetra"
+         else sx.from_centers_radii(regular_simplex4(), [1.0] * 5))
+    rep = check_prop4_residue(a, J, trials=3, rng=FixedDirection(g))
+    assert rep.passed, rep
+
+
 def test_prop6_values(tri):
     for j in (1, 2, 3):
         rep = check_prop6_values(tri, j)

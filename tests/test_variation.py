@@ -320,7 +320,8 @@ def test_variation_report_to_dict(tri):
     assert d["parameter"] == "d12"
     assert d["pass"] is True
     assert set(d) == {"parameter", "fd_value", "formula_value", "residual",
-                      "tolerance", "pass", "z"}
+                      "tolerance", "pass", "method", "fallback_reason", "z"}
+    assert d["method"] == "closed" and d["fallback_reason"] is None
     assert d["z"] is None           # a closed difference has no error
 
 

@@ -120,6 +120,25 @@ def test_lens_failure_modes():
         lens_volume_closed(2, 1.0, 3.0, 0.5)  # nested
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("r1, r2, rho, error", [
+    (1.0, 1.0, 2.0, sx.TangencyError),          # touching outside
+    (1.0, 2.0, 1.0, sx.TangencyError),          # touching inside
+    (1.0, 1.0, 2.0 - 1e-9, sx.TangencyError),   # within the sign band
+    (1.0, 2.0, 1.0 + 1e-9, sx.TangencyError),
+    (1.0, 1.0, 2.5, EmptyIntersectionError),    # disjoint
+    (1.0, 3.0, 0.5, EmptyIntersectionError),    # nested
+])
+def test_lens_volume_and_form_refuse_alike(scale, r1, r2, rho, error):
+    """The lens volume and its one-form read one two-ball table, so both
+    refuse the same balls with the same error at every scale."""
+    args = (r1 * scale, r2 * scale, rho * scale)
+    with pytest.raises(error):
+        lens_volume_closed(3, *args)
+    with pytest.raises(error):
+        sx.lens_variation_form(3, *args)
+
+
 def test_rng_determinism():
     r = Rng(7)
     a = chamber_volume_mc(equilateral(), Chamber.all_minus(2), 40000, r)
@@ -316,9 +335,9 @@ def test_chamber_areas_tile_the_disk(tri):
     """Each one-minus chamber's area is the integral of its vertical
     chord (scipy's quad, split where a chord's ends change circle), and
     the two chambers inside circles j and k tile their lens, measured by
-    `lens_volume_closed` from the radii and the distance rather than
-    from the pair angles the chamber areas use.  The regular triangle
-    and random H1 draws.
+    `lens_volume_closed` from a table of the two balls alone rather than
+    from the arrangement's pair angles the chamber areas use.  The
+    regular triangle and random H1 draws.
     """
     quad = pytest.importorskip("scipy.integrate").quad
     gen = np.random.default_rng(23)
