@@ -59,7 +59,8 @@ from .volume import (
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one identity check with a per-term breakdown."""
+    """Outcome of one identity check with a per-term breakdown.  `z` is
+    3 (lhs - rhs) / tolerance if sampled (tolerance 3 sigma > 0), else None."""
 
     name: str
     lhs: float
@@ -68,6 +69,7 @@ class IdentityReport:
     tolerance: float
     passed: bool
     terms: tuple  # of (label, value) pairs; fsum of values == rhs
+    z: "float | None" = None
 
     def to_dict(self) -> dict:
         return {
@@ -77,15 +79,18 @@ class IdentityReport:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "z": self.z,
             "terms": [{"label": l, "value": v} for l, v in self.terms],
         }
 
 
-def _report(name, lhs, terms, tolerance) -> IdentityReport:
+def _report(name, lhs, terms, tolerance, weighted=()) -> IdentityReport:
     rhs = math.fsum(v for _, v in terms)
     residual = abs(lhs - rhs)
+    sampled = tolerance and not all(v.exact for _, v in weighted)
+    z = 3.0 * float(lhs - rhs) / tolerance if sampled else None
     return IdentityReport(name, float(lhs), rhs, residual, float(tolerance),
-                          bool(residual <= tolerance), tuple(terms))
+                          bool(residual <= tolerance), tuple(terms), z)
 
 
 def volume_identity_coefficients(table: CMTable, n: int, c: Chamber):
@@ -138,7 +143,7 @@ def _check_volume_identity(name, a, c, samples, rng):
     terms = [(_label(J), w * v.value) for J, (w, v) in zip(Js, weighted[1:])]
     terms.append(("simplex", final))
     return _report(name, a.n * weighted[0][1].value, terms,
-                   _tolerance(weighted, terms))
+                   _tolerance(weighted, terms), weighted)
 
 
 def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
@@ -202,7 +207,8 @@ def check_decomposition(a, samples: int = 1_000_000,
     terms = [("cell_" + _label(J), w * v.value)
              for J, (w, v) in zip(Js, weighted)]
     terms.append(("gap", weighted[-1][1].value))
-    return _report("decomposition", lhs, terms, _tolerance(weighted, terms))
+    return _report("decomposition", lhs, terms, _tolerance(weighted, terms),
+                   weighted)
 
 
 def check_lemma5_pointwise(a, x) -> IdentityReport:

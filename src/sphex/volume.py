@@ -243,44 +243,50 @@ def _sampling_box(a, c: Chamber):
             np.min([a.center(j) + a.radius(j) for j in minus], axis=0))
 
 
-def _line_measure(lo, hi, c: Chamber, window, n: int):
+def _line_measure(lo, hi, c: Chamber, window, n: int, take=None):
     """Sum of F(end) - F(begin) over chamber c's pieces on N lines.
 
-    Ball j meets line i in [lo, hi][j, i] of its coordinate t (a point
-    if it misses).  The pieces are the window, the minus balls'
-    intervals intersected (the all-plus chamber's is the simplex's,
-    `window` = (lo, hi); None otherwise), minus the plus balls'
-    intervals.  F(t) = t |t|^(n-1), n >= 2, increases, so the ends are
-    mapped first.  The starts and the ends of the plus intervals are
+    Ball j meets line i in [lo, hi][take[j - 1], i] (row j - 1 if `take`
+    is None) of its coordinate t, a point if it misses; rows are read as
+    views, and every step writes into one work block.  The pieces are the
+    window, the minus balls' intervals intersected (the all-plus chamber's
+    is the simplex's, `window` = (lo, hi); None otherwise), minus the plus
+    balls' intervals.  F(t) = t |t|^(n-1), n >= 2, increases, so the ends
+    are mapped first.  The starts and the ends of the plus intervals are
     sorted apart by min/max networks: t is uncovered when the k-th
-    smallest end is <= t, k the number of starts <= t, so the k-th piece
-    runs from the k-th end to the (k+1)-th start.
+    smallest end is <= t, k the number of starts <= t, so piece k runs
+    from lower[k], the window's start or the k-th end, to upper[k], the
+    (k+1)-th start or the window's end.
     """
-    minus = [j - 1 for j in c.minus_set()]
-    plus = [j - 1 for j in range(1, len(c.signs) + 1) if c.sign(j) > 0]
-    if minus:
-        wlo = functools.reduce(np.maximum, [lo[j] for j in minus])
-        whi = functools.reduce(np.minimum, [hi[j] for j in minus])
-    else:
-        wlo, whi = window
+    take = range(len(c.signs)) if take is None else take
+    minus = [take[j - 1] for j in c.minus_set()]
+    plus = [take[j - 1] for j in c.plus_set()]
+    work = np.empty((2 * len(plus) + 4, lo.shape[-1]))
+    upper, lower, (spare, cap) = np.split(work, [len(plus) + 1, -2])
+    bottom, top = (lo[minus[0]], hi[minus[0]]) if minus else window
+    for j in minus[1:]:     # folded into spare and cap: lo, hi read only
+        bottom = np.maximum(bottom, lo[j], out=spare)
+        top = np.minimum(top, hi[j], out=cap)
 
-    def F(t):   # t |t|^(n-1) by repeated multiplication, t^n for odd n
-        out = t * (t if n % 2 else np.abs(t))
+    def F(t, dst):   # t |t|^(n-1) by repeated multiplication, into dst
+        np.multiply(t, t if n % 2 else np.abs(t), out=dst)
         for _ in range(n - 2):
-            out *= t
-        return out
+            dst *= t
+        return dst
 
-    whi = np.maximum(whi, wlo)
-    wlo, whi = F(wlo), F(whi)
-    los = [np.minimum(F(lo[j]), whi) for j in plus]
-    his = [np.maximum(F(hi[j]), wlo) for j in plus]
+    whi = F(np.maximum(top, bottom, out=cap), upper[-1])
+    wlo = F(bottom, lower[0])
+    for i, j in enumerate(plus):
+        np.minimum(F(lo[j], upper[i]), whi, out=upper[i])
+        np.maximum(F(hi[j], lower[i + 1]), wlo, out=lower[i + 1])
     for i in range(len(plus) - 1, 0, -1):
         for k in range(i):
-            for r in (los, his):
-                r[k], r[k + 1] = (np.minimum(r[k], r[k + 1]),
-                                  np.maximum(r[k], r[k + 1]))
-    return functools.reduce(np.add, [np.maximum(s - e, 0.0) for s, e in
-                                     zip(los + [whi], [wlo] + his)])
+            for r in (upper, lower[1:]):
+                np.minimum(r[k], r[k + 1], out=spare)
+                np.maximum(r[k], r[k + 1], out=r[k + 1])
+                r[k] = spare
+    np.maximum(np.subtract(upper, lower, out=upper), 0.0, out=upper)
+    return functools.reduce(lambda s, t: np.add(s, t, out=s), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +387,10 @@ TWO_PI = 2.0 * math.pi
 #: tolerance of the two-point count (m = 0); constraint rows from
 #: `face_constraints` are scaled so that it matches `face_volume_mc`
 COUNT_TOL = 1e-9
-#: fibres (or lines, for `_ray_scores`, whose sub-chunks hold whole
-#: frames) per sub-chunk of an RNG block: the arc and line intersections
-#: hold about a dozen (fibres, K) arrays, so a sub-chunk keeps the working
-#: set of a block no larger than the indicator estimators'
+#: fibres (or lines of whole frames, for `_ray_scores`) per sub-chunk of
+#: an RNG block: the arc intersections hold about a dozen (fibres, K)
+#: arrays, the rays' buffers (made once a call) three (rows, lines), so a
+#: block's working set stays no larger than the indicator estimators'
 FIBRE_CHUNK = 4096
 #: absolute accuracy of an m = 2 area (`_region_area`), which the
 #: unit-sphere finite difference's step guard assumes; the tests hold the
@@ -982,12 +988,12 @@ def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
     axes (`_frame_axes`) gives K evenly spread lines.  Each RNG block
     draws its frames and takes its lines frame by frame, the last frame
     cut short, so the scores depend only on (seed, stream, samples).
-    Each distinct sphere row (offset from x0, power at x0) is scored
-    once per chunk for all of `arrs`, in one product: the spheres a
-    `from_params` step keeps count once for the pair.
-    Yields per chunk of whole frames the frame sums (len(arrs), F), the
-    frame sizes k (F,) and the line scores (len(arrs), N).  `samples`
-    must exceed K, as an error over frames needs two (ValueError).
+    Each distinct sphere row (offset from x0, power at x0; a `from_params`
+    pair shares most) is scored once per chunk for all of `arrs`, in place
+    in interval buffers made once per call, which `_line_measure` reads.
+    Yields per chunk of whole frames new arrays: the frame sums (len(arrs),
+    F), the frame sizes k (F,) and the line scores (len(arrs), N).
+    `samples` must exceed K, as an error over frames needs two (ValueError).
     """
     n = arrs[0].n
     minus = [j - 1 for j in c.minus_set()]
@@ -1004,36 +1010,39 @@ def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
             # x0 + t w is in the simplex iff 1 + t (P w)_i >= 0 on every row
             P, q = _simplex_rows(a)
             P = P / (P @ x0 + q)[:, None]
-        # the first arrangement's rows come first: a view, not a copy
-        geometry.append((slice(n + 1) if take == [*range(n + 1)] else take,
-                         P))
+        geometry.append((take, P))
     De = np.frombuffer(b"".join(rows), dtype=float).reshape(-1, n + 1)
-    D, e = np.ascontiguousarray(De[:, :n]), De[:, n:]
+    D = np.ascontiguousarray(De[:, :n])
     axes = _frame_axes(n)
     K = len(axes)
     if samples <= K:
         raise ValueError(f"samples must exceed the {K} lines of one frame "
                          f"to estimate the error over frames")
     per_chunk = max(FIBRE_CHUNK // K, 1)        # whole frames per chunk
+    # powers repeated, buffers flat: every chunk's operands are contiguous
+    e = np.repeat(De[:, n:], per_chunk * K, axis=1)
+    buffers = np.empty((3, e.size))
     for gen, cnt in _blocks(samples, rng):
         frames = _frames(gen, -(-cnt // K), n)
         for f in range(0, len(frames), per_chunk):
             W = (axes @ frames[f:f + per_chunk]).reshape(-1, n)
             W = W[:cnt - f * K].T
-            mid = D @ W
-            h = np.square(mid)
-            h -= e
+            N = W.shape[1]
+            mid, h, lo = (b[:len(D) * N].reshape(-1, N) for b in buffers)
+            np.matmul(D, W, out=mid)
+            np.square(mid, out=h)
+            h -= e[:, :N]
             np.sqrt(np.maximum(h, 0.0, out=h), out=h)
-            lo, hi = mid - h, mid + h
-            x = np.empty((len(arrs), W.shape[1]))
+            lo, hi = np.subtract(mid, h, out=lo), np.add(mid, h, out=mid)
+            x = np.empty((len(arrs), N))
             for s, (take, P) in enumerate(geometry):
                 window = None
                 if P is not None:       # max u > 0 > min u: x0 is inside
                     u = P @ W
                     window = -1.0 / u.max(axis=0), -1.0 / u.min(axis=0)
-                x[s] = _line_measure(lo[take], hi[take], c, window, n)
-            starts = np.arange(0, x.shape[1], K)
-            k = np.minimum(x.shape[1] - starts, float(K))   # frame sizes
+                x[s] = _line_measure(lo, hi, c, window, n, take)
+            starts = np.arange(0, N, K)
+            k = np.minimum(N - starts, float(K))    # frame sizes
             yield np.add.reduceat(x, starts, axis=1), k, x
 
 

@@ -7,6 +7,7 @@ frames, random rotations of fixed axes (`_frame_axes`, `_frames`).  The
 indicator estimator `chamber_volume_mc` is the independent oracle.
 """
 
+import functools
 import itertools
 import math
 
@@ -15,7 +16,7 @@ import pytest
 
 import sphex as sx
 from sphex import volume
-from sphex.arrangement import Chamber
+from sphex.arrangement import Chamber, from_params, params_of
 from sphex.errors import HypothesisError
 from sphex.volume import (
     BLOCK,
@@ -35,6 +36,7 @@ from conftest import (
     gap_fixture,
     lens_trio,
     random_h1,
+    random_h1_prime,
     tetrahedron,
 )
 
@@ -215,6 +217,110 @@ def test_paired_rays_keep_each_arrangements_bits(chamber, radius):
                 assert x2[s].tobytes() == x1[0].tobytes()
                 assert S2[s].tobytes() == S1[0].tobytes()
                 assert k2.tobytes() == k1.tobytes()
+
+
+def reference_line_measure(lo, hi, c, window, n):
+    """`_line_measure` written plainly: fresh arrays at every step."""
+    minus = [j - 1 for j in c.minus_set()]
+    plus = [j - 1 for j in c.plus_set()]
+    if minus:
+        wlo = functools.reduce(np.maximum, [lo[j] for j in minus])
+        whi = functools.reduce(np.minimum, [hi[j] for j in minus])
+    else:
+        wlo, whi = window
+
+    def F(t):
+        out = t * (t if n % 2 else np.abs(t))
+        for _ in range(n - 2):
+            out *= t
+        return out
+
+    whi = np.maximum(whi, wlo)
+    wlo, whi = F(wlo), F(whi)
+    los = [np.minimum(F(lo[j]), whi) for j in plus]
+    his = [np.maximum(F(hi[j]), wlo) for j in plus]
+    for i in range(len(plus) - 1, 0, -1):
+        for k in range(i):
+            for r in (los, his):
+                r[k], r[k + 1] = (np.minimum(r[k], r[k + 1]),
+                                  np.maximum(r[k], r[k + 1]))
+    return functools.reduce(np.add, [np.maximum(s - e, 0.0) for s, e in
+                                     zip(los + [whi], [wlo] + his)])
+
+
+def reference_ray_scores(arrs, c, samples, rng):
+    """`_ray_scores` written plainly: the distinct sphere rows in one
+    product per chunk, each arrangement's rows copied out of it."""
+    n = arrs[0].n
+    minus = [j - 1 for j in c.minus_set()]
+    x0 = np.mean([(a.centers[minus] if minus else a.centers).mean(axis=0)
+                  for a in arrs], axis=0)
+    rows, geometry = {}, []
+    for a in arrs:
+        D = a.centers - x0
+        De = np.column_stack([D, np.einsum("ij,ij->i", D, D) - a.radii ** 2])
+        take = [rows.setdefault(r.tobytes(), len(rows)) for r in De]
+        P = None
+        if not minus:
+            P, q = volume._simplex_rows(a)
+            P = P / (P @ x0 + q)[:, None]
+        geometry.append((take, P))
+    De = np.frombuffer(b"".join(rows), dtype=float).reshape(-1, n + 1)
+    D, e = np.ascontiguousarray(De[:, :n]), De[:, n:]
+    axes = _frame_axes(n)
+    K = len(axes)
+    per_chunk = max(volume.FIBRE_CHUNK // K, 1)
+    for gen, cnt in volume._blocks(samples, rng):
+        frames = _frames(gen, -(-cnt // K), n)
+        for f in range(0, len(frames), per_chunk):
+            W = (axes @ frames[f:f + per_chunk]).reshape(-1, n)
+            W = W[:cnt - f * K].T
+            mid = D @ W
+            h = np.square(mid)
+            h -= e
+            np.sqrt(np.maximum(h, 0.0, out=h), out=h)
+            lo, hi = mid - h, mid + h
+            x = np.empty((len(arrs), W.shape[1]))
+            for s, (take, P) in enumerate(geometry):
+                window = None
+                if P is not None:
+                    u = P @ W
+                    window = -1.0 / u.max(axis=0), -1.0 / u.min(axis=0)
+                x[s] = reference_line_measure(lo[take], hi[take], c, window,
+                                              n)
+            starts = np.arange(0, x.shape[1], K)
+            k = np.minimum(x.shape[1] - starts, float(K))
+            yield np.add.reduceat(x, starts, axis=1), k, x
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ray_scores_match_the_reference_kernel(n):
+    """The chunk loop's buffers change no bit: every sign pattern of an
+    H1 draw and the all-plus chamber of an H1' gap draw, each alone and
+    as the `from_params` finite-difference pair of an r and a d key (one
+    sphere changed, or the centres moved), score the same S, k and x as
+    the plain kernel on the same Rng."""
+    gen = np.random.default_rng(100 + n)
+    base = {3: tetrahedron(radius=0.89), 4: simplex(4, radius=0.93)}
+    gap = random_h1_prime(gen) if n == 2 else jittered(
+        base[n], gen, "h1_prime", 0.03, 0.01)
+    cases = [(random_h1(gen, n), Chamber.from_string("".join(s)))
+             for s in itertools.product("-+", repeat=n + 1)]
+    cases.append((gap, Chamber.all_plus(n)))
+    for a, c in cases:
+        p = params_of(a)
+        groups = [(a,)]
+        for key in (("r", 1), ("d", 1, 2)):
+            value = p.get(key)
+            groups.append(tuple(from_params(p.with_entry(key, value + d), n)
+                                for d in (1e-2, -1e-2)))
+        for arrs in groups:
+            got = list(volume._ray_scores(arrs, c, 20_000, Rng(n, 3)))
+            want = list(reference_ray_scores(arrs, c, 20_000, Rng(n, 3)))
+            assert len(got) == len(want)
+            for chunk, ref in zip(got, want):
+                for g, w in zip(chunk, ref):
+                    assert g.tobytes() == w.tobytes(), (str(c), len(arrs))
 
 
 def test_ball_about_x0_is_exact():

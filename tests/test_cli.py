@@ -249,6 +249,27 @@ def test_identity_thmI(tri_file, capsys):
     assert rep["name"] == "theorem_I_i"
 
 
+def test_identity_rows_carry_z(tri_file, tetra_file, capsys):
+    """A sampled identity row carries z = 3 (lhs - rhs) / tolerance in
+    JSON and csv; a closed-form row carries null and an empty cell."""
+    for path, sampled in ((tetra_file, True), (tri_file, False)):
+        argv = ["identity", "--input", path, "--which", "thmI",
+                "--samples", "20000"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rep = json.loads(out)["reports"][0]
+        _, out, _ = run(capsys, argv + ["--format", "csv"])
+        header, line = list(csv.reader(io.StringIO(out)))
+        cell = dict(zip(header, line))["z"]
+        if sampled:
+            assert rep["z"] == pytest.approx(
+                3.0 * (rep["lhs"] - rep["rhs"]) / rep["tolerance"],
+                rel=1e-12)
+            assert float(cell) == rep["z"]
+        else:
+            assert rep["z"] is None and cell == ""
+
+
 def test_identity_thmI_other_chamber(lens3_file, capsys):
     code, out, _ = run(capsys, ["identity", "--input", lens3_file,
                                 "--which", "thmI", "--chamber", "--+"])

@@ -436,6 +436,25 @@ def test_report_to_dict(tri):
     assert isinstance(d["residual"], float)
 
 
+def test_sampled_identity_reports_carry_z(tri, tetra, gap):
+    """A report whose sum holds a sampled estimate carries its residual in
+    standard errors, z = 3 (lhs - rhs) / tolerance, the tolerance being
+    3 sigma; a report of closed forms only carries None."""
+    gap3 = tetrahedron(radius=0.89)
+    for rep in (check_theorem_I_i(tetra, 20_000, Rng(3)),
+                check_theorem_II_i(gap3, 20_000, Rng(3)),
+                check_decomposition(gap3, 20_000, Rng(3))):
+        assert rep.tolerance > 0.0
+        assert rep.z == pytest.approx(
+            3.0 * (rep.lhs - rep.rhs) / rep.tolerance, rel=1e-12)
+        assert 0.0 < abs(rep.z) <= 3.0 and rep.passed
+        assert rep.to_dict()["z"] == rep.z
+    for rep in (check_theorem_I_i(tri), check_theorem_II_i(gap),
+                check_decomposition(gap),
+                check_lemma5_pointwise(tri, [0.7, 0.3])):
+        assert rep.z is None and rep.to_dict()["z"] is None
+
+
 # ---------------------------------------------------------------------------
 # a check measures its exact faces together, with one-face values
 # ---------------------------------------------------------------------------
