@@ -262,7 +262,8 @@ def _line_measure(lo, hi, c: Chamber, window, n: int, take=None):
     minus = [take[j - 1] for j in c.minus_set()]
     plus = [take[j - 1] for j in c.plus_set()]
     work = np.empty((2 * len(plus) + 4, lo.shape[-1]))
-    upper, lower, (spare, cap) = np.split(work, [len(plus) + 1, -2])
+    p = len(plus)
+    upper, lower, spare, cap = work[:p + 1], work[p + 1:-2], work[-2], work[-1]
     bottom, top = (lo[minus[0]], hi[minus[0]]) if minus else window
     for j in minus[1:]:     # folded into spare and cap: lo, hi read only
         bottom = np.maximum(bottom, lo[j], out=spare)
@@ -968,13 +969,60 @@ def _frame_axes(n: int) -> np.ndarray:
 def _frames(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
     """`count` Haar-random orthogonal matrices (count, n, n), rows
     orthonormal: Gram-Schmidt of n standard-normal rows each, with each
-    projection taken twice so that rows stay orthogonal to rounding."""
+    projection taken twice so that rows stay orthogonal to rounding.
+    The rays use them for n != 3; n = 3 draws `_quaternions`."""
     Q = gen.standard_normal((n, n, count))      # Q[i]: row i of every frame
     for i in range(n):
         for j in list(range(i)) * 2:
             Q[i] -= (Q[i] * Q[j]).sum(axis=0) * Q[j]
         Q[i] /= np.sqrt((Q[i] * Q[i]).sum(axis=0))
     return Q.transpose(2, 0, 1)
+
+
+#: the pairs i <= j of a quaternion's 10 quadratic monomials q_i q_j
+_QUADRATIC = np.triu_indices(4)
+
+
+def _quaternions(gen: np.random.Generator, count: int) -> np.ndarray:
+    """`count` uniform unit quaternions (count, 4), Haar-random rotations
+    of R^3 (`_quaternion_lines`): Shoemake's q = (sqrt(1 - u0) sin 2 pi u1,
+    sqrt(1 - u0) cos 2 pi u1, sqrt(u0) sin 2 pi u2, sqrt(u0) cos 2 pi u2)
+    from 3 uniforms u."""
+    u = gen.random((3, count))
+    r = np.sqrt([1.0 - u[0], u[0]])
+    # sin, cos 2x = 2 tan x, 1 - tan^2 x over 1 + tan^2 x: numpy's float64
+    # tan is vectorized and its sin and cos are not (numpy 2.4 on an
+    # AVX-512 Xeon: one tan costs a sixth of one sin)
+    t = np.tan(np.pi * u[1:])
+    t2 = t * t
+    sc = np.stack([2.0 * t, 1.0 - t2], axis=1) / (1.0 + t2)[:, None]
+    return (r[:, None] * sc).reshape(4, -1).T
+
+
+@functools.lru_cache(maxsize=None)
+def _quaternion_axes() -> np.ndarray:
+    """(10, 3 K) matrix taking the monomials `_QUADRATIC` of q to the K
+    lines `_frame_axes(3) @ R(q)`, flat, read-only.  R(q) = (a^2 - |v|^2)
+    I + 2 v v^T + 2 a [v]x for q = (a, v) is quadratic in q, a rotation
+    for |q| = 1; the coefficient of q_i q_j is found by polarization."""
+    def R(q):
+        a, v = q[0], q[1:]
+        return ((a * a - v @ v) * np.eye(3) + 2.0 * np.outer(v, v)
+                + 2.0 * a * np.cross(np.eye(3), v))
+
+    E = np.eye(4)
+    C = [R(E[i]) if i == j else R(E[i] + E[j]) - R(E[i]) - R(E[j])
+         for i, j in zip(*_QUADRATIC)]
+    axes = np.einsum("ki,mij->mkj", _frame_axes(3), C).reshape(10, -1)
+    axes.flags.writeable = False
+    return axes
+
+
+def _quaternion_lines(q: np.ndarray) -> np.ndarray:
+    """The K lines of each rotation q (F, 4) of `_quaternions`, flat
+    (F, 3 K): its (F, 10) monomials times `_quaternion_axes()`."""
+    i, j = _QUADRATIC
+    return (q.T[i] * q.T[j]).T @ _quaternion_axes()
 
 
 def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
@@ -985,7 +1033,11 @@ def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
     the gap in the centre simplex); each scores the exact integral of
     |t|^(n-1) over the chamber's pieces, n times over (`_line_measure`).
     The directions w come in frames: one Haar-random rotation of K fixed
-    axes (`_frame_axes`) gives K evenly spread lines.  Each RNG block
+    axes (`_frame_axes`) gives K evenly spread lines.  At n = 3 a frame
+    is a uniform quaternion (`_quaternions`, 3 uniforms) and a chunk's
+    lines are one product (`_quaternion_lines`); a line is the same for
+    w and -w, so these rotations give the lines the law of `_frames`'
+    orthogonal matrices, which the other n keep.  Each RNG block
     draws its frames and takes its lines frame by frame, the last frame
     cut short, so the scores depend only on (seed, stream, samples).
     Each distinct sphere row (offset from x0, power at x0; a `from_params`
@@ -1023,10 +1075,12 @@ def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
     e = np.repeat(De[:, n:], per_chunk * K, axis=1)
     buffers = np.empty((3, e.size))
     for gen, cnt in _blocks(samples, rng):
-        frames = _frames(gen, -(-cnt // K), n)
-        for f in range(0, len(frames), per_chunk):
-            W = (axes @ frames[f:f + per_chunk]).reshape(-1, n)
-            W = W[:cnt - f * K].T
+        F = -(-cnt // K)
+        frames = _quaternions(gen, F) if n == 3 else _frames(gen, F, n)
+        for f in range(0, F, per_chunk):
+            W = frames[f:f + per_chunk]
+            W = _quaternion_lines(W) if n == 3 else axes @ W
+            W = W.reshape(-1, n)[:cnt - f * K].T
             N = W.shape[1]
             mid, h, lo = (b[:len(D) * N].reshape(-1, N) for b in buffers)
             np.matmul(D, W, out=mid)

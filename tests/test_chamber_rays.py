@@ -3,8 +3,9 @@
 `chamber_volume` scores each line x0 + t w by the integral of |t|^(n-1)
 over the chamber's pieces on it (`_line_measure`, through `_ray_scores`,
 which the Euclidean finite difference shares).  The lines come in
-frames, random rotations of fixed axes (`_frame_axes`, `_frames`).  The
-indicator estimator `chamber_volume_mc` is the independent oracle.
+frames, random rotations of fixed axes (`_frame_axes`; `_quaternions`
+at n = 3, `_frames` otherwise).  The indicator estimator
+`chamber_volume_mc` is the independent oracle.
 """
 
 import functools
@@ -26,6 +27,8 @@ from sphex.volume import (
     _frames,
     _line_measure,
     _mean_error,
+    _quaternion_lines,
+    _quaternions,
     _sampling_box,
     chamber_area_closed_n2,
     chamber_volume,
@@ -125,19 +128,63 @@ def test_reported_sigma_is_calibrated(shape, signs, lines):
     assert 0.75 <= spread / reported <= 1.3
 
 
+def quaternion_frames(gen, count):
+    """(R, W) of `count` n = 3 frames: their lines W (count, K, 3) and
+    their rotations R (count, 3, 3) read off W, as the rows of
+    `_frame_axes(3)` include the coordinate axes, whose lines are R's."""
+    axes = _frame_axes(3)
+    W = _quaternion_lines(_quaternions(gen, count)).reshape(count, -1, 3)
+    rows = [np.flatnonzero((axes == e).all(axis=1))[0] for e in np.eye(3)]
+    return W[:, rows], W
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
 def test_frames_rotate_fixed_axes(n):
     """K unit axes, one per line: the (3^n - 1) / 2 cube axes up to
-    n = 4, the n coordinate axes above; and orthonormal frames."""
+    n = 4, the n coordinate axes above; and orthonormal frames, at n = 3
+    rotations (det +1) whose lines are the axes rotated."""
     axes = _frame_axes(n)
     assert axes.shape == (frame_size(n), n)
     assert not axes.flags.writeable
     np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, rtol=1e-15)
     cos = np.abs(axes @ axes.T)
     assert cos[~np.eye(len(axes), dtype=bool)].max() < 1.0 - 1e-9
-    Q = _frames(np.random.default_rng(n), 500, n)
+    gen = np.random.default_rng(n)
+    if n == 3:
+        Q, W = quaternion_frames(gen, 500)
+        np.testing.assert_allclose(np.linalg.det(Q), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(W, axes @ Q, atol=1e-15)
+        assert not volume._quaternion_axes().flags.writeable
+    else:
+        Q = _frames(gen, 500, n)
     np.testing.assert_allclose(Q @ Q.transpose(0, 2, 1),
                                np.broadcast_to(np.eye(n), Q.shape), atol=1e-14)
+
+
+def test_quaternion_frames_are_haar():
+    """10^5 n = 3 frames are Shoemake's quaternions of the generator's
+    uniforms (u0, u1, u2), in that order: swapping u0 and 1 - u0 keeps
+    the law, as 1 - u0 is uniform too, but not the draws.  Under Haar
+    measure on SO(3), E[tr R] = 0 and E[(tr R)^2] = 1 (R (x) R holds the
+    trivial representation once), each met within 5 standard errors, and
+    a fixed axis goes to a uniform point of the sphere, whose z is uniform
+    on [-1, 1] (Archimedes; binned chi^2 within 5 sigma)."""
+    count, bins = 100_000, 20
+    u0, u1, u2 = np.random.default_rng(30).random((3, count))
+    q = [np.sqrt(1.0 - u0) * np.sin(2.0 * np.pi * u1),
+         np.sqrt(1.0 - u0) * np.cos(2.0 * np.pi * u1),
+         np.sqrt(u0) * np.sin(2.0 * np.pi * u2),
+         np.sqrt(u0) * np.cos(2.0 * np.pi * u2)]
+    np.testing.assert_allclose(_quaternions(np.random.default_rng(30), count),
+                               np.array(q).T, rtol=0.0, atol=1e-15)
+    R, W = quaternion_frames(np.random.default_rng(30), count)
+    tr = np.trace(R, axis1=1, axis2=2)
+    for x, mean in ((tr, 0.0), (tr ** 2, 1.0)):
+        assert abs(x.mean() - mean) <= 5.0 * x.std(ddof=1) / math.sqrt(count)
+    diagonal = np.flatnonzero((_frame_axes(3) > 0.0).all(axis=1))[0]
+    hits, _ = np.histogram(W[:, diagonal, 2], bins=bins, range=(-1.0, 1.0))
+    chi2 = (((hits - count / bins) ** 2) / (count / bins)).sum()
+    assert chi2 <= bins - 1 + 5.0 * math.sqrt(2.0 * (bins - 1))
 
 
 def test_sigma_over_frames_by_hand():
@@ -250,7 +297,9 @@ def reference_line_measure(lo, hi, c, window, n):
 
 def reference_ray_scores(arrs, c, samples, rng):
     """`_ray_scores` written plainly: the distinct sphere rows in one
-    product per chunk, each arrangement's rows copied out of it."""
+    product per chunk, each arrangement's rows copied out of it.  The
+    n = 3 directions come from `_quaternions` as the kernel takes them;
+    the other n's are `_frames` rotating the axes, written out."""
     n = arrs[0].n
     minus = [j - 1 for j in c.minus_set()]
     x0 = np.mean([(a.centers[minus] if minus else a.centers).mean(axis=0)
@@ -271,9 +320,16 @@ def reference_ray_scores(arrs, c, samples, rng):
     K = len(axes)
     per_chunk = max(volume.FIBRE_CHUNK // K, 1)
     for gen, cnt in volume._blocks(samples, rng):
-        frames = _frames(gen, -(-cnt // K), n)
+        if n == 3:
+            frames = _quaternions(gen, -(-cnt // K))
+        else:
+            frames = _frames(gen, -(-cnt // K), n)
         for f in range(0, len(frames), per_chunk):
-            W = (axes @ frames[f:f + per_chunk]).reshape(-1, n)
+            if n == 3:
+                W = _quaternion_lines(frames[f:f + per_chunk])
+                W = W.reshape(-1, n)
+            else:
+                W = (axes @ frames[f:f + per_chunk]).reshape(-1, n)
             W = W[:cnt - f * K].T
             mid = D @ W
             h = np.square(mid)
