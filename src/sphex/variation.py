@@ -255,10 +255,23 @@ def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
     otherwise, and the determinant term carries -1/(n-1)! (all-minus),
     -(-1)^{#plus}/(n-1)! (mixed), or +(-1)^(n+1)/(n-1)! (all-plus).
     Face volumes come from one `_faces` call; face J (in order of size,
-    then index) draws from `rng.substream(position of J)`.
+    then index) draws from `rng.substream(position of J)`.  The form
+    needs the hypotheses of theorems I and II (`_require_form`).
     """
     rng = rng if rng is not None else Rng(0)
-    return _dB_form(_as_arrangement(a), c, param_basis(a.n), samples, rng)[0]
+    a = _as_arrangement(a)
+    _require_form(a, c)
+    return _dB_form(a, c, param_basis(a.n), samples, rng)[0]
+
+
+def _require_form(a: Arrangement, c: Chamber):
+    """HypothesisError (IndeterminateSignError if unresolved) unless H1
+    holds for a chamber with a minus sign, or the gap is certified
+    (`_require_gap`) for the all-plus chamber."""
+    if c.minus_set():
+        require_hypothesis(a, "h1", "the one-form does not apply")
+    else:
+        _require_gap(a, "the one-form does not apply")
 
 
 def _dB_form(a: Arrangement, c: Chamber, keys, samples: int, rng: Rng):
@@ -452,7 +465,8 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     Chamber, `param` a squared-parameter key.  The form needs H1 for a
     chamber with a minus sign and a certified gap (`_require_gap`) for
     the all-plus chamber, else HypothesisError (IndeterminateSignError if
-    unresolved), as in theorems I and II.  The coefficient is that of
+    unresolved), as in theorems I and II (`_require_form`).  The
+    coefficient is that of
     `dB_volume_form` on `rng.substream(1)`, from the faces whose theta_J
     carries `param` alone (at n = 3 one face for r_j, one arc and two
     vertex counts for d_jk), measured on `a` (on `from_params` of a
@@ -495,10 +509,7 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
                 f"{_param_name(param)} = {value:.6g} to {value - eps:.6g}; "
                 "it must stay positive")
         arr = _as_arrangement(a)
-        if c.minus_set():
-            require_hypothesis(arr, "h1", "the one-form does not apply")
-        else:
-            _require_gap(arr, "the one-form does not apply")
+        _require_form(arr, c)
         form, errs = _dB_form(arr, c, param_basis(n) if n == 2 else (param,),
                               samples, rng.substream(1))
         coef = form.get(param)

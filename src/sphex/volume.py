@@ -22,7 +22,10 @@ with m = n - |J|.  `_measure` alone decides how such regions are
 measured: exactly for m <= 2 (two points counted, arcs intersected, or
 by Stokes' theorem a one-form summed over the boundary arcs), one
 kernel call per row count, and for m >= 3 by the exact arc length of
-random circle fibres (conditional Monte Carlo).  `_faces` hands it a
+random circle fibres (conditional Monte Carlo), drawing only the fibres
+within the region's reach (`_fibre_reach`, from its exact least height
+`_lowest_height`) and counting the rest as the zeros they score, so
+the estimator's law is that of the whole ball.  `_faces` hands it a
 chamber's faces in one call; `sphere_region` and `face_volume` take one
 region or face, and the unit-sphere model's region, arcs and vertices
 are regions too (`config_face_constraints`).  The indicator estimators
@@ -64,8 +67,8 @@ from .errors import (
     HypothesisError,
     SphexError,
 )
-from .intersect import (_plane_sphere, angles_pair, intersection_sphere,
-                        triangle_angles)
+from .intersect import (_plane_solve, _plane_sphere, angles_pair,
+                        intersection_sphere, triangle_angles)
 
 #: samples per RNG block; results are invariant under block scheduling
 BLOCK = 65536
@@ -495,12 +498,83 @@ def _fibre_frame(beta):
 
     The centre direction is the normalized sum of the unit constraint
     normals; the circle fibres lie in planes parallel to span(e1, e2).
+    QR of (d, I) gives e1 = -d for about half of all d, so each column
+    of Q takes the sign of R's diagonal, which makes e1 = +d.
     """
     d = (beta / np.linalg.norm(beta, axis=1, keepdims=True)).sum(axis=0)
     norm = np.linalg.norm(d)
     d = d / norm if norm > 1e-12 else np.eye(len(d))[0]
-    q, _ = np.linalg.qr(np.column_stack([d, np.eye(len(d))]))
-    return q.T
+    q, r = np.linalg.qr(np.column_stack([d, np.eye(len(d))]))
+    return q.T * np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]
+
+
+#: sets of rows `_lowest_height` solves at most; a region with more
+#: draws its fibres from the whole ball
+REACH_SUBSETS = 4096
+#: how far a candidate of `_lowest_height` may miss a row (rows scaled to
+#: unit normals), and how far the fibres' reach r0 is padded outward
+REACH_TOL = 1e-9
+
+
+def _lowest_height(alpha, beta, e):
+    """The least e . g over the region {g in S^m : alpha + beta . g >= 0}
+    of binding rows, or None where it is not bounded here.
+
+    The least point is the lowest point of the sphere S_I = {g : beta_I
+    g = -alpha_I} on S^m, I the rows that hold there with equality, or
+    one of the two points of S_I for some m of them: g = x0 - rho Pe /
+    |Pe| with x0 the point of the planes nearest 0, rho = sqrt(1 -
+    |x0|^2) and Pe the part of e along the planes.  So every I with
+    |I| <= m gives a candidate: I = () gives -e, and |I| = m both points
+    x0 +- rho Pe / |Pe|.  Every I of one size is solved in one stacked
+    `_plane_solve`.  A candidate counts if it meets every row within
+    `REACH_TOL`, and without that test where e . g is constant on S_I
+    (|Pe| <= `REACH_TOL`).  None when the rows of some I are dependent,
+    when there are more than `REACH_SUBSETS` sets I, or when no
+    candidate counts.  The greatest height is minus the least of -e.
+    """
+    K, dim = beta.shape
+    m = dim - 1
+    if sum(math.comb(K, p) for p in range(1, m + 1)) > REACH_SUBSETS:
+        return None
+    norm = np.linalg.norm(beta, axis=1)
+    a, b = alpha / norm, beta / norm[:, None]
+
+    def meets(g):
+        return (a + g @ b.T >= -REACH_TOL).all(axis=-1)
+
+    best = [-1.0] if meets(-e) else []
+    for p in range(1, min(m, K) + 1):
+        I = np.array(list(itertools.combinations(range(K), p)))
+        solved = _plane_solve(b[I], -a[I])
+        if solved is None:
+            return None
+        x0, null = solved
+        rho2 = 1.0 - np.einsum("ij,ij->i", x0, x0)
+        rho = np.sqrt(np.maximum(rho2, 0.0))
+        w = null @ e                            # Pe in the planes' frame
+        slope = np.linalg.norm(w, axis=1)
+        flat = slope <= REACH_TOL
+        u = np.einsum("ik,ikj->ij", w, null) / np.where(flat, 1.0,
+                                                        slope)[:, None]
+        mid = x0 @ e
+        for s in (-1.0, 1.0) if p == m else (-1.0,):
+            ok = (rho2 >= -REACH_TOL) & (flat | meets(x0 + s * rho[:, None]
+                                                      * u))
+            best += (mid + s * rho * slope)[ok].tolist()
+    return min(best) if best else None
+
+
+def _fibre_reach(alpha, beta, e1):
+    """The radius r0 <= 1 of the ball of heights y whose circle fibres
+    (centre direction e1) can meet the region: every point of it has
+    e1 . g >= h0 (`_lowest_height`), and a fibre through g has |y|^2 =
+    1 - (e1 . g)^2 - (e2 . g)^2 <= 1 - h0^2 when h0 > 0.  r0 is padded
+    by `REACH_TOL`; 1 (the whole ball) when h0 <= 0 or is not bounded."""
+    h0 = _lowest_height(alpha, beta, e1)
+    if h0 is None or h0 <= 0.0:
+        return 1.0
+    return min(math.sqrt(1.0 - h0 * h0) + REACH_TOL, 1.0)
 
 
 def _fibre_lengths(y, alpha, perp, amp, phase):
@@ -659,18 +733,30 @@ def _fibres(m: int, alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     feasible arc length of fibres with y uniform in the ball
     ("conditional-mc"; `std_error` per fibre, `samples` fibres, drawn
     on `rng`, so the result depends only on (seed, stream, samples)).
+
+    Only the fibres within the region's reach r0 (`_fibre_reach`) are
+    drawn: a fibre with |y| > r0 misses the region and scores 0.  Each
+    RNG block of cnt fibres draws M ~ Binomial(cnt, r0^(m-1)), scores M
+    fibres with y uniform in the ball of radius r0 and counts the rest
+    as zeros: the scores have the law of cnt whole-ball fibres, and the
+    mean and error are still taken over all `samples`.  With r0 = 1 the
+    blocks draw the whole ball and no binomial.
     """
     blocks = _blocks(samples, rng)
-    proj = beta @ _fibre_frame(beta).T          # (K, m+1) in the fibre frame
+    frame = _fibre_frame(beta)
+    proj = beta @ frame.T                       # (K, m+1) in the fibre frame
     amp = np.hypot(proj[:, 0], proj[:, 1])
     phase = np.arctan2(proj[:, 1], proj[:, 0])
     perp = proj[:, 2:]
     k = m - 1
+    r0 = _fibre_reach(alpha, beta, frame[0])
 
     def arcs():
         for gen, cnt in blocks:
+            if r0 < 1.0:
+                cnt = int(gen.binomial(cnt, r0 ** k))
             y = gen.normal(size=(cnt, k))
-            y *= (gen.random(cnt) ** (1.0 / k)
+            y *= (r0 * gen.random(cnt) ** (1.0 / k)
                   / np.linalg.norm(y, axis=1))[:, None]
             for lo in range(0, cnt, FIBRE_CHUNK):
                 yield _fibre_lengths(y[lo:lo + FIBRE_CHUNK], alpha, perp,

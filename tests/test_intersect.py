@@ -348,3 +348,20 @@ def test_hull_point_is_the_minimum_norm_solution(scale):
                     assert (np.linalg.norm(x0 - ref)
                             <= 1e-13 * np.linalg.norm(ref)), (n, J)
                     assert frame.shape == (n - p + 1, n)
+
+
+def test_stacked_plane_solve_matches_each_system():
+    """A stack of systems is solved as each one alone, bit for bit, and
+    one dependent system makes the whole stack None."""
+    gen = np.random.default_rng(43)
+    for n in (3, 4, 5):
+        for p in range(1, n):
+            A = gen.normal(size=(6, p, n))
+            b = gen.normal(size=(6, p))
+            x0, frame = _plane_solve(A, b)
+            for i in range(6):
+                one = _plane_solve(A[i], b[i])
+                assert np.array_equal(x0[i], one[0]), (n, p, i)
+                assert np.array_equal(frame[i], one[1]), (n, p, i)
+            A[2, 0] = 0.0
+            assert _plane_solve(A, b) is None

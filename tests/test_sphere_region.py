@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sphex as sx
+from sphex import volume
 from sphex.arrangement import Chamber, params_of
 from sphex.cayley_menger import CMTable, ConfigMatrix
 from sphex.volume import (
@@ -19,7 +20,10 @@ from sphex.volume import (
     _arcs,
     _binding,
     _fibre_frame,
+    _fibre_lengths,
+    _fibre_reach,
     _half_width,
+    _lowest_height,
     _region_area,
     _region_rows,
     circle_feasible_arcs,
@@ -230,12 +234,16 @@ def test_region_without_rows_is_the_whole_sphere():
 
 
 def test_fibre_frame_contains_centre_direction():
+    """e1 is +d, not -d, for every draw (QR alone gives -d for about
+    half of them)."""
     gen = np.random.default_rng(5)
-    beta = gen.normal(size=(4, 5))
-    frame = _fibre_frame(beta)
-    np.testing.assert_allclose(frame @ frame.T, np.eye(5), atol=1e-12)
-    d = (beta / np.linalg.norm(beta, axis=1, keepdims=True)).sum(axis=0)
-    assert abs(frame[0] @ d) == pytest.approx(np.linalg.norm(d), rel=1e-12)
+    for _ in range(200):
+        beta = gen.normal(size=(4, 5))
+        frame = _fibre_frame(beta)
+        np.testing.assert_allclose(frame @ frame.T, np.eye(5), atol=1e-12)
+        d = (beta / np.linalg.norm(beta, axis=1, keepdims=True)).sum(axis=0)
+        assert frame[0] @ d > 0
+        assert frame[0] @ d == pytest.approx(np.linalg.norm(d), rel=1e-12)
 
 
 def test_repeatable_per_seed_stream_and_samples():
@@ -250,6 +258,122 @@ def test_repeatable_per_seed_stream_and_samples():
     other = sphere_region(alpha, beta, n, Rng(8, 3))
     assert other.value != first.value
     assert first.samples == n
+
+
+def regular_simplex5(side=1.5):
+    """Centers of the regular 5-simplex with edge `side`."""
+    s = side / math.sqrt(2.0)
+    return np.vstack([np.eye(5) * s, np.full(5, s * (1.0 - math.sqrt(6.0))
+                                             / 5.0)])
+
+
+def reach_regions(gen):
+    """(m, alpha, beta) of binding rows: every face (j,) of every chamber
+    of a jittered regular 4- and 5-simplex (m = 3, 4), random caps and
+    sets of rows on S^3 and S^4, and a region that holds -e1."""
+    for centers in (regular_simplex4(), regular_simplex5()):
+        n = centers.shape[1]
+        a = sx.from_centers_radii(
+            centers + gen.normal(scale=0.05, size=centers.shape),
+            1.0 + gen.normal(scale=0.03, size=n + 1))
+        for signs in itertools.product("-+", repeat=n + 1):
+            for j in range(1, n + 2):
+                alpha, beta, _ = face_constraints(
+                    a, Chamber.from_string("".join(signs)), (j,))
+                yield n - 1, alpha, beta
+    for m in (3, 4):
+        for K in (1, 1, 2, 3, 5):
+            for _ in range(6):
+                yield (m, gen.uniform(-0.9, 0.4, K),
+                       gen.normal(size=(K, m + 1)))
+    yield 3, np.array([0.9, 0.9]), np.eye(2, 4)
+
+
+def test_fibres_beyond_the_reach_miss_the_region():
+    """No point of the region (drawn by the indicator) lies on a fibre
+    with |y| > r0, so the fibres `_fibres` leaves undrawn score 0; the
+    region that holds -e1 keeps the whole ball."""
+    gen = np.random.default_rng(71)
+    thinned = checked = 0
+    for m, alpha, beta in reach_regions(gen):
+        rows = _region_rows(m, alpha, beta)
+        if isinstance(rows, float):
+            continue
+        frame = _fibre_frame(rows[1])
+        r0 = _fibre_reach(*rows, frame[0])
+        thinned += r0 < 1.0
+        g = gen.normal(size=(20_000, m + 1))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = g[(rows[0] + g @ rows[1].T >= 0.0).all(axis=1)]
+        checked += len(g) > 0
+        h = g @ frame[:2].T
+        y2 = 1.0 - (h * h).sum(axis=1)
+        assert np.all(y2 <= r0 * r0), (m, r0, y2.max())
+    assert thinned >= 100 and checked >= 400, (thinned, checked)
+    alpha, beta = np.array([0.9, 0.9]), np.eye(2, 4)
+    assert _lowest_height(alpha, beta, _fibre_frame(beta)[0]) == -1.0
+    assert _fibre_reach(alpha, beta, _fibre_frame(beta)[0]) == 1.0
+
+
+def whole_ball_fibres(alpha, beta, samples, rng):
+    """The fibre estimator drawing every fibre from the whole unit ball,
+    written out: (value, std_error) of `samples` fibres on `rng`."""
+    m = beta.shape[1] - 1
+    k = m - 1
+    proj = beta @ _fibre_frame(beta).T
+    amp = np.hypot(proj[:, 0], proj[:, 1])
+    phase = np.arctan2(proj[:, 1], proj[:, 0])
+    scores = []
+    for b in range(-(-samples // BLOCK)):
+        gen = rng.generator(b)
+        cnt = min(BLOCK, samples - b * BLOCK)
+        y = gen.normal(size=(cnt, k))
+        y *= (gen.random(cnt) ** (1.0 / k)
+              / np.linalg.norm(y, axis=1))[:, None]
+        scores.append(_fibre_lengths(y, alpha, proj[:, 2:], amp, phase))
+    x = np.concatenate(scores)
+    ball = unit_sphere_area(m) / (2.0 * math.pi)
+    return ball * x.mean(), ball * x.std() / math.sqrt(samples)
+
+
+def test_thinned_fibres_keep_the_law_of_the_whole_ball():
+    """Over 200 streams the thinned estimate's mean value and mean
+    std_error agree with the whole-ball estimator's within 4 standard
+    errors, on a face whose fibres are cut to 2% and one cut to 34%."""
+    a = sx.from_centers_radii(regular_simplex4(), [1.0] * 5)
+    for signs, j in (("-----", 1), ("-+-+-", 2)):
+        alpha, beta, _ = face_constraints(a, Chamber.from_string(signs),
+                                          (j,))
+        rows = _region_rows(3, alpha, beta)
+        assert _fibre_reach(*rows, _fibre_frame(rows[1])[0]) < 0.6
+        thin, whole = (np.array(x) for x in zip(*(
+            ((est.value, est.std_error), whole_ball_fibres(*rows, 3000, rng))
+            for rng in (Rng(72, s) for s in range(200))
+            for est in [sphere_region(alpha, beta, 3000, rng)])))
+        assert thin.shape == whole.shape == (200, 2)
+        for col, what in enumerate(("value", "std_error")):
+            gap = thin[:, col].mean() - whole[:, col].mean()
+            se = math.hypot(thin[:, col].std(), whole[:, col].std()) / \
+                math.sqrt(200)
+            assert abs(gap) <= 4.0 * se, (signs, what, gap, se)
+
+
+def test_fibres_outside_the_reach_are_not_scored(monkeypatch):
+    """On an all-minus face of the regular 4-simplex (r0^2 = 0.0234)
+    fewer than 5% of 30,000 fibres reach `_fibre_lengths`, and the
+    estimate still counts all 30,000."""
+    scored = []
+
+    def counted(y, *args):
+        scored.append(len(y))
+        return _fibre_lengths(y, *args)
+
+    monkeypatch.setattr(volume, "_fibre_lengths", counted)
+    a = sx.from_centers_radii(regular_simplex4(), [1.0] * 5)
+    alpha, beta, _ = face_constraints(a, Chamber.all_minus(4), (1,))
+    est = sphere_region(alpha, beta, 30_000, Rng(73))
+    assert 0 < sum(scored) < 0.05 * 30_000, sum(scored)
+    assert est.samples == 30_000 and est.value > 0.0
 
 
 def indicator_area(alpha, beta, samples, seed):

@@ -119,7 +119,9 @@ def _answers(a):
         out.append(dataclasses.astuple(sx.chamber_volume(a, c, 1000, Rng(1))))
         for J in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
             out.append(dataclasses.astuple(sx.face_volume(a, c, J)))
-    out.append(sx.dB_volume_form(a, chambers[0]).coeffs)
+    # the form of a chamber whose hypothesis holds: all-minus under H1,
+    # the gap under H1'
+    out.append(sx.dB_volume_form(a, chambers[0 if h.h1 else -1]).coeffs)
     if h.h1:
         out.append(sx.check_theorem_I_i(a).to_dict())
     else:
