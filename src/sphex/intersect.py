@@ -72,14 +72,18 @@ def _plane_solve(A, b):
     rows than columns; none gives x0 = 0 and the identity frame.  None
     when the rows are dependent: the smallest singular value is at most
     1e-12 of the largest, whatever the scale of A.  A stack of systems,
-    A (S, p, n) and b (S, p), is solved in one call, one SVD each, and is
-    None if any one is dependent."""
+    A (S, p, n) and b (S, p) with p >= 1, is solved in one call, one SVD
+    each, and is None if any one is dependent."""
     U, s, Vt = np.linalg.svd(A)
-    if s.size and (s[..., -1] <= 1e-12 * s[..., 0]).any():
+    if A.ndim == 2:
+        if s.size and s[-1] <= 1e-12 * s[0]:
+            return None
+        return (U.T @ b / s) @ Vt[:s.size], Vt[s.size:]
+    if (s[:, -1] <= 1e-12 * s[:, 0]).any():
         return None
-    p = s.shape[-1]
-    x0 = (b[..., None, :] @ U) / s[..., None, :]
-    return (x0 @ Vt[..., :p, :])[..., 0, :], Vt[..., p:, :]
+    p = s.shape[1]
+    x0 = (b[:, None, :] @ U) / s[:, None, :]
+    return (x0 @ Vt[:, :p])[:, 0], Vt[:, p:]
 
 
 def intersection_sphere(a, J) -> SubSphere:

@@ -22,10 +22,10 @@ with m = n - |J|.  `_measure` alone decides how such regions are
 measured: exactly for m <= 2 (two points counted, arcs intersected, or
 by Stokes' theorem a one-form summed over the boundary arcs), one
 kernel call per row count, and for m >= 3 by the exact arc length of
-random circle fibres (conditional Monte Carlo), drawing only the fibres
+random circle fibres (conditional Monte Carlo), scoring only the fibres
 within the region's reach (`_fibre_reach`, from its exact least height
 `_lowest_height`) and counting the rest as the zeros they score, so
-the estimator's law is that of the whole ball.  `_faces` hands it a
+the estimate is that of fibres drawn from the whole ball.  `_faces` hands it a
 chamber's faces in one call; `sphere_region` and `face_volume` take one
 region or face, and the unit-sphere model's region, arcs and vertices
 are regions too (`config_face_constraints`).  The indicator estimators
@@ -498,14 +498,19 @@ def _fibre_frame(beta):
 
     The centre direction is the normalized sum of the unit constraint
     normals; the circle fibres lie in planes parallel to span(e1, e2).
-    QR of (d, I) gives e1 = -d for about half of all d, so each column
-    of Q takes the sign of R's diagonal, which makes e1 = +d.
+    QR of (d, I) gives e1 = -d for about half of all d, so e1 takes the
+    sign of R's first diagonal entry, which makes e1 = +d.  The other
+    rows keep QR's signs: an arc length does not depend on the sign of
+    e1, so each fibre y scores as in the frame QR gives.
     """
     d = (beta / np.linalg.norm(beta, axis=1, keepdims=True)).sum(axis=0)
     norm = np.linalg.norm(d)
     d = d / norm if norm > 1e-12 else np.eye(len(d))[0]
     q, r = np.linalg.qr(np.column_stack([d, np.eye(len(d))]))
-    return q.T * np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]
+    frame = q.T
+    if r[0, 0] < 0.0:
+        frame[0] = -frame[0]
+    return frame
 
 
 #: sets of rows `_lowest_height` solves at most; a region with more
@@ -735,12 +740,13 @@ def _fibres(m: int, alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     on `rng`, so the result depends only on (seed, stream, samples)).
 
     Only the fibres within the region's reach r0 (`_fibre_reach`) are
-    drawn: a fibre with |y| > r0 misses the region and scores 0.  Each
-    RNG block of cnt fibres draws M ~ Binomial(cnt, r0^(m-1)), scores M
-    fibres with y uniform in the ball of radius r0 and counts the rest
-    as zeros: the scores have the law of cnt whole-ball fibres, and the
-    mean and error are still taken over all `samples`.  With r0 = 1 the
-    blocks draw the whole ball and no binomial.
+    scored: a fibre with |y| > r0 misses the region and scores 0.  Each
+    RNG block draws its cnt heights as the whole-ball estimator does, y
+    = u^(1/(m-1)) z / |z| with z normal and u uniform, and scores only
+    those with u <= r0^(m-1); the rest count as the zeros they would
+    score, and the mean and error are still taken over all `samples`.
+    So the estimate is the whole-ball one, fibre for fibre, up to the
+    order of its sums.
     """
     blocks = _blocks(samples, rng)
     frame = _fibre_frame(beta)
@@ -749,16 +755,17 @@ def _fibres(m: int, alpha, beta, samples: int, rng: Rng) -> VolumeEstimate:
     phase = np.arctan2(proj[:, 1], proj[:, 0])
     perp = proj[:, 2:]
     k = m - 1
-    r0 = _fibre_reach(alpha, beta, frame[0])
+    reach = _fibre_reach(alpha, beta, frame[0]) ** k   # of u = |y|^k
 
     def arcs():
         for gen, cnt in blocks:
-            if r0 < 1.0:
-                cnt = int(gen.binomial(cnt, r0 ** k))
             y = gen.normal(size=(cnt, k))
-            y *= (r0 * gen.random(cnt) ** (1.0 / k)
-                  / np.linalg.norm(y, axis=1))[:, None]
-            for lo in range(0, cnt, FIBRE_CHUNK):
+            u = gen.random(cnt)
+            if reach < 1.0:
+                near = u <= reach
+                y, u = y[near], u[near]
+            y *= (u ** (1.0 / k) / np.linalg.norm(y, axis=1))[:, None]
+            for lo in range(0, len(y), FIBRE_CHUNK):
                 yield _fibre_lengths(y[lo:lo + FIBRE_CHUNK], alpha, perp,
                                      amp, phase)
 

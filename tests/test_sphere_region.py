@@ -336,26 +336,66 @@ def whole_ball_fibres(alpha, beta, samples, rng):
     return ball * x.mean(), ball * x.std() / math.sqrt(samples)
 
 
-def test_thinned_fibres_keep_the_law_of_the_whole_ball():
-    """Over 200 streams the thinned estimate's mean value and mean
-    std_error agree with the whole-ball estimator's within 4 standard
-    errors, on a face whose fibres are cut to 2% and one cut to 34%."""
+def test_thinned_fibres_give_the_whole_ball_estimate():
+    """On each of 200 streams the estimate and its std_error are the
+    whole-ball estimator's, fibre for fibre (to rounding), on a face
+    whose fibres are cut to 2% and one cut to 34%: the fibres left
+    unscored are the zeros the whole ball scores."""
     a = sx.from_centers_radii(regular_simplex4(), [1.0] * 5)
     for signs, j in (("-----", 1), ("-+-+-", 2)):
         alpha, beta, _ = face_constraints(a, Chamber.from_string(signs),
                                           (j,))
         rows = _region_rows(3, alpha, beta)
         assert _fibre_reach(*rows, _fibre_frame(rows[1])[0]) < 0.6
-        thin, whole = (np.array(x) for x in zip(*(
-            ((est.value, est.std_error), whole_ball_fibres(*rows, 3000, rng))
-            for rng in (Rng(72, s) for s in range(200))
-            for est in [sphere_region(alpha, beta, 3000, rng)])))
-        assert thin.shape == whole.shape == (200, 2)
-        for col, what in enumerate(("value", "std_error")):
-            gap = thin[:, col].mean() - whole[:, col].mean()
-            se = math.hypot(thin[:, col].std(), whole[:, col].std()) / \
-                math.sqrt(200)
-            assert abs(gap) <= 4.0 * se, (signs, what, gap, se)
+        for s in range(200):
+            est = sphere_region(alpha, beta, 3000, Rng(72, s))
+            value, err = whole_ball_fibres(*rows, 3000, Rng(72, s))
+            assert est.value == pytest.approx(value, rel=1e-12), (signs, s)
+            assert est.std_error == pytest.approx(err, rel=1e-12), (signs, s)
+
+
+def test_reach_falls_back_to_the_whole_ball():
+    """Where `_lowest_height` gives no bound the fibres come from the
+    whole ball and `sphere_region` agrees with the indicator: a band
+    between two parallel rows (a dependent set of rows) and a cone of 30
+    rows (more than `REACH_SUBSETS` sets of at most 3 rows)."""
+    t = np.arange(30) * 2.0 * math.pi / 30
+    cone = np.column_stack([np.full(30, 0.5), 0.75 ** 0.5 * np.cos(t),
+                            0.75 ** 0.5 * np.sin(t), np.zeros(30)])
+    for alpha, beta in (
+            (np.array([-0.3, 0.9, -0.2]),
+             np.eye(4)[[0, 0, 1]] * np.array([[1.0], [-1.0], [1.0]])),
+            (np.full(30, -0.1), cone)):
+        rows = _region_rows(3, alpha, beta)
+        assert len(rows[0]) == len(alpha)
+        e1 = _fibre_frame(rows[1])[0]
+        assert _lowest_height(*rows, e1) is None
+        assert _fibre_reach(*rows, e1) == 1.0
+        est = sphere_region(alpha, beta, 20_000, Rng(74))
+        want, sigma = indicator_area(alpha, beta, 400_000, 75)
+        assert abs(est.value - want) <= 4.0 * math.hypot(est.std_error,
+                                                         sigma)
+
+
+def test_lowest_height_of_a_level_sphere():
+    """Where e . g is constant on S_I its candidate counts without a test
+    against the rows: a cap about e has least height exactly its own,
+    and with a 5 degree cap about a direction 50 degrees from e inside
+    it, whose least height is cos 55 degrees, the level circle of the
+    first cap misses the region but still gives 0.5, a lower bound."""
+    e = np.eye(4)[0]
+    assert _lowest_height(np.array([-0.5]), e[None], e) == pytest.approx(
+        0.5, abs=1e-15)
+    w = np.array([math.cos(math.radians(50.0)),
+                  math.sin(math.radians(50.0)), 0.0, 0.0])
+    alpha = np.array([-0.5, -math.cos(math.radians(5.0))])
+    assert _lowest_height(alpha, np.vstack([e, w]), e) == pytest.approx(
+        0.5, abs=1e-15)
+    g = np.random.default_rng(76).normal(size=(200_000, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    inside = g[(alpha + g @ np.vstack([e, w]).T >= 0.0).all(axis=1)]
+    assert len(inside) and inside[:, 0].min() >= math.cos(
+        math.radians(55.0)) - 1e-12
 
 
 def test_fibres_outside_the_reach_are_not_scored(monkeypatch):
