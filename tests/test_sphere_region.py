@@ -291,8 +291,12 @@ def reach_regions(gen):
 
 def test_fibres_beyond_the_reach_miss_the_region():
     """No point of the region (drawn by the indicator) lies on a fibre
-    with |y| > r0, so the fibres `_fibres` leaves undrawn score 0; the
-    region that holds -e1 keeps the whole ball."""
+    with |y| > r0, so the fibres `_fibres` leaves unscored score 0; the
+    region that holds -e1 keeps the whole ball.  Where `_lowest_height`
+    gives no bound the fibres come from the whole ball and `sphere_region`
+    agrees with the indicator: a band between two parallel rows (a
+    dependent set of rows) and a cone of 30 rows (more than
+    `REACH_SUBSETS` sets of at most 3 rows)."""
     gen = np.random.default_rng(71)
     thinned = checked = 0
     for m, alpha, beta in reach_regions(gen):
@@ -313,6 +317,22 @@ def test_fibres_beyond_the_reach_miss_the_region():
     alpha, beta = np.array([0.9, 0.9]), np.eye(2, 4)
     assert _lowest_height(alpha, beta, _fibre_frame(beta)[0]) == -1.0
     assert _fibre_reach(alpha, beta, _fibre_frame(beta)[0]) == 1.0
+    t = np.arange(30) * 2.0 * math.pi / 30
+    cone = np.column_stack([np.full(30, 0.5), 0.75 ** 0.5 * np.cos(t),
+                            0.75 ** 0.5 * np.sin(t), np.zeros(30)])
+    for alpha, beta in (
+            (np.array([-0.3, 0.9, -0.2]),
+             np.eye(4)[[0, 0, 1]] * np.array([[1.0], [-1.0], [1.0]])),
+            (np.full(30, -0.1), cone)):
+        rows = _region_rows(3, alpha, beta)
+        assert len(rows[0]) == len(alpha)
+        e1 = _fibre_frame(rows[1])[0]
+        assert _lowest_height(*rows, e1) is None
+        assert _fibre_reach(*rows, e1) == 1.0
+        est = sphere_region(alpha, beta, 20_000, Rng(74))
+        want, sigma = indicator_area(alpha, beta, 400_000, 75)
+        assert abs(est.value - want) <= 4.0 * math.hypot(est.std_error,
+                                                         sigma)
 
 
 def whole_ball_fibres(alpha, beta, samples, rng):
@@ -352,29 +372,6 @@ def test_thinned_fibres_give_the_whole_ball_estimate():
             value, err = whole_ball_fibres(*rows, 3000, Rng(72, s))
             assert est.value == pytest.approx(value, rel=1e-12), (signs, s)
             assert est.std_error == pytest.approx(err, rel=1e-12), (signs, s)
-
-
-def test_reach_falls_back_to_the_whole_ball():
-    """Where `_lowest_height` gives no bound the fibres come from the
-    whole ball and `sphere_region` agrees with the indicator: a band
-    between two parallel rows (a dependent set of rows) and a cone of 30
-    rows (more than `REACH_SUBSETS` sets of at most 3 rows)."""
-    t = np.arange(30) * 2.0 * math.pi / 30
-    cone = np.column_stack([np.full(30, 0.5), 0.75 ** 0.5 * np.cos(t),
-                            0.75 ** 0.5 * np.sin(t), np.zeros(30)])
-    for alpha, beta in (
-            (np.array([-0.3, 0.9, -0.2]),
-             np.eye(4)[[0, 0, 1]] * np.array([[1.0], [-1.0], [1.0]])),
-            (np.full(30, -0.1), cone)):
-        rows = _region_rows(3, alpha, beta)
-        assert len(rows[0]) == len(alpha)
-        e1 = _fibre_frame(rows[1])[0]
-        assert _lowest_height(*rows, e1) is None
-        assert _fibre_reach(*rows, e1) == 1.0
-        est = sphere_region(alpha, beta, 20_000, Rng(74))
-        want, sigma = indicator_area(alpha, beta, 400_000, 75)
-        assert abs(est.value - want) <= 4.0 * math.hypot(est.std_error,
-                                                         sigma)
 
 
 def test_lowest_height_of_a_level_sphere():
