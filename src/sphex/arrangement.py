@@ -578,33 +578,57 @@ def params_to_json(p: ParamVector) -> dict:
     }
 
 
-def _field(obj: dict, name: str):
+def _object(obj) -> dict:
+    """`obj` if it is a JSON object, else ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("arrangement JSON must be an object, not "
+                         f"{type(obj).__name__}")
+    return obj
+
+
+def _field(obj: dict, name: str, parse=lambda v: np.asarray(v, float)):
+    """parse(obj[name]): ValueError naming the field if it is missing or
+    `parse` refuses it (an array of floats by default)."""
     try:
-        return obj[name]
+        value = obj[name]
     except KeyError:
         raise ValueError(f'arrangement JSON is missing field "{name}"') from None
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f'arrangement JSON field "{name}": {e}') from None
 
 
 def params_from_json(obj: dict) -> ParamVector:
-    n = int(_field(obj, "n"))
+    n = _field(_object(obj), "n", int)
     m = n + 1
-    r2 = np.asarray(_field(obj, "radii_sq"), float)
-    d2 = np.zeros((m, m))
-    for key, val in _field(obj, "dist_sq").items():
-        j, k = (int(t) for t in key.split(","))
-        if not (1 <= j <= m and 1 <= k <= m and j != k):
-            raise ValueError(f"bad dist_sq key {key!r}")
-        d2[j - 1, k - 1] = d2[k - 1, j - 1] = float(val)
+    r2 = _field(obj, "radii_sq")
+    if r2.shape != (m,):
+        raise ValueError(f'arrangement JSON field "radii_sq" needs {m} values')
+
+    def pairs(dist_sq):
+        if not isinstance(dist_sq, dict):
+            raise TypeError('needs an object with keys "j,k"')
+        d2 = np.zeros((m, m))
+        for key, val in dist_sq.items():
+            j, k = (int(t) for t in key.split(","))
+            if not (1 <= j <= m and 1 <= k <= m and j != k):
+                raise ValueError(f"bad dist_sq key {key!r}")
+            d2[j - 1, k - 1] = d2[k - 1, j - 1] = float(val)
+        return d2
+
+    d2 = _field(obj, "dist_sq", pairs)
     if np.any(d2[~np.eye(m, dtype=bool)] == 0):
         raise ValueError("dist_sq must cover every pair j<k")
     return ParamVector(n, _frozen(r2), _frozen(d2))
 
 
 def arrangement_from_json(obj: dict) -> Arrangement:
-    """Parse either serialized form; the params form is reconstructed."""
-    if "centers" in obj:
-        a = from_centers_radii(obj["centers"], _field(obj, "radii"))
-        if a.n != int(_field(obj, "n")):
+    """Parse either serialized form; the params form is reconstructed.
+    Fields of the wrong type or shape raise ValueError."""
+    if "centers" in _object(obj):
+        a = from_centers_radii(_field(obj, "centers"), _field(obj, "radii"))
+        if a.n != _field(obj, "n", int):
             raise ValueError("field n inconsistent with centers shape")
         return a
     if "radii_sq" in obj:

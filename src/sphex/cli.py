@@ -397,18 +397,19 @@ def main(argv=None) -> int:
         _check_args(args)
         payload, code = _DISPATCH[args.command](args)
     except HypothesisError as e:
-        _emit(fmt, out, _error_payload(args, e))
-        return 2
+        payload, code = _error_payload(args, e), 2
     except IndeterminateSignError as e:
-        _emit(fmt, out, _error_payload(args, e))
-        return 3
+        payload, code = _error_payload(args, e), 3
     except SphexError as e:
-        _emit(fmt, out, _error_payload(args, e))
-        return 4
+        payload, code = _error_payload(args, e), 4
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    _emit(fmt, out, payload)
+    try:
+        _emit(fmt, out, payload)
+    except OSError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 1
     return code
 
 

@@ -9,8 +9,8 @@ the formula is the source of truth and geometry serves as a test
 oracle.  B(0*J) with no sign (`CMTable.signed`) is a tangency, with the
 wrong sign an empty S_J.  The vertices are the 0-sphere S_{N minus j},
 labeled by the sign of f_j; B(0*N) with no sign puts one on sphere j.
-One SVD (`_plane_solve`) solves the radical hyperplanes of S_J and the
-planes of the unit-sphere model.
+`_plane_cuts`, one SVD per system of a stack, is the one plane solver:
+S_J per size (`_sub_spheres`), unit-sphere faces, reach candidates.
 
 Angles: psi_jk is the full opening angle of the arc of S_j inside
 sphere k (it can exceed pi when O_k lies deep inside ball j); phi_j are
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_menger import CMTable, ConfigMatrix, _stored
+from .cayley_menger import CMTable, ConfigMatrix
 from .errors import DegenerateConfigError, EmptyIntersectionError
 
 
@@ -65,25 +65,21 @@ class VertexPair:
     P_prime: np.ndarray
 
 
-def _plane_solve(A, b):
-    """(x0, frame) of the solutions x0 + t @ frame of A x = b, from one
-    SVD: x0 = V diag(1/s) U^T b is the minimum-norm solution and the rows
-    of `frame` are an orthonormal basis of A's nullspace.  A has fewer
-    rows than columns; none gives x0 = 0 and the identity frame.  None
-    when the rows are dependent: the smallest singular value is at most
-    1e-12 of the largest, whatever the scale of A.  A stack of systems,
-    A (S, p, n) and b (S, p) with p >= 1, is solved in one call, one SVD
-    each, and is None if any one is dependent."""
+def _plane_cuts(A, b):
+    """(x0, R2, frame): where the planes A x = b of each system of a stack,
+    A (S, p, n) and b (S, p) with p < n, cut the unit sphere, from one SVD
+    each.  x0 = V diag(1/s) U^T b is the point of the planes nearest 0,
+    R2 = 1 - |x0|^2 the squared radius of the cut (<= 0 if they miss the
+    open ball), and the rows of frame an orthonormal basis of A's
+    nullspace; p = 0 gives 0, 1 and the identity.  None if any system's
+    rows are dependent: its smallest singular value is at most 1e-12 of
+    its largest, whatever the scale of A."""
     U, s, Vt = np.linalg.svd(A)
-    if A.ndim == 2:
-        if s.size and s[-1] <= 1e-12 * s[0]:
-            return None
-        return (U.T @ b / s) @ Vt[:s.size], Vt[s.size:]
-    if (s[:, -1] <= 1e-12 * s[:, 0]).any():
+    if (s[:, -1:] <= 1e-12 * s[:, :1]).any():
         return None
     p = s.shape[1]
-    x0 = (b[:, None, :] @ U) / s[:, None, :]
-    return (x0 @ Vt[:, :p])[:, 0], Vt[:, p:]
+    x0 = ((b[:, None, :] @ U) / s[:, None, :] @ Vt[:, :p])[:, 0]
+    return x0, 1.0 - np.einsum("ij,ij->i", x0, x0), Vt[:, p:]
 
 
 def intersection_sphere(a, J) -> SubSphere:
@@ -95,32 +91,40 @@ def intersection_sphere(a, J) -> SubSphere:
     stored on the arrangement (its arrays read-only), so the faces of
     every chamber and check share one computation per index set.
     """
-    J = tuple(sorted(J))
-    return _stored(a, ("sphere", J), lambda: _sub_sphere(a, J))
+    return _sub_spheres(a, [tuple(sorted(J))])[0]
 
 
-def _sub_sphere(a, J) -> SubSphere:
-    p = len(J)
-    if not 1 <= p <= a.n:
-        raise ValueError(f"|J| must be between 1 and n, got {p}")
-    table = CMTable.from_arrangement(a)
-    plain = table.signed(("0",) + J, EmptyIntersectionError,
-                         "centers of S_J")
-    starred = table.signed(("0", "*") + J, EmptyIntersectionError,
-                           "radius of S_J")
-    # the radical hyperplanes f_k - f_J[0] = 0, k in J[1:]; none if p = 1
-    c0 = a.center(J[0])
-    q = [a.center(k) @ a.center(k) - a.radius(k) ** 2 for k in J]
-    solved = _plane_solve(2.0 * (a.centers[[k - 1 for k in J[1:]]] - c0),
-                          np.array(q[1:]) - q[0])
-    if solved is None:
-        raise DegenerateConfigError(
-            f"radical hyperplanes of {J} are linearly dependent")
-    x0, frame = solved
-    center = x0 + ((c0 - x0) @ frame.T) @ frame
-    center.setflags(write=False)
-    frame.setflags(write=False)
-    return SubSphere(J, center, math.sqrt(0.5 * starred / plain), frame)
+def _sub_spheres(a, Js) -> list:
+    """`intersection_sphere` of each sorted J of one size in `Js`, those
+    not stored yet from one `_plane_cuts` in the units y = (x - O) / r of
+    sphere J[0], where f_k = f_J[0] reads 2 (O_k - O) . y =
+    (|O_k - O|^2 + r^2 - r_k^2) / r, so the center is O + r y0."""
+    new = [J for J in Js if ("sphere", J) not in a._store]
+    if new:
+        if not 1 <= len(new[0]) <= a.n:
+            raise ValueError(f"|J| must be between 1 and n, got {len(new[0])}")
+        table = CMTable.from_arrangement(a)
+        radii = []
+        for J in new:
+            plain = table.signed(("0",) + J, EmptyIntersectionError,
+                                 "centers of S_J")
+            starred = table.signed(("0", "*") + J, EmptyIntersectionError,
+                                   "radius of S_J")
+            radii.append(math.sqrt(0.5 * starred / plain))
+        idx = np.array(new) - 1
+        O, r = a.centers[idx[:, 0]], a.radii[idx[:, 0], None]
+        d = a.centers[idx[:, 1:]] - O[:, None, :]
+        cuts = _plane_cuts(2.0 * d, ((d * d).sum(axis=2) + r * r
+                                     - a.radii[idx[:, 1:]] ** 2) / r)
+        if cuts is None:
+            raise DegenerateConfigError(
+                f"radical hyperplanes of one of {new} are linearly dependent")
+        centers = O + r * cuts[0]
+        centers.setflags(write=False)
+        cuts[2].setflags(write=False)
+        for J, c, R, frame in zip(new, centers, radii, cuts[2]):
+            a._store.setdefault(("sphere", J), SubSphere(J, c, R, frame))
+    return [a._store[("sphere", J)] for J in Js]
 
 
 def vertices(a, j: int) -> VertexPair:
@@ -181,19 +185,14 @@ def sphere_angle(m: ConfigMatrix, j: int, k: int) -> float:
 
 
 def _plane_sphere(m: ConfigMatrix, J):
-    """(center, R, frame) of the sphere in which the planes
-    u_j . x + u_j0 = 0, j in J, of `m` meet the unit sphere: center is
-    the point of their intersection nearest the origin, R =
-    sqrt(1 - |center|^2), and the rows of `frame` are an orthonormal
-    basis of the directions the planes share (`_plane_solve`).  None if
+    """(center, R, frame): the `_plane_cuts` of the unit sphere by the
+    planes u_j . x + u_j0 = 0, j in J, of `m`, R = sqrt(R2).  None if
     the planes are dependent or meet outside the unit ball."""
     idx = [j - 1 for j in J]
-    solved = _plane_solve(m.normals[idx], -m.offsets[idx])
-    if solved is None:
+    cuts = _plane_cuts(m.normals[idx][None], -m.offsets[idx][None])
+    if cuts is None or cuts[1][0] <= 0.0:
         return None
-    center, frame = solved
-    R2 = 1.0 - center @ center
-    return None if R2 <= 0.0 else (center, math.sqrt(R2), frame)
+    return cuts[0][0], math.sqrt(cuts[1][0]), cuts[2][0]
 
 
 def sphere_circle(m: ConfigMatrix, j: int):
@@ -201,7 +200,7 @@ def sphere_circle(m: ConfigMatrix, j: int):
 
     The circle is the slice of the plane u_j . x + u_{j0} = 0 with
     |u_j|^2 = 1 + u_{j0}^2, so its radius is 1/sqrt(1+u_{j0}^2): the
-    `_plane_sphere` of (j,), in whose frame (two in-plane directions at
-    n = 3) `config_face_constraints` measures the face (j,).
+    `_plane_sphere` of (j,) by `_plane_cuts`, in whose frame (two in-plane
+    directions at n = 3) `config_face_constraints` measures the face (j,).
     """
     return _plane_sphere(m, (j,))

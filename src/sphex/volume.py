@@ -24,14 +24,14 @@ by Stokes' theorem a one-form summed over the boundary arcs), one
 kernel call per row count, and for m >= 3 by the exact arc length of
 random circle fibres (conditional Monte Carlo), scoring only the fibres
 within the region's reach (`_fibre_reach`, from its exact least height
-`_lowest_height`) and counting the rest as the zeros they score, so
-the estimate is that of fibres drawn from the whole ball.  `_faces` hands it a
-chamber's faces in one call; `sphere_region` and `face_volume` take one
-region or face, and the unit-sphere model's region, arcs and vertices
-are regions too (`config_face_constraints`).  The indicator estimators
-`chamber_volume_mc` and `face_volume_mc` only draw points and test their
-signs with `evaluate_f`; they stay as the independent oracles that tests
-and benchmarks check the rest against.
+`_lowest_height`) and counting the rest as the zeros they score, so the
+estimate is that of fibres drawn from the whole ball.  `_faces` hands it a
+chamber's faces in one call, with one `_plane_cuts` per size (`_sub_spheres`);
+`sphere_region` and `face_volume` take one region or face, and the unit-sphere
+model's region, arcs and vertices are regions too (`config_face_constraints`).
+The indicator estimators `chamber_volume_mc` and `face_volume_mc` only draw
+points and test their signs with `evaluate_f`; they stay as the independent
+oracles that tests and benchmarks check the rest against.
 
 Every estimate names its `method`; `exact` follows from it.
 
@@ -67,8 +67,8 @@ from .errors import (
     HypothesisError,
     SphexError,
 )
-from .intersect import (_plane_solve, _plane_sphere, angles_pair,
-                        intersection_sphere, triangle_angles)
+from .intersect import (_plane_cuts, _plane_sphere, _sub_spheres,
+                        angles_pair, intersection_sphere, triangle_angles)
 
 #: samples per RNG block; results are invariant under block scheduling
 BLOCK = 65536
@@ -531,8 +531,8 @@ def _lowest_height(alpha, beta, e):
     |Pe| with x0 the point of the planes nearest 0, rho = sqrt(1 -
     |x0|^2) and Pe the part of e along the planes.  So every I with
     |I| <= m gives a candidate: I = () gives -e, and |I| = m both points
-    x0 +- rho Pe / |Pe|.  Every I of one size is solved in one stacked
-    `_plane_solve`.  A candidate counts if it meets every row within
+    x0 +- rho Pe / |Pe|.  Every I of one size is cut in one
+    `_plane_cuts`.  A candidate counts if it meets every row within
     `REACH_TOL`, and without that test where e . g is constant on S_I
     (|Pe| <= `REACH_TOL`).  None when the rows of some I are dependent,
     when there are more than `REACH_SUBSETS` sets I, or when no
@@ -551,11 +551,10 @@ def _lowest_height(alpha, beta, e):
     best = [-1.0] if meets(-e) else []
     for p in range(1, min(m, K) + 1):
         I = np.array(list(itertools.combinations(range(K), p)))
-        solved = _plane_solve(b[I], -a[I])
-        if solved is None:
+        cuts = _plane_cuts(b[I], -a[I])
+        if cuts is None:
             return None
-        x0, null = solved
-        rho2 = 1.0 - np.einsum("ij,ij->i", x0, x0)
+        x0, rho2, null = cuts
         rho = np.sqrt(np.maximum(rho2, 0.0))
         w = null @ e                            # Pe in the planes' frame
         slope = np.linalg.norm(w, axis=1)
@@ -1241,8 +1240,8 @@ def _faces(a, c: Chamber, streams: dict, samples: int) -> dict:
     At n = 2 a face (k,) is the closed arc of `chamber_arc_angles` if
     its hypothesis holds (H1 with a minus sign, else `_require_gap`),
     or names why not in `fallback_reason`.  The other faces' rows
-    (`face_constraints`) are all built before `_measure` measures them
-    per dimension m; values scale by R^m.  A face that draws nothing is
+    (`face_constraints`, after one `_sub_spheres` per size) go to
+    `_measure` per m; values scale by R^m.  A face that draws nothing is
     stored on `a` under ("face", c.signs, J) and read from there.
     """
     out, todo = {}, {}
@@ -1266,12 +1265,14 @@ def _faces(a, c: Chamber, streams: dict, samples: int) -> dict:
                 continue
             except SphexError as e:
                 reason = _closed_form_failed(e)
-        alpha, beta, R = face_constraints(a, c, J)
-        todo.setdefault(m, []).append((J, reason, R ** m, rng, (alpha, beta)))
+        todo.setdefault(m, []).append((J, reason, rng))
     for m, faces in todo.items():
-        Js, reasons, scales, rngs, regions = zip(*faces)
-        ests = _measure(m, regions, samples, rngs)
-        for J, reason, f, est in zip(Js, reasons, scales, ests):
+        Js, reasons, rngs = zip(*faces)
+        _sub_spheres(a, Js)
+        alphas, betas, radii = zip(*(face_constraints(a, c, J) for J in Js))
+        ests = _measure(m, list(zip(alphas, betas)), samples, rngs)
+        for J, reason, R, est in zip(Js, reasons, radii, ests):
+            f = R ** m
             est = replace(est, value=est.value * f, fallback_reason=reason,
                           std_error=est.std_error * f)
             out[J] = (_stored(a, ("face", c.signs, J), lambda: est)

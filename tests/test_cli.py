@@ -666,6 +666,43 @@ def test_usage_errors(tmp_path, tri_file, capsys):
             assert f"{field} must be finite" in err, (field, bad)
 
 
+@pytest.mark.parametrize("text, named", [
+    ("5", "object"),
+    ("null", "object"),
+    ('"centers"', "object"),
+    ('{"n": [2], "centers": [[0, 0], [1.5, 0], [0.75, 1.3]], '
+     '"radii": [1, 1, 1]}', '"n"'),
+    ('{"n": 2, "radii_sq": {"a": 1}, "dist_sq": '
+     '{"1,2": 2.25, "1,3": 2.25, "2,3": 2.25}}', '"radii_sq"'),
+    ('{"n": 2, "radii_sq": [1, 1, 1], "dist_sq": [2.25, 2.25, 2.25]}',
+     '"dist_sq"'),
+], ids=["number", "null", "string", "n", "radii_sq", "dist_sq"])
+def test_malformed_input_exits_1(tmp_path, capsys, text, named):
+    """Valid JSON of the wrong shape is a usage error that names what is
+    wrong (exit 1), not a TypeError or AttributeError."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["check", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+
+
+def test_unwritable_out_exits_1(tmp_path, tri_file, capsys):
+    """--out into a missing directory is an error line and exit 1, for a
+    result (exit 0 otherwise) and for an error payload (exit 2: theorem I
+    on three disjoint disks)."""
+    dest = str(tmp_path / "missing" / "x.json")
+    far = write(tmp_path, "far.json", {"n": 2, "radii": [1, 1, 1],
+                                       "centers": [[0, 0], [9, 0], [0, 9]]})
+    for argv, want in ((["check", "--input", tri_file], 0),
+                       (["identity", "--input", far, "--which", "thmI"], 2)):
+        assert run(capsys, argv)[0] == want
+        code, out, err = run(capsys, argv + ["--out", dest])
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_embedded_lens_values_through_cli(tmp_path, capsys):
     path = write(tmp_path, "lens.json",
                  arrangement_to_json(embedded_lens()))

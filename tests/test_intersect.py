@@ -12,7 +12,8 @@ from sphex.errors import (
 )
 from sphex.volume import config_face_constraints
 from sphex.intersect import (
-    _plane_solve,
+    _plane_cuts,
+    _sub_spheres,
     angles_pair,
     intersection_sphere,
     sphere_angle,
@@ -21,6 +22,7 @@ from sphex.intersect import (
     vertices,
 )
 from conftest import equilateral, jitter_arrangement, random_h1, tetrahedron
+from test_chamber_rays import simplex
 
 
 def two_unit_circles():
@@ -326,42 +328,81 @@ def test_hull_rank_is_scale_free():
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 def test_hull_point_is_the_minimum_norm_solution(scale):
-    """`_plane_solve` on the radical rows of S_J, from its one SVD: the
-    point solves every radical equation and is the least-squares
-    minimum-norm point."""
+    """`_plane_cuts` on the radical rows of every S_J of one size, one
+    SVD each: each point solves every radical equation and is the
+    least-squares minimum-norm point."""
     gen = np.random.default_rng(41)
     for n in (2, 3, 4):
         for _ in range(5):
             a0 = jitter_arrangement(gen, n)
             a = sx.from_centers_radii(a0.centers * scale, a0.radii * scale)
+            q = (a.centers * a.centers).sum(axis=1) - a.radii ** 2
             for p in range(2, n + 1):
-                for J in itertools.combinations(range(1, n + 2), p):
-                    q = [a.center(k) @ a.center(k) - a.radius(k) ** 2
-                         for k in J]
-                    A = 2.0 * (a.centers[[k - 1 for k in J[1:]]]
-                               - a.center(J[0]))
-                    b = np.array(q[1:]) - q[0]
-                    x0, frame = _plane_solve(A, b)
-                    size = np.abs(A) @ np.abs(x0) + np.abs(b)
-                    assert np.all(np.abs(A @ x0 - b) <= 1e-12 * size), J
-                    ref = np.linalg.lstsq(A, b, rcond=None)[0]
-                    assert (np.linalg.norm(x0 - ref)
+                idx = np.array(list(itertools.combinations(range(n + 1), p)))
+                A = 2.0 * (a.centers[idx[:, 1:]] - a.centers[idx[:, :1]])
+                b = q[idx[:, 1:]] - q[idx[:, :1]]
+                x0, _, frame = _plane_cuts(A, b)
+                assert frame.shape == (len(idx), n - p + 1, n)
+                for i, J in enumerate(idx + 1):
+                    size = np.abs(A[i]) @ np.abs(x0[i]) + np.abs(b[i])
+                    assert np.all(np.abs(A[i] @ x0[i] - b[i])
+                                  <= 1e-12 * size), J
+                    ref = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
+                    assert (np.linalg.norm(x0[i] - ref)
                             <= 1e-13 * np.linalg.norm(ref)), (n, J)
-                    assert frame.shape == (n - p + 1, n)
 
 
-def test_stacked_plane_solve_matches_each_system():
-    """A stack of systems is solved as each one alone, bit for bit, and
-    one dependent system makes the whole stack None."""
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_sub_spheres_solve_every_sphere_of_their_index_set(scale):
+    """Each S_J of a batch, n = 2 to 5: center +- R (frame rows) lie on
+    every sphere of J, the frame is orthonormal and orthogonal to every
+    O_k - O_J[0], and r^2 (1 - |y0|^2), y0 = (center - O_J[0]) / r the
+    point of `_sub_spheres`' unit coordinates, is the determinant
+    radius^2.  Planes of p = 0 rows give x0 = 0, R^2 = 1 and the identity."""
+    gen = np.random.default_rng(47)
+    for n in (2, 3, 4, 5):
+        c = simplex(n).centers + gen.normal(scale=0.05, size=(n + 1, n))
+        r = 1.0 + gen.normal(scale=0.03, size=n + 1)
+        a = sx.from_centers_radii(c * scale, r * scale)
+        for p in range(1, n + 1):
+            Js = list(itertools.combinations(range(1, n + 2), p))
+            for J, s in zip(Js, _sub_spheres(a, Js)):
+                O, r = a.center(J[0]), a.radius(J[0])
+                pts = s.center + s.radius * np.vstack([s.basis, -s.basis])
+                for k in J:
+                    d = pts - a.center(k)
+                    miss = (d * d).sum(axis=1) - a.radius(k) ** 2
+                    assert np.all(abs(miss) <= 1e-12 * scale ** 2), (n, J, k)
+                assert np.allclose(s.basis @ s.basis.T, np.eye(n - p + 1),
+                                   rtol=0.0, atol=1e-12)
+                edges = a.centers[[k - 1 for k in J[1:]]] - O
+                assert np.all(np.abs(edges @ s.basis.T) <= 1e-12 * scale)
+                y0 = (s.center - O) / r
+                assert r * r * (1.0 - y0 @ y0) == pytest.approx(
+                    s.radius ** 2, rel=1e-12), (n, J)
+        x0, R2, frame = _plane_cuts(np.zeros((3, 0, n)), np.zeros((3, 0)))
+        assert np.array_equal(x0, np.zeros((3, n)))
+        assert np.array_equal(R2, np.ones(3))
+        assert np.array_equal(frame, np.broadcast_to(np.eye(n), (3, n, n)))
+
+
+def test_a_batch_of_sub_spheres_is_each_batch_of_one():
+    """Every S_J of one size solved in one `_sub_spheres` call is, bit for
+    bit, the S_J that `intersection_sphere` solves alone on a twin
+    arrangement; a stack with one dependent system has no `_plane_cuts`."""
     gen = np.random.default_rng(43)
-    for n in (3, 4, 5):
-        for p in range(1, n):
-            A = gen.normal(size=(6, p, n))
-            b = gen.normal(size=(6, p))
-            x0, frame = _plane_solve(A, b)
-            for i in range(6):
-                one = _plane_solve(A[i], b[i])
-                assert np.array_equal(x0[i], one[0]), (n, p, i)
-                assert np.array_equal(frame[i], one[1]), (n, p, i)
-            A[2, 0] = 0.0
-            assert _plane_solve(A, b) is None
+    for n in (2, 3, 4):
+        a = random_h1(gen, n)
+        for p in range(1, n + 1):
+            Js = list(itertools.combinations(range(1, n + 2), p))
+            for J, s in zip(Js, _sub_spheres(a, Js)):
+                one = intersection_sphere(
+                    sx.from_centers_radii(a.centers, a.radii), J)
+                assert intersection_sphere(a, J) is s
+                assert s.J == one.J and s.radius == one.radius, (n, J)
+                assert np.array_equal(s.center, one.center), (n, J)
+                assert np.array_equal(s.basis, one.basis), (n, J)
+        A, b = gen.normal(size=(6, n - 1, n)), gen.normal(size=(6, n - 1))
+        assert _plane_cuts(A, b) is not None
+        A[2, 0] = 0.0
+        assert _plane_cuts(A, b) is None
