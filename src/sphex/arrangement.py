@@ -599,8 +599,15 @@ def _field(obj: dict, name: str, parse=lambda v: np.asarray(v, float)):
         raise ValueError(f'arrangement JSON field "{name}": {e}') from None
 
 
+def _dimension(value) -> int:
+    """A JSON integer n >= 2: not a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+        raise ValueError(f"needs an integer >= 2, not {value!r}")
+    return value
+
+
 def params_from_json(obj: dict) -> ParamVector:
-    n = _field(_object(obj), "n", int)
+    n = _field(_object(obj), "n", _dimension)
     m = n + 1
     r2 = _field(obj, "radii_sq")
     if r2.shape != (m,):
@@ -628,7 +635,7 @@ def arrangement_from_json(obj: dict) -> Arrangement:
     Fields of the wrong type or shape raise ValueError."""
     if "centers" in _object(obj):
         a = from_centers_radii(_field(obj, "centers"), _field(obj, "radii"))
-        if a.n != _field(obj, "n", int):
+        if a.n != _field(obj, "n", _dimension):
             raise ValueError("field n inconsistent with centers shape")
         return a
     if "radii_sq" in obj:

@@ -2,7 +2,9 @@
 
 Four subcommands: `check` (hypothesis signs), `volume` (chamber
 volume), `identity` (the identity checks, selected with --which), and
-`variation` (finite-difference verification of the volume one-forms).
+`variation` (finite-difference verification of the volume one-forms,
+--model euclidean or unit-sphere).  Each reads --input, --format, --out
+and only the options `_READS` lists for it, and refuses any other.
 All randomness flows from --seed through counter-based streams, so
 repeating a command reproduces its output byte for byte.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -59,8 +62,42 @@ from .volume import Rng, chamber_volume
 
 SCHEMA = "sphex/1"
 
-_WHICH = ("thmI", "thmII", "lemma5", "prop4", "prop6", "gaussbonnet",
-          "decomposition")
+#: the options a command may read beside --input, --format and --out:
+#: argparse keywords, and the default `_check_args` fills in
+_OPTIONS = {
+    "chamber": ({"help": "sign string like '--+' (default all minus)"}, None),
+    "samples": ({"type": int}, 1_000_000),
+    "seed": ({"type": int}, 0),
+    "eps": ({"type": float}, 1e-4),
+    "points": ({"type": int, "help": "random points for lemma5"}, 100),
+    "params": ({"help": "comma list like 'r1,d12' (default all)"}, "all"),
+}
+
+#: the options each command and variant reads, and each --which's call
+#: that makes its reports; a variant refuses an option it does not read
+_READS = {
+    "check": ("", None),
+    "volume": ("chamber samples seed", None),
+    "identity --which thmI": ("chamber samples seed", lambda a, args: [
+        check_theorem_I_i(a, args.samples, Rng(args.seed),
+                          chamber=_chamber_for(args, a.n))]),
+    "identity --which thmII": ("samples seed", lambda a, args: [
+        check_theorem_II_i(a, args.samples, Rng(args.seed))]),
+    "identity --which lemma5": ("seed points", lambda a, args: [
+        check_lemma5_pointwise(a, x) for x in _lemma5_points(a, args)]),
+    "identity --which prop4": ("seed", lambda a, args: [
+        check_prop4_residue(a, J, trials=20, rng=Rng(args.seed).substream(i))
+        for i, J in enumerate(J for p in range(1, a.n + 1) for J in
+                              itertools.combinations(range(1, a.n + 2), p))]),
+    "identity --which prop6": ("", lambda a, args: [
+        check_prop6_values(a, j) for j in range(1, a.n + 2)]),
+    "identity --which gaussbonnet": ("", lambda a, args: [
+        check_gauss_bonnet_n3(config_matrix(restrict_to_unit_sphere(a)))]),
+    "identity --which decomposition": ("samples seed", lambda a, args: [
+        check_decomposition(a, args.samples, Rng(args.seed))]),
+    "variation --model euclidean": ("chamber samples seed eps params", None),
+    "variation --model unit-sphere": ("eps params", None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,46 +105,44 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sphex",
         description="volumes and identities of hypersphere arrangements")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, text in (("check", "evaluate the sign hypotheses"),
+                          ("volume", "volume of one chamber"),
+                          ("identity", "verify one of the identities"),
+                          ("variation", "finite-difference checks")):
+        p = sub.add_parser(command, help=text)
         p.add_argument("--input", required=True, help="arrangement JSON file")
-        p.add_argument("--chamber", help="sign string like '--+' (default all minus)")
-        p.add_argument("--samples", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eps", type=float, default=1e-4)
+        variants = {k.split()[-1]: r.split() for k, (r, _) in _READS.items()
+                    if k.startswith(command)}
+        if command == "identity":
+            p.add_argument("--which", required=True, choices=list(variants))
+        elif command == "variation":
+            p.add_argument("--model", default="euclidean",
+                           choices=list(variants))
+        for name, (kwargs, _) in _OPTIONS.items():
+            if any(name in reads for reads in variants.values()):
+                p.add_argument(f"--{name}", **kwargs)
         p.add_argument("--format", dest="fmt", default="json",
                        choices=("json", "csv", "text"))
         p.add_argument("--out", help="write output here instead of stdout")
-
-    common(sub.add_parser("check", help="evaluate the sign hypotheses"))
-    common(sub.add_parser("volume", help="volume of one chamber"))
-    p_id = sub.add_parser("identity", help="verify one of the identities")
-    common(p_id)
-    p_id.add_argument("--which", required=True, choices=_WHICH)
-    p_id.add_argument("--points", type=int, default=100,
-                      help="random points for the pointwise identity")
-    p_var = sub.add_parser("variation", help="finite-difference checks")
-    common(p_var)
-    p_var.add_argument("--model", default="euclidean",
-                       choices=("euclidean", "unit-sphere"))
-    p_var.add_argument("--params", default="all",
-                       help="comma list like 'r1,d12' (default all)")
     return ap
 
 
 def _check_args(args):
-    """Reject values argparse accepts but no subcommand can use."""
-    # argparse swallows a bare "--" value into an empty list; reject any
-    # non-string remnant instead of silently using the default chamber
-    if args.chamber is not None and (not isinstance(args.chamber, str)
-                                     or not args.chamber):
+    """Refuse an option the variant does not read, fill in the defaults,
+    and reject values argparse accepts but no variant can use."""
+    variant = " ".join([args.command] + [f"--{s} {getattr(args, s)}" for s
+                                         in ("which", "model") if s in args])
+    for name, (_, default) in _OPTIONS.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, default)
+        elif name not in _READS[variant][0].split():
+            raise ValueError(f"--{name} does not change {variant}")
+    if not isinstance(args.chamber, (str, type(None))) or args.chamber == "":
+        # argparse swallows a bare "--" value into an empty list
         raise ValueError("chamber must be a non-empty string of + and -")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    if args.eps <= 0:
-        raise ValueError("--eps must be positive")
-    if getattr(args, "points", 1) < 1:
-        raise ValueError("--points must be at least 1")
+    for name in ("samples", "points", "eps"):
+        if getattr(args, name) <= 0:
+            raise ValueError(f"--{name} must be positive")
 
 
 def _param_keys(spec: str, basis) -> list:
@@ -205,34 +240,7 @@ def _lemma5_points(a, args):
 
 def cmd_identity(args):
     a = load_arrangement(args.input)
-    rng = Rng(args.seed)
-    reports = []
-    if args.which == "thmI":
-        reports.append(check_theorem_I_i(a, args.samples, rng,
-                                         chamber=_chamber_for(args, a.n)))
-    elif args.which == "thmII":
-        reports.append(check_theorem_II_i(a, args.samples, rng))
-    elif args.which == "decomposition":
-        reports.append(check_decomposition(a, args.samples, rng))
-    elif args.which == "lemma5":
-        for x in _lemma5_points(a, args):
-            reports.append(check_lemma5_pointwise(a, x))
-    elif args.which == "prop4":
-        import itertools
-        i = 0
-        for p in range(1, a.n + 1):
-            for J in itertools.combinations(range(1, a.n + 2), p):
-                reports.append(
-                    check_prop4_residue(a, J, trials=20, rng=rng.substream(i)))
-                i += 1
-    elif args.which == "prop6":
-        for j in range(1, a.n + 2):
-            reports.append(check_prop6_values(a, j))
-    elif args.which == "gaussbonnet":
-        m = config_matrix(restrict_to_unit_sphere(a))
-        reports.append(check_gauss_bonnet_n3(m, args.samples, rng))
-    else:
-        raise ValueError(f"unknown identity {args.which!r}")
+    reports = _READS[f"identity --which {args.which}"][1](a, args)
     pass_count = sum(1 for r in reports if r.passed)
     payload = {
         "schema": SCHEMA,
@@ -251,14 +259,10 @@ def cmd_variation(args):
     rows = []
     saw_noise = False
     if args.model == "euclidean":
-        c = _chamber_for(args, a.n)
-        keys = param_basis(a.n)
-        target = a
+        target, c, keys = a, _chamber_for(args, a.n), param_basis(a.n)
     else:
-        m = config_matrix(restrict_to_unit_sphere(a))
-        c = None
-        keys = config_basis(m.n)
-        target = m
+        target, c = config_matrix(restrict_to_unit_sphere(a)), None
+        keys = config_basis(target.n)
     if args.params != "all":
         keys = _param_keys(args.params, keys)
     for i, key in enumerate(keys):
@@ -344,12 +348,8 @@ def _render_text(payload: dict) -> str:
 
 
 def _emit(cfg_fmt: str, out_path, payload: dict):
-    if cfg_fmt == "json":
-        text = _render_json(payload)
-    elif cfg_fmt == "csv":
-        text = _render_csv(payload)
-    else:
-        text = _render_text(payload)
+    text = {"json": _render_json, "csv": _render_csv,
+            "text": _render_text}[cfg_fmt](payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -392,7 +392,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_merge_chamber_tokens(list(argv)))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    fmt, out = args.fmt, args.out
     try:
         _check_args(args)
         payload, code = _DISPATCH[args.command](args)
@@ -406,7 +405,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 1
     try:
-        _emit(fmt, out, payload)
+        _emit(args.fmt, args.out, payload)
     except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -146,7 +146,7 @@ def _check_volume_identity(name, a, c, samples, rng):
                    _tolerance(weighted, terms), weighted)
 
 
-def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
+def check_theorem_I_i(a, samples: int = 1_000_000, rng: Rng = Rng(0),
                       chamber: "Chamber | None" = None) -> IdentityReport:
     """n * v(chamber) against the face-volume expansion, default all-minus.
 
@@ -166,25 +166,23 @@ def check_theorem_I_i(a, samples: int = 1_000_000, rng: "Rng | None" = None,
     if not c.minus_set():
         raise ValueError("all-plus chamber: use check_theorem_II_i")
     require_hypothesis(a, "h1", "theorem I does not apply")
-    rng = rng if rng is not None else Rng(0)
     return _check_volume_identity("theorem_I_i", a, c, samples, rng)
 
 
 def check_theorem_II_i(a, samples: int = 1_000_000,
-                       rng: "Rng | None" = None) -> IdentityReport:
+                       rng: Rng = Rng(0)) -> IdentityReport:
     """The all-plus (gap chamber) volume identity; needs H1' and a
     certified gap: positive gap arcs at n = 2, gap faces (k,) of
     positive area at n = 3.  At n = 2 the lhs area reads the pair
     angles, the rhs the gap arcs, vertex counts and B(0*jk)."""
     a = _as_arrangement(a)
     _require_gap(a, "theorem II does not apply")
-    rng = rng if rng is not None else Rng(0)
     return _check_volume_identity("theorem_II_i", a, Chamber.all_plus(a.n),
                                   samples, rng)
 
 
 def check_decomposition(a, samples: int = 1_000_000,
-                        rng: "Rng | None" = None) -> IdentityReport:
+                        rng: Rng = Rng(0)) -> IdentityReport:
     """Closure of the cone-cell decomposition of the center simplex.
 
     lhs is the simplex volume; the terms are the cone cells over every
@@ -194,7 +192,6 @@ def check_decomposition(a, samples: int = 1_000_000,
     """
     a = _as_arrangement(a)
     _require_gap(a, "the decomposition does not apply")
-    rng = rng if rng is not None else Rng(0)
     lhs = simplex_volume(a)
     c = Chamber.all_plus(a.n)
     Js = [J for p in range(1, a.n + 1)
@@ -259,7 +256,7 @@ def check_lemma5_pointwise(a, x) -> IdentityReport:
 
 
 def check_prop4_residue(a, J, trials: int = 20,
-                        rng: "Rng | None" = None) -> IdentityReport:
+                        rng: Rng = Rng(0)) -> IdentityReport:
     """Constancy of the face-form normalizing determinant on S_J.
 
     At sampled points of S_J, the determinant of the p gradient rows
@@ -273,7 +270,6 @@ def check_prop4_residue(a, J, trials: int = 20,
     """
     J = tuple(sorted(J))
     p = len(J)
-    rng = rng if rng is not None else Rng(0)
     sub = intersection_sphere(a, J)
     table = CMTable.from_arrangement(a)
     const = 2 ** p * _sqrt_starred(table, J)     # sqrt(2^p |B(0*J)|)
@@ -341,7 +337,7 @@ def check_prop6_values(a, j: int) -> IdentityReport:
 
 
 def check_gauss_bonnet_n3(m: ConfigMatrix, samples: int = 1_000_000,
-                          rng: "Rng | None" = None) -> IdentityReport:
+                          rng: Rng = Rng(0)) -> IdentityReport:
     """Spherical region area against its boundary-integral closed form.
 
     lhs is the area of the region cut by the planes on the unit

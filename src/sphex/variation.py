@@ -246,7 +246,7 @@ def lens_variation_form(n: int, r1: float, r2: float, rho: float) -> OneForm:
 
 
 def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
-                   rng: "Rng | None" = None) -> OneForm:
+                   rng: Rng = Rng(0)) -> OneForm:
     """Differential of the chamber volume in the squared parameters.
 
     Pairs each face volume with its one-form: the coefficient on
@@ -258,7 +258,6 @@ def dB_volume_form(a, c: Chamber, samples: int = 1_000_000,
     then index) draws from `rng.substream(position of J)`.  The form
     needs the hypotheses of theorems I and II (`_require_form`).
     """
-    rng = rng if rng is not None else Rng(0)
     a = _as_arrangement(a)
     _require_form(a, c)
     return _dB_form(a, c, param_basis(a.n), samples, rng)[0]
@@ -458,7 +457,7 @@ def _perturbed_config(m: ConfigMatrix, key, eps: float) -> ConfigMatrix:
 
 def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
                         samples: int = 1_000_000,
-                        rng: "Rng | None" = None) -> VariationReport:
+                        rng: Rng = Rng(0)) -> VariationReport:
     """Central finite difference of a volume against the one-form.
 
     model "euclidean": `a` is an Arrangement (or ParamVector), `c` a
@@ -493,7 +492,6 @@ def verify_variation_fd(model: str, a, c, param, eps: float = 1e-4,
     `AREA_TOL` / eps exceeds 1e-5 |coefficient|.  `samples` and `rng`
     are not used.  A `param` outside the model's basis raises KeyError.
     """
-    rng = rng if rng is not None else Rng(0)
     param = tuple(param)
     if eps <= 0:
         raise ValueError("eps must be positive")

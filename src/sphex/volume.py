@@ -1193,7 +1193,7 @@ def _ray_scores(arrs, c: Chamber, samples: int, rng: Rng):
 
 
 def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
-                   rng: "Rng | None" = None) -> VolumeEstimate:
+                   rng: Rng = Rng(0)) -> VolumeEstimate:
     """Chamber volume: the closed form for n = 2, else rays through x0.
 
     Otherwise ("conditional-mc") the volume is |S^(n-1)| / 2n times the
@@ -1210,7 +1210,6 @@ def chamber_volume(a, c: Chamber, samples: int = 1_000_000,
                                   "closed")
         except SphexError as e:
             reason = _closed_form_failed(e)
-    rng = rng if rng is not None else Rng(0)
     mean, err = _mean_error(((S[0], k) for S, k, _ in
                              _ray_scores((a,), c, samples, rng)), samples)
     half = unit_sphere_area(a.n - 1) / (2 * a.n)   # |S^(n-1)| / 2n
@@ -1223,14 +1222,14 @@ def _closed_form_failed(err: SphexError) -> str:
 
 
 def face_volume(a, c: Chamber, J, samples: int = 1_000_000,
-                rng: "Rng | None" = None) -> VolumeEstimate:
+                rng: Rng = Rng(0)) -> VolumeEstimate:
     """Face measure v_J: `_faces` of the one face J, drawing on `rng`:
     exact for |J| >= n - 2 (and stored on `a`), conditional MC with
     `samples` fibres below.  A chamber of the wrong length raises
     ValueError."""
     _check_chamber(a, c)
     J = tuple(sorted(J))
-    return _faces(a, c, {J: rng if rng is not None else Rng(0)}, samples)[J]
+    return _faces(a, c, {J: rng}, samples)[J]
 
 
 def _faces(a, c: Chamber, streams: dict, samples: int) -> dict:
@@ -1303,7 +1302,7 @@ def decomposition_cell_coefficient(a, J) -> float:
 
 
 def decomposition_cell_volume(a, J, samples: int = 1_000_000,
-                              rng: "Rng | None" = None) -> float:
+                              rng: Rng = Rng(0)) -> float:
     """Volume of the cone cell over the face S_J of the gap chamber.
 
     The cell is the union of segments from the centers O_J to the face

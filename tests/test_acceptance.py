@@ -236,7 +236,6 @@ def test_criterion_12_cli_byte_determinism(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for dest in (f1, f2):
         code = cli.main(["identity", "--input", str(path),
-                         "--which", "gaussbonnet", "--samples", "100000",
-                         "--seed", "2", "--out", str(dest)])
+                         "--which", "gaussbonnet", "--out", str(dest)])
         assert code == 0
     assert f1.read_bytes() == f2.read_bytes()

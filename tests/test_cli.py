@@ -391,15 +391,15 @@ gap     0     0      0      2H   0     0      0     2H    1      2H  1
 """
 EXIT_ARGS = {
     "check": ["check"],
-    "volume": ["volume"],
+    "volume": ["volume", "--samples", "2000"],
     "lemma5": ["identity", "--which", "lemma5", "--points", "3"],
-    "thmI": ["identity", "--which", "thmI"],
-    "thmII": ["identity", "--which", "thmII"],
-    "decomp": ["identity", "--which", "decomposition"],
+    "thmI": ["identity", "--which", "thmI", "--samples", "2000"],
+    "thmII": ["identity", "--which", "thmII", "--samples", "2000"],
+    "decomp": ["identity", "--which", "decomposition", "--samples", "2000"],
     "prop4": ["identity", "--which", "prop4"],
     "prop6": ["identity", "--which", "prop6"],
     "gaussb": ["identity", "--which", "gaussbonnet"],
-    "var": ["variation"],
+    "var": ["variation", "--samples", "2000"],
     "var-us": ["variation", "--model", "unit-sphere", "--eps", "3e-2"],
 }
 EXIT_TYPES = {"I": "IndeterminateSignError", "T": "TangencyError",
@@ -433,8 +433,7 @@ def test_exit_codes_depend_on_the_input_only(tmp_path, capsys, name):
     path = write(tmp_path, "in.json", arrangement_to_json(exit_input(name)))
     got = {}
     for cmd in cmds:
-        code, out, err = run(capsys, EXIT_ARGS[cmd] + ["--input", path,
-                                                       "--samples", "2000"])
+        code, out, err = run(capsys, EXIT_ARGS[cmd] + ["--input", path])
         assert "Traceback" not in err
         error = json.loads(out).get("error") if code > 1 else None
         got[cmd] = f"{code}" + ("" if error is None else next(
@@ -444,13 +443,83 @@ def test_exit_codes_depend_on_the_input_only(tmp_path, capsys, name):
 
 
 def test_identity_gaussbonnet(tetra_file, capsys):
-    code, out, _ = run(capsys, ["identity", "--input", tetra_file,
-                                "--which", "gaussbonnet",
-                                "--samples", "150000"])
+    argv = ["identity", "--input", tetra_file, "--which", "gaussbonnet"]
+    code, out, _ = run(capsys, argv)
     assert code == 0
     rep = json.loads(out)["reports"][0]
     assert rep["name"] == "gauss_bonnet_n3"
     assert rep["pass"] is True
+    # the area is exact, from the region's boundary arcs: nothing sampled
+    code, out, err = run(capsys, argv + ["--samples", "150000"])
+    assert code == 1 and out == ""
+    assert err == "error: --samples does not change identity --which " \
+                  "gaussbonnet\n"
+
+
+#: what each command and variant reads beside --input, --format and
+#: --out, on an n = 3 input where each of those options moves the answer
+OPTION_TABLE = {
+    "check": ("tetra", ""),
+    "volume": ("tetra", "chamber samples seed"),
+    "identity --which thmI": ("tetra", "chamber samples seed"),
+    "identity --which thmII": ("gap", "samples seed"),
+    "identity --which lemma5": ("tetra", "seed points"),
+    "identity --which prop4": ("tetra", "seed"),
+    "identity --which prop6": ("tetra", ""),
+    "identity --which gaussbonnet": ("tetra", ""),
+    "identity --which decomposition": ("gap", "samples seed"),
+    "variation --model euclidean": ("tetra", "chamber samples seed eps params"),
+    "variation --model unit-sphere": ("tetra", "eps params"),
+}
+#: two values of each option, small enough to keep a run cheap
+OPTION_VALUES = {"chamber": ("----", "---+"), "samples": ("4000", "5000"),
+                 "seed": ("1", "2"), "eps": ("1e-2", "2e-2"),
+                 "points": ("2", "3"), "params": ("r1", "d12")}
+SPHERE_VALUES = {"eps": ("3e-2", "2e-2"), "params": ("a01", "a12")}
+
+
+@pytest.mark.parametrize("variant", list(OPTION_TABLE))
+def test_unread_options_are_refused(tmp_path, capsys, variant):
+    """An option that cannot change a variant's answer is refused (exit
+    1, nothing on stdout): by argparse where no variant of the command
+    reads it, else by one error line naming the option and the variant."""
+    path = write(tmp_path, "in.json", arrangement_to_json(tetrahedron()))
+    command = variant.split()[0]
+    parsed = {opt for key, (_, reads) in OPTION_TABLE.items()
+              if key.split()[0] == command for opt in reads.split()}
+    for option in set(OPTION_VALUES) - set(OPTION_TABLE[variant][1].split()):
+        code, out, err = run(capsys, variant.split() + [
+            "--input", path, f"--{option}", OPTION_VALUES[option][0]])
+        assert code == 1 and out == "", option
+        assert "Traceback" not in err and f"--{option}" in err
+        if option in parsed:
+            assert err == f"error: --{option} does not change {variant}\n"
+        else:
+            assert err.startswith("usage:"), err
+
+
+@pytest.mark.parametrize("variant", [k for k, (_, reads) in OPTION_TABLE.items()
+                                     if reads])
+def test_read_options_change_the_answer(tmp_path, capsys, variant):
+    """Every option a variant accepts moves its JSON payload: each read
+    option at its second value against all of them at their first."""
+    shape, reads = OPTION_TABLE[variant]
+    a = tetrahedron(0.89) if shape == "gap" else tetrahedron()
+    path = write(tmp_path, "in.json", arrangement_to_json(a))
+    values = {**OPTION_VALUES, **SPHERE_VALUES} \
+        if variant.endswith("unit-sphere") else OPTION_VALUES
+    first = {opt: values[opt][0] for opt in reads.split()}
+
+    def payload(chosen):
+        argv = variant.split() + ["--input", path]
+        argv += [f"--{opt}={value}" for opt, value in chosen.items()]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and "Traceback" not in err, (chosen, err)
+        return json.loads(out)
+
+    base = payload(first)
+    for opt in first:
+        assert payload({**first, opt: values[opt][1]}) != base, opt
 
 
 def test_identity_csv_format(tri_file, capsys):
@@ -475,8 +544,9 @@ def json_rows(payload):
 @pytest.mark.parametrize("fmt", ["csv", "text"])
 @pytest.mark.parametrize("shape", ["tri", "tetra"])
 @pytest.mark.parametrize("argv", [
-    ["check"], ["volume"], ["identity", "--which", "prop6"],
-    ["variation", "--eps", "1e-2"]],
+    ["check"], ["volume", "--samples", "2000"],
+    ["identity", "--which", "prop6"],
+    ["variation", "--eps", "1e-2", "--samples", "2000"]],
     ids=["check", "volume", "prop6", "variation"])
 def test_rows_carry_every_json_field(tmp_path, capsys, argv, shape, fmt):
     """csv and text write one line per JSON row, and every key of a row
@@ -484,7 +554,7 @@ def test_rows_carry_every_json_field(tmp_path, capsys, argv, shape, fmt):
     cell of the csv reads back as the float itself."""
     a = {"tri": equilateral, "tetra": tetrahedron}[shape]()
     path = write(tmp_path, "in.json", arrangement_to_json(a))
-    argv = argv + ["--input", path, "--samples", "2000"]
+    argv = argv + ["--input", path]
     _, out, _ = run(capsys, argv)
     rows = json_rows(json.loads(out))
     _, out, _ = run(capsys, argv + ["--format", fmt])
@@ -676,10 +746,19 @@ def test_usage_errors(tmp_path, tri_file, capsys):
      '{"1,2": 2.25, "1,3": 2.25, "2,3": 2.25}}', '"radii_sq"'),
     ('{"n": 2, "radii_sq": [1, 1, 1], "dist_sq": [2.25, 2.25, 2.25]}',
      '"dist_sq"'),
-], ids=["number", "null", "string", "n", "radii_sq", "dist_sq"])
+    ('{"n": 2.7, "centers": [[0, 0], [1.5, 0], [0.75, 1.3]], '
+     '"radii": [1, 1, 1]}', '"n"'),
+    ('{"n": 2.0, "centers": [[0, 0], [1.5, 0], [0.75, 1.3]], '
+     '"radii": [1, 1, 1]}', '"n"'),
+    ('{"n": true, "radii_sq": [1, 1], "dist_sq": {"1,2": 2.25}}', '"n"'),
+    ('{"n": 0, "radii_sq": [1], "dist_sq": {}}', '"n"'),
+    ('{"n": -1, "radii_sq": [], "dist_sq": {}}', '"n"'),
+], ids=["number", "null", "string", "n", "radii_sq", "dist_sq", "n-float",
+        "n-integral-float", "n-bool", "n-zero", "n-negative"])
 def test_malformed_input_exits_1(tmp_path, capsys, text, named):
     """Valid JSON of the wrong shape is a usage error that names what is
-    wrong (exit 1), not a TypeError or AttributeError."""
+    wrong (exit 1), not a TypeError or AttributeError; n must be a JSON
+    integer of at least 2, neither truncated nor read as a bool."""
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, out, err = run(capsys, ["check", "--input", str(path)])
